@@ -63,27 +63,27 @@ void Run() {
   // (b) DFS vs best-first.
   std::printf("\n-- (b) NN algorithm: depth-first vs best-first --\n");
   const BuiltTree built = BuildTree(dataset, DefaultTreeOptions(dataset));
-  QueryStats dfs_stats;
-  QueryStats bf_stats;
+  QueryTrace dfs_trace;
+  QueryTrace bf_trace;
   Timer dfs_timer;
   for (const Signature& q : queries) {
     built.tree->buffer_pool().Clear();
-    DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&dfs_stats));
+    DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&dfs_trace));
   }
   const double dfs_ms = dfs_timer.ElapsedMs();
   Timer bf_timer;
   for (const Signature& q : queries) {
     built.tree->buffer_pool().Clear();
     BestFirstKNearest(*built.tree, q, 1,
-                      built.tree->OwnPoolContext(&bf_stats));
+                      built.tree->OwnPoolContext(&bf_trace));
   }
   const double bf_ms = bf_timer.ElapsedMs();
   std::printf("%-16s %14s %14s\n", "algorithm", "nodes/query", "cpu_ms/query");
   std::printf("%-16s %14.1f %14.3f\n", "depth-first",
-              static_cast<double>(dfs_stats.nodes_accessed) / queries.size(),
+              static_cast<double>(dfs_trace.nodes_visited()) / queries.size(),
               dfs_ms / queries.size());
   std::printf("%-16s %14.1f %14.3f\n", "best-first",
-              static_cast<double>(bf_stats.nodes_accessed) / queries.size(),
+              static_cast<double>(bf_trace.nodes_visited()) / queries.size(),
               bf_ms / queries.size());
 
   // (c) Insertion vs bulk loading.

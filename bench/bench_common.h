@@ -152,7 +152,7 @@ inline std::vector<Signature> ToSignatures(
 inline MethodResult RunTreeKnn(SgTree& tree,
                                const std::vector<Signature>& queries,
                                uint32_t k, size_t dataset_size) {
-  QueryStats stats;
+  QueryTrace trace;
   std::vector<double> latencies_us;
   latencies_us.reserve(queries.size());
   Timer timer;
@@ -166,12 +166,12 @@ inline MethodResult RunTreeKnn(SgTree& tree,
     Timer per_query;
     const QueryResult r = Execute(backend, request, &tree.buffer_pool());
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
-    stats += r.stats;
+    trace += r.trace;
   }
   const double elapsed = timer.ElapsedMs();
   const double n = static_cast<double>(queries.size());
-  MethodResult result{100.0 * stats.transactions_compared / (n * dataset_size),
-                      elapsed / n, stats.random_ios / n};
+  MethodResult result{100.0 * trace.candidates_verified / (n * dataset_size),
+                      elapsed / n, trace.buffer_misses / n};
   FillPercentiles(latencies_us, &result);
   return result;
 }
@@ -179,19 +179,19 @@ inline MethodResult RunTreeKnn(SgTree& tree,
 inline MethodResult RunTableKnn(const SgTable& table,
                                 const std::vector<Signature>& queries,
                                 uint32_t k, size_t dataset_size) {
-  QueryStats stats;
+  QueryTrace trace;
   std::vector<double> latencies_us;
   latencies_us.reserve(queries.size());
   Timer timer;
   for (const Signature& q : queries) {
     Timer per_query;
-    table.KNearest(q, k, &stats);
+    table.KNearest(q, k, QueryContext{nullptr, &trace});
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
   }
   const double elapsed = timer.ElapsedMs();
   const double n = static_cast<double>(queries.size());
-  MethodResult result{100.0 * stats.transactions_compared / (n * dataset_size),
-                      elapsed / n, stats.random_ios / n};
+  MethodResult result{100.0 * trace.candidates_verified / (n * dataset_size),
+                      elapsed / n, trace.buffer_misses / n};
   FillPercentiles(latencies_us, &result);
   return result;
 }
@@ -199,7 +199,7 @@ inline MethodResult RunTableKnn(const SgTable& table,
 inline MethodResult RunTreeRange(SgTree& tree,
                                  const std::vector<Signature>& queries,
                                  double epsilon, size_t dataset_size) {
-  QueryStats stats;
+  QueryTrace trace;
   std::vector<double> latencies_us;
   latencies_us.reserve(queries.size());
   Timer timer;
@@ -213,12 +213,12 @@ inline MethodResult RunTreeRange(SgTree& tree,
     Timer per_query;
     const QueryResult r = Execute(backend, request, &tree.buffer_pool());
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
-    stats += r.stats;
+    trace += r.trace;
   }
   const double elapsed = timer.ElapsedMs();
   const double n = static_cast<double>(queries.size());
-  MethodResult result{100.0 * stats.transactions_compared / (n * dataset_size),
-                      elapsed / n, stats.random_ios / n};
+  MethodResult result{100.0 * trace.candidates_verified / (n * dataset_size),
+                      elapsed / n, trace.buffer_misses / n};
   FillPercentiles(latencies_us, &result);
   return result;
 }
@@ -226,19 +226,19 @@ inline MethodResult RunTreeRange(SgTree& tree,
 inline MethodResult RunTableRange(const SgTable& table,
                                   const std::vector<Signature>& queries,
                                   double epsilon, size_t dataset_size) {
-  QueryStats stats;
+  QueryTrace trace;
   std::vector<double> latencies_us;
   latencies_us.reserve(queries.size());
   Timer timer;
   for (const Signature& q : queries) {
     Timer per_query;
-    table.Range(q, epsilon, &stats);
+    table.Range(q, epsilon, QueryContext{nullptr, &trace});
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
   }
   const double elapsed = timer.ElapsedMs();
   const double n = static_cast<double>(queries.size());
-  MethodResult result{100.0 * stats.transactions_compared / (n * dataset_size),
-                      elapsed / n, stats.random_ios / n};
+  MethodResult result{100.0 * trace.candidates_verified / (n * dataset_size),
+                      elapsed / n, trace.buffer_misses / n};
   FillPercentiles(latencies_us, &result);
   return result;
 }

@@ -41,27 +41,27 @@ void Run() {
           txn.items.begin(),
           txn.items.begin() + std::min<size_t>(3, txn.items.size()));
     }
-    QueryStats tree_stats;
+    QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& probe : probes) {
       built.tree->buffer_pool().Clear();
       ContainmentSearch(*built.tree,
                         Signature::FromItems(probe, dataset.num_items),
-                        built.tree->OwnPoolContext(&tree_stats));
+                        built.tree->OwnPoolContext(&tree_trace));
     }
     const double tree_ms = tree_timer.ElapsedMs();
-    QueryStats inv_stats;
+    QueryTrace inv_trace;
     Timer inv_q_timer;
     for (const auto& probe : probes) {
-      inverted.Containing(probe, &inv_stats);
+      inverted.Containing(probe, QueryContext{nullptr, &inv_trace});
     }
     const double inv_ms = inv_q_timer.ElapsedMs();
     std::printf("%-22s %-10s %14.3f %14.1f\n", "superset (3 items)",
                 "SG-tree", tree_ms / probes.size(),
-                static_cast<double>(tree_stats.random_ios) / probes.size());
+                static_cast<double>(tree_trace.buffer_misses) / probes.size());
     std::printf("%-22s %-10s %14.3f %14.1f\n", "superset (3 items)",
                 "inverted", inv_ms / probes.size(),
-                static_cast<double>(inv_stats.random_ios) / probes.size());
+                static_cast<double>(inv_trace.buffer_misses) / probes.size());
   }
 
   // Subset queries: unions of two data transactions.
@@ -76,52 +76,53 @@ void Run() {
           dataset.num_items));
       probes.push_back(std::move(sig));
     }
-    QueryStats tree_stats;
+    QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& probe : probes) {
       built.tree->buffer_pool().Clear();
       SubsetSearch(*built.tree, probe,
-                   built.tree->OwnPoolContext(&tree_stats));
+                   built.tree->OwnPoolContext(&tree_trace));
     }
     const double tree_ms = tree_timer.ElapsedMs();
-    QueryStats inv_stats;
+    QueryTrace inv_trace;
     Timer inv_q_timer;
     for (const auto& probe : probes) {
-      inverted.ContainedIn(probe.ToItems(), &inv_stats);
+      inverted.ContainedIn(probe.ToItems(),
+                           QueryContext{nullptr, &inv_trace});
     }
     const double inv_ms = inv_q_timer.ElapsedMs();
     std::printf("%-22s %-10s %14.3f %14.1f\n", "subset (2-txn union)",
                 "SG-tree", tree_ms / probes.size(),
-                static_cast<double>(tree_stats.random_ios) / probes.size());
+                static_cast<double>(tree_trace.buffer_misses) / probes.size());
     std::printf("%-22s %-10s %14.3f %14.1f\n", "subset (2-txn union)",
                 "inverted", inv_ms / probes.size(),
-                static_cast<double>(inv_stats.random_ios) / probes.size());
+                static_cast<double>(inv_trace.buffer_misses) / probes.size());
   }
 
   // Similarity (1-NN): where the SG-tree is the structure of choice.
   {
-    QueryStats tree_stats;
+    QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& q : raw_queries) {
       built.tree->buffer_pool().Clear();
       DfsNearest(*built.tree,
                  Signature::FromItems(q.items, dataset.num_items),
-                 built.tree->OwnPoolContext(&tree_stats));
+                 built.tree->OwnPoolContext(&tree_trace));
     }
     const double tree_ms = tree_timer.ElapsedMs();
-    QueryStats inv_stats;
+    QueryTrace inv_trace;
     Timer inv_q_timer;
     for (const auto& q : raw_queries) {
-      inverted.KNearest(q.items, 1, &inv_stats);
+      inverted.KNearest(q.items, 1, QueryContext{nullptr, &inv_trace});
     }
     const double inv_ms = inv_q_timer.ElapsedMs();
     std::printf("%-22s %-10s %14.3f %14.1f\n", "1-NN", "SG-tree",
                 tree_ms / raw_queries.size(),
-                static_cast<double>(tree_stats.random_ios) /
+                static_cast<double>(tree_trace.buffer_misses) /
                     raw_queries.size());
     std::printf("%-22s %-10s %14.3f %14.1f\n", "1-NN", "inverted",
                 inv_ms / raw_queries.size(),
-                static_cast<double>(inv_stats.random_ios) /
+                static_cast<double>(inv_trace.buffer_misses) /
                     raw_queries.size());
   }
 

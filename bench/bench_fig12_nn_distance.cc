@@ -13,8 +13,8 @@ namespace sgtree::bench {
 namespace {
 
 struct Accumulator {
-  QueryStats tree_stats;
-  QueryStats table_stats;
+  QueryTrace tree_trace;
+  QueryTrace table_trace;
   double tree_ms = 0;
   double table_ms = 0;
   uint32_t count = 0;
@@ -46,20 +46,20 @@ void Run() {
 
   for (const Signature& q : queries) {
     built.tree->buffer_pool().Clear();
-    QueryStats tree_stats;
+    QueryTrace tree_trace;
     Timer tree_timer;
     const Neighbor nn =
-        DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&tree_stats));
+        DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&tree_trace));
     const double tree_ms = tree_timer.ElapsedMs();
 
-    QueryStats table_stats;
+    QueryTrace table_trace;
     Timer table_timer;
-    table.Nearest(q, &table_stats);
+    table.Nearest(q, QueryContext{nullptr, &table_trace});
     const double table_ms = table_timer.ElapsedMs();
 
     Accumulator& acc = buckets[bucket_of(nn.distance)];
-    acc.tree_stats += tree_stats;
-    acc.table_stats += table_stats;
+    acc.tree_trace += tree_trace;
+    acc.table_trace += table_trace;
     acc.tree_ms += tree_ms;
     acc.table_ms += table_ms;
     ++acc.count;
@@ -76,13 +76,13 @@ void Run() {
     }
     const double n = acc.count;
     PrintRow(labels[b], "SG-table",
-             {100.0 * acc.table_stats.transactions_compared /
+             {100.0 * acc.table_trace.candidates_verified /
                   (n * dataset.size()),
-              acc.table_ms / n, acc.table_stats.random_ios / n});
+              acc.table_ms / n, acc.table_trace.buffer_misses / n});
     PrintRow(labels[b], "SG-tree",
-             {100.0 * acc.tree_stats.transactions_compared /
+             {100.0 * acc.tree_trace.candidates_verified /
                   (n * dataset.size()),
-              acc.tree_ms / n, acc.tree_stats.random_ios / n});
+              acc.tree_ms / n, acc.tree_trace.buffer_misses / n});
   }
   std::printf("\nExpected shape (paper): both fast at small distances (the\n"
               "SG-table can win in the 1-3 range); the SG-tree is much\n"

@@ -44,21 +44,24 @@ void JoinStudy(const char* name, const Dataset& da, const Dataset& db) {
   std::printf("%-8s %14s %14s %16s %12s\n", "eps", "pairs", "tree_ms",
               "pairs_compared", "nested_ms");
   for (double epsilon : {1.0, 2.0, 4.0}) {
-    QueryStats stats;
+    QueryTrace trace;
     Timer timer;
-    const auto pairs = SimilarityJoin(*ta, *tb, epsilon, &stats);
+    const auto pairs =
+        SimilarityJoin(*ta, *tb, epsilon, ta->OwnPoolContext(&trace),
+                       tb->OwnPoolContext(&trace));
     const double tree_ms = timer.ElapsedMs();
     double nested_ms = 0;
     const uint64_t expected = NestedLoopPairs(da, db, epsilon, &nested_ms);
     std::printf("%-8.0f %14zu %14.1f %16llu %12.1f%s\n", epsilon,
                 pairs.size(), tree_ms,
-                static_cast<unsigned long long>(stats.transactions_compared),
+                static_cast<unsigned long long>(trace.candidates_verified),
                 nested_ms,
                 pairs.size() == expected ? "" : "  RESULT MISMATCH");
   }
 
   Timer cp_timer;
-  const auto closest = ClosestPairs(*ta, *tb, 5);
+  const auto closest = ClosestPairs(*ta, *tb, 5, ta->OwnPoolContext(),
+                                    tb->OwnPoolContext());
   std::printf("closest-5 pairs in %.1f ms, best distance %.0f\n",
               cp_timer.ElapsedMs(),
               closest.empty() ? -1.0 : closest.front().distance);

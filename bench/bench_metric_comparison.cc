@@ -22,22 +22,22 @@ void RunOn(const char* name, const Dataset& dataset,
     SgTreeOptions options = DefaultTreeOptions(dataset);
     options.metric = metric;
     const BuiltTree built = BuildTree(dataset, options);
-    QueryStats stats;
+    QueryTrace trace;
     Timer timer;
     bool exact = true;
     for (const Signature& q : queries) {
       built.tree->buffer_pool().Clear();
       const Neighbor nn =
-          DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&stats));
+          DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&trace));
       if (nn.distance != scan.Nearest(q, metric).distance) exact = false;
     }
     const double elapsed = timer.ElapsedMs();
     std::printf("%-10s %10.2f %12.3f %14.1f %14s\n",
                 MetricName(metric).c_str(),
-                100.0 * stats.transactions_compared /
+                100.0 * trace.candidates_verified /
                     (queries.size() * dataset.size()),
                 elapsed / queries.size(),
-                static_cast<double>(stats.random_ios) / queries.size(),
+                static_cast<double>(trace.buffer_misses) / queries.size(),
                 exact ? "exact" : "MISMATCH");
   }
 }

@@ -77,7 +77,7 @@ void Run() {
   const size_t batch_size = std::max<size_t>(256, distinct * 8);
   const uint32_t k = std::max<uint32_t>(
       1, static_cast<uint32_t>(10 * ScaleFactor()));
-  std::vector<BatchQuery> batch(batch_size);
+  std::vector<QueryRequest> batch(batch_size);
   for (size_t i = 0; i < batch_size; ++i) {
     batch[i] = {QueryType::kKnn, queries[i % queries.size()], k, 0.0};
   }
@@ -117,7 +117,7 @@ void Run() {
     double total_ios = 0;
     for (const QueryResult& r : results) {
       latencies.push_back(r.elapsed_us);
-      total_ios += static_cast<double>(r.stats.random_ios);
+      total_ios += static_cast<double>(r.trace.buffer_misses);
     }
     std::sort(latencies.begin(), latencies.end());
 

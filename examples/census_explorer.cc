@@ -35,25 +35,25 @@ int main() {
   for (const Transaction& person : queries) {
     const Signature q = Signature::FromItems(person.items, census.num_items);
 
-    QueryStats stats;
-    const auto knn = DfsKNearest(tree, q, 5, tree.OwnPoolContext(&stats));
+    QueryTrace trace;
+    const auto knn = DfsKNearest(tree, q, 5, tree.OwnPoolContext(&trace));
     std::printf("5 most similar individuals (of %zu):", census.size());
     for (const Neighbor& n : knn) {
       std::printf(" #%llu(d=%.0f)", static_cast<unsigned long long>(n.tid),
                   n.distance);
     }
     std::printf("\n  touched %.2f%% of the data\n",
-                100.0 * stats.transactions_compared / census.size());
+                100.0 * trace.candidates_verified / census.size());
 
     // All individuals differing in at most 2 attributes (Hamming <= 4,
     // since every attribute mismatch flips two bits).
-    QueryStats range_stats;
+    QueryTrace range_trace;
     const auto close_matches =
-        RangeSearch(tree, q, 4.0, tree.OwnPoolContext(&range_stats));
+        RangeSearch(tree, q, 4.0, tree.OwnPoolContext(&range_trace));
     std::printf("  individuals within 2 attribute changes: %zu "
                 "(touched %.2f%%)\n\n",
                 close_matches.size(),
-                100.0 * range_stats.transactions_compared / census.size());
+                100.0 * range_trace.candidates_verified / census.size());
   }
 
   // Cluster the population via the tree's leaves (Section 6).

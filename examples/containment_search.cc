@@ -5,7 +5,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
 #include "data/quest_generator.h"
 #include "sgtree/bulk_load.h"
 #include "sgtree/join.h"
@@ -35,18 +34,19 @@ int main() {
                                  probe.items.begin() + 2);
   const Signature probe_sig =
       Signature::FromItems(pair_probe, qopt.num_items);
-  QueryStats stats;
+  QueryTrace trace;
   const auto holders =
-      ContainmentSearch(*tree_a, probe_sig, tree_a->OwnPoolContext(&stats));
+      ContainmentSearch(*tree_a, probe_sig, tree_a->OwnPoolContext(&trace));
   std::printf("Transactions containing items {%u, %u}: %zu "
               "(visited %llu nodes of %llu)\n\n",
               pair_probe[0], pair_probe[1], holders.size(),
-              static_cast<unsigned long long>(stats.nodes_accessed),
+              static_cast<unsigned long long>(trace.nodes_visited()),
               static_cast<unsigned long long>(tree_a->node_count()));
 
   // 2. Near-duplicate detection: self-join within distance 1.
-  QueryStats join_stats;
-  const auto dupes = SimilarityJoin(*tree_a, *tree_a, 1.0, &join_stats);
+  QueryTrace join_trace;
+  const auto dupes = SimilarityJoin(*tree_a, *tree_a, 1.0,
+                                    QueryContext{nullptr, &join_trace}, {});
   size_t near_duplicates = 0;
   for (const JoinPair& p : dupes) {
     if (p.tid_a < p.tid_b) ++near_duplicates;  // Each unordered pair once.
@@ -55,7 +55,7 @@ int main() {
               "(compared %llu of %llu candidate pairs)\n\n",
               near_duplicates,
               static_cast<unsigned long long>(
-                  join_stats.transactions_compared),
+                  join_trace.candidates_verified),
               static_cast<unsigned long long>(tree_a->size() *
                                               tree_a->size()));
 

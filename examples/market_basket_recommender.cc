@@ -45,10 +45,10 @@ int main() {
     const Signature q = Signature::FromItems(customer.items, qopt.num_items);
 
     // 20 most similar historical baskets.
-    QueryStats stats;
+    QueryTrace trace;
     Timer query_timer;
     const auto neighbors =
-        DfsKNearest(tree, q, 20, tree.OwnPoolContext(&stats));
+        DfsKNearest(tree, q, 20, tree.OwnPoolContext(&trace));
     const double ms = query_timer.ElapsedMs();
 
     // Score candidate items by how many similar baskets contain them.
@@ -74,8 +74,8 @@ int main() {
     }
     std::printf("\n  [%.2f ms, touched %.1f%% of the database, "
                 "%llu node reads]\n\n",
-                ms, 100.0 * stats.transactions_compared / history.size(),
-                static_cast<unsigned long long>(stats.nodes_accessed));
+                ms, 100.0 * trace.candidates_verified / history.size(),
+                static_cast<unsigned long long>(trace.nodes_visited()));
   }
   return 0;
 }

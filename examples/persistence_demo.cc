@@ -2,7 +2,10 @@
 // signature compression (Section 3.2), load it back, and keep updating the
 // loaded index — the workflow of a long-lived dynamic collection.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "common/stats.h"
@@ -29,7 +32,10 @@ int main() {
   SgTree tree(topt);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
 
-  const std::string path = "/tmp/sgtree_demo.idx";
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sgtree_demo_" + std::to_string(::getpid()) + ".idx"))
+          .string();
   Timer save_timer;
   if (!SaveTree(tree, path)) {
     std::printf("failed to save %s\n", path.c_str());

@@ -16,11 +16,6 @@ LinearScan::LinearScan(const Dataset& dataset) : num_bits_(dataset.num_items) {
 }
 
 Neighbor LinearScan::Nearest(const Signature& query, Metric metric,
-                             QueryStats* stats) const {
-  return Nearest(query, metric, QueryContext{nullptr, stats, nullptr});
-}
-
-Neighbor LinearScan::Nearest(const Signature& query, Metric metric,
                              const QueryContext& ctx) const {
   Neighbor best{0, std::numeric_limits<double>::infinity()};
   for (size_t i = 0; i < signatures_.size(); ++i) {
@@ -32,12 +27,6 @@ Neighbor LinearScan::Nearest(const Signature& query, Metric metric,
   ctx.CountVerified(signatures_.size());
   ctx.TraceResults(signatures_.empty() ? 0 : 1);
   return best;
-}
-
-std::vector<Neighbor> LinearScan::KNearest(const Signature& query, uint32_t k,
-                                           Metric metric,
-                                           QueryStats* stats) const {
-  return KNearest(query, k, metric, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> LinearScan::KNearest(const Signature& query, uint32_t k,
@@ -60,12 +49,6 @@ std::vector<Neighbor> LinearScan::KNearest(const Signature& query, uint32_t k,
   all.resize(keep);
   ctx.TraceResults(all.size());
   return all;
-}
-
-std::vector<Neighbor> LinearScan::Range(const Signature& query, double epsilon,
-                                        Metric metric,
-                                        QueryStats* stats) const {
-  return Range(query, epsilon, metric, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> LinearScan::Range(const Signature& query, double epsilon,

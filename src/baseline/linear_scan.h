@@ -6,7 +6,6 @@
 
 #include "common/distance.h"
 #include "common/signature.h"
-#include "common/stats.h"
 #include "data/transaction.h"
 #include "storage/query_context.h"
 
@@ -31,30 +30,22 @@ class LinearScan {
   uint32_t num_bits() const { return num_bits_; }
   size_t size() const { return signatures_.size(); }
 
-  // The context forms fill the per-query QueryTrace: a full scan verifies
-  // every transaction (no nodes, no pruning — the honest baseline trace).
-  // The QueryStats* forms are shorthand for a context carrying only stats.
+  // Every query fills the context's QueryTrace: a full scan verifies every
+  // transaction (no nodes, no pruning — the honest baseline trace).
 
   /// The single nearest neighbor (lowest tid wins ties).
   Neighbor Nearest(const Signature& query, Metric metric = Metric::kHamming,
-                   QueryStats* stats = nullptr) const;
-  Neighbor Nearest(const Signature& query, Metric metric,
-                   const QueryContext& ctx) const;
+                   const QueryContext& ctx = {}) const;
 
   /// The k nearest neighbors, ascending distance, ties by tid.
   std::vector<Neighbor> KNearest(const Signature& query, uint32_t k,
                                  Metric metric = Metric::kHamming,
-                                 QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> KNearest(const Signature& query, uint32_t k,
-                                 Metric metric,
-                                 const QueryContext& ctx) const;
+                                 const QueryContext& ctx = {}) const;
 
   /// All transactions within distance `epsilon`, ascending distance.
   std::vector<Neighbor> Range(const Signature& query, double epsilon,
                               Metric metric = Metric::kHamming,
-                              QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> Range(const Signature& query, double epsilon,
-                              Metric metric, const QueryContext& ctx) const;
+                              const QueryContext& ctx = {}) const;
 
   /// All transactions whose item set contains every item of `query`.
   std::vector<uint64_t> Containing(const Signature& query,

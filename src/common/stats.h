@@ -2,32 +2,8 @@
 #define SGTREE_COMMON_STATS_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace sgtree {
-
-/// Counters accumulated by a single query execution. The paper's evaluation
-/// reports pruning efficiency as the percentage of transactions compared
-/// with the query, CPU time, and the number of random I/Os; these counters
-/// feed all three.
-struct QueryStats {
-  /// Index nodes (SG-tree) or hash buckets (SG-table) visited.
-  uint64_t nodes_accessed = 0;
-  /// Simulated random I/Os charged by the buffer pool / bucket reader.
-  uint64_t random_ios = 0;
-  /// Data transactions whose exact distance to the query was computed.
-  uint64_t transactions_compared = 0;
-  /// Directory-entry lower bounds evaluated.
-  uint64_t bounds_computed = 0;
-
-  QueryStats& operator+=(const QueryStats& other) {
-    nodes_accessed += other.nodes_accessed;
-    random_ios += other.random_ios;
-    transactions_compared += other.transactions_compared;
-    bounds_computed += other.bounds_computed;
-    return *this;
-  }
-};
 
 /// Wall-clock stopwatch for the benchmark harness.
 class Timer {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/stats.h"
+
 namespace sgtree {
 namespace {
 
@@ -72,7 +74,7 @@ JoinResult ExecuteJoin(const JoinBackend& backend, const JoinRequest& request,
   result.error = backend.SupportReason(request);
   if (!result.ok()) return result;
 
-  const QueryContext ctx{nullptr, &result.stats, &result.trace};
+  const QueryContext ctx{nullptr, &result.trace};
   MeteredSink metered(sink, &result.pairs);
   Timer timer;
   result.truncated = !backend.Run(request, ctx, &metered);

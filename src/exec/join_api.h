@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/distance.h"
-#include "common/stats.h"
 #include "obs/query_trace.h"
 #include "sgtree/join.h"
 #include "storage/query_context.h"
@@ -61,8 +60,7 @@ double JoinDistanceBound(const JoinRequest& request);
 struct JoinResult {
   uint64_t pairs = 0;     // Pairs emitted (before any sink cancellation).
   bool truncated = false; // The sink returned false and the join stopped.
-  QueryStats stats;       // Aggregate counters across both sides.
-  QueryTrace trace;       // Per-join pruning trace (lockstep with stats).
+  QueryTrace trace;       // Counters aggregated across both sides.
   double elapsed_us = 0;  // Wall time (not compared by determinism tests).
   std::string error;      // Empty on success: set when validation fails or
                           // the backend does not support the request; the
@@ -96,8 +94,8 @@ class JoinBackend {
 };
 
 /// The single dispatch point of the join API: validates `request`, checks
-/// backend support, wires a QueryContext charging the result's stats and
-/// trace, runs the backend with a pair-counting wrapper around `sink`, and
+/// backend support, wires a QueryContext charging the result's trace,
+/// runs the backend with a pair-counting wrapper around `sink`, and
 /// stamps the wall time. `sink` may be null to only count pairs. On
 /// validation or support failure the result carries `error` and the
 /// backend is never invoked.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/stats.h"
+
 namespace sgtree {
 namespace {
 
@@ -56,12 +58,11 @@ void ExecuteInto(const IndexBackend& backend, const QueryRequest& request,
                  PageCache* pool, QueryResult* result) {
   result->neighbors.clear();
   result->ids.clear();
-  result->stats = QueryStats{};
   result->trace.Reset();
   result->elapsed_us = 0;
   result->error = ValidateRequest(request);
   if (!result->ok()) return;
-  const QueryContext ctx{pool, &result->stats, &result->trace};
+  const QueryContext ctx{pool, &result->trace};
   Timer timer;
   backend.Run(request, ctx, result);
   result->elapsed_us = timer.ElapsedMs() * 1000.0;

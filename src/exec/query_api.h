@@ -7,7 +7,6 @@
 
 #include "baseline/linear_scan.h"
 #include "common/signature.h"
-#include "common/stats.h"
 #include "obs/query_trace.h"
 #include "storage/query_context.h"
 
@@ -40,18 +39,12 @@ struct QueryRequest {
   double epsilon = 0.0;
 };
 
-/// LEGACY name from when requests only existed inside executor batches;
-/// kept so old call sites compile. New code should say QueryRequest.
-using BatchQuery = QueryRequest;
-
 /// Result of one query.
 struct QueryResult {
   std::vector<Neighbor> neighbors;  // kKnn / kBestFirstKnn / kRange.
   std::vector<uint64_t> ids;        // kContainment / kExact / kSubset.
-  QueryStats stats;                 // Per-query counters (deterministic in
+  QueryTrace trace;                 // Per-query counters (deterministic in
                                     // private-pool mode).
-  QueryTrace trace;                 // Per-query pruning trace; lockstep with
-                                    // `stats` by construction (QueryContext).
   double elapsed_us = 0;            // Wall time of this query (not compared
                                     // by the determinism tests).
   std::string error;                // Empty on success. Set by Execute()
@@ -63,12 +56,7 @@ struct QueryResult {
 
   friend bool operator==(const QueryResult& a, const QueryResult& b) {
     return a.neighbors == b.neighbors && a.ids == b.ids &&
-           a.error == b.error &&
-           a.stats.nodes_accessed == b.stats.nodes_accessed &&
-           a.stats.random_ios == b.stats.random_ios &&
-           a.stats.transactions_compared == b.stats.transactions_compared &&
-           a.stats.bounds_computed == b.stats.bounds_computed &&
-           a.trace == b.trace;
+           a.error == b.error && a.trace == b.trace;
   }
 };
 
@@ -121,7 +109,7 @@ class IndexBackend {
 
 /// The single dispatch point of the query API: validates `request`, wires a
 /// QueryContext charging `pool` (may be null for backends that do no paged
-/// I/O) and the result's own stats/trace, runs the backend, and stamps the
+/// I/O) and the result's own trace, runs the backend, and stamps the
 /// wall time. On validation failure the result is empty with `error` set
 /// and the backend is never invoked.
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,

@@ -4,24 +4,11 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/stats.h"
 #include "exec/query_api.h"
 #include "obs/percentile.h"
 
 namespace sgtree {
-
-QueryResult ExecuteTreeQuery(const SgTree& tree, const BatchQuery& query,
-                             PageCache* pool) {
-  return Execute(SgTreeBackend(tree), query, pool);
-}
-
-QueryResult ExecuteTableQuery(const SgTable& table, const BatchQuery& query) {
-  return Execute(SgTableBackend(table), query);
-}
-
-QueryResult ExecuteInvertedQuery(const InvertedIndex& index,
-                                 const BatchQuery& query) {
-  return Execute(InvertedIndexBackend(index), query);
-}
 
 namespace {
 
@@ -205,32 +192,22 @@ void QueryExecutor::RunRanges(size_t n, RangeFn fn, void* ctx) {
   }
 }
 
-void QueryExecutor::ParallelFor(
-    size_t n, const std::function<void(size_t, uint32_t)>& fn) {
-  ParallelApply(n, [&fn](size_t i, uint32_t worker_id) { fn(i, worker_id); });
-}
-
 template <typename ExecuteFn>
 std::vector<QueryResult> QueryExecutor::RunBatch(size_t n,
                                                  ExecuteFn&& execute) {
   // Results land in pre-sized slots by batch index; each slot is written by
   // exactly one lane, so no synchronization is needed on the vector.
   std::vector<QueryResult> results(n);
-  std::vector<QueryStats> lane_stats(num_lanes_);
   std::vector<QueryTrace> lane_traces(num_lanes_);
   Timer batch_timer;
   ParallelApply(n, [&](size_t i, uint32_t worker_id) {
     results[i] = execute(i, worker_id);
-    lane_stats[worker_id] += results[i].stats;
     lane_traces[worker_id] += results[i].trace;
   });
   batch_report_ = BatchReport{};
   batch_report_.queries = n;
   batch_report_.wall_ms = batch_timer.ElapsedMs();
-  batch_stats_ = QueryStats{};
-  for (const QueryStats& s : lane_stats) batch_stats_ += s;
   for (const QueryTrace& t : lane_traces) batch_report_.trace += t;
-  batch_report_.stats = batch_stats_;
 
   // Rejected requests never ran: they are counted separately and excluded
   // from the latency sample (their elapsed_us is 0 by construction).
@@ -258,7 +235,8 @@ std::vector<QueryResult> QueryExecutor::RunBatch(size_t n,
     reg.GetCounter("exec.rejected")->Increment(batch_report_.rejected);
     reg.GetCounter("exec.nodes_visited")
         ->Increment(batch_report_.trace.nodes_visited());
-    reg.GetCounter("exec.random_ios")->Increment(batch_stats_.random_ios);
+    reg.GetCounter("exec.random_ios")
+        ->Increment(batch_report_.trace.buffer_misses);
     reg.GetCounter("exec.signatures_tested")
         ->Increment(batch_report_.trace.signatures_tested);
     reg.GetCounter("exec.subtrees_pruned")
@@ -285,28 +263,13 @@ std::vector<QueryResult> QueryExecutor::Run(
   });
 }
 
-std::vector<QueryResult> QueryExecutor::Run(
-    const SgTree& tree, const std::vector<BatchQuery>& batch) {
-  return Run(SgTreeBackend(tree), batch);
-}
-
-std::vector<QueryResult> QueryExecutor::Run(
-    const SgTable& table, const std::vector<BatchQuery>& batch) {
-  return Run(SgTableBackend(table), batch);
-}
-
-std::vector<QueryResult> QueryExecutor::Run(
-    const InvertedIndex& index, const std::vector<BatchQuery>& batch) {
-  return Run(InvertedIndexBackend(index), batch);
-}
-
 std::vector<QueryResult> QueryExecutor::RunSerial(
-    const SgTree& tree, const std::vector<BatchQuery>& batch,
+    const SgTree& tree, const std::vector<QueryRequest>& batch,
     uint32_t buffer_pages) {
   BufferPool pool(buffer_pages);
   std::vector<QueryResult> results;
   results.reserve(batch.size());
-  for (const BatchQuery& query : batch) {
+  for (const QueryRequest& query : batch) {
     pool.Clear();
     results.push_back(Execute(SgTreeBackend(tree), query, &pool));
   }

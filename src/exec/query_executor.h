@@ -3,30 +3,24 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "baseline/linear_scan.h"
-#include "common/signature.h"
-#include "common/stats.h"
 #include "exec/index_backend.h"
 #include "exec/query_api.h"
-#include "inverted/inverted_index.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
-#include "sgtable/sg_table.h"
 #include "sgtree/sg_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/sharded_buffer_pool.h"
 
 namespace sgtree {
 
-// QueryType / QueryRequest (aka BatchQuery) / QueryResult moved to
-// exec/query_api.h — the executor is now one consumer of the unified query
-// API among several (router, CLI, benches).
+// QueryType / QueryRequest / QueryResult live in exec/query_api.h — the
+// executor is one consumer of the unified query API among several (router,
+// CLI, benches).
 
 /// Aggregate view of the last batch: counter totals reduced from the
 /// per-worker accumulators plus exact latency percentiles over the batch's
@@ -43,7 +37,6 @@ struct BatchReport {
                          // task_us / (wall_ms * 1000 * cores) is the
                          // core-independent dispatch efficiency the shard
                          // bench gates on.
-  QueryStats stats;      // Sum of per-query QueryStats.
   QueryTrace trace;      // Sum of per-query QueryTrace.
   double p50_us = 0;     // Exact percentiles of per-query elapsed_us
   double p95_us = 0;     // (nearest-rank); 0 when the batch was empty.
@@ -52,7 +45,7 @@ struct BatchReport {
 
 struct QueryExecutorOptions {
   /// Total execution lanes, including the calling thread: the executor
-  /// spawns num_threads - 1 workers and the thread calling Run/ParallelFor
+  /// spawns num_threads - 1 workers and the thread calling Run/ParallelApply
   /// participates as the last lane instead of blocking. 0 =
   /// std::thread::hardware_concurrency().
   uint32_t num_threads = 0;
@@ -98,7 +91,7 @@ struct QueryExecutorOptions {
 ///    lane that runs dry steals the tail half of the largest remainder it
 ///    finds — per-(query,shard)-task skew load-balances without a shared
 ///    cursor every task bounces through.
-///  - The calling thread is a lane: Run()/ParallelFor execute work on the
+///  - The calling thread is a lane: Run()/ParallelApply execute work on the
 ///    caller instead of parking it on a condition variable, so
 ///    `num_threads = N` means N lanes, N-1 spawned threads.
 ///  - Batch hand-off is an epoch rendezvous on C++20 atomic wait/notify
@@ -111,13 +104,13 @@ struct QueryExecutorOptions {
 ///    std::function per item.
 ///
 /// Threads are started once at construction. Per-query counters accumulate
-/// into per-lane QueryStats and are reduced into batch_stats() at batch
-/// end — no shared counter is written from two threads.
+/// into per-lane QueryTrace totals and are reduced into last_batch_report()
+/// at batch end — no shared counter is written from two threads.
 ///
 /// The index structures are taken by const reference: queries never mutate
 /// them (see QueryContext), which is the invariant making the fan-out
 /// sound. Do not run a batch concurrently with inserts/erases on the same
-/// tree; ParallelFor/ParallelApply/Run are not reentrant.
+/// tree; ParallelApply/Run are not reentrant.
 class QueryExecutor {
  public:
   /// Job entry: runs items [begin, end) of the current job on lane
@@ -138,38 +131,18 @@ class QueryExecutor {
   /// Runs a batch against any backend of the unified query API. Each query
   /// goes through Execute() (validation included) with the lane's pool;
   /// in private-pool mode the pool is cleared before every query, so
-  /// results are byte-identical to the serial path. This is THE fan-out
-  /// entry point; the typed overloads below are thin adapter wrappers.
+  /// results are byte-identical to the serial path.
   std::vector<QueryResult> Run(const IndexBackend& backend,
                                const std::vector<QueryRequest>& batch);
 
-  /// LEGACY typed overload; wrapper over Run(SgTreeBackend(tree), batch).
-  [[deprecated(
-      "legacy typed overload; call Run(SgTreeBackend(tree), batch). Removal schedule: DESIGN.md section 11.4")]]
-  std::vector<QueryResult> Run(const SgTree& tree,
-                               const std::vector<BatchQuery>& batch);
-
-  /// LEGACY typed overload; wrapper over Run(SgTableBackend(table), batch).
-  [[deprecated(
-      "legacy typed overload; call Run(SgTableBackend(table), batch). Removal schedule: DESIGN.md section 11.4")]]
-  std::vector<QueryResult> Run(const SgTable& table,
-                               const std::vector<BatchQuery>& batch);
-
-  /// LEGACY typed overload; wrapper over
-  /// Run(InvertedIndexBackend(index), batch).
-  [[deprecated(
-      "legacy typed overload; call Run(InvertedIndexBackend(index), batch). Removal schedule: DESIGN.md section 11.4")]]
-  std::vector<QueryResult> Run(const InvertedIndex& index,
-                               const std::vector<BatchQuery>& batch);
-
   /// Serial reference: executes the batch on the calling thread with one
   /// private pool cleared per query — the exact semantics of the
-  /// private-pool parallel mode, so Run(tree, batch) == RunSerial(...) for
-  /// any thread count. This is the oracle the determinism tests compare
-  /// against.
-  static std::vector<QueryResult> RunSerial(const SgTree& tree,
-                                            const std::vector<BatchQuery>& batch,
-                                            uint32_t buffer_pages = 64);
+  /// private-pool parallel mode, so Run(SgTreeBackend(tree), batch) ==
+  /// RunSerial(tree, batch) for any thread count. This is the oracle the
+  /// determinism tests compare against.
+  static std::vector<QueryResult> RunSerial(
+      const SgTree& tree, const std::vector<QueryRequest>& batch,
+      uint32_t buffer_pages = 64);
 
   /// Typed fan-out: invokes body(index, worker_id) for every index in
   /// [0, n), load-balanced across the lanes with chunked claiming and
@@ -189,18 +162,9 @@ class QueryExecutor {
                                  std::addressof(body))));
   }
 
-  /// Type-erased fan-out kept for callers that already hold a
-  /// std::function; pays one indirect call per item on top of the chunked
-  /// scheduler. Prefer ParallelApply in hot paths.
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t, uint32_t)>& fn);
-
-  /// Aggregate counters of the last Run(), reduced from the per-lane
-  /// accumulators.
-  const QueryStats& batch_stats() const { return batch_stats_; }
-
-  /// Full report of the last Run(): counter + trace totals and latency
-  /// percentiles. Valid until the next Run()/destruction.
+  /// Full report of the last Run(): trace totals, reduced from the per-lane
+  /// accumulators, and latency percentiles. Valid until the next
+  /// Run()/destruction.
   const BatchReport& last_batch_report() const { return batch_report_; }
 
   /// The shared pool (null in private-pool mode); its per-shard stats
@@ -234,7 +198,7 @@ class QueryExecutor {
   PageCache* PoolFor(uint32_t worker_id);
 
   /// Runs `batch` by fanning `execute(i, pool)` results into slot i,
-  /// reducing per-lane stats at the end.
+  /// reducing per-lane traces at the end.
   template <typename ExecuteFn>
   std::vector<QueryResult> RunBatch(size_t n, ExecuteFn&& execute);
 
@@ -262,27 +226,8 @@ class QueryExecutor {
   void* job_ctx_ = nullptr;
   size_t job_chunk_ = 1;
 
-  QueryStats batch_stats_;
   BatchReport batch_report_;
 };
-
-/// LEGACY single-query kernels, now thin wrappers over Execute() with the
-/// matching exec/index_backend.h adapter. Kept for old tests and harnesses;
-/// new code should construct the adapter and call Execute() directly.
-[[deprecated(
-    "legacy single-query kernel; call Execute(SgTreeBackend(tree), query, "
-    "pool). Removal schedule: DESIGN.md section 11.4")]]
-QueryResult ExecuteTreeQuery(const SgTree& tree, const BatchQuery& query,
-                             PageCache* pool);
-[[deprecated(
-    "legacy single-query kernel; call Execute(SgTableBackend(table), query). "
-    "Removal schedule: DESIGN.md section 11.4")]]
-QueryResult ExecuteTableQuery(const SgTable& table, const BatchQuery& query);
-[[deprecated(
-    "legacy single-query kernel; call Execute(InvertedIndexBackend(index), "
-    "query). Removal schedule: DESIGN.md section 11.4")]]
-QueryResult ExecuteInvertedQuery(const InvertedIndex& index,
-                                 const BatchQuery& query);
 
 }  // namespace sgtree
 

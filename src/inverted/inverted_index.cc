@@ -41,11 +41,6 @@ void InvertedIndex::ChargeList(ItemId item, const QueryContext& ctx) const {
 }
 
 std::vector<uint64_t> InvertedIndex::Containing(
-    const std::vector<ItemId>& query_items, QueryStats* stats) const {
-  return Containing(query_items, QueryContext{nullptr, stats, nullptr});
-}
-
-std::vector<uint64_t> InvertedIndex::Containing(
     const std::vector<ItemId>& query_items, const QueryContext& ctx) const {
   if (query_items.empty()) {
     std::vector<uint64_t> all = tids_;
@@ -81,11 +76,6 @@ std::vector<uint64_t> InvertedIndex::Containing(
 }
 
 std::vector<uint64_t> InvertedIndex::ContainedIn(
-    const std::vector<ItemId>& query_items, QueryStats* stats) const {
-  return ContainedIn(query_items, QueryContext{nullptr, stats, nullptr});
-}
-
-std::vector<uint64_t> InvertedIndex::ContainedIn(
     const std::vector<ItemId>& query_items, const QueryContext& ctx) const {
   // Count, per candidate, how many of its items fall inside the query; a
   // transaction is a subset iff all of its items do.
@@ -108,12 +98,6 @@ std::vector<uint64_t> InvertedIndex::ContainedIn(
   ctx.TraceResults(result.size());
   ctx.TraceFalseDrops(hits.size() - result.size());
   return result;
-}
-
-std::vector<Neighbor> InvertedIndex::KNearest(
-    const std::vector<ItemId>& query_items, uint32_t k,
-    QueryStats* stats) const {
-  return KNearest(query_items, k, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> InvertedIndex::KNearest(
@@ -170,12 +154,6 @@ std::vector<Neighbor> InvertedIndex::KNearest(
   std::sort(heap.begin(), heap.end(), less);
   ctx.TraceResults(heap.size());
   return heap;
-}
-
-std::vector<Neighbor> InvertedIndex::Range(
-    const std::vector<ItemId>& query_items, double epsilon,
-    QueryStats* stats) const {
-  return Range(query_items, epsilon, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> InvertedIndex::Range(

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "baseline/linear_scan.h"
-#include "common/stats.h"
 #include "data/transaction.h"
 #include "storage/page.h"
 #include "storage/query_context.h"
@@ -44,37 +43,28 @@ class InvertedIndex {
     return static_cast<uint32_t>(postings_.size());
   }
 
-  // The context forms additionally fill the per-query QueryTrace: posting
-  // lists count as leaf nodes, their simulated page reads as buffer misses,
-  // and candidate accumulation as verification (the index has no signature
-  // pruning, so the subtree counters stay zero). The QueryStats* forms are
-  // shorthand for a context carrying only stats.
+  // Every query fills the context's QueryTrace: posting lists count as
+  // leaf nodes, their simulated page reads as buffer misses, and candidate
+  // accumulation as verification (the index has no signature pruning, so
+  // the subtree counters stay zero).
 
   /// Transactions containing every item of `query_items` (sorted tids).
   std::vector<uint64_t> Containing(const std::vector<ItemId>& query_items,
-                                   QueryStats* stats = nullptr) const;
-  std::vector<uint64_t> Containing(const std::vector<ItemId>& query_items,
-                                   const QueryContext& ctx) const;
+                                   const QueryContext& ctx = {}) const;
 
   /// Non-empty transactions whose items are all in `query_items`.
   std::vector<uint64_t> ContainedIn(const std::vector<ItemId>& query_items,
-                                    QueryStats* stats = nullptr) const;
-  std::vector<uint64_t> ContainedIn(const std::vector<ItemId>& query_items,
-                                    const QueryContext& ctx) const;
+                                    const QueryContext& ctx = {}) const;
 
   /// Exact Hamming k-NN, ascending (distance, tid).
   std::vector<Neighbor> KNearest(const std::vector<ItemId>& query_items,
                                  uint32_t k,
-                                 QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> KNearest(const std::vector<ItemId>& query_items,
-                                 uint32_t k, const QueryContext& ctx) const;
+                                 const QueryContext& ctx = {}) const;
 
   /// Exact Hamming range query, ascending (distance, tid).
   std::vector<Neighbor> Range(const std::vector<ItemId>& query_items,
                               double epsilon,
-                              QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> Range(const std::vector<ItemId>& query_items,
-                              double epsilon, const QueryContext& ctx) const;
+                              const QueryContext& ctx = {}) const;
 
  private:
   struct SizeEntry {

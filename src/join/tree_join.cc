@@ -32,8 +32,8 @@ bool TreeJoinBackend::Run(const JoinRequest& request, const QueryContext& ctx,
                           JoinSink* sink) const {
   BufferPool pool_r(buffer_pages_);
   BufferPool pool_s(buffer_pages_);
-  const QueryContext ctx_r{&pool_r, ctx.stats, ctx.trace};
-  const QueryContext ctx_s{&pool_s, ctx.stats, ctx.trace};
+  const QueryContext ctx_r{&pool_r, ctx.trace};
+  const QueryContext ctx_s{&pool_s, ctx.trace};
   if (request.type == JoinType::kContainment) {
     return ContainmentJoinInto(*r_, *s_, ctx_r, ctx_s, sink);
   }

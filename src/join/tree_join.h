@@ -17,7 +17,7 @@ namespace sgtree {
 ///
 /// Each Run builds two private buffer pools — page ids are tree-local, so
 /// the two trees must never share one pool — and charges both trees' node
-/// reads plus the pair-level counters into the caller's stats/trace.
+/// reads plus the pair-level counters into the caller's trace.
 class TreeJoinBackend : public JoinBackend {
  public:
   /// `r` and `s` must share signature width and outlive the backend.

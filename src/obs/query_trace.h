@@ -6,8 +6,9 @@
 
 namespace sgtree {
 
-/// Per-query pruning trace: a breakdown of *why* a query cost what it did,
-/// complementing the coarse QueryStats counters the paper's figures report.
+/// Per-query counters: the paper's three series (% of data compared is
+/// candidates_verified, random I/Os is buffer_misses; CPU time is the
+/// result's elapsed_us) plus a breakdown of *why* a query cost what it did.
 /// Filled by the search/join/backend code through QueryContext; aggregated
 /// per batch by QueryExecutor and exported by obs::ToJson / ToPrometheus.
 ///
@@ -21,7 +22,7 @@ namespace sgtree {
 ///    the two; joins test several signatures per decision, so only
 ///    descended + pruned <= tested holds there.
 ///  - candidates_verified: leaf entries whose exact distance/predicate was
-///    evaluated (== QueryStats::transactions_compared).
+///    evaluated (the paper's "transactions compared").
 ///  - false_drops: verified candidates that failed the predicate — the
 ///    signature filter's false positives (predicate queries only; k-NN has
 ///    no predicate and leaves this 0).

@@ -97,8 +97,8 @@ bool DecodeRequest(const uint8_t* data, size_t size, QueryRequest* request,
 ///             u32 m  | m x u64 id
 std::vector<uint8_t> EncodeAnswer(const QueryResult& result);
 
-/// Decodes an answer payload into result->neighbors / ids / error (stats,
-/// trace and timing are left default — the wire does not carry them).
+/// Decodes an answer payload into result->neighbors / ids / error (trace
+/// and timing are left default — the wire does not carry them).
 bool DecodeAnswer(const uint8_t* data, size_t size, QueryResult* result,
                   std::string* error);
 

@@ -17,6 +17,7 @@
 #include <csignal>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,23 +47,22 @@ int main(int argc, char** argv) {
   const auto durable_dir = cmd.GetString("durable-dir");
 
   sgtree::serve::ServerOptions options;
-  options.port = static_cast<uint16_t>(cmd.IntOr("port", 0));
+  options.port = static_cast<uint16_t>(
+      cmd.UintOr("port", 0, std::numeric_limits<uint16_t>::max()));
   options.max_inflight =
-      static_cast<uint32_t>(cmd.IntOr("max-inflight", 256));
+      static_cast<uint32_t>(cmd.UintOr("max-inflight", 256));
   options.cache_entries =
-      static_cast<size_t>(cmd.IntOr("cache-entries", 4096));
-  options.batcher.max_batch = static_cast<uint32_t>(cmd.IntOr("max-batch", 64));
+      static_cast<size_t>(cmd.UintOr("cache-entries", 4096));
+  options.batcher.max_batch =
+      static_cast<uint32_t>(cmd.UintOr("max-batch", 64));
   options.batcher.latency_budget_us = cmd.IntOr("latency-budget-us", 20'000);
   options.batcher.num_dispatchers =
-      static_cast<uint32_t>(cmd.IntOr("dispatchers", 2));
+      static_cast<uint32_t>(cmd.UintOr("dispatchers", 2));
   options.replicas.num_replicas =
-      static_cast<uint32_t>(cmd.IntOr("replicas", 1));
+      static_cast<uint32_t>(cmd.UintOr("replicas", 1));
   options.replicas.enable_hedging = cmd.IntOr("no-hedging", 0) == 0;
-  const auto unused = cmd.UnusedFlags();
-  if (!unused.empty()) {
-    std::string joined;
-    for (const auto& flag : unused) joined += " --" + flag;
-    std::cerr << "error: unknown flag(s):" << joined << "\n";
+  if (const std::string flag_error = cmd.FlagError(); !flag_error.empty()) {
+    std::cerr << "error: " << flag_error << "\n";
     return 1;
   }
   if (index_path.has_value() == durable_dir.has_value()) {

@@ -93,10 +93,6 @@ void SgTable::ChargeBucketRead(const Bucket& bucket,
                                 options_.page_size));
 }
 
-Neighbor SgTable::Nearest(const Signature& query, QueryStats* stats) const {
-  return Nearest(query, QueryContext{nullptr, stats, nullptr});
-}
-
 Neighbor SgTable::Nearest(const Signature& query,
                           const QueryContext& ctx) const {
   auto result = KNearest(query, 1, ctx);
@@ -104,11 +100,6 @@ Neighbor SgTable::Nearest(const Signature& query,
     return {0, std::numeric_limits<double>::infinity()};
   }
   return result.front();
-}
-
-std::vector<Neighbor> SgTable::KNearest(const Signature& query, uint32_t k,
-                                        QueryStats* stats) const {
-  return KNearest(query, k, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> SgTable::KNearest(const Signature& query, uint32_t k,
@@ -151,11 +142,6 @@ std::vector<Neighbor> SgTable::KNearest(const Signature& query, uint32_t k,
   std::sort(heap.begin(), heap.end(), less);
   ctx.TraceResults(heap.size());
   return heap;
-}
-
-std::vector<Neighbor> SgTable::Range(const Signature& query, double epsilon,
-                                     QueryStats* stats) const {
-  return Range(query, epsilon, QueryContext{nullptr, stats, nullptr});
 }
 
 std::vector<Neighbor> SgTable::Range(const Signature& query, double epsilon,

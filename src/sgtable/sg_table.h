@@ -7,7 +7,6 @@
 
 #include "baseline/linear_scan.h"
 #include "common/signature.h"
-#include "common/stats.h"
 #include "data/transaction.h"
 #include "sgtable/item_clustering.h"
 #include "storage/page.h"
@@ -66,21 +65,16 @@ class SgTable {
 
   // -- Queries (Hamming distance) --------------------------------------
   //
-  // The context forms fill the per-query QueryTrace (buckets count as leaf
+  // Every query fills the context's QueryTrace (buckets count as leaf
   // nodes; reading one charges its simulated pages as buffer misses — the
-  // table models no buffer pool, so `ctx.pool` is ignored). The QueryStats*
-  // forms are shorthand for a context carrying only stats.
+  // table models no buffer pool, so `ctx.pool` is ignored).
 
-  Neighbor Nearest(const Signature& query, QueryStats* stats = nullptr) const;
-  Neighbor Nearest(const Signature& query, const QueryContext& ctx) const;
+  Neighbor Nearest(const Signature& query,
+                   const QueryContext& ctx = {}) const;
   std::vector<Neighbor> KNearest(const Signature& query, uint32_t k,
-                                 QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> KNearest(const Signature& query, uint32_t k,
-                                 const QueryContext& ctx) const;
+                                 const QueryContext& ctx = {}) const;
   std::vector<Neighbor> Range(const Signature& query, double epsilon,
-                              QueryStats* stats = nullptr) const;
-  std::vector<Neighbor> Range(const Signature& query, double epsilon,
-                              const QueryContext& ctx) const;
+                              const QueryContext& ctx = {}) const;
 
  private:
   struct Bucket {

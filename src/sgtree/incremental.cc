@@ -15,10 +15,6 @@ NearestIterator::NearestIterator(const SgTree& tree, Signature query,
   }
 }
 
-NearestIterator::NearestIterator(SgTree& tree, Signature query,
-                                 QueryStats* stats)
-    : NearestIterator(tree, std::move(query), tree.OwnPoolContext(stats)) {}
-
 void NearestIterator::ExpandUntilEntryOnTop() {
   const Metric metric = tree_.options().metric;
   const auto [area_lo, area_hi] = tree_.TransactionAreaBounds();
@@ -56,11 +52,6 @@ double NearestIterator::PeekDistance() {
   ExpandUntilEntryOnTop();
   return queue_.empty() ? std::numeric_limits<double>::infinity()
                         : queue_.top().key;
-}
-
-std::vector<Neighbor> AllNearest(SgTree& tree, const Signature& query,
-                                 QueryStats* stats) {
-  return AllNearest(tree, query, tree.OwnPoolContext(stats));
 }
 
 std::vector<Neighbor> AllNearest(const SgTree& tree, const Signature& query,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "baseline/linear_scan.h"
-#include "common/stats.h"
 #include "sgtree/sg_tree.h"
 
 namespace sgtree {
@@ -23,12 +22,10 @@ namespace sgtree {
 /// the tree must not be modified while iterating.
 class NearestIterator {
  public:
-  /// Thread-safe form: node accesses are charged to `ctx` (see search.h for
-  /// the context/convenience split).
+  /// Node accesses are charged to `ctx` (see search.h); pass
+  /// tree.OwnPoolContext() to charge the tree's own buffer pool.
   NearestIterator(const SgTree& tree, Signature query,
-                  const QueryContext& ctx);
-  /// Serial convenience: charges the tree's own buffer pool.
-  NearestIterator(SgTree& tree, Signature query, QueryStats* stats = nullptr);
+                  const QueryContext& ctx = {});
 
   /// The next closest transaction, or nullopt when exhausted. Equal
   /// distances are yielded in ascending tid order.
@@ -66,9 +63,7 @@ class NearestIterator {
 /// Section 4.1 "all nearest neighbors with the same minimum distance"
 /// variant), in ascending tid order. Empty for an empty tree.
 std::vector<Neighbor> AllNearest(const SgTree& tree, const Signature& query,
-                                 const QueryContext& ctx);
-std::vector<Neighbor> AllNearest(SgTree& tree, const Signature& query,
-                                 QueryStats* stats = nullptr);
+                                 const QueryContext& ctx = {});
 
 }  // namespace sgtree
 

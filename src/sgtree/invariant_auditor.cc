@@ -5,8 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "storage/node_format.h"
-
 namespace sgtree {
 
 std::string_view AuditCheckName(AuditCheck check) {
@@ -27,8 +25,6 @@ std::string_view AuditCheckName(AuditCheck check) {
       return "unreachable-page";
     case AuditCheck::kDanglingRef:
       return "dangling-ref";
-    case AuditCheck::kPageDecode:
-      return "page-decode";
   }
   return "unknown";
 }
@@ -74,7 +70,7 @@ std::string AuditReport::Summary() const {
 
 namespace {
 
-/// Shared recording, per-node checks and statistics for both tree forms.
+/// Violation recording, per-node checks and statistics for one audit.
 struct Auditor {
   explicit Auditor(const AuditOptions& opts) : options(opts) {}
 
@@ -254,63 +250,6 @@ Signature VisitTree(const SgTree& tree,
   return union_sig;
 }
 
-// ---------------------------------------------------------------------------
-// Paged image walk: re-derives every invariant from raw page bytes.
-// ---------------------------------------------------------------------------
-
-struct PagedVisit {
-  bool ok = false;  // Page was readable and decodable.
-  uint16_t level = 0;
-  Signature union_sig;
-};
-
-PagedVisit VisitPaged(const PageStoreInterface& pages, PageId id, bool is_root,
-                      Auditor* a) {
-  PagedVisit result;
-  result.union_sig = Signature(a->num_bits);
-  if (!a->MarkVisited(id)) return result;
-
-  std::vector<uint8_t> payload;
-  if (!pages.Read(id, &payload)) {
-    a->Violate(AuditCheck::kDanglingRef, id, "page is freed or out of range");
-    return result;
-  }
-  NodeRecord record;
-  size_t consumed = 0;
-  if (!DecodeNode(payload, a->num_bits, &record, &consumed)) {
-    a->Violate(AuditCheck::kPageDecode, id, "page image does not decode");
-    return result;
-  }
-  if (consumed != payload.size()) {
-    a->Violate(AuditCheck::kPageDecode, id,
-               std::to_string(payload.size() - consumed) +
-                   " trailing byte(s) after the node image");
-  }
-
-  Node node;
-  node.id = id;
-  node.level = record.level;
-  node.entries.reserve(record.entries.size());
-  for (auto& [ref, sig] : record.entries) {
-    node.entries.push_back(Entry{std::move(sig), ref});
-  }
-
-  result.ok = true;
-  result.level = node.level;
-  result.union_sig = a->CheckNode(node, id, is_root);
-  if (node.IsLeaf()) return result;
-
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    const Entry& entry = node.entries[i];
-    const auto child_id = static_cast<PageId>(entry.ref);
-    const PagedVisit child = VisitPaged(pages, child_id, /*is_root=*/false, a);
-    if (!child.ok) continue;
-    a->CheckParentEntry(id, i, entry, node.level, child.level,
-                        child.union_sig);
-  }
-  return result;
-}
-
 }  // namespace
 
 AuditReport AuditTree(const SgTree& tree, const AuditOptions& options) {
@@ -361,63 +300,6 @@ AuditReport AuditTree(const SgTree& tree, const AuditOptions& options) {
 
   for (PageId id : live_ids) {
     if (a.visited.count(id) == 0) {
-      a.Violate(AuditCheck::kUnreachablePage, id,
-                "live page is not reachable from the root");
-    }
-  }
-
-  a.Finalize();
-  return a.report;
-}
-
-AuditReport AuditPagedImage(const PagedTreeImage& image,
-                            const AuditOptions& options) {
-  Auditor a(options);
-  a.num_bits = image.num_bits;
-  a.max_entries = image.max_entries;
-  a.min_entries = image.min_entries;
-  a.report.stats.height = image.height;
-
-  if (image.pages == nullptr) {
-    a.Violate(AuditCheck::kStructure, kInvalidPageId,
-              "image has no page store");
-    a.Finalize();
-    return a.report;
-  }
-  const PageStoreInterface& pages = *image.pages;
-
-  if (image.root == kInvalidPageId) {
-    if (image.size != 0) {
-      a.Violate(AuditCheck::kStructure, kInvalidPageId,
-                "empty image with recorded size " +
-                    std::to_string(image.size));
-    }
-    if (image.height != 0) {
-      a.Violate(AuditCheck::kStructure, kInvalidPageId,
-                "empty image with recorded height " +
-                    std::to_string(image.height));
-    }
-  } else {
-    const PagedVisit root =
-        VisitPaged(pages, image.root, /*is_root=*/true, &a);
-    if (root.ok && root.level + 1u != image.height) {
-      a.Violate(AuditCheck::kStructure, image.root,
-                "root at level " + std::to_string(root.level) +
-                    ", recorded height is " + std::to_string(image.height));
-    }
-    if (a.report.stats.leaf_entries != image.size) {
-      a.Violate(AuditCheck::kStructure, kInvalidPageId,
-                "recorded size " + std::to_string(image.size) +
-                    " != " + std::to_string(a.report.stats.leaf_entries) +
-                    " leaf entries");
-    }
-  }
-
-  // Page-level referential integrity: every live page must have been
-  // reached exactly once (MarkVisited catches "more than once").
-  std::vector<uint8_t> scratch;
-  for (PageId id = 0; id < pages.TotalPages(); ++id) {
-    if (pages.Read(id, &scratch) && a.visited.count(id) == 0) {
       a.Violate(AuditCheck::kUnreachablePage, id,
                 "live page is not reachable from the root");
     }

@@ -6,13 +6,13 @@
 #include <string_view>
 #include <vector>
 
-#include "sgtree/paged_reader.h"
 #include "sgtree/sg_tree.h"
 
 namespace sgtree {
 
-/// Deep structural verification of an SG-tree, in both its in-memory form
-/// and its serialized page image. Unlike the original tree checker (which
+/// Deep structural verification of an in-memory SG-tree (the static image
+/// form has its own auditor, AuditStaticImage in static/static_audit.h,
+/// which reuses this vocabulary). Unlike the original tree checker (which
 /// stopped at the first broken invariant), the auditor keeps walking and
 /// reports every violation it finds, each tagged with a machine-readable
 /// check id and a human-readable diagnostic naming the offending page —
@@ -29,9 +29,7 @@ namespace sgtree {
 ///   - signature width: every entry matches the tree-wide width;
 ///   - leaf tid uniqueness: no transaction id is indexed twice;
 ///   - referential integrity: every entry reference resolves to a live
-///     page, every live page is reached exactly once from the root, and
-///     (paged form) every page image decodes cleanly with no trailing
-///     bytes and within the page size;
+///     page, and every live page is reached exactly once from the root;
 ///   - bookkeeping: recorded size / height / node count match the walk.
 enum class AuditCheck {
   kStructure,        // bookkeeping mismatch (size/height/count, cycles)
@@ -42,7 +40,6 @@ enum class AuditCheck {
   kDuplicateTid,     // transaction id indexed by two leaf entries
   kUnreachablePage,  // live page never reached from the root (orphan)
   kDanglingRef,      // entry referencing a freed or unknown page
-  kPageDecode,       // page image fails to decode, or trailing bytes
 };
 
 /// Stable name for an AuditCheck ("coverage", "fill", ...), used by the CLI
@@ -97,13 +94,6 @@ struct AuditReport {
 /// Audits the in-memory tree. Read-only and side-effect free: node access
 /// bypasses the buffer pool, so I/O counters are untouched.
 AuditReport AuditTree(const SgTree& tree, const AuditOptions& options = {});
-
-/// Audits a serialized page image (the disk-resident deployment form):
-/// decodes every page independently of PagedReader and re-derives the same
-/// invariants from raw bytes, plus page-level integrity (decode success, no
-/// trailing bytes, orphaned live pages, dangling references).
-AuditReport AuditPagedImage(const PagedTreeImage& image,
-                            const AuditOptions& options = {});
 
 }  // namespace sgtree
 

@@ -16,12 +16,11 @@ namespace {
 // are charged to that tree's own context, while the pair-level counters
 // (comparisons, pruning decisions, results) go to one primary sink — the
 // first context that has somewhere to put them. When both contexts share
-// one stats/trace (the convenience wrappers do), the totals are identical
-// to charging everything into it directly.
+// one trace, the totals are identical to charging everything into it
+// directly.
 QueryContext PrimarySink(const QueryContext& ctx_a,
                          const QueryContext& ctx_b) {
   QueryContext primary;
-  primary.stats = ctx_a.stats != nullptr ? ctx_a.stats : ctx_b.stats;
   primary.trace = ctx_a.trace != nullptr ? ctx_a.trace : ctx_b.trace;
   return primary;
 }
@@ -124,7 +123,7 @@ void JoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
       for (const Entry& eb : nb.entries) {
         const double bound = PairMinDist(ea.sig, false, eb.sig, false,
                                          ctx.metric, ctx.fixed_dim);
-        ctx.primary.TraceSignatures(1);
+        ctx.primary.CountBounds(1);
         if (bound <= ctx.epsilon) {
           ctx.primary.TraceDescended(1);
           JoinNodes(ctx, static_cast<PageId>(ea.ref),
@@ -150,7 +149,7 @@ void JoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
     for (const Entry& el : leaf.entries) {
       const double bound = PairMinDist(el.sig, true, ed.sig, false,
                                        ctx.metric, ctx.fixed_dim);
-      ctx.primary.TraceSignatures(1);
+      ctx.primary.CountBounds(1);
       if (bound <= ctx.epsilon) {
         needed = true;
         break;
@@ -183,7 +182,7 @@ void ContainJoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
   if (!na.IsLeaf()) {
     ctx.ctx_a.CountNode(false);
     for (const Entry& ea : na.entries) {
-      ctx.primary.TraceSignatures(1);
+      ctx.primary.CountBounds(1);
       ctx.primary.TraceDescended(1);
       ContainJoinNodes(ctx, static_cast<PageId>(ea.ref), id_b);
       if (ctx.cancelled) return;
@@ -217,7 +216,7 @@ void ContainJoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
   for (const Entry& eb : nb.entries) {
     bool needed = false;
     for (const Entry& ea : na.entries) {
-      ctx.primary.TraceSignatures(1);
+      ctx.primary.CountBounds(1);
       if (eb.sig.Contains(ea.sig)) {
         needed = true;
         break;
@@ -263,12 +262,6 @@ std::vector<JoinPair> SimilarityJoin(const SgTree& a, const SgTree& b,
   return result;
 }
 
-std::vector<JoinPair> SimilarityJoin(SgTree& a, SgTree& b, double epsilon,
-                                     QueryStats* stats) {
-  return SimilarityJoin(a, b, epsilon, a.OwnPoolContext(stats),
-                        b.OwnPoolContext(stats));
-}
-
 bool ContainmentJoinInto(const SgTree& a, const SgTree& b,
                          const QueryContext& ctx_a, const QueryContext& ctx_b,
                          JoinSink* sink) {
@@ -295,12 +288,6 @@ std::vector<JoinPair> ContainmentJoin(const SgTree& a, const SgTree& b,
   ContainmentJoinInto(a, b, ctx_a, ctx_b, &sink);
   std::sort(result.begin(), result.end(), IdPairLess);
   return result;
-}
-
-std::vector<JoinPair> ContainmentJoin(SgTree& a, SgTree& b,
-                                      QueryStats* stats) {
-  return ContainmentJoin(a, b, a.OwnPoolContext(stats),
-                         b.OwnPoolContext(stats));
 }
 
 std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
@@ -379,7 +366,7 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
         for (const Entry& eb : nb.entries) {
           const double bound =
               PairMinDist(ea.sig, false, eb.sig, false, metric, fixed_dim);
-          primary.TraceSignatures(1);
+          primary.CountBounds(1);
           if (bound < tau()) {
             queue.push({bound, static_cast<PageId>(ea.ref),
                         static_cast<PageId>(eb.ref)});
@@ -401,7 +388,7 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
             min_bound,
             PairMinDist(el.sig, true, ed.sig, false, metric, fixed_dim));
       }
-      primary.TraceSignatures(leaf.entries.size());
+      primary.CountBounds(leaf.entries.size());
       if (min_bound < tau()) {
         if (a_is_leaf) {
           queue.push({min_bound, item.node_a, static_cast<PageId>(ed.ref)});
@@ -417,12 +404,6 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
   std::sort(best.begin(), best.end(), PairLess);
   primary.TraceResults(best.size());
   return best;
-}
-
-std::vector<JoinPair> ClosestPairs(SgTree& a, SgTree& b, uint32_t k,
-                                   QueryStats* stats) {
-  return ClosestPairs(a, b, k, a.OwnPoolContext(stats),
-                      b.OwnPoolContext(stats));
 }
 
 }  // namespace sgtree

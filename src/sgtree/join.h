@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "sgtree/sg_tree.h"
 
 namespace sgtree {
@@ -52,17 +51,15 @@ double PairMinDist(const Signature& a, bool leaf_a, const Signature& b,
 /// epsilon. Pairs are sorted by (distance, tid_a, tid_b). The trees must
 /// share signature width and metric.
 ///
-/// The context form is thread-safe over const trees: each tree's node
-/// accesses are charged to its own context (page ids are tree-local, so the
-/// two trees must not share one pool); per-pair counters accumulate in
-/// whichever context stats pointers are set. The convenience form charges
-/// each tree's own buffer pool, like the search wrappers.
+/// Thread-safe over const trees: each tree's node accesses are charged to
+/// its own context (page ids are tree-local, so the two trees must not
+/// share one pool; pass a.OwnPoolContext() / b.OwnPoolContext() to charge
+/// each tree's own buffer pool); per-pair counters accumulate in the first
+/// context whose trace pointer is set.
 std::vector<JoinPair> SimilarityJoin(const SgTree& a, const SgTree& b,
                                      double epsilon,
-                                     const QueryContext& ctx_a,
-                                     const QueryContext& ctx_b);
-std::vector<JoinPair> SimilarityJoin(SgTree& a, SgTree& b, double epsilon,
-                                     QueryStats* stats = nullptr);
+                                     const QueryContext& ctx_a = {},
+                                     const QueryContext& ctx_b = {});
 
 /// Streaming form of SimilarityJoin: pairs reach `sink` in traversal order
 /// (NOT distance-sorted). Returns false iff the sink cancelled the join.
@@ -84,10 +81,8 @@ bool SimilarityJoinInto(const SgTree& a, const SgTree& b, double epsilon,
 /// this the naive tree-vs-tree baseline the dedicated join backends in
 /// src/join/ are benched against. Pairs are sorted by (tid_a, tid_b).
 std::vector<JoinPair> ContainmentJoin(const SgTree& a, const SgTree& b,
-                                      const QueryContext& ctx_a,
-                                      const QueryContext& ctx_b);
-std::vector<JoinPair> ContainmentJoin(SgTree& a, SgTree& b,
-                                      QueryStats* stats = nullptr);
+                                      const QueryContext& ctx_a = {},
+                                      const QueryContext& ctx_b = {});
 
 /// Streaming form: pairs in traversal order; false iff the sink cancelled.
 bool ContainmentJoinInto(const SgTree& a, const SgTree& b,
@@ -96,10 +91,8 @@ bool ContainmentJoinInto(const SgTree& a, const SgTree& b,
 
 /// The k closest pairs between the two trees, ascending distance.
 std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
-                                   uint32_t k, const QueryContext& ctx_a,
-                                   const QueryContext& ctx_b);
-std::vector<JoinPair> ClosestPairs(SgTree& a, SgTree& b, uint32_t k,
-                                   QueryStats* stats = nullptr);
+                                   uint32_t k, const QueryContext& ctx_a = {},
+                                   const QueryContext& ctx_b = {});
 
 }  // namespace sgtree
 

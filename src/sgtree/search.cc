@@ -53,43 +53,4 @@ std::vector<uint64_t> SubsetSearch(const SgTree& tree, const Signature& query,
   return SubsetSearchCore(tree, query, ctx);
 }
 
-// ---------------------------------------------------------------------------
-// Serial convenience wrappers: charge the tree's own buffer pool. LEGACY —
-// new call sites should go through exec/query_api.h (Execute on a backend).
-// ---------------------------------------------------------------------------
-
-Neighbor DfsNearest(SgTree& tree, const Signature& query, QueryStats* stats) {
-  return DfsNearest(tree, query, tree.OwnPoolContext(stats));
-}
-
-std::vector<Neighbor> DfsKNearest(SgTree& tree, const Signature& query,
-                                  uint32_t k, QueryStats* stats) {
-  return DfsKNearest(tree, query, k, tree.OwnPoolContext(stats));
-}
-
-std::vector<Neighbor> BestFirstKNearest(SgTree& tree, const Signature& query,
-                                        uint32_t k, QueryStats* stats) {
-  return BestFirstKNearest(tree, query, k, tree.OwnPoolContext(stats));
-}
-
-std::vector<Neighbor> RangeSearch(SgTree& tree, const Signature& query,
-                                  double epsilon, QueryStats* stats) {
-  return RangeSearch(tree, query, epsilon, tree.OwnPoolContext(stats));
-}
-
-std::vector<uint64_t> ContainmentSearch(SgTree& tree, const Signature& query,
-                                        QueryStats* stats) {
-  return ContainmentSearch(tree, query, tree.OwnPoolContext(stats));
-}
-
-std::vector<uint64_t> ExactSearch(SgTree& tree, const Signature& query,
-                                  QueryStats* stats) {
-  return ExactSearch(tree, query, tree.OwnPoolContext(stats));
-}
-
-std::vector<uint64_t> SubsetSearch(SgTree& tree, const Signature& query,
-                                   QueryStats* stats) {
-  return SubsetSearch(tree, query, tree.OwnPoolContext(stats));
-}
-
 }  // namespace sgtree

@@ -6,7 +6,6 @@
 
 #include "baseline/linear_scan.h"
 #include "common/signature.h"
-#include "common/stats.h"
 #include "sgtree/search_core.h"
 #include "sgtree/sg_tree.h"
 #include "storage/query_context.h"
@@ -15,24 +14,18 @@ namespace sgtree {
 
 /// Similarity search and related queries over the SG-tree (Section 4).
 ///
-/// Every query comes in two forms:
-///
-///  - A context form taking `const SgTree&` plus a QueryContext. The tree is
-///    never mutated; node accesses are charged to the context's pool and the
-///    per-query counters (including this query's random-I/O misses) to the
-///    context's stats. This is the thread-safe entry point the parallel
-///    QueryExecutor uses — any number of these may run concurrently against
-///    one tree, each with a private pool or a shared ShardedBufferPool.
-///
-///  - A serial convenience form taking `SgTree&` plus an optional
-///    QueryStats*, which charges the tree's own buffer pool (the historical
-///    behavior). Requiring a non-const tree here is deliberate: charging the
-///    embedded pool is a mutation, so `const SgTree` now really means
-///    "thread-safe to read". These wrappers are LEGACY: new code should go
-///    through the unified query API (exec/query_api.h) — build a
-///    QueryRequest and call Execute() on an IndexBackend — which adds
-///    parameter validation and works across every backend and the sharded
-///    router. The wrappers stay for the paper-figure benches and old tests.
+/// Every query takes `const SgTree&` plus a QueryContext. The tree is never
+/// mutated; node accesses are charged to the context's pool and the
+/// per-query counters (including this query's random-I/O misses) to the
+/// context's trace. This is the thread-safe form the parallel QueryExecutor
+/// uses — any number of these may run concurrently against one tree, each
+/// with a private pool or a shared ShardedBufferPool. The default, empty
+/// context charges and counts nothing; serial callers that want the tree's
+/// own buffer pool charged pass `tree.OwnPoolContext()`.
+/// Most callers should go through the unified query API instead
+/// (exec/query_api.h): build a QueryRequest and call Execute() on an
+/// SgTreeBackend, which adds parameter validation and works across every
+/// backend and the sharded router.
 ///
 /// k-NN tie semantics: both k-NN variants return the canonical k-minimum
 /// under the total order (distance, tid). Subtrees whose optimistic bound
@@ -54,28 +47,15 @@ namespace sgtree {
 /// pruned when its bound strictly exceeds the best distance found so far
 /// (see the tie-semantics note above).
 Neighbor DfsNearest(const SgTree& tree, const Signature& query,
-                    const QueryContext& ctx);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-Neighbor DfsNearest(SgTree& tree, const Signature& query,
-                    QueryStats* stats = nullptr);  // LEGACY; see note above.
+                    const QueryContext& ctx = {});
 
 /// k-nearest-neighbor variant: the single best-so-far is replaced by a
 /// size-k priority queue whose maximum is the pruning bound. Results are
 /// ascending by (distance, tid). `shared`, when non-null, attaches the
 /// cross-partition bound described on SharedPruneBound.
 std::vector<Neighbor> DfsKNearest(const SgTree& tree, const Signature& query,
-                                  uint32_t k, const QueryContext& ctx,
+                                  uint32_t k, const QueryContext& ctx = {},
                                   SharedPruneBound* shared = nullptr);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<Neighbor> DfsKNearest(SgTree& tree, const Signature& query,
-                                  uint32_t k,
-                                  QueryStats* stats = nullptr);  // LEGACY.
 
 /// Optimal best-first nearest neighbor (Hjaltason & Samet): a global
 /// priority queue over (bound, node); never reads a node whose bound
@@ -83,51 +63,25 @@ std::vector<Neighbor> DfsKNearest(SgTree& tree, const Signature& query,
 /// visited for canonical tie resolution).
 std::vector<Neighbor> BestFirstKNearest(const SgTree& tree,
                                         const Signature& query, uint32_t k,
-                                        const QueryContext& ctx,
+                                        const QueryContext& ctx = {},
                                         SharedPruneBound* shared = nullptr);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<Neighbor> BestFirstKNearest(SgTree& tree, const Signature& query,
-                                        uint32_t k,
-                                        QueryStats* stats = nullptr);  // LEGACY.
 
 /// Similarity range query: all transactions within distance `epsilon` of
 /// the query, ascending by distance (ties by tid). Subtrees with
 /// MinDistBound > epsilon are pruned.
 std::vector<Neighbor> RangeSearch(const SgTree& tree, const Signature& query,
-                                  double epsilon, const QueryContext& ctx);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<Neighbor> RangeSearch(SgTree& tree, const Signature& query,
-                                  double epsilon,
-                                  QueryStats* stats = nullptr);  // LEGACY.
+                                  double epsilon, const QueryContext& ctx = {});
 
 /// Itemset containment query (Section 3 example): all transactions whose
 /// item set is a superset of `query`. Follows only entries whose signature
 /// contains the query signature.
 std::vector<uint64_t> ContainmentSearch(const SgTree& tree,
                                         const Signature& query,
-                                        const QueryContext& ctx);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<uint64_t> ContainmentSearch(SgTree& tree, const Signature& query,
-                                        QueryStats* stats = nullptr);  // LEGACY.
+                                        const QueryContext& ctx = {});
 
 /// Exact-match lookup: ids of transactions whose signature equals `query`.
 std::vector<uint64_t> ExactSearch(const SgTree& tree, const Signature& query,
-                                  const QueryContext& ctx);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<uint64_t> ExactSearch(SgTree& tree, const Signature& query,
-                                  QueryStats* stats = nullptr);  // LEGACY.
+                                  const QueryContext& ctx = {});
 
 /// Subset query: all non-empty transactions whose item set is a SUBSET of
 /// `query`. The only available pruning is that a subtree is skipped when
@@ -136,13 +90,7 @@ std::vector<uint64_t> ExactSearch(SgTree& tree, const Signature& query,
 /// query type (inverted files win); provided for completeness and measured
 /// honestly in bench_containment_methods.
 std::vector<uint64_t> SubsetSearch(const SgTree& tree, const Signature& query,
-                                   const QueryContext& ctx);
-[[deprecated(
-    "legacy serial wrapper; build a QueryRequest and call Execute() on an "
-    "SgTreeBackend (exec/query_api.h), or use the const-tree + QueryContext "
-    "form. Removal schedule: DESIGN.md section 11.4")]]
-std::vector<uint64_t> SubsetSearch(SgTree& tree, const Signature& query,
-                                   QueryStats* stats = nullptr);  // LEGACY.
+                                   const QueryContext& ctx = {});
 
 }  // namespace sgtree
 

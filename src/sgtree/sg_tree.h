@@ -95,7 +95,7 @@ class SgTree {
   void NoteTransactionArea(uint32_t area);
 
   /// Fetches a node for a query, charging the context's buffer pool and
-  /// per-query stats. The tree itself is not mutated, so any number of
+  /// trace. The tree itself is not mutated, so any number of
   /// threads may call this concurrently (each with its own context, or
   /// sharing a thread-safe PageCache) as long as no thread is updating the
   /// tree.
@@ -103,18 +103,17 @@ class SgTree {
   /// Fetches a node without I/O accounting (checker, persistence, tests).
   const Node& GetNodeNoCharge(PageId id) const;
 
-  /// The tree's own buffer pool: charged by the update path and by the
-  /// single-threaded query convenience wrappers (via OwnPoolContext).
+  /// The tree's own buffer pool: charged by the update path and by serial
+  /// queries that pass OwnPoolContext().
   /// Mutating the pool requires a non-const tree — a const SgTree& is
   /// genuinely read-only and therefore safe to share across threads.
   BufferPool& buffer_pool() { return *pool_; }
   const BufferPool& buffer_pool() const { return *pool_; }
 
   /// Query context charging this tree's own pool (serial use only). The
-  /// optional trace receives the per-query pruning breakdown.
-  QueryContext OwnPoolContext(QueryStats* stats = nullptr,
-                              QueryTrace* trace = nullptr) {
-    return QueryContext{pool_.get(), stats, trace};
+  /// optional trace receives the per-query counters.
+  QueryContext OwnPoolContext(QueryTrace* trace = nullptr) {
+    return QueryContext{pool_.get(), trace};
   }
 
   const IoStats& io_stats() const { return pool_->stats(); }

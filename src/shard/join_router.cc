@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stats.h"
 #include "join/tree_join.h"
 
 namespace sgtree {
@@ -122,7 +123,6 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
   for (const JoinResult& task : task_results) {
     if (!task.ok() && merged.ok()) merged.error = task.error;
     merged.pairs += task.pairs;
-    merged.stats += task.stats;
     merged.trace += task.trace;
     merged.elapsed_us = std::max(merged.elapsed_us, task.elapsed_us);
   }

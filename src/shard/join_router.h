@@ -52,7 +52,7 @@ struct JoinRouterOptions {
 /// (tid_a, tid_b) order — is byte-identical to CollectJoin over one
 /// unsharded index holding all the data, for every algorithm: the grid
 /// covers each joining pair exactly once and the pair distances are pure
-/// functions of the pair. Merged stats/trace are the SUM over tasks and
+/// functions of the pair. The merged trace is the SUM over tasks and
 /// `elapsed_us` the MAX (scatter-gather service time).
 class JoinRouter {
  public:

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "common/stats.h"
 #include "exec/index_backend.h"
 #include "obs/percentile.h"
 #include "sgtree/search.h"
@@ -35,7 +36,6 @@ void MergeQuery(const QueryRequest& request, const QueryResult* parts,
                           parts[i].neighbors.end());
     out->ids.insert(out->ids.end(), parts[i].ids.begin(),
                     parts[i].ids.end());
-    out->stats += parts[i].stats;
     out->trace += parts[i].trace;
     out->elapsed_us = std::max(out->elapsed_us, parts[i].elapsed_us);
   }
@@ -199,7 +199,6 @@ std::vector<QueryResult> QueryRouter::Run(
   latencies.reserve(n);
   for (size_t qi = 0; qi < n; ++qi) {
     if (valid[qi] == 0) continue;
-    report_.stats += merged[qi].stats;
     report_.trace += merged[qi].trace;
     latencies.push_back(merged[qi].elapsed_us);
     // task_us sums the per-(query, shard) parts, not the merged max: it is
@@ -227,7 +226,7 @@ std::vector<QueryResult> QueryRouter::Run(
         if (valid[qi] == 0) continue;
         const QueryResult& part = partial_[qi * s + si];
         ++shard_queries;
-        shard_ios += part.stats.random_ios;
+        shard_ios += part.trace.buffer_misses;
         shard_nodes += part.trace.nodes_visited();
       }
       const std::string prefix = "shard." + std::to_string(si) + ".";

@@ -85,7 +85,7 @@ struct QueryRouterOptions {
 /// In every case the merged result is byte-identical to running the same
 /// request on one SG-tree holding all the data (the determinism suite
 /// checks this for all six types on 1/2/8 shards, across every scheduling
-/// mode). Merged per-query `stats`/`trace` are the SUM over shards and
+/// mode). The merged per-query `trace` is the SUM over shards and
 /// `elapsed_us` the MAX (the scatter-gather service time); those match the
 /// single-tree numbers only in spirit, not byte for byte.
 ///

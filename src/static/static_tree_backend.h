@@ -11,7 +11,7 @@ namespace sgtree {
 /// (the mutable four live in exec/index_backend.h; this one sits here so
 /// sg_exec does not depend on the static format). Answers all six query
 /// types through the same templated search cores the dynamic tree
-/// instantiates, so its results — values, stats, and trace — are
+/// instantiates, so its results — values and trace — are
 /// byte-identical to SgTreeBackend over the equivalent dynamic tree.
 /// Non-owning and trivially copyable, like the other adapters; `shared_
 /// bound` attaches the cross-partition k-NN pruning bound and affects only

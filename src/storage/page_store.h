@@ -10,9 +10,8 @@ namespace sgtree {
 
 /// Abstract store of variable-payload pages with a free list. Payloads are
 /// capped at the page size; callers that need the raw bytes of a node image
-/// go through a page store (persistence and the paged reader do), while the
-/// hot path keeps decoded nodes in memory and charges I/O through the
-/// BufferPool.
+/// go through a page store (persistence does), while the hot path keeps
+/// decoded nodes in memory and charges I/O through the BufferPool.
 ///
 /// Implementations:
 ///   * MemPageStore (below)            — the simulated in-memory disk;
@@ -56,7 +55,7 @@ class PageStoreInterface {
 
 /// The simulated in-memory disk: a growable array of page slots. This is
 /// the default store under an SgTree (pure id allocator — node payloads
-/// stay decoded in memory) and the backing of PagedTreeImage.
+/// stay decoded in memory).
 class MemPageStore final : public PageStoreInterface {
  public:
   explicit MemPageStore(uint32_t page_size = kDefaultPageSize)

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "obs/query_trace.h"
 #include "storage/page.h"
 #include "storage/page_cache.h"
@@ -11,37 +10,28 @@
 namespace sgtree {
 
 /// Per-query execution context: where node accesses are buffered and where
-/// per-query counters accumulate. Search functions take one of these instead
-/// of mutating state owned by a const tree, which is what makes a const
-/// SgTree genuinely thread-safe to read — concurrent queries each bring
-/// their own context (private pool, private stats) or share a thread-safe
-/// PageCache (ShardedBufferPool).
+/// the per-query counters accumulate. Search functions take one of these
+/// instead of mutating state owned by a const tree, which is what makes a
+/// const SgTree genuinely thread-safe to read — concurrent queries each
+/// bring their own context (private pool, private trace) or share a
+/// thread-safe PageCache (ShardedBufferPool).
 ///
-/// All three pointers may be null: a null `pool` skips buffering entirely
-/// (no I/O is charged anywhere), a null `stats` skips the paper's coarse
-/// counters, a null `trace` skips the per-query pruning breakdown. The
-/// Count*/Trace* helpers below are the single place the search code reports
-/// through, so the legacy QueryStats counters and the QueryTrace stay in
-/// lockstep by construction — and a fully-null context makes every one of
+/// Both pointers may be null: a null `pool` skips buffering entirely (no
+/// I/O is charged anywhere), a null `trace` skips the counters. The
+/// Count*/Trace*/Charge* helpers below are the single place the search code
+/// reports through — and a default-constructed context makes every one of
 /// them a no-op, which is the "metrics off" mode the differential tests
 /// compare against.
 struct QueryContext {
   PageCache* pool = nullptr;
-  QueryStats* stats = nullptr;
   QueryTrace* trace = nullptr;
 
-  /// Charges one page read: touches the pool and, on a buffer miss, adds a
-  /// random I/O to the per-query stats. The trace records the hit/miss
-  /// split, so trace->buffer_misses equals this query's random I/Os.
+  /// Charges one page read: touches the pool and records the hit/miss
+  /// split, so trace->buffer_misses is this query's random I/O count.
   void ChargeRead(PageId id) const {
     if (pool != nullptr) {
       const bool hit = pool->Touch(id);
-      if (hit) {
-        if (trace != nullptr) ++trace->buffer_hits;
-      } else {
-        if (stats != nullptr) ++stats->random_ios;
-        if (trace != nullptr) ++trace->buffer_misses;
-      }
+      if (trace != nullptr) ++(hit ? trace->buffer_hits : trace->buffer_misses);
     }
   }
 
@@ -49,13 +39,11 @@ struct QueryContext {
   /// bucket/posting-list reads of the table and inverted backends. Every
   /// page counts as a miss (those backends model no buffer).
   void ChargeSimulatedIo(uint64_t pages) const {
-    if (stats != nullptr) stats->random_ios += pages;
     if (trace != nullptr) trace->buffer_misses += pages;
   }
 
   /// One node (or bucket / posting list) was read and examined.
   void CountNode(bool leaf) const {
-    if (stats != nullptr) ++stats->nodes_accessed;
     if (trace != nullptr) {
       ++(leaf ? trace->leaf_nodes_visited : trace->dir_nodes_visited);
     }
@@ -63,20 +51,14 @@ struct QueryContext {
 
   /// `n` entry signatures had a descend-or-prune bound/predicate computed.
   void CountBounds(uint64_t n) const {
-    if (stats != nullptr) stats->bounds_computed += n;
     if (trace != nullptr) trace->signatures_tested += n;
   }
 
   /// `n` leaf candidates had their exact distance/predicate evaluated.
   void CountVerified(uint64_t n) const {
-    if (stats != nullptr) stats->transactions_compared += n;
     if (trace != nullptr) trace->candidates_verified += n;
   }
 
-  // Trace-only outcomes (no QueryStats analogue).
-  void TraceSignatures(uint64_t n) const {
-    if (trace != nullptr) trace->signatures_tested += n;
-  }
   void TraceDescended(uint64_t n) const {
     if (trace != nullptr) trace->subtrees_descended += n;
   }

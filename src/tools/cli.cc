@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -32,7 +33,6 @@
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
 #include "sgtree/invariant_auditor.h"
-#include "sgtree/paged_reader.h"
 #include "sgtree/persistence.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
@@ -52,12 +52,14 @@ int Fail(std::ostream& err, const std::string& message) {
   return 1;
 }
 
-int CheckUnused(const CommandLine& cmd, std::ostream& err) {
-  const auto unused = cmd.UnusedFlags();
-  if (unused.empty()) return 0;
-  std::string joined;
-  for (const auto& flag : unused) joined += " --" + flag;
-  return Fail(err, "unknown flag(s):" + joined);
+// Seeds are read as signed integers, so INT64_MAX is the largest accepted.
+constexpr uint64_t kMaxSeed = std::numeric_limits<int64_t>::max();
+
+// After a command's last flag lookup: refuses malformed values and unknown
+// flags with a one-line reason.
+int CheckFlags(const CommandLine& cmd, std::ostream& err) {
+  const std::string error = cmd.FlagError();
+  return error.empty() ? 0 : Fail(err, error);
 }
 
 // JSON string escape for the few free-text fields the --json reports carry
@@ -130,22 +132,23 @@ int CmdGen(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (kind == "quest") {
     QuestOptions options;
     options.num_transactions =
-        static_cast<uint32_t>(cmd.IntOr("d", 10'000));
+        static_cast<uint32_t>(cmd.UintOr("d", 10'000));
     options.avg_transaction_size = cmd.DoubleOr("t", 10);
     options.avg_itemset_size = cmd.DoubleOr("i", 6);
-    options.num_items = static_cast<uint32_t>(cmd.IntOr("items", 1000));
+    options.num_items = static_cast<uint32_t>(cmd.UintOr("items", 1000));
     options.num_patterns =
-        static_cast<uint32_t>(cmd.IntOr("patterns", 200));
-    options.seed = static_cast<uint64_t>(cmd.IntOr("seed", 1));
-    if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+        static_cast<uint32_t>(cmd.UintOr("patterns", 200));
+    options.seed = cmd.UintOr("seed", 1, kMaxSeed);
+    if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
     dataset = QuestGenerator(options).Generate();
     out << "generated " << options.Label() << " (" << dataset.size()
         << " transactions, " << dataset.num_items << " items)\n";
   } else if (kind == "census") {
     CensusOptions options;
-    options.num_tuples = static_cast<uint32_t>(cmd.IntOr("tuples", 10'000));
-    options.seed = static_cast<uint64_t>(cmd.IntOr("seed", 7));
-    if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+    options.num_tuples =
+        static_cast<uint32_t>(cmd.UintOr("tuples", 10'000));
+    options.seed = cmd.UintOr("seed", 7, kMaxSeed);
+    if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
     dataset = CensusGenerator(options).Generate();
     out << "generated CENSUS-like dataset (" << dataset.size()
         << " tuples, " << dataset.num_items << " values)\n";
@@ -175,7 +178,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   SgTreeOptions options;
   options.num_bits = dataset.num_items;
   options.fixed_dimensionality = dataset.fixed_dimensionality;
-  options.page_size = static_cast<uint32_t>(cmd.IntOr("page", 4096));
+  options.page_size = static_cast<uint32_t>(cmd.UintOr("page", 4096));
   options.compress = cmd.IntOr("compress", 1) != 0;
   const std::string split = cmd.StringOr("split", "avg");
   if (split == "avg") {
@@ -191,7 +194,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
 
   const std::string bulk = cmd.StringOr("bulk", "none");
-  const auto shards = static_cast<uint32_t>(cmd.IntOr("shards", 1));
+  const auto shards = static_cast<uint32_t>(cmd.UintOr("shards", 1));
   if (shards == 0) return Fail(err, "--shards must be positive");
   // --static 1 writes the immutable mmap'able image (static_format.h)
   // instead of the dynamic snapshot: query/check/stats open it read-only.
@@ -205,7 +208,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (static_out && !out_path.has_value()) {
     return Fail(err, "build --static requires --out");
   }
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   BulkLoadOptions bulk_options;
   if (bulk != "none") {
@@ -354,7 +357,7 @@ int CmdRecover(const CommandLine& cmd, std::ostream& out,
   if (!dir.has_value()) return Fail(err, "recover requires --durable");
   const auto out_path = cmd.GetString("out");
   const auto metrics_path = cmd.GetString("metrics-json");
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   obs::MetricsRegistry registry;
   std::string error;
@@ -392,7 +395,7 @@ int CmdWalCheckpoint(const CommandLine& cmd, std::ostream& out,
     return Fail(err, "wal-checkpoint requires --durable");
   const auto metrics_path = cmd.GetString("metrics-json");
   const auto export_path = cmd.GetString("export-static");
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   obs::MetricsRegistry registry;
   DurableTree::Options options;
@@ -426,7 +429,7 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // --json 1: emit the same report as one JSON object on stdout, so ops
   // tooling scrapes fields instead of parsing the human text.
   const bool json = cmd.IntOr("json", 0) != 0;
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
   SgTreeOptions options;
   std::string load_error;
   auto tree = LoadTree(*index_path, options, &load_error);
@@ -508,14 +511,13 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (!index_path.has_value()) return Fail(err, "check requires --index");
   AuditOptions audit_options;
   audit_options.max_violations =
-      static_cast<size_t>(cmd.IntOr("max-violations", 64));
-  const bool paged = cmd.IntOr("paged", 1) != 0;
+      static_cast<size_t>(cmd.UintOr("max-violations", 64));
   const bool static_image = cmd.IntOr("static", 0) != 0;
   // --verify-checksums 0 admits an image whose body CRC no longer matches,
   // so the semantic audit can localize the damage instead of the open
   // refusing the whole file with one line.
   const bool verify_checksums = cmd.IntOr("verify-checksums", 1) != 0;
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   if (static_image) {
     StaticOpenOptions open_options;
@@ -538,21 +540,23 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
 
   const AuditReport report = AuditTree(*tree, audit_options);
   out << "in-memory audit: " << report.Summary();
-  bool ok = report.ok();
 
-  if (paged) {
-    const PagedTreeImage image =
-        FlushTreeToPages(*tree, tree->options().compress);
-    if (image.pages == nullptr) {
-      out << "paged audit: could not serialize (node exceeds page size)\n";
-      ok = false;
-    } else {
-      const AuditReport paged_report = AuditPagedImage(image, audit_options);
-      out << "paged audit: " << paged_report.Summary();
-      ok = ok && paged_report.ok();
-    }
+  // Second pass over the tree's serialized form: the static image it would
+  // export, re-validated on open and re-audited from its own bytes.
+  std::vector<uint8_t> image;
+  std::string image_error;
+  std::unique_ptr<StaticTreeView> view;
+  if (BuildStaticImage(*tree, &image, &image_error)) {
+    view = StaticTreeView::OpenFromBytes(image.data(), image.size(), {},
+                                         &image_error);
   }
-  return ok ? 0 : 2;
+  if (view == nullptr) {
+    out << "static image audit: " << image_error << "\n";
+    return 2;
+  }
+  const AuditReport image_report = AuditStaticImage(*view, audit_options);
+  out << "static image audit: " << image_report.Summary();
+  return report.ok() && image_report.ok() ? 0 : 2;
 }
 
 int CmdStaticInfo(const CommandLine& cmd, std::ostream& out,
@@ -562,7 +566,7 @@ int CmdStaticInfo(const CommandLine& cmd, std::ostream& out,
   StaticOpenOptions open_options;
   open_options.verify_checksums = cmd.IntOr("verify-checksums", 1) != 0;
   const bool json = cmd.IntOr("json", 0) != 0;
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   std::string open_error;
   auto view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
@@ -636,7 +640,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // dynamic snapshot.
   const bool sharded = cmd.IntOr("shards", 0) != 0;
   const bool static_index = cmd.IntOr("static", 0) != 0;
-  const auto threads = static_cast<uint32_t>(cmd.IntOr("threads", 0));
+  const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
   std::unique_ptr<SgTree> tree;
   std::unique_ptr<StaticTreeView> view;
   std::unique_ptr<ShardedIndex> index;
@@ -686,11 +690,11 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
   if (queries.empty()) return Fail(err, "provide --q or --queries");
 
-  const auto k = static_cast<uint32_t>(cmd.IntOr("k", 1));
+  const auto k = static_cast<uint32_t>(cmd.UintOr("k", 1));
   const double epsilon = cmd.DoubleOr("eps", 0);
   const bool print_trace = cmd.IntOr("trace", 0) != 0;
   const auto metrics_path = cmd.GetString("metrics-json");
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   std::vector<QueryRequest> requests;
   requests.reserve(queries.size());
@@ -732,7 +736,6 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
   }
 
-  QueryStats stats;
   QueryTrace total_trace;
   obs::Histogram* latency = registry.GetHistogram("query.latency_us");
   for (size_t qi = 0; qi < results.size(); ++qi) {
@@ -758,12 +761,11 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
           << " hits=" << trace.buffer_hits
           << " misses=" << trace.buffer_misses << "\n";
     }
-    stats += result.stats;
     total_trace += result.trace;
   }
-  out << "# compared " << stats.transactions_compared << " transactions, "
-      << stats.nodes_accessed << " node accesses, " << stats.random_ios
-      << " random I/Os\n";
+  out << "# compared " << total_trace.candidates_verified
+      << " transactions, " << total_trace.nodes_visited()
+      << " node accesses, " << total_trace.buffer_misses << " random I/Os\n";
   if (metrics_path.has_value()) {
     registry.GetCounter("query.queries")->Increment(queries.size());
     registry.GetCounter("query.nodes_visited")
@@ -803,7 +805,7 @@ int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
         << ", \"pairs\": " << result.pairs
         << ", \"truncated\": " << (result.truncated ? "true" : "false")
         << ", \"elapsed_us\": " << result.elapsed_us
-        << ", \"nodes_accessed\": " << result.stats.nodes_accessed
+        << ", \"nodes_accessed\": " << result.trace.nodes_visited()
         << ", \"signatures_tested\": " << result.trace.signatures_tested
         << ", \"candidates_verified\": " << result.trace.candidates_verified
         << ", \"sample\": [";
@@ -875,14 +877,14 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   request.threshold = cmd.DoubleOr("threshold", 0.0);
 
   const bool sharded = cmd.IntOr("shards", 0) != 0;
-  const auto threads = static_cast<uint32_t>(cmd.IntOr("threads", 0));
+  const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
   const auto buffer_pages =
-      static_cast<uint32_t>(cmd.IntOr("buffer-pages", 64));
+      static_cast<uint32_t>(cmd.UintOr("buffer-pages", 64));
   const bool json = cmd.IntOr("json", 0) != 0;
   const bool print_trace = cmd.IntOr("trace", 0) != 0;
   const long long limit = cmd.IntOr("limit", 20);
   const auto metrics_path = cmd.GetString("metrics-json");
-  if (const int rc = CheckUnused(cmd, err); rc != 0) return rc;
+  if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   SgTreeOptions options;
   options.metric = metric;

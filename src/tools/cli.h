@@ -31,12 +31,13 @@ namespace sgtree {
 ///               it with `query ... --static 1` (or --shards 1 for the
 ///               manifest); it cannot be updated in place.
 ///   stats       --index F
-///   check       --index F [--paged 0|1] [--max-violations N] [--static 0|1]
+///   check       --index F [--max-violations N] [--static 0|1]
 ///               [--verify-checksums 0|1]
 ///               Runs the full InvariantAuditor (coverage, levels, fill
 ///               bounds, tid uniqueness, page reachability) on the loaded
-///               tree and, with --paged (default on), on its serialized
-///               page image. With --static 1, audits a static image via
+///               tree, then builds the tree's static image in memory,
+///               reopens it from those bytes and audits it with
+///               AuditStaticImage. With --static 1, audits a static image via
 ///               AuditStaticImage instead (structure is already enforced
 ///               at open; --verify-checksums 0 admits a CRC-damaged image
 ///               so the audit can localize the corruption). Exit 0 =

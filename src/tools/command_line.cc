@@ -1,5 +1,6 @@
 #include "tools/command_line.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace sgtree {
@@ -46,13 +47,29 @@ std::optional<std::string> CommandLine::GetString(
 std::optional<int64_t> CommandLine::GetInt(const std::string& name) const {
   const auto value = GetString(name);
   if (!value.has_value()) return std::nullopt;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value->c_str(), &end, 10);
+  if (value->empty() || *end != '\0' || errno == ERANGE) {
+    bad_values_.push_back("--" + name + " expects an integer, got '" +
+                          *value + "'");
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 std::optional<double> CommandLine::GetDouble(const std::string& name) const {
   const auto value = GetString(name);
   if (!value.has_value()) return std::nullopt;
-  return std::strtod(value->c_str(), nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value->c_str(), &end);
+  if (value->empty() || *end != '\0' || errno == ERANGE) {
+    bad_values_.push_back("--" + name + " expects a number, got '" + *value +
+                          "'");
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 std::string CommandLine::StringOr(const std::string& name,
@@ -69,12 +86,40 @@ double CommandLine::DoubleOr(const std::string& name,
   return GetDouble(name).value_or(fallback);
 }
 
+uint64_t CommandLine::UintOr(const std::string& name, uint64_t fallback,
+                             uint64_t max) const {
+  const auto value = GetInt(name);
+  if (!value.has_value()) return fallback;
+  if (*value < 0) {
+    bad_values_.push_back("--" + name +
+                          " expects a non-negative integer, got '" +
+                          std::to_string(*value) + "'");
+    return fallback;
+  }
+  if (static_cast<uint64_t>(*value) > max) {
+    bad_values_.push_back("--" + name + " expects an integer <= " +
+                          std::to_string(max) + ", got '" +
+                          std::to_string(*value) + "'");
+    return fallback;
+  }
+  return static_cast<uint64_t>(*value);
+}
+
 std::vector<std::string> CommandLine::UnusedFlags() const {
   std::vector<std::string> unused;
   for (size_t i = 0; i < flags_.size(); ++i) {
     if (!used_[i]) unused.push_back(flags_[i].first);
   }
   return unused;
+}
+
+std::string CommandLine::FlagError() const {
+  if (!bad_values_.empty()) return bad_values_.front();
+  const std::vector<std::string> unused = UnusedFlags();
+  if (unused.empty()) return std::string();
+  std::string message = "unknown flag(s):";
+  for (const std::string& flag : unused) message += " --" + flag;
+  return message;
 }
 
 }  // namespace sgtree

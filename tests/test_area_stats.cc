@@ -161,19 +161,19 @@ TEST(TreeAreaStatsTest, StatsLearnFixedDimensionalityOnCensus) {
             (std::pair<uint32_t, uint32_t>{36, 36}));
 
   // Identical structure + identical effective bound => identical pruning.
-  QueryStats learned_stats;
-  QueryStats configured_stats;
+  QueryTrace learned_trace;
+  QueryTrace configured_trace;
   for (const Transaction& q : gen.GenerateQueries(25)) {
     const Signature sig = Signature::FromItems(q.items, census.num_items);
     const Neighbor a = DfsNearest(
-        tree_learned, sig, tree_learned.OwnPoolContext(&learned_stats));
+        tree_learned, sig, tree_learned.OwnPoolContext(&learned_trace));
     const Neighbor b = DfsNearest(
         tree_configured, sig,
-        tree_configured.OwnPoolContext(&configured_stats));
+        tree_configured.OwnPoolContext(&configured_trace));
     EXPECT_DOUBLE_EQ(a.distance, b.distance);
   }
-  EXPECT_EQ(learned_stats.transactions_compared,
-            configured_stats.transactions_compared);
+  EXPECT_EQ(learned_trace.candidates_verified,
+            configured_trace.candidates_verified);
 }
 
 TEST(TreeAreaStatsTest, ExactnessWithMixedSizes) {

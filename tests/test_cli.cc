@@ -69,6 +69,51 @@ TEST(CommandLineTest, StrayPositionalAfterFlagIsError) {
   EXPECT_FALSE(cmd.error().empty());
 }
 
+TEST(CommandLineTest, MalformedNumbersAreRecordedNotCoerced) {
+  CommandLine cmd({"query", "--k", "banana", "--replicas", "2x", "--eps",
+                   "0.5y", "--limit", "", "--big", "99999999999999999999"});
+  ASSERT_TRUE(cmd.error().empty());
+  EXPECT_FALSE(cmd.GetInt("k").has_value());
+  EXPECT_EQ(cmd.IntOr("replicas", 1), 1);  // Not 2.
+  EXPECT_DOUBLE_EQ(cmd.DoubleOr("eps", 3.0), 3.0);
+  EXPECT_EQ(cmd.IntOr("limit", 20), 20);
+  EXPECT_FALSE(cmd.GetInt("big").has_value());  // Out of int64 range.
+  EXPECT_TRUE(cmd.UnusedFlags().empty());
+  // The first malformed value wins over everything else.
+  EXPECT_EQ(cmd.FlagError(), "--k expects an integer, got 'banana'");
+}
+
+TEST(CommandLineTest, WellFormedNumbersStillParse) {
+  CommandLine cmd({"query", "--k", "-3", "--eps", "2.5e-1", "--n", "+7"});
+  EXPECT_EQ(cmd.IntOr("k", 0), -3);
+  EXPECT_DOUBLE_EQ(cmd.DoubleOr("eps", 0), 0.25);
+  EXPECT_EQ(cmd.IntOr("n", 0), 7);
+  EXPECT_EQ(cmd.FlagError(), "");
+}
+
+TEST(CommandLineTest, UintOrRefusesNegativeAndOversizedValues) {
+  CommandLine negative({"query", "--k", "-3"});
+  EXPECT_EQ(negative.UintOr("k", 1), 1u);
+  EXPECT_EQ(negative.FlagError(),
+            "--k expects a non-negative integer, got '-3'");
+
+  CommandLine oversized({"serve", "--port", "70000"});
+  EXPECT_EQ(oversized.UintOr("port", 0, 65535), 0u);
+  EXPECT_EQ(oversized.FlagError(),
+            "--port expects an integer <= 65535, got '70000'");
+
+  CommandLine fine({"serve", "--port", "8080", "--k", "4294967295"});
+  EXPECT_EQ(fine.UintOr("port", 0, 65535), 8080u);
+  EXPECT_EQ(fine.UintOr("k", 1), 4294967295u);
+  EXPECT_EQ(fine.FlagError(), "");
+}
+
+TEST(CommandLineTest, FlagErrorNamesUnknownFlags) {
+  CommandLine cmd({"stats", "--index", "a", "--typo", "1", "--oops", "2"});
+  EXPECT_EQ(cmd.StringOr("index", ""), "a");
+  EXPECT_EQ(cmd.FlagError(), "unknown flag(s): --typo --oops");
+}
+
 // ---------------------------------------------------------------------------
 // CLI end-to-end.
 // ---------------------------------------------------------------------------
@@ -119,12 +164,14 @@ TEST(CliTest, GenBuildStatsQueryPipeline) {
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("in-memory audit: all invariants hold"),
             std::string::npos);
-  EXPECT_NE(r.out.find("paged audit: all invariants hold"),
+  EXPECT_NE(r.out.find("static image audit: all invariants hold"),
             std::string::npos);
 
+  // check has no --paged switch; it is refused like any unknown flag.
   r = RunArgs({"check", "--index", index, "--paged", "0"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_EQ(r.out.find("paged audit"), std::string::npos);
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("unknown flag(s): --paged"), std::string::npos)
+      << r.err;
 
   std::remove(data.c_str());
   std::remove(index.c_str());
@@ -338,6 +385,23 @@ TEST(CliTest, ErrorPaths) {
   EXPECT_EQ(
       RunArgs({"query", "nn", "--index", index, "--q", "1", "--frob", "1"}).code,
       1);
+  // Malformed or negative numbers are refused, not coerced to 0 or -1u.
+  CliResult r =
+      RunArgs({"query", "nn", "--index", index, "--q", "1", "--k", "banana"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --k expects an integer, got 'banana'\n");
+  r = RunArgs({"query", "nn", "--index", index, "--q", "1", "--k", "-2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --k expects a non-negative integer, got '-2'\n");
+  r = RunArgs({"query", "range", "--index", index, "--q", "1", "--eps",
+               "2x"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --eps expects a number, got '2x'\n");
+  const std::string never = TempPath("cli_err_never.txt");
+  r = RunArgs({"gen", "quest", "--out", never, "--d", "5k"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --d expects an integer, got '5k'\n");
+  EXPECT_FALSE(std::ifstream(never).good());  // Refused before writing.
   std::remove(data.c_str());
   std::remove(index.c_str());
 }

@@ -1,9 +1,11 @@
 // Cross-component coverage: the newer components (incremental iterator,
-// paged reader, joins) under the non-default metrics and the categorical
+// static image, joins) under the non-default metrics and the categorical
 // fixed-dimensionality configuration — combinations the per-component
 // suites do not reach.
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,11 +13,15 @@
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
 #include "data/census_generator.h"
+#include "exec/query_api.h"
 #include "sgtree/bulk_load.h"
 #include "sgtree/incremental.h"
 #include "sgtree/join.h"
-#include "sgtree/paged_reader.h"
 #include "sgtree/search.h"
+#include "static/static_tree_backend.h"
+#include "static/static_tree_builder.h"
+#include "static/static_tree_view.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -23,6 +29,31 @@ namespace {
 
 using ::sgtree::testing::ClusteredDataset;
 using ::sgtree::testing::RandomSignature;
+
+// The tree's static image, reopened from its bytes with `open_options`.
+std::unique_ptr<StaticTreeView> StaticImageOf(
+    const SgTree& tree, const StaticOpenOptions& open_options = {}) {
+  std::vector<uint8_t> image;
+  std::string error;
+  if (!BuildStaticImage(tree, &image, &error)) {
+    ADD_FAILURE() << error;
+    return nullptr;
+  }
+  auto view = StaticTreeView::OpenFromBytes(image.data(), image.size(),
+                                            open_options, &error);
+  if (view == nullptr) ADD_FAILURE() << error;
+  return view;
+}
+
+// 1-NN through the unified API over a static image.
+Neighbor StaticNearest(const StaticTreeView& view, const Signature& query,
+                       PageCache* pool = nullptr) {
+  QueryRequest request;
+  request.query = query;
+  const QueryResult result = Execute(StaticTreeBackend(view), request, pool);
+  EXPECT_EQ(result.neighbors.size(), 1u);
+  return result.neighbors.empty() ? Neighbor{} : result.neighbors.front();
+}
 
 class MetricVariantTest : public ::testing::TestWithParam<Metric> {};
 
@@ -50,24 +81,24 @@ TEST_P(MetricVariantTest, IncrementalIteratorExact) {
   }
 }
 
-TEST_P(MetricVariantTest, PagedReaderExact) {
+TEST_P(MetricVariantTest, StaticViewExact) {
   const Dataset dataset = ClusteredDataset(702, 700, 180, 8, 10, 2);
   SgTreeOptions options;
   options.num_bits = 180;
   SgTree tree(options);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const PagedTreeImage image = FlushTreeToPages(tree, true);
-  ASSERT_NE(image.pages, nullptr);
-  PagedReader::Options ropt;
-  ropt.metric = GetParam();
-  ropt.cache_pages = 8;
-  PagedReader reader(&image, ropt);
+  // The metric is a runtime option of the view, not part of the image.
+  StaticOpenOptions open_options;
+  open_options.tree.metric = GetParam();
+  const auto view = StaticImageOf(tree, open_options);
+  ASSERT_NE(view, nullptr);
+  BufferPool pool(8);
   LinearScan scan(dataset);
   Rng rng(703);
   for (int q = 0; q < 10; ++q) {
     Signature query = RandomSignature(rng, 180, 0.05);
     if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(reader.Nearest(query).distance,
+    EXPECT_DOUBLE_EQ(StaticNearest(*view, query, &pool).distance,
                      scan.Nearest(query, GetParam()).distance)
         << MetricName(GetParam());
   }
@@ -138,8 +169,7 @@ TEST(CensusCrossTest, IncrementalIteratorUsesTightBound) {
   const CensusFixture f = MakeCensus(710);
   for (const Signature& q : f.queries) {
     const auto expected = f.scan->KNearest(q, 8);
-    QueryStats stats;
-    NearestIterator it(*f.tree, q, &stats);
+    NearestIterator it(*f.tree, q);
     for (size_t i = 0; i < expected.size(); ++i) {
       const auto n = it.Next();
       ASSERT_TRUE(n.has_value());
@@ -153,21 +183,20 @@ TEST(CensusCrossTest, IncrementalIteratorUsesTightBound) {
   const auto items = near.ToItems();
   near.Reset(items[0]);
   near.Set(items[0] == 0 ? 1 : items[0] - 1);
-  QueryStats stats;
-  NearestIterator it(*f.tree, near, &stats);
+  QueryTrace trace;
+  NearestIterator it(*f.tree, near, QueryContext{nullptr, &trace});
   ASSERT_TRUE(it.Next().has_value());
-  EXPECT_LT(stats.transactions_compared, f.dataset.size() / 2);
+  EXPECT_LT(trace.candidates_verified, f.dataset.size() / 2);
 }
 
-TEST(CensusCrossTest, PagedImageCarriesAreaStats) {
+TEST(CensusCrossTest, StaticImageCarriesAreaStats) {
   const CensusFixture f = MakeCensus(711);
-  const PagedTreeImage image = FlushTreeToPages(*f.tree, true);
-  ASSERT_NE(image.pages, nullptr);
-  EXPECT_EQ(image.area_lo, 36u);
-  EXPECT_EQ(image.area_hi, 36u);
-  PagedReader reader(&image, {});
+  const auto view = StaticImageOf(*f.tree);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->TransactionAreaBounds(),
+            (std::pair<uint32_t, uint32_t>{36, 36}));
   for (const Signature& q : f.queries) {
-    EXPECT_DOUBLE_EQ(reader.Nearest(q).distance,
+    EXPECT_DOUBLE_EQ(StaticNearest(*view, q).distance,
                      f.scan->Nearest(q).distance);
   }
 }

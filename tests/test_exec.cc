@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <iterator>
 #include <list>
@@ -207,7 +208,7 @@ TEST(ShardedBufferPoolTest, ConcurrentTouchesLoseNoStats) {
 struct ExecFixture {
   Dataset dataset;
   std::unique_ptr<SgTree> tree;
-  std::vector<BatchQuery> batch;
+  std::vector<QueryRequest> batch;
 };
 
 ExecFixture MakeExecFixture(uint64_t seed, Metric metric,
@@ -226,7 +227,7 @@ ExecFixture MakeExecFixture(uint64_t seed, Metric metric,
                               QueryType::kRange,       QueryType::kContainment,
                               QueryType::kExact,       QueryType::kSubset};
   for (uint32_t i = 0; i < num_queries; ++i) {
-    BatchQuery q;
+    QueryRequest q;
     q.type = kTypes[i % std::size(kTypes)];
     Signature sig = RandomSignature(rng, 200, 0.04);
     if (sig.Empty()) sig.Set(3);
@@ -251,14 +252,6 @@ void ExpectBatchesIdentical(const std::vector<QueryResult>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].neighbors, b[i].neighbors) << "query " << i;
     EXPECT_EQ(a[i].ids, b[i].ids) << "query " << i;
-    EXPECT_EQ(a[i].stats.nodes_accessed, b[i].stats.nodes_accessed)
-        << "query " << i;
-    EXPECT_EQ(a[i].stats.random_ios, b[i].stats.random_ios) << "query " << i;
-    EXPECT_EQ(a[i].stats.transactions_compared,
-              b[i].stats.transactions_compared)
-        << "query " << i;
-    EXPECT_EQ(a[i].stats.bounds_computed, b[i].stats.bounds_computed)
-        << "query " << i;
     EXPECT_EQ(a[i].trace, b[i].trace) << "query " << i;
   }
 }
@@ -303,7 +296,7 @@ TEST(ExecutorTest, MatchesDirectSearchCalls) {
   const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
   ASSERT_EQ(results.size(), f.batch.size());
   for (size_t i = 0; i < f.batch.size(); ++i) {
-    const BatchQuery& q = f.batch[i];
+    const QueryRequest& q = f.batch[i];
     f.tree->ResetIo();
     f.tree->buffer_pool().Resize(16);
     f.tree->buffer_pool().Clear();
@@ -340,19 +333,6 @@ TEST(ExecutorTest, MatchesDirectSearchCalls) {
   }
 }
 
-TEST(ExecutorTest, BatchStatsEqualSumOfPerQueryStats) {
-  const ExecFixture f = MakeExecFixture(14, Metric::kHamming);
-  QueryExecutor executor({.num_threads = 4, .buffer_pages = 16});
-  const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
-  QueryStats sum;
-  for (const QueryResult& r : results) sum += r.stats;
-  EXPECT_EQ(executor.batch_stats().nodes_accessed, sum.nodes_accessed);
-  EXPECT_EQ(executor.batch_stats().random_ios, sum.random_ios);
-  EXPECT_EQ(executor.batch_stats().transactions_compared,
-            sum.transactions_compared);
-  EXPECT_EQ(executor.batch_stats().bounds_computed, sum.bounds_computed);
-}
-
 TEST(ExecutorTest, BatchReportAggregatesPerQueryTraces) {
   const ExecFixture f = MakeExecFixture(16, Metric::kHamming);
   QueryExecutor executor({.num_threads = 4, .buffer_pages = 16});
@@ -363,27 +343,18 @@ TEST(ExecutorTest, BatchReportAggregatesPerQueryTraces) {
   const BatchReport& report = executor.last_batch_report();
   EXPECT_EQ(report.queries, f.batch.size());
   EXPECT_EQ(report.trace, sum);
-  EXPECT_EQ(report.stats.nodes_accessed,
-            executor.batch_stats().nodes_accessed);
-  EXPECT_EQ(report.stats.random_ios, executor.batch_stats().random_ios);
   EXPECT_GT(report.wall_ms, 0.0);
   EXPECT_LE(report.p50_us, report.p95_us);
   EXPECT_LE(report.p95_us, report.p99_us);
   EXPECT_GT(report.p99_us, 0.0);
 
-  // Every per-query trace is self-consistent and in lockstep with its
-  // QueryStats, serial or parallel alike.
+  // Every per-query trace is self-consistent.
   for (size_t i = 0; i < results.size(); ++i) {
     TraceCheckOptions opts;
     const QueryType type = f.batch[i].type;
     opts.predicate = type != QueryType::kKnn &&
                      type != QueryType::kBestFirstKnn;
     EXPECT_EQ(CheckTraceInvariants(results[i].trace, opts), "")
-        << "query " << i;
-    EXPECT_EQ(results[i].trace.buffer_misses, results[i].stats.random_ios)
-        << "query " << i;
-    EXPECT_EQ(results[i].trace.nodes_visited(),
-              results[i].stats.nodes_accessed)
         << "query " << i;
   }
 
@@ -409,7 +380,7 @@ TEST(ExecutorTest, MetricsRegistryIsFedByEachBatch) {
   EXPECT_EQ(registry.GetCounter("exec.nodes_visited")->Value(),
             report.trace.nodes_visited());
   EXPECT_EQ(registry.GetCounter("exec.random_ios")->Value(),
-            report.stats.random_ios);
+            report.trace.buffer_misses);
   EXPECT_EQ(registry.GetCounter("exec.signatures_tested")->Value(),
             report.trace.signatures_tested);
   EXPECT_EQ(registry.GetCounter("exec.subtrees_pruned")->Value(),
@@ -460,7 +431,7 @@ TEST(ExecutorTest, EmptyBatchAndEmptyTree) {
   options.num_bits = 64;
   SgTree empty_tree(options);
   EXPECT_TRUE(executor.Run(SgTreeBackend(empty_tree), {}).empty());
-  BatchQuery q;
+  QueryRequest q;
   q.query = Signature(64);
   q.query.Set(1);
   const auto results = executor.Run(SgTreeBackend(empty_tree), {q});
@@ -487,23 +458,10 @@ TEST(ExecutorTest, SharedShardedPoolReturnsSameValues) {
   }
 }
 
-TEST(ExecutorTest, ParallelForVisitsEachIndexExactlyOnce) {
-  QueryExecutor executor({.num_threads = 4});
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<uint32_t>> visits(kN);
-  executor.ParallelFor(kN, [&](size_t i, uint32_t worker_id) {
-    ASSERT_LT(worker_id, executor.num_threads());
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
-  }
-}
-
 TEST(ExecutorTest, ParallelApplyVisitsEachIndexExactlyOnce) {
-  // Same contract as ParallelFor, through the devirtualized typed-body
-  // path, across chunk policies: auto (0), per-item (1), and a chunk size
-  // that does not divide the lane ranges evenly (7).
+  // Every index runs exactly once on a valid lane, across chunk policies:
+  // auto (0), per-item (1), and a chunk size that does not divide the lane
+  // ranges evenly (7).
   for (uint32_t max_chunk : {0u, 1u, 7u}) {
     QueryExecutorOptions options;
     options.num_threads = 4;
@@ -526,7 +484,7 @@ TEST(ExecutorTest, ChunkPolicyDoesNotChangeAnswers) {
   // Chunked claiming and work stealing change WHICH lane runs a query, but
   // in private-pool mode every lane's pool starts from the same Clear()ed
   // state per query — so every chunk policy must be byte-identical to the
-  // serial oracle, stats and traces included.
+  // serial oracle, traces included.
   const ExecFixture f = MakeExecFixture(18, Metric::kHamming);
   const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
   for (uint32_t max_chunk : {0u, 1u, 7u}) {
@@ -559,13 +517,24 @@ TEST(ExecutorTest, SingleLaneRunsEntirelyOnCallingThread) {
 
 TEST(ExecutorTest, CallerParticipatesInMultiLaneRuns) {
   // The calling thread is always the last lane; with enough items its lane
-  // range is non-empty, so at least one item must run on the caller.
+  // range is non-empty, so at least one item must run on the caller. Left
+  // alone, the three workers could steal that whole range before the caller
+  // is scheduled, so an item that lands on a worker waits (bounded) until
+  // the caller has run one: no worker finishes an item — and so none starts
+  // stealing — before the caller has claimed from its own range.
   QueryExecutor executor({.num_threads = 4});
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<uint32_t> on_caller{0};
   executor.ParallelApply(4096, [&](size_t, uint32_t) {
     if (std::this_thread::get_id() == caller) {
       on_caller.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (on_caller.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
   });
   EXPECT_GT(on_caller.load(), 0u);
@@ -577,9 +546,9 @@ TEST(ExecutorTest, TableBatchMatchesDirectCalls) {
   topt.clustering.num_signatures = 8;
   const SgTable table(dataset, topt);
   Rng rng(99);
-  std::vector<BatchQuery> batch;
+  std::vector<QueryRequest> batch;
   for (int i = 0; i < 20; ++i) {
-    BatchQuery q;
+    QueryRequest q;
     q.type = i % 2 == 0 ? QueryType::kKnn : QueryType::kRange;
     q.query = RandomSignature(rng, 150, 0.05);
     if (q.query.Empty()) q.query.Set(0);
@@ -591,13 +560,15 @@ TEST(ExecutorTest, TableBatchMatchesDirectCalls) {
   const auto results = executor.Run(SgTableBackend(table), batch);
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    QueryStats stats;
+    QueryTrace trace;
+    const QueryContext ctx{nullptr, &trace};
     const auto expected =
         batch[i].type == QueryType::kKnn
-            ? table.KNearest(batch[i].query, batch[i].k, &stats)
-            : table.Range(batch[i].query, batch[i].epsilon, &stats);
+            ? table.KNearest(batch[i].query, batch[i].k, ctx)
+            : table.Range(batch[i].query, batch[i].epsilon, ctx);
     EXPECT_EQ(results[i].neighbors, expected) << "query " << i;
-    EXPECT_EQ(results[i].stats.random_ios, stats.random_ios) << "query " << i;
+    EXPECT_EQ(results[i].trace.buffer_misses, trace.buffer_misses)
+        << "query " << i;
   }
 }
 
@@ -605,11 +576,11 @@ TEST(ExecutorTest, InvertedBatchMatchesDirectCalls) {
   const Dataset dataset = ClusteredDataset(22, 800, 150, 6, 9, 2);
   const InvertedIndex index(dataset);
   Rng rng(98);
-  std::vector<BatchQuery> batch;
+  std::vector<QueryRequest> batch;
   const QueryType kTypes[] = {QueryType::kKnn, QueryType::kRange,
                               QueryType::kContainment, QueryType::kSubset};
   for (int i = 0; i < 20; ++i) {
-    BatchQuery q;
+    QueryRequest q;
     q.type = kTypes[i % std::size(kTypes)];
     q.query = RandomSignature(rng, 150, 0.03);
     if (q.query.Empty()) q.query.Set(0);

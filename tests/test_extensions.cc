@@ -1,6 +1,5 @@
 // Tests for the extension features: cosine metric, incremental NN
-// iteration / all-ties NN, the paged reader, and the alternative bulk-load
-// orders.
+// iteration / all-ties NN, and the alternative bulk-load orders.
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +14,6 @@
 #include "data/quest_generator.h"
 #include "sgtree/bulk_load.h"
 #include "sgtree/incremental.h"
-#include "sgtree/paged_reader.h"
 #include "sgtree/search.h"
 #include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
@@ -156,11 +154,11 @@ TEST(NearestIteratorTest, EarlyStopTouchesFewNodes) {
   // Query = an existing transaction: the first neighbor is distance 0.
   const Signature query =
       Signature::FromItems(f.dataset.transactions[100].items, 200);
-  QueryStats stats;
-  NearestIterator it(*f.tree, query, &stats);
+  QueryTrace trace;
+  NearestIterator it(*f.tree, query, QueryContext{nullptr, &trace});
   ASSERT_TRUE(it.Next().has_value());
   // Fetching one neighbor must not traverse the whole tree.
-  EXPECT_LT(stats.nodes_accessed, f.tree->node_count() / 2);
+  EXPECT_LT(trace.nodes_visited(), f.tree->node_count() / 2);
 }
 
 TEST(NearestIteratorTest, EmptyTree) {
@@ -203,121 +201,6 @@ TEST(AllNearestTest, MatchesScanTieCount) {
     EXPECT_EQ(ties.size(), expected);
     for (const Neighbor& n : ties) EXPECT_DOUBLE_EQ(n.distance, best);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Paged reader.
-// ---------------------------------------------------------------------------
-
-class PagedReaderTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PagedReaderTest, MatchesInMemoryTree) {
-  const Dataset dataset = ClusteredDataset(320, 1000, 200, 8, 10, 3);
-  SgTreeOptions options;
-  options.num_bits = 200;  // Page-derived capacity: images must fit pages.
-  SgTree tree(options);
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-
-  const PagedTreeImage image = FlushTreeToPages(tree, GetParam());
-  ASSERT_NE(image.pages, nullptr);
-  EXPECT_EQ(image.size, tree.size());
-  PagedReader::Options reader_options;
-  reader_options.cache_pages = 16;
-  PagedReader reader(&image, reader_options);
-
-  LinearScan scan(dataset);
-  Rng rng(321);
-  for (int q = 0; q < 20; ++q) {
-    Signature query = RandomSignature(rng, 200, 0.05);
-    if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(reader.Nearest(query).distance,
-                     scan.Nearest(query).distance);
-    const auto knn = reader.KNearest(query, 8);
-    const auto expected = scan.KNearest(query, 8);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_DOUBLE_EQ(knn[i].distance, expected[i].distance);
-    }
-    const auto range = reader.Range(query, 6.0);
-    EXPECT_EQ(range.size(), scan.Range(query, 6.0).size());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(CompressOnOff, PagedReaderTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "compressed" : "dense";
-                         });
-
-TEST(PagedReaderTest, ContainmentMatchesTree) {
-  const Dataset dataset = ClusteredDataset(322, 600, 200, 6, 10, 2);
-  SgTreeOptions options;
-  options.num_bits = 200;
-  SgTree tree(options);
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const PagedTreeImage image = FlushTreeToPages(tree, true);
-  ASSERT_NE(image.pages, nullptr);
-  PagedReader reader(&image, {});
-  Rng rng(323);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto& txn = dataset.transactions[rng.UniformInt(dataset.size())];
-    std::vector<ItemId> probe(txn.items.begin(),
-                              txn.items.begin() +
-                                  std::min<size_t>(3, txn.items.size()));
-    const Signature q = Signature::FromItems(probe, 200);
-    EXPECT_EQ(reader.Containing(q),
-              ContainmentSearch(tree, q, tree.OwnPoolContext()));
-  }
-}
-
-TEST(PagedReaderTest, BoundedCacheStaysBounded) {
-  const Dataset dataset = ClusteredDataset(324, 2000, 200, 8, 10, 3);
-  SgTreeOptions options;
-  options.num_bits = 200;
-  SgTree tree(options);
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const PagedTreeImage image = FlushTreeToPages(tree, true);
-  ASSERT_NE(image.pages, nullptr);
-
-  PagedReader::Options tiny;
-  tiny.cache_pages = 4;  // Far below the node count.
-  PagedReader reader(&image, tiny);
-  LinearScan scan(dataset);
-  Rng rng(325);
-  for (int q = 0; q < 10; ++q) {
-    Signature query = RandomSignature(rng, 200, 0.05);
-    if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(reader.Nearest(query).distance,
-                     scan.Nearest(query).distance);
-  }
-  EXPECT_GT(reader.pages_decoded(), 0u);
-}
-
-TEST(PagedReaderTest, WarmCacheDecodesLess) {
-  const Dataset dataset = ClusteredDataset(326, 1500, 200, 8, 10, 3);
-  SgTreeOptions options;
-  options.num_bits = 200;
-  SgTree tree(options);
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const PagedTreeImage image = FlushTreeToPages(tree, true);
-  PagedReader::Options big;
-  big.cache_pages = 4096;
-  PagedReader reader(&image, big);
-  const Signature query =
-      Signature::FromItems(dataset.transactions[3].items, 200);
-  QueryStats cold;
-  reader.KNearest(query, 5, &cold);
-  QueryStats warm;
-  reader.KNearest(query, 5, &warm);
-  EXPECT_EQ(warm.random_ios, 0u);  // Everything cached.
-  EXPECT_EQ(warm.nodes_accessed, cold.nodes_accessed);
-}
-
-TEST(PagedReaderTest, EmptyTreeImage) {
-  SgTree tree(SmallOptions());
-  const PagedTreeImage image = FlushTreeToPages(tree, true);
-  ASSERT_NE(image.pages, nullptr);
-  PagedReader reader(&image, {});
-  EXPECT_TRUE(reader.KNearest(Signature(200), 3).empty());
-  EXPECT_TRUE(reader.Range(Signature(200), 5).empty());
 }
 
 // ---------------------------------------------------------------------------

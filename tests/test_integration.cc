@@ -161,15 +161,15 @@ TEST(IntegrationTest, DynamicBatchesStayExact) {
 
 TEST(IntegrationTest, TreePrunesBetterThanScanOnClusteredData) {
   const Workbench w = QuestBench(104, 4000);
-  QueryStats tree_stats;
+  QueryTrace tree_trace;
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
-    DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&tree_stats));
+    DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&tree_trace));
   }
   const uint64_t full = w.queries.size() * w.dataset.size();
   // The headline property: the index avoids a large share of the data even
   // at this miniature scale (pruning improves with cardinality, Figure 11).
-  EXPECT_LT(tree_stats.transactions_compared, full * 0.75);
+  EXPECT_LT(tree_trace.candidates_verified, full * 0.75);
 }
 
 TEST(IntegrationTest, BulkAndIncrementalTreesAgreeEverywhere) {
@@ -229,12 +229,12 @@ TEST(IntegrationTest, BufferPoolReducesIosOnRepeatedQueries) {
   w.tree->ResetIo();
   const Signature sig =
       Signature::FromItems(w.queries[0].items, 400);
-  QueryStats cold;
+  QueryTrace cold;
   DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&cold));
-  QueryStats warm;
+  QueryTrace warm;
   DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&warm));
-  EXPECT_LT(warm.random_ios, cold.random_ios + 1);  // Warm <= cold.
-  EXPECT_EQ(warm.nodes_accessed, cold.nodes_accessed);
+  EXPECT_LT(warm.buffer_misses, cold.buffer_misses + 1);  // Warm <= cold.
+  EXPECT_EQ(warm.nodes_visited(), cold.nodes_visited());
 }
 
 }  // namespace

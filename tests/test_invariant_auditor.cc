@@ -8,13 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/bit_ops.h"
-#include "sgtree/paged_reader.h"
 #include "sgtree/sg_tree.h"
 #include "static/static_audit.h"
 #include "static/static_format.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
-#include "storage/node_format.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -75,18 +73,6 @@ TEST(InvariantAuditorTest, EmptyTreePasses) {
   const AuditReport report = AuditTree(tree);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.stats.node_count, 0u);
-}
-
-TEST(InvariantAuditorTest, CleanPagedImagePasses) {
-  auto tree = BuildTree();
-  for (const bool compress : {false, true}) {
-    const PagedTreeImage image = FlushTreeToPages(*tree, compress);
-    ASSERT_NE(image.pages, nullptr);
-    const AuditReport report = AuditPagedImage(image);
-    EXPECT_TRUE(report.ok()) << report.Summary();
-    EXPECT_EQ(report.stats.leaf_entries, tree->size());
-    EXPECT_EQ(report.stats.node_count, tree->node_count());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,88 +192,6 @@ TEST(InvariantAuditorTest, ViolationCapKeepsCounting) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.violations.size(), 2u);
   EXPECT_GT(report.total_violations, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Paged-image corruption.
-// ---------------------------------------------------------------------------
-
-TEST(InvariantAuditorTest, PagedDetectsCorruptSignature) {
-  auto tree = BuildTree();
-  const PageId victim = SomeDirectoryChild(*tree);
-  Node* node = tree->MutableNode(victim);
-  const std::vector<uint32_t> set_bits = node->entries[0].sig.ToItems();
-  ASSERT_FALSE(set_bits.empty());
-  node->entries[0].sig.Reset(set_bits[0]);
-
-  const PagedTreeImage image = FlushTreeToPages(*tree, /*compress=*/true);
-  ASSERT_NE(image.pages, nullptr);
-  const AuditReport report = AuditPagedImage(image);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(AuditCheck::kCoverage)) << report.Summary();
-}
-
-TEST(InvariantAuditorTest, PagedDetectsOrphanPage) {
-  auto tree = BuildTree();
-  PagedTreeImage image = FlushTreeToPages(*tree, /*compress=*/true);
-  ASSERT_NE(image.pages, nullptr);
-  const PageId orphan = image.pages->Allocate();
-  // Give the orphan a valid empty-leaf image so only reachability fails.
-  NodeRecord record;
-  std::vector<uint8_t> bytes;
-  EncodeNode(record, /*compress=*/false, &bytes);
-  ASSERT_TRUE(image.pages->Write(orphan, std::move(bytes)));
-
-  const AuditReport report = AuditPagedImage(image);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(AuditCheck::kUnreachablePage)) << report.Summary();
-}
-
-TEST(InvariantAuditorTest, PagedDetectsDanglingReference) {
-  auto tree = BuildTree();
-  PagedTreeImage image = FlushTreeToPages(*tree, /*compress=*/true);
-  ASSERT_NE(image.pages, nullptr);
-  // Free a page the root points to: the reference now dangles.
-  std::vector<uint8_t> root_bytes;
-  ASSERT_TRUE(image.pages->Read(image.root, &root_bytes));
-  NodeRecord root_record;
-  ASSERT_TRUE(DecodeNode(root_bytes, image.num_bits, &root_record));
-  ASSERT_FALSE(root_record.entries.empty());
-  ASSERT_GT(root_record.level, 0);
-  image.pages->Free(static_cast<PageId>(root_record.entries[0].first));
-
-  const AuditReport report = AuditPagedImage(image);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(AuditCheck::kDanglingRef)) << report.Summary();
-}
-
-TEST(InvariantAuditorTest, PagedDetectsTrailingGarbage) {
-  auto tree = BuildTree();
-  PagedTreeImage image = FlushTreeToPages(*tree, /*compress=*/true);
-  ASSERT_NE(image.pages, nullptr);
-  std::vector<uint8_t> root_bytes;
-  ASSERT_TRUE(image.pages->Read(image.root, &root_bytes));
-  root_bytes.push_back(0xAB);
-  ASSERT_TRUE(image.pages->Write(image.root, std::move(root_bytes)));
-
-  const AuditReport report = AuditPagedImage(image);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(AuditCheck::kPageDecode)) << report.Summary();
-  EXPECT_TRUE(AnyDetailContains(report, "trailing")) << report.Summary();
-}
-
-TEST(InvariantAuditorTest, PagedDetectsUndecodablePage) {
-  auto tree = BuildTree();
-  PagedTreeImage image = FlushTreeToPages(*tree, /*compress=*/true);
-  ASSERT_NE(image.pages, nullptr);
-  std::vector<uint8_t> root_bytes;
-  ASSERT_TRUE(image.pages->Read(image.root, &root_bytes));
-  root_bytes.resize(3);  // Truncate mid-header.
-  ASSERT_TRUE(image.pages->Write(image.root, std::move(root_bytes)));
-
-  const AuditReport report = AuditPagedImage(image);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has(AuditCheck::kPageDecode)) << report.Summary();
 }
 
 // ---------------------------------------------------------------------------

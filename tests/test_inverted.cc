@@ -155,10 +155,10 @@ TEST(InvertedIndexTest, InsertAppends) {
 
 TEST(InvertedIndexTest, StatsChargePostingPages) {
   const Fixture f = MakeFixture(12);
-  QueryStats stats;
-  f.inverted->Containing({1, 2, 3}, &stats);
-  EXPECT_EQ(stats.nodes_accessed, 3u);   // Three lists read.
-  EXPECT_GE(stats.random_ios, 3u);       // At least a page each.
+  QueryTrace trace;
+  f.inverted->Containing({1, 2, 3}, QueryContext{nullptr, &trace});
+  EXPECT_EQ(trace.nodes_visited(), 3u);  // Three lists read.
+  EXPECT_GE(trace.buffer_misses, 3u);    // At least a page each.
 }
 
 TEST(InvertedIndexTest, QuestWorkloadAgreement) {

@@ -398,7 +398,7 @@ TEST(JoinTraceTest, TracesAreSelfConsistent) {
                 tree_result.trace,
                 {.pooled = true, .strict_pruning = false, .predicate = true}),
             "");
-  EXPECT_GT(tree_result.stats.nodes_accessed, 0u);
+  EXPECT_GT(tree_result.trace.nodes_visited(), 0u);
 
   for (int which = 0; which < 2; ++which) {
     const PrettiJoinBackend pretti = sides.Pretti();
@@ -415,7 +415,7 @@ TEST(JoinTraceTest, TracesAreSelfConsistent) {
                                          .predicate = false}),
               "")
         << backend.name();
-    EXPECT_GT(result.stats.nodes_accessed, 0u) << backend.name();
+    EXPECT_GT(result.trace.nodes_visited(), 0u) << backend.name();
   }
 }
 

@@ -1,8 +1,8 @@
 // The differential harness locking down the observability layer (DESIGN.md
 // §6): every query type on every backend must fill a self-consistent
-// QueryTrace, tracing must never change results or the legacy counters, and
-// the trace's buffer split must agree exactly with the IoStats / QueryStats
-// numbers the paper's Figures 6, 8 and 10 are built from.
+// QueryTrace, tracing must never change results or the buffer pool's
+// traffic, and the trace's buffer split must agree exactly with the IoStats
+// numbers of the pool it charged.
 
 #include "obs/query_trace.h"
 
@@ -149,22 +149,14 @@ TEST_P(TreeTraceTest, EveryQueryTypeSatisfiesStrictInvariants) {
   for (const TreeQuery type : kAllTreeQueries) {
     for (size_t i = 0; i < f.queries.size(); ++i) {
       f.tree->ResetIo();
-      QueryStats stats;
       QueryTrace trace;
       RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                   f.tree->OwnPoolContext(&stats, &trace));
+                   f.tree->OwnPoolContext(&trace));
       TraceCheckOptions opts;
       opts.predicate = HasPredicate(type);
       EXPECT_EQ(CheckTraceInvariants(trace, opts), "")
           << TreeQueryName(type) << " query " << i;
       EXPECT_GT(trace.nodes_visited(), 0u);
-
-      // The trace and the legacy QueryStats are filled through one funnel
-      // (QueryContext) and must agree exactly.
-      EXPECT_EQ(trace.nodes_visited(), stats.nodes_accessed);
-      EXPECT_EQ(trace.buffer_misses, stats.random_ios);
-      EXPECT_EQ(trace.candidates_verified, stats.transactions_compared);
-      EXPECT_EQ(trace.signatures_tested, stats.bounds_computed);
 
       // Cold pool per query: the pool's own counters see the same traffic.
       EXPECT_EQ(f.tree->io_stats().random_ios, trace.buffer_misses);
@@ -180,31 +172,25 @@ TEST_P(TreeTraceTest, TracingNeverChangesResultsOrLegacyCounters) {
   for (const TreeQuery type : kAllTreeQueries) {
     for (size_t i = 0; i < f.queries.size(); ++i) {
       f.tree->ResetIo();
-      QueryStats stats_off;  // Metrics "off": legacy stats only.
-      const RunOutput off =
-          RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                       f.tree->OwnPoolContext(&stats_off, nullptr));
+      // Metrics "off": the pool is charged, no trace is kept.
+      const RunOutput off = RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
+                                         f.tree->OwnPoolContext());
       const IoStats io_off = f.tree->io_stats();
 
       f.tree->ResetIo();
-      QueryStats stats_on;  // Metrics "on": stats + trace.
-      QueryTrace trace;
-      const RunOutput on =
-          RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                       f.tree->OwnPoolContext(&stats_on, &trace));
+      QueryTrace trace;  // Metrics "on".
+      const RunOutput on = RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
+                                        f.tree->OwnPoolContext(&trace));
       const IoStats io_on = f.tree->io_stats();
 
       EXPECT_EQ(on, off) << TreeQueryName(type) << " query " << i;
-      EXPECT_EQ(stats_on.nodes_accessed, stats_off.nodes_accessed);
-      EXPECT_EQ(stats_on.random_ios, stats_off.random_ios);
-      EXPECT_EQ(stats_on.transactions_compared,
-                stats_off.transactions_compared);
-      EXPECT_EQ(stats_on.bounds_computed, stats_off.bounds_computed);
       EXPECT_EQ(io_on.page_accesses, io_off.page_accesses);
+      EXPECT_EQ(io_on.buffer_hits, io_off.buffer_hits);
       EXPECT_EQ(io_on.random_ios, io_off.random_ios);
+      EXPECT_EQ(trace.buffer_misses, io_off.random_ios);
 
-      // A fully-null context (no pool, no stats, no trace) still returns
-      // identical values.
+      // A fully-null context (no pool, no trace) still returns identical
+      // values.
       const RunOutput bare =
           RunTreeQuery(*f.tree, type, f.queries[i], epsilon, QueryContext{});
       EXPECT_EQ(bare, off) << TreeQueryName(type) << " query " << i;
@@ -225,9 +211,8 @@ TEST(TreeTraceTest, ShardedPoolSatisfiesPooledInvariant) {
   QueryTrace total;
   for (const TreeQuery type : kAllTreeQueries) {
     for (size_t i = 0; i < f.queries.size(); ++i) {
-      QueryStats stats;
       QueryTrace trace;
-      const QueryContext ctx{&pool, &stats, &trace};
+      const QueryContext ctx{&pool, &trace};
       RunTreeQuery(tree, type, f.queries[i], 6.0, ctx);
       TraceCheckOptions opts;
       opts.predicate = HasPredicate(type);
@@ -246,26 +231,23 @@ TEST(TreeTraceTest, ShardedPoolSatisfiesPooledInvariant) {
 
 TEST(TreeTraceTest, BufferMissesMatchLegacyIoStatsOnColdCache) {
   // The Figure 6 protocol: per-query random I/O against a cold 16-frame
-  // buffer. The serial wrapper (legacy path) and the context form must
-  // charge identical I/O, and the trace's miss count is that same number.
+  // buffer. The pool's own miss counter and the trace's miss count are the
+  // same number, traced or not.
   TreeFixture f = MakeTreeFixture(20, Metric::kHamming);
   for (const Signature& q : f.queries) {
     f.tree->ResetIo();
-    QueryStats legacy;
-    const auto legacy_result = DfsKNearest(*f.tree, q, 5, &legacy);
-    const uint64_t legacy_pool_ios = f.tree->io_stats().random_ios;
+    const auto untraced_result =
+        DfsKNearest(*f.tree, q, 5, f.tree->OwnPoolContext());
+    const uint64_t pool_ios = f.tree->io_stats().random_ios;
 
     f.tree->ResetIo();
-    QueryStats stats;
     QueryTrace trace;
     const auto traced_result =
-        DfsKNearest(*f.tree, q, 5, f.tree->OwnPoolContext(&stats, &trace));
+        DfsKNearest(*f.tree, q, 5, f.tree->OwnPoolContext(&trace));
 
-    EXPECT_EQ(traced_result, legacy_result);
-    EXPECT_EQ(stats.random_ios, legacy.random_ios);
-    EXPECT_EQ(trace.buffer_misses, legacy.random_ios);
-    EXPECT_EQ(trace.buffer_misses, legacy_pool_ios);
-    EXPECT_EQ(f.tree->io_stats().random_ios, legacy_pool_ios);
+    EXPECT_EQ(traced_result, untraced_result);
+    EXPECT_EQ(trace.buffer_misses, pool_ios);
+    EXPECT_EQ(f.tree->io_stats().random_ios, pool_ios);
   }
 }
 
@@ -279,12 +261,10 @@ TEST(JoinTraceTest, SimilarityJoinTracesAreConsistent) {
   TreeFixture fb = MakeTreeFixture(42, Metric::kHamming, 300);
   fa.tree->ResetIo();
   fb.tree->ResetIo();
-  QueryStats sa, sb;
   QueryTrace ta, tb;
   const auto pairs =
-      SimilarityJoin(*fa.tree, *fb.tree, 4.0,
-                     fa.tree->OwnPoolContext(&sa, &ta),
-                     fb.tree->OwnPoolContext(&sb, &tb));
+      SimilarityJoin(*fa.tree, *fb.tree, 4.0, fa.tree->OwnPoolContext(&ta),
+                     fb.tree->OwnPoolContext(&tb));
   TraceCheckOptions join_opts;
   join_opts.strict_pruning = false;
   EXPECT_EQ(CheckTraceInvariants(ta, join_opts), "");
@@ -296,22 +276,22 @@ TEST(JoinTraceTest, SimilarityJoinTracesAreConsistent) {
   EXPECT_GT(ta.candidates_verified, 0u);
 
   // Node reads are charged to each tree's own pool and context.
-  EXPECT_EQ(ta.nodes_visited(), sa.nodes_accessed);
-  EXPECT_EQ(tb.nodes_visited(), sb.nodes_accessed);
+  EXPECT_EQ(fa.tree->io_stats().page_accesses, ta.nodes_visited());
+  EXPECT_EQ(fb.tree->io_stats().page_accesses, tb.nodes_visited());
   EXPECT_EQ(fa.tree->io_stats().random_ios, ta.buffer_misses);
   EXPECT_EQ(fb.tree->io_stats().random_ios, tb.buffer_misses);
 
-  // Differential against the convenience wrapper, which funnels both sides
-  // into one QueryStats.
+  // Differential: funnelling both sides into one trace sums the two.
   fa.tree->ResetIo();
   fb.tree->ResetIo();
-  QueryStats combined;
-  const auto again = SimilarityJoin(*fa.tree, *fb.tree, 4.0, &combined);
+  QueryTrace combined;
+  const auto again = SimilarityJoin(*fa.tree, *fb.tree, 4.0,
+                                    fa.tree->OwnPoolContext(&combined),
+                                    fb.tree->OwnPoolContext(&combined));
   EXPECT_EQ(again, pairs);
-  EXPECT_EQ(combined.nodes_accessed, sa.nodes_accessed + sb.nodes_accessed);
-  EXPECT_EQ(combined.random_ios, sa.random_ios + sb.random_ios);
-  EXPECT_EQ(combined.transactions_compared,
-            sa.transactions_compared + sb.transactions_compared);
+  QueryTrace sum = ta;
+  sum += tb;
+  EXPECT_EQ(combined, sum);
 }
 
 TEST(JoinTraceTest, ClosestPairsTracesAreConsistent) {
@@ -319,11 +299,10 @@ TEST(JoinTraceTest, ClosestPairsTracesAreConsistent) {
   TreeFixture fb = MakeTreeFixture(44, Metric::kHamming, 300);
   fa.tree->ResetIo();
   fb.tree->ResetIo();
-  QueryStats sa, sb;
   QueryTrace ta, tb;
   const auto best = ClosestPairs(*fa.tree, *fb.tree, 10,
-                                 fa.tree->OwnPoolContext(&sa, &ta),
-                                 fb.tree->OwnPoolContext(&sb, &tb));
+                                 fa.tree->OwnPoolContext(&ta),
+                                 fb.tree->OwnPoolContext(&tb));
   TraceCheckOptions join_opts;
   join_opts.strict_pruning = false;
   join_opts.predicate = false;  // k-closest-pairs has no predicate.
@@ -336,9 +315,14 @@ TEST(JoinTraceTest, ClosestPairsTracesAreConsistent) {
 
   fa.tree->ResetIo();
   fb.tree->ResetIo();
-  QueryStats combined;
-  EXPECT_EQ(ClosestPairs(*fa.tree, *fb.tree, 10, &combined), best);
-  EXPECT_EQ(combined.nodes_accessed, sa.nodes_accessed + sb.nodes_accessed);
+  QueryTrace combined;
+  EXPECT_EQ(ClosestPairs(*fa.tree, *fb.tree, 10,
+                         fa.tree->OwnPoolContext(&combined),
+                         fb.tree->OwnPoolContext(&combined)),
+            best);
+  QueryTrace sum = ta;
+  sum += tb;
+  EXPECT_EQ(combined, sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,10 +340,8 @@ TEST(TableTraceTest, KnnAndRangeTracesAreConsistent) {
     Signature q = RandomSignature(rng, 150, 0.05);
     if (q.Empty()) q.Set(0);
 
-    QueryStats knn_stats;
     QueryTrace knn_trace;
-    const auto knn =
-        table.KNearest(q, 3, QueryContext{nullptr, &knn_stats, &knn_trace});
+    const auto knn = table.KNearest(q, 3, QueryContext{nullptr, &knn_trace});
     TraceCheckOptions opts;
     opts.pooled = false;          // Simulated reads: misses >= buckets read.
     opts.strict_pruning = false;  // Buckets have no root node.
@@ -373,28 +355,18 @@ TEST(TableTraceTest, KnnAndRangeTracesAreConsistent) {
     EXPECT_EQ(knn_trace.subtrees_descended, knn_trace.nodes_visited());
     EXPECT_EQ(knn_trace.dir_nodes_visited, 0u);
     EXPECT_GE(knn_trace.buffer_misses, knn_trace.nodes_visited());
-    EXPECT_EQ(knn_trace.buffer_misses, knn_stats.random_ios);
-    EXPECT_EQ(knn_trace.candidates_verified, knn_stats.transactions_compared);
-    EXPECT_EQ(knn_trace.signatures_tested, knn_stats.bounds_computed);
     EXPECT_EQ(knn_trace.results, knn.size());
+    EXPECT_EQ(table.KNearest(q, 3), knn) << "query " << i;  // Untraced.
 
-    QueryStats knn_alone;
-    EXPECT_EQ(table.KNearest(q, 3, &knn_alone), knn) << "query " << i;
-    EXPECT_EQ(knn_alone.random_ios, knn_stats.random_ios);
-
-    QueryStats range_stats;
     QueryTrace range_trace;
     const auto range =
-        table.Range(q, 5.0, QueryContext{nullptr, &range_stats, &range_trace});
+        table.Range(q, 5.0, QueryContext{nullptr, &range_trace});
     opts.predicate = true;
     EXPECT_EQ(CheckTraceInvariants(range_trace, opts), "") << "query " << i;
     EXPECT_EQ(range_trace.signatures_tested,
               range_trace.subtrees_descended + range_trace.subtrees_pruned);
     EXPECT_EQ(range_trace.results, range.size());
-
-    QueryStats range_alone;
-    EXPECT_EQ(table.Range(q, 5.0, &range_alone), range) << "query " << i;
-    EXPECT_EQ(range_alone.random_ios, range_stats.random_ios);
+    EXPECT_EQ(table.Range(q, 5.0), range) << "query " << i;  // Untraced.
   }
 }
 
@@ -425,42 +397,33 @@ TEST(InvertedTraceTest, AllQueryTypesProduceConsistentTraces) {
 
     {
       Case c{"Containing", true, {}, 0};
-      QueryStats stats, alone;
-      const auto got = index.Containing(
-          items, QueryContext{nullptr, &stats, &c.trace});
-      EXPECT_EQ(index.Containing(items, &alone), got);
-      EXPECT_EQ(alone.random_ios, stats.random_ios);
-      EXPECT_EQ(c.trace.buffer_misses, stats.random_ios);
+      const auto got =
+          index.Containing(items, QueryContext{nullptr, &c.trace});
+      EXPECT_EQ(index.Containing(items), got);
       c.results = got.size();
       cases.push_back(std::move(c));
     }
     {
       Case c{"ContainedIn", true, {}, 0};
-      QueryStats stats, alone;
-      const auto got = index.ContainedIn(
-          items, QueryContext{nullptr, &stats, &c.trace});
-      EXPECT_EQ(index.ContainedIn(items, &alone), got);
-      EXPECT_EQ(c.trace.buffer_misses, stats.random_ios);
+      const auto got =
+          index.ContainedIn(items, QueryContext{nullptr, &c.trace});
+      EXPECT_EQ(index.ContainedIn(items), got);
       c.results = got.size();
       cases.push_back(std::move(c));
     }
     {
       Case c{"KNearest", false, {}, 0};
-      QueryStats stats, alone;
       const auto got =
-          index.KNearest(items, 4, QueryContext{nullptr, &stats, &c.trace});
-      EXPECT_EQ(index.KNearest(items, 4, &alone), got);
-      EXPECT_EQ(c.trace.buffer_misses, stats.random_ios);
+          index.KNearest(items, 4, QueryContext{nullptr, &c.trace});
+      EXPECT_EQ(index.KNearest(items, 4), got);
       c.results = got.size();
       cases.push_back(std::move(c));
     }
     {
       Case c{"Range", true, {}, 0};
-      QueryStats stats, alone;
       const auto got =
-          index.Range(items, 6.0, QueryContext{nullptr, &stats, &c.trace});
-      EXPECT_EQ(index.Range(items, 6.0, &alone), got);
-      EXPECT_EQ(c.trace.buffer_misses, stats.random_ios);
+          index.Range(items, 6.0, QueryContext{nullptr, &c.trace});
+      EXPECT_EQ(index.Range(items, 6.0), got);
       c.results = got.size();
       cases.push_back(std::move(c));
     }
@@ -509,33 +472,28 @@ TEST(LinearScanTraceTest, FullScanVerifiesEverythingAndPrunesNothing) {
     };
 
     QueryTrace trace;
-    const Neighbor nn =
-        scan.Nearest(q, Metric::kHamming, QueryContext{nullptr, nullptr,
-                                                       &trace});
+    const QueryContext ctx{nullptr, &trace};
+    const Neighbor nn = scan.Nearest(q, Metric::kHamming, ctx);
     EXPECT_EQ(nn, scan.Nearest(q));
     check(trace, 1, /*predicate=*/false, "Nearest");
 
     trace.Reset();
-    const auto knn = scan.KNearest(q, 7, Metric::kHamming,
-                                   QueryContext{nullptr, nullptr, &trace});
+    const auto knn = scan.KNearest(q, 7, Metric::kHamming, ctx);
     EXPECT_EQ(knn, scan.KNearest(q, 7));
     check(trace, knn.size(), /*predicate=*/false, "KNearest");
 
     trace.Reset();
-    const auto range = scan.Range(q, 6.0, Metric::kHamming,
-                                  QueryContext{nullptr, nullptr, &trace});
+    const auto range = scan.Range(q, 6.0, Metric::kHamming, ctx);
     EXPECT_EQ(range, scan.Range(q, 6.0));
     check(trace, range.size(), /*predicate=*/true, "Range");
 
     trace.Reset();
-    const auto sup =
-        scan.Containing(q, QueryContext{nullptr, nullptr, &trace});
+    const auto sup = scan.Containing(q, ctx);
     EXPECT_EQ(sup, scan.Containing(q));
     check(trace, sup.size(), /*predicate=*/true, "Containing");
 
     trace.Reset();
-    const auto sub =
-        scan.ContainedIn(q, QueryContext{nullptr, nullptr, &trace});
+    const auto sub = scan.ContainedIn(q, ctx);
     EXPECT_EQ(sub, scan.ContainedIn(q));
     check(trace, sub.size(), /*predicate=*/true, "ContainedIn");
   }

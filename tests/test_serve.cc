@@ -8,8 +8,11 @@
 
 #include "server/server.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -518,7 +521,12 @@ class ReplicatedServeTest : public ::testing::Test {
     ShardedIndex dynamic_index(ShardOptions(2));
     ASSERT_EQ(dynamic_index.InsertBatch(dataset.transactions),
               dataset.transactions.size());
-    manifest_ = ::testing::TempDir() + "/sgtree_serve_replicated.idx";
+    // Test-unique path: ctest runs this fixture's cases concurrently, and a
+    // shared manifest would let one case's save clobber another's files.
+    manifest_ =
+        ::testing::TempDir() + "/sgtree_serve_replicated_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".idx";
     std::string error;
     ASSERT_TRUE(dynamic_index.SaveStatic(manifest_, &error)) << error;
     index_ = ShardedIndex::Load(manifest_, ShardOptions(2), &error);
@@ -544,6 +552,14 @@ class ReplicatedServeTest : public ::testing::Test {
       EXPECT_TRUE(server->Start(&error)) << error;
     }
     return server;
+  }
+
+  void TearDown() override {
+    index_.reset();
+    std::remove(manifest_.c_str());
+    for (int shard = 0; shard < 2; ++shard) {
+      std::remove((manifest_ + ".shard" + std::to_string(shard)).c_str());
+    }
   }
 
   std::string manifest_;

@@ -307,13 +307,13 @@ TEST(SgTableTest, QuestWorkloadExact) {
 TEST(SgTableTest, PruningSkipsBuckets) {
   const Dataset dataset = ClusteredDataset(18, 2000, 150, 8, 10, 1);
   SgTable table(dataset, SmallTableOptions());
-  QueryStats stats;
+  QueryTrace trace;
   // Query near an actual transaction: close NN means strong pruning.
   const Signature query =
       Signature::FromItems(dataset.transactions[0].items, 150);
-  table.Nearest(query, &stats);
-  EXPECT_LT(stats.transactions_compared, dataset.size());
-  EXPECT_GT(stats.random_ios, 0u);
+  table.Nearest(query, QueryContext{nullptr, &trace});
+  EXPECT_LT(trace.candidates_verified, dataset.size());
+  EXPECT_GT(trace.buffer_misses, 0u);
 }
 
 TEST(SgTableTest, ThetaOneActivatesOnAnyOverlap) {

@@ -263,10 +263,11 @@ TEST(JoinTest, JoinPrunesDisjointData) {
   }
   auto ta = BulkLoad(da, SmallOptions(150));
   auto tb = BulkLoad(db, SmallOptions(150));
-  QueryStats stats;
-  const auto pairs = SimilarityJoin(*ta, *tb, 1.0, &stats);
+  QueryTrace trace;
+  const auto pairs = SimilarityJoin(*ta, *tb, 1.0, ta->OwnPoolContext(&trace),
+                                    tb->OwnPoolContext(&trace));
   EXPECT_TRUE(pairs.empty());
-  EXPECT_LT(stats.transactions_compared, 200u * 200u / 4);
+  EXPECT_LT(trace.candidates_verified, 200u * 200u / 4);
 }
 
 TEST(JoinTest, EmptyTreeJoins) {

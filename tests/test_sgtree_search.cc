@@ -191,17 +191,19 @@ TEST(SearchGeneratorTest, TightBoundPrunesMoreThanRelaxed) {
     tree_relaxed.Insert(txn);
     tree_tight.Insert(txn);
   }
-  QueryStats stats_relaxed;
-  QueryStats stats_tight;
+  QueryTrace trace_relaxed;
+  QueryTrace trace_tight;
   for (const Transaction& q : gen.GenerateQueries(40)) {
     const Signature sig = Signature::FromItems(q.items, dataset.num_items);
-    const Neighbor a = DfsNearest(tree_relaxed, sig, &stats_relaxed);
-    const Neighbor b = DfsNearest(tree_tight, sig, &stats_tight);
+    const Neighbor a = DfsNearest(tree_relaxed, sig,
+                                  tree_relaxed.OwnPoolContext(&trace_relaxed));
+    const Neighbor b = DfsNearest(tree_tight, sig,
+                                  tree_tight.OwnPoolContext(&trace_tight));
     EXPECT_DOUBLE_EQ(a.distance, b.distance);  // Same (exact) answer.
   }
   // Section 6 claim: the fixed-dimensionality bound prunes strictly better.
-  EXPECT_LT(stats_tight.transactions_compared,
-            stats_relaxed.transactions_compared);
+  EXPECT_LT(trace_tight.candidates_verified,
+            trace_relaxed.candidates_verified);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +285,7 @@ TEST(ExactSearchTest, AbsentSignatureReturnsEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Pruning efficiency and stats accounting.
+// Pruning efficiency and trace accounting.
 // ---------------------------------------------------------------------------
 
 TEST(SearchStatsTest, NnComparesFarFewerThanScan) {
@@ -291,7 +293,7 @@ TEST(SearchStatsTest, NnComparesFarFewerThanScan) {
   // probe with lightly perturbed data transactions.
   const Fixture f = MakeFixture(40, Metric::kHamming);
   Rng rng(40);
-  QueryStats stats;
+  QueryTrace trace;
   const uint32_t num_queries = 25;
   for (uint32_t i = 0; i < num_queries; ++i) {
     const auto& txn =
@@ -305,11 +307,11 @@ TEST(SearchStatsTest, NnComparesFarFewerThanScan) {
         q.Set(bit);
       }
     }
-    DfsNearest(*f.tree, q, &stats);
+    DfsNearest(*f.tree, q, f.tree->OwnPoolContext(&trace));
   }
   const uint64_t scanned_all = num_queries * f.dataset.size();
-  EXPECT_LT(stats.transactions_compared, scanned_all / 2);
-  EXPECT_GT(stats.nodes_accessed, 0u);
+  EXPECT_LT(trace.candidates_verified, scanned_all / 2);
+  EXPECT_GT(trace.nodes_visited(), 0u);
 }
 
 TEST(SearchStatsTest, BestFirstAccessesNoMoreNodesThanDfsOverall) {
@@ -318,22 +320,23 @@ TEST(SearchStatsTest, BestFirstAccessesNoMoreNodesThanDfsOverall) {
   // arbitrary tie order, so compare aggregates with a small tie allowance
   // rather than per query.
   const Fixture f = MakeFixture(41, Metric::kHamming);
-  QueryStats dfs;
-  QueryStats bf;
+  QueryTrace dfs_trace;
+  QueryTrace bf_trace;
   for (const Signature& q : f.queries) {
-    DfsKNearest(*f.tree, q, 3, &dfs);
-    BestFirstKNearest(*f.tree, q, 3, &bf);
+    DfsKNearest(*f.tree, q, 3, f.tree->OwnPoolContext(&dfs_trace));
+    BestFirstKNearest(*f.tree, q, 3, f.tree->OwnPoolContext(&bf_trace));
   }
-  EXPECT_LE(bf.nodes_accessed,
-            dfs.nodes_accessed + 2 * f.queries.size());
+  EXPECT_LE(bf_trace.nodes_visited(),
+            dfs_trace.nodes_visited() + 2 * f.queries.size());
 }
 
 TEST(SearchStatsTest, RangeWithHugeEpsilonVisitsEverything) {
   const Fixture f = MakeFixture(42, Metric::kHamming);
-  QueryStats stats;
-  const auto result = RangeSearch(*f.tree, f.queries[0], 1e9, &stats);
+  QueryTrace trace;
+  const auto result = RangeSearch(*f.tree, f.queries[0], 1e9,
+                                  f.tree->OwnPoolContext(&trace));
   EXPECT_EQ(result.size(), f.dataset.size());
-  EXPECT_EQ(stats.transactions_compared, f.dataset.size());
+  EXPECT_EQ(trace.candidates_verified, f.dataset.size());
 }
 
 TEST(SearchStatsTest, RangeWithNegativeEpsilonFindsNothing) {
@@ -344,10 +347,10 @@ TEST(SearchStatsTest, RangeWithNegativeEpsilonFindsNothing) {
 TEST(SearchStatsTest, IoDeltaRecordedPerQuery) {
   const Fixture f = MakeFixture(44, Metric::kHamming);
   f.tree->ResetIo();
-  QueryStats stats;
-  DfsNearest(*f.tree, f.queries[0], &stats);
-  EXPECT_GT(stats.random_ios, 0u);
-  EXPECT_EQ(stats.random_ios, f.tree->io_stats().random_ios);
+  QueryTrace trace;
+  DfsNearest(*f.tree, f.queries[0], f.tree->OwnPoolContext(&trace));
+  EXPECT_GT(trace.buffer_misses, 0u);
+  EXPECT_EQ(trace.buffer_misses, f.tree->io_stats().random_ios);
 }
 
 TEST(SearchEdgeTest, EmptyTreeQueries) {

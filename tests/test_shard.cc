@@ -320,7 +320,7 @@ TEST(QueryRouterTest, InvalidRequestsAreNotFannedOut) {
   EXPECT_TRUE(results[2].ok());
   EXPECT_FALSE(results[3].ok());
   EXPECT_TRUE(results[1].neighbors.empty());
-  EXPECT_EQ(results[1].stats.nodes_accessed, 0u);
+  EXPECT_EQ(results[1].trace.nodes_visited(), 0u);
 
   // The report distinguishes batch size from rejects; rejected queries
   // contribute no latency samples and no counters.

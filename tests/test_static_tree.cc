@@ -76,7 +76,7 @@ std::vector<QueryResult> RunBatch(const IndexBackend& backend,
   return out;
 }
 
-// Full equality — values, stats, AND trace (operator== excludes only the
+// Full equality — values AND trace (operator== excludes only the
 // wall time). This is the byte-identical contract, not just same answers.
 void ExpectIdenticalResults(const std::vector<QueryResult>& expected,
                             const std::vector<QueryResult>& actual,
@@ -168,7 +168,7 @@ TEST(StaticDifferentialTest, AllQueryTypesIdenticalToDynamicTree) {
 }
 
 TEST(StaticDifferentialTest, UntracedContextIdenticalToDynamicTree) {
-  // A fully bare context (no pool, no stats, no trace) drives the exact
+  // A fully bare context (no pool, no trace) drives the exact
   // same traversal: values must still match, and nothing may be charged.
   Fixture f(500);
   const std::vector<QueryRequest> batch = MixedBatch(74, 36);
@@ -180,7 +180,7 @@ TEST(StaticDifferentialTest, UntracedContextIdenticalToDynamicTree) {
     ExecuteInto(dynamic_backend, batch[i], /*pool=*/nullptr, &expected);
     ExecuteInto(static_backend, batch[i], /*pool=*/nullptr, &actual);
     EXPECT_EQ(expected, actual) << "query " << i;
-    EXPECT_EQ(actual.stats.random_ios, 0u) << "query " << i;
+    EXPECT_EQ(actual.trace.buffer_misses, 0u) << "query " << i;
   }
 }
 
