@@ -16,15 +16,7 @@
 //    — the fraction of the machine the lanes kept busy doing real query
 //    work. tools/check_shard_bench.py gates on this, not on raw QPS.
 //
-// A second table ablates the router's scheduling modes at the top shard
-// count, one knob at a time from the legacy scheduler to the default:
-//
-//    legacy    : per-item claiming + query-major grid + barrier merge
-//    +chunked  : chunked claiming / work stealing (executor max_chunk auto)
-//    +slices   : shard-major slice tasks (pool warm per slice)
-//    +overlap  : overlapped gather (the default configuration)
-//
-// Results are printed as tables and written as JSON to $BENCH_SHARD_JSON
+// Results are printed as a table and written as JSON to $BENCH_SHARD_JSON
 // (default BENCH_shard.json) for the CI artifact.
 
 #include <cstdint>
@@ -47,7 +39,6 @@ namespace sgtree::bench {
 namespace {
 
 struct ShardRow {
-  std::string label;
   uint32_t shards = 0;
   double build_ms = 0;
   double wall_ms = 0;
@@ -65,12 +56,10 @@ uint32_t Cores() {
 }
 
 // One warm-up pass plus one measured pass of `batch` through a fresh
-// router in the given mode.
+// router.
 ShardRow Measure(const ShardedIndex& index, QueryExecutor* executor,
-                 const std::vector<QueryRequest>& batch,
-                 const QueryRouterOptions& router_options,
-                 const std::string& label) {
-  QueryRouter router(index, executor, router_options);
+                 const std::vector<QueryRequest>& batch) {
+  QueryRouter router(index, executor);
   router.Run(batch);  // Warm-up pass (thread pool, allocator, scratch).
   const std::vector<QueryResult> results = router.Run(batch);
 
@@ -80,7 +69,6 @@ ShardRow Measure(const ShardedIndex& index, QueryExecutor* executor,
   }
   const BatchReport& report = router.last_batch_report();
   ShardRow row;
-  row.label = label;
   row.shards = index.num_shards();
   row.wall_ms = report.wall_ms;
   row.measured_qps =
@@ -94,14 +82,14 @@ ShardRow Measure(const ShardedIndex& index, QueryExecutor* executor,
   return row;
 }
 
-void PrintRow(const ShardRow& row, const char* first_col) {
-  std::printf("%-10s %10.1f %14.1f %14.1f %11.3f %10.1f %10.1f\n", first_col,
+void PrintRow(const ShardRow& row) {
+  std::printf("%-10u %10.1f %14.1f %14.1f %11.3f %10.1f %10.1f\n", row.shards,
               row.wall_ms, row.measured_qps, row.modeled_qps, row.efficiency,
               row.p50_us, row.p99_us);
 }
 
 void WriteRow(std::ofstream& file, const ShardRow& row, bool last) {
-  file << "  {\"label\": \"" << row.label << "\", \"shards\": " << row.shards
+  file << "  {\"shards\": " << row.shards
        << ", \"build_ms\": " << row.build_ms
        << ", \"wall_ms\": " << row.wall_ms
        << ", \"measured_qps\": " << row.measured_qps
@@ -138,60 +126,25 @@ void Run() {
               "p99_us");
 
   std::vector<ShardRow> rows;
-  std::unique_ptr<ShardedIndex> top_index;  // Reused by the ablation below.
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     ShardedIndexOptions options;
     options.num_shards = shards;
     options.tree = DefaultTreeOptions(dataset);
-    auto index = std::make_unique<ShardedIndex>(options);
+    ShardedIndex index(options);
     Timer build_timer;
-    index->InsertBatch(dataset.transactions);
+    index.InsertBatch(dataset.transactions);
     const double build_ms = build_timer.ElapsedMs();
 
     QueryExecutor executor;
-    ShardRow row = Measure(*index, &executor, batch, QueryRouterOptions{},
-                           "scaling");
+    ShardRow row = Measure(index, &executor, batch);
     row.build_ms = build_ms;
     rows.push_back(row);
-    PrintRow(row, std::to_string(shards).c_str());
-    top_index = std::move(index);
+    PrintRow(row);
   }
   std::printf("\nExpected shape: modeled_qps rises monotonically 1->8 shards\n"
               "(each shard task touches ~1/N of the data; the merged service\n"
               "time is the slowest shard). measured_qps needs real cores;\n"
               "efficiency is the core-count-independent health number.\n");
-
-  // Scheduling-mode ablation at the top shard count, one knob at a time.
-  struct Mode {
-    const char* label;
-    uint32_t max_chunk;  // Executor claiming granularity (1 = per item).
-    bool shard_major;
-    bool overlap_merge;
-  };
-  const Mode kModes[] = {
-      {"legacy", 1, false, false},
-      {"+chunked", 0, false, false},
-      {"+slices", 0, true, false},
-      {"+overlap", 0, true, true},
-  };
-  std::printf("\n--- Scheduling ablation at %u shards ---\n",
-              top_index->num_shards());
-  std::printf("%-10s %10s %14s %14s %11s %10s %10s\n", "mode", "wall_ms",
-              "measured_qps", "modeled_qps", "efficiency", "p50_us",
-              "p99_us");
-  std::vector<ShardRow> ablation;
-  for (const Mode& mode : kModes) {
-    QueryExecutorOptions exec_options;
-    exec_options.max_chunk = mode.max_chunk;
-    QueryExecutor executor(exec_options);
-    QueryRouterOptions router_options;
-    router_options.shard_major = mode.shard_major;
-    router_options.overlap_merge = mode.overlap_merge;
-    const ShardRow row =
-        Measure(*top_index, &executor, batch, router_options, mode.label);
-    ablation.push_back(row);
-    PrintRow(row, mode.label);
-  }
 
   const char* env = std::getenv("BENCH_SHARD_JSON");
   const std::string path = env != nullptr ? env : "BENCH_shard.json";
@@ -207,13 +160,8 @@ void Run() {
   for (size_t i = 0; i < rows.size(); ++i) {
     WriteRow(file, rows[i], i + 1 == rows.size());
   }
-  file << "], \"ablation\": [\n";
-  for (size_t i = 0; i < ablation.size(); ++i) {
-    WriteRow(file, ablation[i], i + 1 == ablation.size());
-  }
   file << "]}\n";
-  std::printf("wrote %zu scaling + %zu ablation rows to %s\n", rows.size(),
-              ablation.size(), path.c_str());
+  std::printf("wrote %zu scaling rows to %s\n", rows.size(), path.c_str());
 }
 
 }  // namespace

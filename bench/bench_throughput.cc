@@ -3,16 +3,15 @@
 // the worker count grows 1 -> 2 -> 4 -> 8. Queries are embarrassingly
 // parallel over a read-only tree, so on an M-core machine QPS should scale
 // close to min(threads, M)x; per-query work is identical at every thread
-// count (the determinism tests assert byte-equality with the serial path).
+// count (the determinism tests assert byte-equality with the serial path):
+// every worker charges its own pool, cleared before each query.
 //
 // Output: a human-readable table on stdout and a JSON report (one object
 // per thread count) written to the path in SG_BENCH_JSON, default
 // bench_throughput.json.
 //
 // Env knobs: SG_BENCH_SCALE / SG_BENCH_QUERIES (see bench_common.h),
-// SG_BENCH_THREADS (comma list overriding 1,2,4,8), SG_BENCH_SHARDS
-// (> 0 switches to one shared ShardedBufferPool with that many stripes
-// instead of private per-worker pools).
+// SG_BENCH_THREADS (comma list overriding 1,2,4,8).
 
 #include <algorithm>
 #include <cstdio>
@@ -38,12 +37,6 @@ std::vector<uint32_t> ThreadCounts() {
     p = (*end == ',') ? end + 1 : end;
   }
   return counts.empty() ? std::vector<uint32_t>{1, 2, 4, 8} : counts;
-}
-
-uint32_t PoolShards() {
-  const char* env = std::getenv("SG_BENCH_SHARDS");
-  const int n = env == nullptr ? 0 : std::atoi(env);
-  return n > 0 ? static_cast<uint32_t>(n) : 0;
 }
 
 double Percentile(std::vector<double> sorted_us, double p) {
@@ -84,12 +77,10 @@ void Run() {
 
   const BuiltTree built = BuildTree(dataset, DefaultTreeOptions(dataset));
   const SgTree& tree = *built.tree;
-  const uint32_t shards = PoolShards();
 
   std::printf("\n=== Batch k-NN throughput (T30.I18.D200K, k=%u, %zu "
-              "queries/batch, %s pools) ===\n",
-              k, batch_size,
-              shards > 0 ? "shared sharded" : "private per-worker");
+              "queries/batch) ===\n",
+              k, batch_size);
   std::printf("(scale factor %.2f; hardware_concurrency=%u)\n", ScaleFactor(),
               std::thread::hardware_concurrency());
   std::printf("%-8s %12s %12s %12s %12s %12s %10s\n", "threads", "wall_ms",
@@ -100,7 +91,6 @@ void Run() {
     QueryExecutorOptions options;
     options.num_threads = threads;
     options.buffer_pages = DefaultTreeOptions(dataset).buffer_pages;
-    options.pool_shards = shards;
     QueryExecutor executor(options);
 
     // Warm-up pass so thread start-up and first-touch page faults do not
@@ -146,10 +136,9 @@ void Run() {
   }
   std::fprintf(out,
                "{\n  \"workload\": \"T30.I18.D%zu\",\n  \"k\": %u,\n"
-               "  \"batch_size\": %zu,\n  \"pool_mode\": \"%s\",\n"
+               "  \"batch_size\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n  \"runs\": [\n",
                dataset.size(), k, batch_size,
-               shards > 0 ? "shared_sharded" : "private",
                std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -25,7 +25,7 @@ Neighbor LinearScan::Nearest(const Signature& query, Metric metric,
     }
   }
   ctx.CountVerified(signatures_.size());
-  ctx.TraceResults(signatures_.empty() ? 0 : 1);
+  ctx.CountResults(signatures_.empty() ? 0 : 1);
   return best;
 }
 
@@ -47,7 +47,7 @@ std::vector<Neighbor> LinearScan::KNearest(const Signature& query, uint32_t k,
                                  : a.tid < b.tid;
                     });
   all.resize(keep);
-  ctx.TraceResults(all.size());
+  ctx.CountResults(all.size());
   return all;
 }
 
@@ -60,8 +60,8 @@ std::vector<Neighbor> LinearScan::Range(const Signature& query, double epsilon,
     if (d <= epsilon) result.push_back({tids_[i], d});
   }
   ctx.CountVerified(signatures_.size());
-  ctx.TraceResults(result.size());
-  ctx.TraceFalseDrops(signatures_.size() - result.size());
+  ctx.CountResults(result.size());
+  ctx.CountFalseDrops(signatures_.size() - result.size());
   std::sort(result.begin(), result.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance != b.distance ? a.distance < b.distance
@@ -78,8 +78,8 @@ std::vector<uint64_t> LinearScan::Containing(const Signature& query,
   }
   std::sort(result.begin(), result.end());
   ctx.CountVerified(signatures_.size());
-  ctx.TraceResults(result.size());
-  ctx.TraceFalseDrops(signatures_.size() - result.size());
+  ctx.CountResults(result.size());
+  ctx.CountFalseDrops(signatures_.size() - result.size());
   return result;
 }
 
@@ -93,8 +93,8 @@ std::vector<uint64_t> LinearScan::ContainedIn(const Signature& query,
   }
   std::sort(result.begin(), result.end());
   ctx.CountVerified(signatures_.size());
-  ctx.TraceResults(result.size());
-  ctx.TraceFalseDrops(signatures_.size() - result.size());
+  ctx.CountResults(result.size());
+  ctx.CountFalseDrops(signatures_.size() - result.size());
   return result;
 }
 

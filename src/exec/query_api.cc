@@ -48,14 +48,14 @@ std::string ValidateRequest(const QueryRequest& request) {
 }
 
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
-                    PageCache* pool) {
+                    BufferPool* pool) {
   QueryResult result;
   ExecuteInto(backend, request, pool, &result);
   return result;
 }
 
 void ExecuteInto(const IndexBackend& backend, const QueryRequest& request,
-                 PageCache* pool, QueryResult* result) {
+                 BufferPool* pool, QueryResult* result) {
   result->neighbors.clear();
   result->ids.clear();
   result->trace.Reset();

@@ -113,7 +113,7 @@ class IndexBackend {
 /// wall time. On validation failure the result is empty with `error` set
 /// and the backend is never invoked.
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
-                    PageCache* pool = nullptr);
+                    BufferPool* pool = nullptr);
 
 /// Allocation-free variant for hot batch loops: identical semantics to
 /// Execute(), but the answer is written into `*result`, whose vectors are
@@ -121,7 +121,7 @@ QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
 /// QueryResult slots across batches (the sharded router's scatter buffers)
 /// therefore pays for neighbor/id storage once, not once per task.
 void ExecuteInto(const IndexBackend& backend, const QueryRequest& request,
-                 PageCache* pool, QueryResult* result);
+                 BufferPool* pool, QueryResult* result);
 
 }  // namespace sgtree
 

@@ -72,14 +72,9 @@ QueryExecutor::QueryExecutor(const QueryExecutorOptions& options)
   if (n == 0) n = 1;
   num_lanes_ = n;
   queues_ = std::make_unique<TaskQueue[]>(num_lanes_);
-  if (options_.pool_shards > 0) {
-    shared_pool_ = std::make_unique<ShardedBufferPool>(options_.buffer_pages,
-                                                       options_.pool_shards);
-  } else {
-    pools_.reserve(num_lanes_);
-    for (uint32_t i = 0; i < num_lanes_; ++i) {
-      pools_.push_back(std::make_unique<BufferPool>(options_.buffer_pages));
-    }
+  pools_.reserve(num_lanes_);
+  for (uint32_t i = 0; i < num_lanes_; ++i) {
+    pools_.push_back(std::make_unique<BufferPool>(options_.buffer_pages));
   }
   threads_.reserve(num_lanes_ - 1);
   for (uint32_t i = 0; i + 1 < num_lanes_; ++i) {
@@ -97,11 +92,6 @@ QueryExecutor::~QueryExecutor() {
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
-}
-
-PageCache* QueryExecutor::PoolFor(uint32_t worker_id) {
-  if (shared_pool_ != nullptr) return shared_pool_.get();
-  return pools_[worker_id].get();
 }
 
 void QueryExecutor::WorkerLoop(uint32_t worker_id) {
@@ -168,15 +158,11 @@ void QueryExecutor::RunRanges(size_t n, RangeFn fn, void* ctx) {
   }
   job_fn_ = fn;
   job_ctx_ = ctx;
-  if (options_.max_chunk > 0) {
-    job_chunk_ = options_.max_chunk;
-  } else {
-    // Auto sizing: ~8 claims per lane over its own range amortizes the CAS
-    // without starving thieves; the cap keeps one claim from monopolizing
-    // a heavily skewed tail.
-    job_chunk_ = std::clamp<size_t>(n / (static_cast<size_t>(lanes) * 8), 1,
-                                    64);
-  }
+  // ~8 claims per lane over its own range amortizes the CAS without
+  // starving thieves; the cap keeps one claim from monopolizing a heavily
+  // skewed tail.
+  job_chunk_ =
+      std::clamp<size_t>(n / (static_cast<size_t>(lanes) * 8), 1, 64);
   const uint32_t spawned = lanes - 1;
   pending_lanes_.store(spawned, std::memory_order_relaxed);
   job_epoch_.fetch_add(1, std::memory_order_release);
@@ -253,13 +239,9 @@ std::vector<QueryResult> QueryExecutor::RunBatch(size_t n,
 std::vector<QueryResult> QueryExecutor::Run(
     const IndexBackend& backend, const std::vector<QueryRequest>& batch) {
   return RunBatch(batch.size(), [&](size_t i, uint32_t worker_id) {
-    PageCache* pool = PoolFor(worker_id);
-    // Private-pool mode starts every query cold, exactly like RunSerial and
-    // the paper's per-query I/O measurements; the shared sharded pool stays
-    // warm across the whole batch instead. Backends that do no paged I/O
-    // (table / inverted / scan) simply never touch the pool.
-    if (shared_pool_ == nullptr) pool->Clear();
-    return Execute(backend, batch[i], pool);
+    // Backends that do no paged I/O (table / inverted / scan) simply never
+    // touch the pool.
+    return Execute(backend, batch[i], ClearedLanePool(worker_id));
   });
 }
 

@@ -14,7 +14,6 @@
 #include "obs/query_trace.h"
 #include "sgtree/sg_tree.h"
 #include "storage/buffer_pool.h"
-#include "storage/sharded_buffer_pool.h"
 
 namespace sgtree {
 
@@ -50,27 +49,12 @@ struct QueryExecutorOptions {
   /// std::thread::hardware_concurrency().
   uint32_t num_threads = 0;
 
-  /// Buffer frames for I/O accounting: the capacity of each lane's
-  /// private pool, or the total capacity of the shared sharded pool.
+  /// Frames of each lane's private BufferPool. The pool is cleared before
+  /// every query (and before every sub-query of a QueryRouter batch), so
+  /// per-query random I/Os are the cold-cache cost the paper measures,
+  /// independent of scheduling, and parallel output is byte-identical to
+  /// the serial path.
   uint32_t buffer_pages = 64;
-
-  /// 0 (default): every lane owns a private BufferPool that is cleared
-  /// before each query — per-query random I/Os are the cold-cache cost the
-  /// paper measures, independent of scheduling, so parallel output is
-  /// byte-identical to the serial path.
-  ///
-  /// > 0: all lanes share one ShardedBufferPool with this many lock
-  /// stripes. Queries then warm the cache for each other (higher QPS,
-  /// matching a production server with one buffer manager), at the price of
-  /// schedule-dependent per-query I/O counts. Result values are unaffected.
-  uint32_t pool_shards = 0;
-
-  /// Upper bound on how many items one range claim takes at once. 0 picks
-  /// an automatic size from the batch and lane count; 1 degenerates to the
-  /// old one-atomic-RMW-per-item scheduling (kept as the ablation
-  /// baseline of bench_shard_scaling). Results are identical for any
-  /// value — chunking only changes who runs what.
-  uint32_t max_chunk = 0;
 
   /// Optional metrics sink. When set, every batch feeds the registry's
   /// "exec.*" counters (queries, rejected, nodes, I/Os, verifications,
@@ -82,15 +66,14 @@ struct QueryExecutorOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Worker-pool executor for query batches (the ROADMAP's "serving heavy
-/// traffic" path), rebuilt for dispatch throughput:
+/// Worker-pool executor for query batches. It has one schedule:
 ///
 ///  - Work distribution is chunked range claiming, not an atomic RMW per
 ///    item: [0, n) is pre-split into one contiguous range per lane, each
-///    lane claims chunks from its own range with a single-word CAS, and a
-///    lane that runs dry steals the tail half of the largest remainder it
-///    finds — per-(query,shard)-task skew load-balances without a shared
-///    cursor every task bounces through.
+///    lane claims chunks of clamp(n / (8 * lanes), 1, 64) items from its
+///    own range with a single-word CAS, and a lane that runs dry steals
+///    the tail half of another lane's remainder — per-task cost skew
+///    load-balances without a shared cursor every task bounces through.
 ///  - The calling thread is a lane: Run()/ParallelApply execute work on the
 ///    caller instead of parking it on a condition variable, so
 ///    `num_threads = N` means N lanes, N-1 spawned threads.
@@ -129,17 +112,17 @@ class QueryExecutor {
   uint32_t num_threads() const { return num_lanes_; }
 
   /// Runs a batch against any backend of the unified query API. Each query
-  /// goes through Execute() (validation included) with the lane's pool;
-  /// in private-pool mode the pool is cleared before every query, so
-  /// results are byte-identical to the serial path.
+  /// goes through Execute() (validation included) with the lane's pool,
+  /// cleared before every query, so results are byte-identical to the
+  /// serial path.
   std::vector<QueryResult> Run(const IndexBackend& backend,
                                const std::vector<QueryRequest>& batch);
 
   /// Serial reference: executes the batch on the calling thread with one
-  /// private pool cleared per query — the exact semantics of the
-  /// private-pool parallel mode, so Run(SgTreeBackend(tree), batch) ==
-  /// RunSerial(tree, batch) for any thread count. This is the oracle the
-  /// determinism tests compare against.
+  /// pool cleared per query — the exact semantics of Run, so
+  /// Run(SgTreeBackend(tree), batch) == RunSerial(tree, batch) for any
+  /// thread count. This is the oracle the determinism tests compare
+  /// against.
   static std::vector<QueryResult> RunSerial(
       const SgTree& tree, const std::vector<QueryRequest>& batch,
       uint32_t buffer_pages = 64);
@@ -167,10 +150,18 @@ class QueryExecutor {
   /// Run()/destruction.
   const BatchReport& last_batch_report() const { return batch_report_; }
 
-  /// The shared pool (null in private-pool mode); its per-shard stats
-  /// snapshot is the batch's global I/O picture.
-  const ShardedBufferPool* shared_pool() const { return shared_pool_.get(); }
-  ShardedBufferPool* shared_pool() { return shared_pool_.get(); }
+  /// Clears the private pool of lane `worker_id` (< num_threads()) and
+  /// returns it; only a job body running on that lane may call this. Run
+  /// takes a pool from here for every query and QueryRouter for every
+  /// (query, shard) sub-query, so each one is charged against a cold
+  /// buffer, as in the paper, whatever the schedule. A buffer_pages of 0
+  /// gives capacity-0 pools that miss on every access: the "no buffer"
+  /// accounting mode.
+  BufferPool* ClearedLanePool(uint32_t worker_id) {
+    BufferPool* pool = pools_[worker_id].get();
+    pool->Clear();
+    return pool;
+  }
 
  private:
   /// One lane's claimable range, a single CAS word so owner claims and
@@ -191,12 +182,6 @@ class QueryExecutor {
   /// Claim-execute-steal loop of one lane for the current job.
   void Participate(uint32_t worker_id);
 
-  /// Pool lane `worker_id` charges queries against: its private
-  /// BufferPool, or the shared ShardedBufferPool when sharding is on. A
-  /// buffer_pages of 0 gives capacity-0 private pools that miss on every
-  /// access — the "no buffer" accounting mode.
-  PageCache* PoolFor(uint32_t worker_id);
-
   /// Runs `batch` by fanning `execute(i, pool)` results into slot i,
   /// reducing per-lane traces at the end.
   template <typename ExecuteFn>
@@ -206,10 +191,9 @@ class QueryExecutor {
   uint32_t num_lanes_ = 1;
 
   std::vector<std::thread> threads_;  // num_lanes_ - 1 spawned workers.
-  /// Private-pool mode: one pool per lane (index == worker_id, the last
-  /// belongs to the calling thread). Empty when the shared pool is on.
+  /// One pool per lane (index == worker_id, the last belongs to the
+  /// calling thread).
   std::vector<std::unique_ptr<BufferPool>> pools_;
-  std::unique_ptr<ShardedBufferPool> shared_pool_;
 
   /// Rendezvous state. Job fields are plain: they are written before the
   /// release-increment of job_epoch_ and read after an acquire-load of it.

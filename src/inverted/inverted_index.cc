@@ -70,8 +70,8 @@ std::vector<uint64_t> InvertedIndex::Containing(
     if (in_all) result.push_back(tid);
   }
   ctx.CountVerified(postings_[shortest].size());
-  ctx.TraceResults(result.size());
-  ctx.TraceFalseDrops(postings_[shortest].size() - result.size());
+  ctx.CountResults(result.size());
+  ctx.CountFalseDrops(postings_[shortest].size() - result.size());
   return result;  // Already ascending (shortest list is sorted).
 }
 
@@ -95,8 +95,8 @@ std::vector<uint64_t> InvertedIndex::ContainedIn(
     if (count == size_of[tid]) result.push_back(tid);
   }
   std::sort(result.begin(), result.end());
-  ctx.TraceResults(result.size());
-  ctx.TraceFalseDrops(hits.size() - result.size());
+  ctx.CountResults(result.size());
+  ctx.CountFalseDrops(hits.size() - result.size());
   return result;
 }
 
@@ -152,7 +152,7 @@ std::vector<Neighbor> InvertedIndex::KNearest(
   }
 
   std::sort(heap.begin(), heap.end(), less);
-  ctx.TraceResults(heap.size());
+  ctx.CountResults(heap.size());
   return heap;
 }
 
@@ -179,7 +179,7 @@ std::vector<Neighbor> InvertedIndex::Range(
     }
   }
   ctx.CountVerified(overlap.size());
-  ctx.TraceFalseDrops(overlap.size() - matched);
+  ctx.CountFalseDrops(overlap.size() - matched);
   for (const SizeEntry& entry : by_size_) {
     const double d = q_size + entry.size;
     if (d > epsilon) break;
@@ -188,7 +188,7 @@ std::vector<Neighbor> InvertedIndex::Range(
     ++matched;
     ctx.CountVerified(1);
   }
-  ctx.TraceResults(matched);
+  ctx.CountResults(matched);
   std::sort(result.begin(), result.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance != b.distance ? a.distance < b.distance

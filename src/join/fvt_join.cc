@@ -106,10 +106,10 @@ void FvtJoinBackend::Probe(uint32_t node_idx, std::span<const ItemId> probe,
     ctx.CountBounds(1);
     if (item > want) {
       // Path items ascend: no set below any later child contains `want`.
-      ctx.TracePruned(1);
+      ctx.CountPruned(1);
       break;
     }
-    ctx.TraceDescended(1);
+    ctx.CountDescended(1);
     Probe(child_idx, probe, matched + (item == want ? 1 : 0), ctx, hits);
   }
 }
@@ -134,7 +134,7 @@ bool FvtJoinBackend::Run(const JoinRequest& /*request*/,
       const uint32_t r_row = probe_order_[i];
       for (const uint32_t s_row : hits) {
         ctx.CountVerified(1);
-        ctx.TraceResults(1);
+        ctx.CountResults(1);
         const double gap =
             static_cast<double>(s.items[s_row].size()) - gap_base;
         if (!sink->OnPair({r_->tids[r_row], s.tids[s_row], gap})) {

@@ -86,7 +86,7 @@ bool PrettiJoinBackend::Walk(uint32_t node_idx,
     const double gap_base = static_cast<double>(r_->items[r_row].size());
     for (const uint32_t s_row : candidates) {
       ctx.CountVerified(1);
-      ctx.TraceResults(1);
+      ctx.CountResults(1);
       const double gap =
           static_cast<double>(s.items[s_row].size()) - gap_base;
       if (!sink->OnPair({r_->tids[r_row], s.tids[s_row], gap})) return false;
@@ -106,10 +106,10 @@ bool PrettiJoinBackend::Walk(uint32_t node_idx,
                           posting.begin(), posting.end(),
                           std::back_inserter(next));
     if (next.empty()) {
-      ctx.TracePruned(1);
+      ctx.CountPruned(1);
       continue;
     }
-    ctx.TraceDescended(1);
+    ctx.CountDescended(1);
     if (!Walk(child, next, depth + 1, ctx, sink, scratch)) return false;
   }
   return true;

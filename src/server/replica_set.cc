@@ -40,8 +40,6 @@ std::unique_ptr<ReplicaSet> ReplicaSet::Create(
   set->options_ = options;
   set->hedge_delay_us_.store(options.hedge_delay_floor_us,
                              std::memory_order_relaxed);
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = options.executor_threads;
   for (uint32_t i = 0; i < n; ++i) {
     auto replica = std::make_unique<Replica>();
     if (i == 0) {
@@ -56,7 +54,7 @@ std::unique_ptr<ReplicaSet> ReplicaSet::Create(
       }
       replica->index = replica->owned_index.get();
     }
-    replica->executor = std::make_unique<QueryExecutor>(exec_options);
+    replica->executor = std::make_unique<QueryExecutor>();
     replica->router = std::make_unique<QueryRouter>(
         *replica->index, replica->executor.get(), options.router);
     set->replicas_.push_back(std::move(replica));

@@ -30,8 +30,6 @@ struct ReplicaSetOptions {
   std::string manifest_path;
   /// Runtime options for re-opened replicas (buffer pages, metric).
   ShardedIndexOptions index_options;
-  /// Lanes of each replica's private executor (0 = hardware concurrency).
-  uint32_t executor_threads = 0;
   /// Router configuration, applied to every replica identically.
   QueryRouterOptions router;
   /// Hedge a batch when >= 2 replicas are live and the primary has not

@@ -89,8 +89,11 @@ bool Server::Start(std::string* error) {
 void Server::Stop() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   if (started_) {
-    listener_.Close();
+    // Join before closing: AcceptLoop reads the listener's fd in Accept, so
+    // closing it first would race. The loop sees stop_ within one 100 ms
+    // poll.
     accept_thread_.join();
+    listener_.Close();
   }
   // Unblock every connection reader, then join. In-flight queries drain
   // through the still-running batcher while we wait, so no client that

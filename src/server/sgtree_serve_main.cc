@@ -3,7 +3,7 @@
 //   sgtree_serve --index PATH [--port N] [--durable-dir DIR]
 //                [--replicas N] [--max-inflight N] [--cache-entries N]
 //                [--max-batch N] [--latency-budget-us N] [--dispatchers N]
-//                [--no-hedging]
+//                [--no-hedging 0|1]
 //
 // --index loads a Save()d or SaveStatic()d ShardedIndex manifest (static
 // manifests unlock --replicas > 1); --durable-dir opens a durable index
@@ -55,12 +55,13 @@ int main(int argc, char** argv) {
       static_cast<size_t>(cmd.UintOr("cache-entries", 4096));
   options.batcher.max_batch =
       static_cast<uint32_t>(cmd.UintOr("max-batch", 64));
-  options.batcher.latency_budget_us = cmd.IntOr("latency-budget-us", 20'000);
+  options.batcher.latency_budget_us =
+      static_cast<int64_t>(cmd.UintOr("latency-budget-us", 20'000));
   options.batcher.num_dispatchers =
       static_cast<uint32_t>(cmd.UintOr("dispatchers", 2));
   options.replicas.num_replicas =
       static_cast<uint32_t>(cmd.UintOr("replicas", 1));
-  options.replicas.enable_hedging = cmd.IntOr("no-hedging", 0) == 0;
+  options.replicas.enable_hedging = !cmd.BoolOr("no-hedging", false);
   if (const std::string flag_error = cmd.FlagError(); !flag_error.empty()) {
     std::cerr << "error: " << flag_error << "\n";
     return 1;

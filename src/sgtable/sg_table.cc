@@ -120,10 +120,10 @@ std::vector<Neighbor> SgTable::KNearest(const Signature& query, uint32_t k,
     // Buckets are in ascending bound order: once the bound reaches the k-th
     // best distance no remaining bucket can improve the result.
     if (bb.bound >= tau()) {
-      ctx.TracePruned(order.size() - bi);
+      ctx.CountPruned(order.size() - bi);
       break;
     }
-    ctx.TraceDescended(1);
+    ctx.CountDescended(1);
     ChargeBucketRead(*bb.bucket, ctx);
     for (size_t i = 0; i < bb.bucket->signatures.size(); ++i) {
       const double d =
@@ -140,7 +140,7 @@ std::vector<Neighbor> SgTable::KNearest(const Signature& query, uint32_t k,
     }
   }
   std::sort(heap.begin(), heap.end(), less);
-  ctx.TraceResults(heap.size());
+  ctx.CountResults(heap.size());
   return heap;
 }
 
@@ -151,10 +151,10 @@ std::vector<Neighbor> SgTable::Range(const Signature& query, double epsilon,
   for (size_t bi = 0; bi < order.size(); ++bi) {
     const BoundedBucket& bb = order[bi];
     if (bb.bound > epsilon) {
-      ctx.TracePruned(order.size() - bi);
+      ctx.CountPruned(order.size() - bi);
       break;
     }
-    ctx.TraceDescended(1);
+    ctx.CountDescended(1);
     ChargeBucketRead(*bb.bucket, ctx);
     uint64_t matched = 0;
     for (size_t i = 0; i < bb.bucket->signatures.size(); ++i) {
@@ -165,8 +165,8 @@ std::vector<Neighbor> SgTable::Range(const Signature& query, double epsilon,
         ++matched;
       }
     }
-    ctx.TraceResults(matched);
-    ctx.TraceFalseDrops(bb.bucket->signatures.size() - matched);
+    ctx.CountResults(matched);
+    ctx.CountFalseDrops(bb.bucket->signatures.size() - matched);
   }
   std::sort(result.begin(), result.end(),
             [](const Neighbor& a, const Neighbor& b) {

@@ -105,13 +105,13 @@ void JoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
         ctx.primary.CountVerified(1);
         const double d = Distance(ea.sig, eb.sig, ctx.metric);
         if (d <= ctx.epsilon) {
-          ctx.primary.TraceResults(1);
+          ctx.primary.CountResults(1);
           if (!ctx.sink->OnPair({ea.ref, eb.ref, d})) {
             ctx.cancelled = true;
             return;
           }
         } else {
-          ctx.primary.TraceFalseDrops(1);
+          ctx.primary.CountFalseDrops(1);
         }
       }
     }
@@ -125,12 +125,12 @@ void JoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
                                          ctx.metric, ctx.fixed_dim);
         ctx.primary.CountBounds(1);
         if (bound <= ctx.epsilon) {
-          ctx.primary.TraceDescended(1);
+          ctx.primary.CountDescended(1);
           JoinNodes(ctx, static_cast<PageId>(ea.ref),
                     static_cast<PageId>(eb.ref));
           if (ctx.cancelled) return;
         } else {
-          ctx.primary.TracePruned(1);
+          ctx.primary.CountPruned(1);
         }
       }
     }
@@ -156,10 +156,10 @@ void JoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
       }
     }
     if (!needed) {
-      ctx.primary.TracePruned(1);
+      ctx.primary.CountPruned(1);
       continue;
     }
-    ctx.primary.TraceDescended(1);
+    ctx.primary.CountDescended(1);
     if (a_is_leaf) {
       JoinNodes(ctx, id_a, static_cast<PageId>(ed.ref));
     } else {
@@ -183,7 +183,7 @@ void ContainJoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
     ctx.ctx_a.CountNode(false);
     for (const Entry& ea : na.entries) {
       ctx.primary.CountBounds(1);
-      ctx.primary.TraceDescended(1);
+      ctx.primary.CountDescended(1);
       ContainJoinNodes(ctx, static_cast<PageId>(ea.ref), id_b);
       if (ctx.cancelled) return;
     }
@@ -199,14 +199,14 @@ void ContainJoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
       for (const Entry& eb : nb.entries) {
         ctx.primary.CountVerified(1);
         if (eb.sig.Contains(ea.sig)) {
-          ctx.primary.TraceResults(1);
+          ctx.primary.CountResults(1);
           const double gap = Signature::AndNotCount(eb.sig, ea.sig);
           if (!ctx.sink->OnPair({ea.ref, eb.ref, gap})) {
             ctx.cancelled = true;
             return;
           }
         } else {
-          ctx.primary.TraceFalseDrops(1);
+          ctx.primary.CountFalseDrops(1);
         }
       }
     }
@@ -223,10 +223,10 @@ void ContainJoinNodes(JoinContext& ctx, PageId id_a, PageId id_b) {
       }
     }
     if (!needed) {
-      ctx.primary.TracePruned(1);
+      ctx.primary.CountPruned(1);
       continue;
     }
-    ctx.primary.TraceDescended(1);
+    ctx.primary.CountDescended(1);
     // Re-entering with the same leaf `id_a` re-reads it from the pool; the
     // recursion stays in the leaf × node arm until `eb` bottoms out.
     ContainJoinNodes(ctx, id_a, static_cast<PageId>(eb.ref));
@@ -338,13 +338,13 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
     queue.pop();
     if (item.bound >= tau()) {
       // This pair and everything still queued was tested but never visited.
-      primary.TracePruned(1 + queue.size());
+      primary.CountPruned(1 + queue.size());
       break;
     }
     if (at_root) {
       at_root = false;
     } else {
-      primary.TraceDescended(1);
+      primary.CountDescended(1);
     }
     const Node& na = a.GetNode(item.node_a, ctx_a);
     const Node& nb = b.GetNode(item.node_b, ctx_b);
@@ -371,7 +371,7 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
             queue.push({bound, static_cast<PageId>(ea.ref),
                         static_cast<PageId>(eb.ref)});
           } else {
-            primary.TracePruned(1);
+            primary.CountPruned(1);
           }
         }
       }
@@ -396,13 +396,13 @@ std::vector<JoinPair> ClosestPairs(const SgTree& a, const SgTree& b,
           queue.push({min_bound, static_cast<PageId>(ed.ref), item.node_b});
         }
       } else {
-        primary.TracePruned(1);
+        primary.CountPruned(1);
       }
     }
   }
 
   std::sort(best.begin(), best.end(), PairLess);
-  primary.TraceResults(best.size());
+  primary.CountResults(best.size());
   return best;
 }
 

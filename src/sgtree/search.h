@@ -19,7 +19,7 @@ namespace sgtree {
 /// per-query counters (including this query's random-I/O misses) to the
 /// context's trace. This is the thread-safe form the parallel QueryExecutor
 /// uses — any number of these may run concurrently against one tree, each
-/// with a private pool or a shared ShardedBufferPool. The default, empty
+/// with its own context and pool. The default, empty
 /// context charges and counts nothing; serial callers that want the tree's
 /// own buffer pool charged pass `tree.OwnPoolContext()`.
 /// Most callers should go through the unified query API instead

@@ -166,10 +166,10 @@ void DfsKnnRecurse(const Tree& tree, PageId node_id, const Signature& query,
     if (order[oi].bound > PruneTau(*heap, shared)) {
       // Later entries bound even higher: this entry and everything after it
       // is cut by the distance bound.
-      ctx.TracePruned(order.size() - oi);
+      ctx.CountPruned(order.size() - oi);
       break;
     }
-    ctx.TraceDescended(1);
+    ctx.CountDescended(1);
     DfsKnnRecurse(tree,
                   static_cast<PageId>(node.EntryAt(order[oi].index).ref),
                   query, heap, ctx, shared);
@@ -190,7 +190,7 @@ std::vector<Neighbor> DfsKNearestCore(const Tree& tree, const Signature& query,
                                    shared);
   }
   std::vector<Neighbor> result = std::move(heap).Sorted();
-  ctx.TraceResults(result.size());
+  ctx.CountResults(result.size());
   return result;
 }
 
@@ -225,13 +225,13 @@ std::vector<Neighbor> BestFirstKNearestCore(const Tree& tree,
       // Optimal stopping condition (boundary-tied nodes are still visited
       // for canonical tie resolution). This item and everything left in the
       // queue was tested and enqueued but will never be visited.
-      ctx.TracePruned(1 + queue.size());
+      ctx.CountPruned(1 + queue.size());
       break;
     }
     if (at_root) {
       at_root = false;
     } else {
-      ctx.TraceDescended(1);
+      ctx.CountDescended(1);
     }
     const auto& node = tree.GetNode(item.node, ctx);
     ctx.CountNode(node.IsLeaf());
@@ -253,12 +253,12 @@ std::vector<Neighbor> BestFirstKNearestCore(const Tree& tree,
       if (bound <= search_internal::PruneTau(heap, shared)) {
         queue.push({bound, static_cast<PageId>(entry.ref)});
       } else {
-        ctx.TracePruned(1);
+        ctx.CountPruned(1);
       }
     }
   }
   std::vector<Neighbor> result = std::move(heap).Sorted();
-  ctx.TraceResults(result.size());
+  ctx.CountResults(result.size());
   return result;
 }
 
@@ -282,8 +282,8 @@ void RangeRecurse(const Tree& tree, PageId node_id, const Signature& query,
         ++matched;
       }
     }
-    ctx.TraceResults(matched);
-    ctx.TraceFalseDrops(node.Count() - matched);
+    ctx.CountResults(matched);
+    ctx.CountFalseDrops(node.Count() - matched);
     return;
   }
   ctx.CountBounds(node.Count());
@@ -293,11 +293,11 @@ void RangeRecurse(const Tree& tree, PageId node_id, const Signature& query,
     const double bound =
         MinDistBoundAreaStatsOf(query, entry.sig, metric, lo, hi);
     if (bound <= epsilon) {
-      ctx.TraceDescended(1);
+      ctx.CountDescended(1);
       RangeRecurse(tree, static_cast<PageId>(entry.ref), query, epsilon,
                    result, ctx);
     } else {
-      ctx.TracePruned(1);
+      ctx.CountPruned(1);
     }
   }
 }
@@ -320,8 +320,8 @@ void ContainRecurse(const Tree& tree, PageId node_id, const Signature& query,
         ++matched;
       }
     }
-    ctx.TraceResults(matched);
-    ctx.TraceFalseDrops(node.Count() - matched);
+    ctx.CountResults(matched);
+    ctx.CountFalseDrops(node.Count() - matched);
     return;
   }
   ctx.CountBounds(node.Count());
@@ -329,11 +329,11 @@ void ContainRecurse(const Tree& tree, PageId node_id, const Signature& query,
     const auto& entry = node.EntryAt(i);
     // Only subtrees whose signature covers the query can hold supersets.
     if (sig::Contains(entry.sig, query)) {
-      ctx.TraceDescended(1);
+      ctx.CountDescended(1);
       ContainRecurse(tree, static_cast<PageId>(entry.ref), query, exact,
                      result, ctx);
     } else {
-      ctx.TracePruned(1);
+      ctx.CountPruned(1);
     }
   }
 }
@@ -353,8 +353,8 @@ void SubsetRecurse(const Tree& tree, PageId node_id, const Signature& query,
         ++matched;
       }
     }
-    ctx.TraceResults(matched);
-    ctx.TraceFalseDrops(node.Count() - matched);
+    ctx.CountResults(matched);
+    ctx.CountFalseDrops(node.Count() - matched);
     return;
   }
   ctx.CountBounds(node.Count());
@@ -363,10 +363,10 @@ void SubsetRecurse(const Tree& tree, PageId node_id, const Signature& query,
     // A non-empty subset of the query must share at least one item with
     // the subtree's coverage — the only (weak) pruning available.
     if (sig::IntersectCount(entry.sig, query) > 0) {
-      ctx.TraceDescended(1);
+      ctx.CountDescended(1);
       SubsetRecurse(tree, static_cast<PageId>(entry.ref), query, result, ctx);
     } else {
-      ctx.TracePruned(1);
+      ctx.CountPruned(1);
     }
   }
 }

@@ -96,9 +96,8 @@ class SgTree {
 
   /// Fetches a node for a query, charging the context's buffer pool and
   /// trace. The tree itself is not mutated, so any number of
-  /// threads may call this concurrently (each with its own context, or
-  /// sharing a thread-safe PageCache) as long as no thread is updating the
-  /// tree.
+  /// threads may call this concurrently (each with its own context and
+  /// pool) as long as no thread is updating the tree.
   const Node& GetNode(PageId id, const QueryContext& ctx) const;
   /// Fetches a node without I/O accounting (checker, persistence, tests).
   const Node& GetNodeNoCharge(PageId id) const;

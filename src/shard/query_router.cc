@@ -58,37 +58,14 @@ void MergeQuery(const QueryRequest& request, const QueryResult* parts,
 
 QueryRouter::QueryRouter(const ShardedIndex& index, QueryExecutor* executor,
                          const QueryRouterOptions& options)
-    : index_(&index), executor_(executor), options_(options) {
-  if (options_.pool_shards > 0) {
-    shared_pool_ = std::make_unique<ShardedBufferPool>(options_.buffer_pages,
-                                                       options_.pool_shards);
-    return;
-  }
-  const uint32_t lanes = executor_->num_threads();
-  worker_pools_.reserve(lanes);
-  for (uint32_t i = 0; i < lanes; ++i) {
-    worker_pools_.push_back(
-        std::make_unique<BufferPool>(options_.buffer_pages));
-  }
-}
-
-PageCache* QueryRouter::PoolFor(uint32_t worker_id) {
-  if (shared_pool_ != nullptr) return shared_pool_.get();
-  return worker_pools_[worker_id].get();
-}
+    : index_(&index), executor_(executor), options_(options) {}
 
 void QueryRouter::RunSlice(const std::vector<QueryRequest>& batch,
                            uint32_t si, size_t q_begin, size_t q_end,
                            uint32_t worker_id,
                            const std::vector<uint8_t>& valid,
-                           std::vector<SharedPruneBound>* bounds,
-                           std::vector<QueryResult>* merged) {
+                           std::vector<SharedPruneBound>* bounds) {
   const uint32_t s = index_->num_shards();
-  PageCache* pool = PoolFor(worker_id);
-  const bool private_pool = shared_pool_ == nullptr;
-  // Default protocol: the slice starts cold on its shard, then its queries
-  // warm the pool for each other — one Clear per slice, not per sub-query.
-  if (private_pool && !options_.cold_per_subquery) pool->Clear();
   // Static-mode shards answer through the StaticTreeBackend; both backends
   // instantiate the same search cores, so the slice's results (values,
   // counters, and traces) are identical either way.
@@ -96,24 +73,18 @@ void QueryRouter::RunSlice(const std::vector<QueryRequest>& batch,
   for (size_t qi = q_begin; qi < q_end; ++qi) {
     if (valid[qi] == 0) continue;
     const QueryRequest& request = batch[qi];
-    if (private_pool && options_.cold_per_subquery) pool->Clear();
     SharedPruneBound* bound = options_.shared_knn_bound && IsKnn(request.type)
                                   ? &(*bounds)[qi]
                                   : nullptr;
+    // A cold pool per sub-query keeps its counters independent of which
+    // slice it landed in.
+    BufferPool* pool = executor_->ClearedLanePool(worker_id);
     if (is_static) {
       ExecuteInto(StaticTreeBackend(index_->static_shard(si), bound), request,
                   pool, &partial_[qi * s + si]);
     } else {
       ExecuteInto(SgTreeBackend(index_->shard(si), bound), request, pool,
                   &partial_[qi * s + si]);
-    }
-    if (options_.overlap_merge &&
-        remaining_[qi].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // This lane just finished qi's last outstanding shard part: gather
-      // immediately, overlapping the merge with other lanes' scatter. The
-      // acq_rel countdown makes every other lane's part visible here, and
-      // exactly one lane can observe the count hit zero.
-      MergeQuery(request, &partial_[qi * s], s, &(*merged)[qi]);
     }
   }
 }
@@ -131,65 +102,36 @@ std::vector<QueryResult> QueryRouter::Run(
     if (valid[i] == 0) ++rejected;
   }
 
-  // Scatter scratch: the partial matrix and the per-query countdowns are
-  // members recycled across batches — steady state reuses every slot's
-  // buffers instead of allocating n*s results per Run.
+  // The partial matrix is a member recycled across batches: steady state
+  // reuses every slot's buffers instead of allocating n*s results per Run.
   if (partial_.size() < n * s) partial_.resize(n * s);
-  if (remaining_capacity_ < n) {
-    remaining_ = std::make_unique<std::atomic<uint32_t>[]>(n);
-    remaining_capacity_ = n;
-  }
-  if (options_.overlap_merge) {
-    for (size_t qi = 0; qi < n; ++qi) {
-      remaining_[qi].store(s, std::memory_order_relaxed);
-    }
-  }
   std::vector<SharedPruneBound> bounds(options_.shared_knn_bound ? n : 0);
 
   Timer batch_timer;
-  if (options_.shard_major) {
-    // A task is one shard crossed with a block of queries. Auto block
-    // sizing aims at ~8 slices per lane in total, so the executor's
-    // chunked claiming and stealing still have enough grains to balance
-    // cost skew, while dispatch and pool setup amortize over the block.
-    size_t block = options_.queries_per_task;
-    if (block == 0) {
-      const size_t lanes = executor_->num_threads();
-      const size_t target_slices_per_shard =
-          std::max<size_t>(1, (8 * lanes + s - 1) / s);
-      block = std::max<size_t>(
-          1, (n + target_slices_per_shard - 1) / target_slices_per_shard);
-    }
-    const size_t num_blocks = n == 0 ? 0 : (n + block - 1) / block;
-    // Shard-major task order (all of shard 0's blocks, then shard 1's...)
-    // keeps one lane's consecutive slices on one shard — the contiguous
-    // per-lane ranges of the executor then give each lane shard affinity
-    // for free.
-    executor_->ParallelApply(
-        static_cast<size_t>(s) * num_blocks,
-        [&](size_t task, uint32_t worker_id) {
-          const auto si = static_cast<uint32_t>(task / num_blocks);
-          const size_t b = task % num_blocks;
-          const size_t q_begin = b * block;
-          const size_t q_end = std::min(n, q_begin + block);
-          RunSlice(batch, si, q_begin, q_end, worker_id, valid, &bounds,
-                   &merged);
-        });
-  } else {
-    // Legacy grid: one task per (query, shard), query-major so a serial
-    // executor still visits a query's shards back to back (the shared
-    // bound tightens soonest that way). Kept for the bench ablation.
-    executor_->ParallelApply(n * s, [&](size_t task, uint32_t worker_id) {
-      const size_t qi = task / s;
-      const auto si = static_cast<uint32_t>(task % s);
-      RunSlice(batch, si, qi, qi + 1, worker_id, valid, &bounds, &merged);
-    });
-  }
-  if (!options_.overlap_merge) {
-    for (size_t qi = 0; qi < n; ++qi) {
-      if (valid[qi] == 0) continue;
-      MergeQuery(batch[qi], &partial_[qi * s], s, &merged[qi]);
-    }
+  // A task is one shard crossed with a block of queries. The block is
+  // sized for ~8 slices per lane in total, so the executor's chunked
+  // claiming and stealing still have enough grains to balance cost skew,
+  // while dispatch amortizes over the block.
+  const size_t lanes = executor_->num_threads();
+  const size_t slices_per_shard = std::max<size_t>(1, (8 * lanes + s - 1) / s);
+  const size_t block =
+      std::max<size_t>(1, (n + slices_per_shard - 1) / slices_per_shard);
+  const size_t num_blocks = n == 0 ? 0 : (n + block - 1) / block;
+  // Shard-major task order (all of shard 0's blocks, then shard 1's...)
+  // keeps one lane's consecutive slices on one shard — the contiguous
+  // per-lane ranges of the executor then give each lane shard affinity for
+  // free.
+  executor_->ParallelApply(
+      static_cast<size_t>(s) * num_blocks,
+      [&](size_t task, uint32_t worker_id) {
+        const auto si = static_cast<uint32_t>(task / num_blocks);
+        const size_t q_begin = (task % num_blocks) * block;
+        const size_t q_end = std::min(n, q_begin + block);
+        RunSlice(batch, si, q_begin, q_end, worker_id, valid, &bounds);
+      });
+  for (size_t qi = 0; qi < n; ++qi) {
+    if (valid[qi] == 0) continue;
+    MergeQuery(batch[qi], &partial_[qi * s], s, &merged[qi]);
   }
 
   report_ = BatchReport{};

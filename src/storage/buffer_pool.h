@@ -8,7 +8,6 @@
 
 #include "storage/io_stats.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace sgtree {
 
@@ -32,12 +31,10 @@ class MetricsRegistry;
 /// construction, and moving a page to the front is three index swaps with no
 /// allocation or pointer chasing — roughly twice as fast as the previous
 /// std::list implementation, and the layout one would use for a real frame
-/// table. Not thread-safe by design — it is either thread-private (one per
-/// executor lane) or a stripe of ShardedBufferPool, where it is declared
-/// SGTREE_GUARDED_BY the stripe latch and the compiler proves no unlocked
-/// path reaches it. Do not add internal locking here; the stripe latch is
-/// the synchronization point.
-class BufferPool : public PageCache {
+/// table. Not thread-safe by design: every pool is thread-private — a
+/// tree's own pool, one per executor lane, or one a caller brings to
+/// Execute — so no access ever needs a latch.
+class BufferPool {
  public:
   explicit BufferPool(uint32_t capacity);
 
@@ -47,16 +44,16 @@ class BufferPool : public PageCache {
   uint32_t capacity() const { return capacity_; }
 
   /// Records an access to `id`. Returns true on a buffer hit.
-  bool Touch(PageId id) override;
+  bool Touch(PageId id);
 
   /// Records a write of `id` (also makes the page resident).
-  void TouchWrite(PageId id) override;
+  void TouchWrite(PageId id);
 
   /// Drops `id` from the buffer (page freed).
-  void Evict(PageId id) override;
+  void Evict(PageId id);
 
   /// Empties the buffer (but keeps cumulative stats).
-  void Clear() override;
+  void Clear();
 
   /// Changes the number of frames; shrinking evicts LRU pages.
   void Resize(uint32_t capacity);
@@ -68,8 +65,8 @@ class BufferPool : public PageCache {
   /// `<prefix>.accesses|hits|misses|writes` — the registry absorbs (and
   /// extends, with process-wide aggregation across pools) the embedded
   /// IoStats. Pass nullptr to unbind. The registry must outlive the pool;
-  /// the shared counters are sharded atomics, so several pools (e.g. the
-  /// shards of a ShardedBufferPool) may bind the same prefix concurrently.
+  /// the shared counters are sharded atomics, so several pools (e.g. one
+  /// per executor lane) may bind the same prefix concurrently.
   void BindMetrics(obs::MetricsRegistry* registry, const std::string& prefix);
 
   uint32_t ResidentPages() const {

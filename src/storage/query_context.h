@@ -4,8 +4,8 @@
 #include <cstdint>
 
 #include "obs/query_trace.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace sgtree {
 
@@ -13,17 +13,16 @@ namespace sgtree {
 /// the per-query counters accumulate. Search functions take one of these
 /// instead of mutating state owned by a const tree, which is what makes a
 /// const SgTree genuinely thread-safe to read — concurrent queries each
-/// bring their own context (private pool, private trace) or share a
-/// thread-safe PageCache (ShardedBufferPool).
+/// bring their own context, with a private pool and a private trace.
 ///
 /// Both pointers may be null: a null `pool` skips buffering entirely (no
 /// I/O is charged anywhere), a null `trace` skips the counters. The
-/// Count*/Trace*/Charge* helpers below are the single place the search code
+/// Count*/Charge* helpers below are the single place the search code
 /// reports through — and a default-constructed context makes every one of
 /// them a no-op, which is the "metrics off" mode the differential tests
 /// compare against.
 struct QueryContext {
-  PageCache* pool = nullptr;
+  BufferPool* pool = nullptr;
   QueryTrace* trace = nullptr;
 
   /// Charges one page read: touches the pool and records the hit/miss
@@ -59,16 +58,16 @@ struct QueryContext {
     if (trace != nullptr) trace->candidates_verified += n;
   }
 
-  void TraceDescended(uint64_t n) const {
+  void CountDescended(uint64_t n) const {
     if (trace != nullptr) trace->subtrees_descended += n;
   }
-  void TracePruned(uint64_t n) const {
+  void CountPruned(uint64_t n) const {
     if (trace != nullptr) trace->subtrees_pruned += n;
   }
-  void TraceFalseDrops(uint64_t n) const {
+  void CountFalseDrops(uint64_t n) const {
     if (trace != nullptr) trace->false_drops += n;
   }
-  void TraceResults(uint64_t n) const {
+  void CountResults(uint64_t n) const {
     if (trace != nullptr) trace->results += n;
   }
 };

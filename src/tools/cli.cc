@@ -52,8 +52,9 @@ int Fail(std::ostream& err, const std::string& message) {
   return 1;
 }
 
-// Seeds are read as signed integers, so INT64_MAX is the largest accepted.
-constexpr uint64_t kMaxSeed = std::numeric_limits<int64_t>::max();
+// Flags are read as signed integers, so INT64_MAX is the largest value
+// --seed or --limit accepts.
+constexpr uint64_t kMaxFlagValue = std::numeric_limits<int64_t>::max();
 
 // After a command's last flag lookup: refuses malformed values and unknown
 // flags with a one-line reason.
@@ -138,7 +139,7 @@ int CmdGen(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     options.num_items = static_cast<uint32_t>(cmd.UintOr("items", 1000));
     options.num_patterns =
         static_cast<uint32_t>(cmd.UintOr("patterns", 200));
-    options.seed = cmd.UintOr("seed", 1, kMaxSeed);
+    options.seed = cmd.UintOr("seed", 1, kMaxFlagValue);
     if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
     dataset = QuestGenerator(options).Generate();
     out << "generated " << options.Label() << " (" << dataset.size()
@@ -147,7 +148,7 @@ int CmdGen(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     CensusOptions options;
     options.num_tuples =
         static_cast<uint32_t>(cmd.UintOr("tuples", 10'000));
-    options.seed = cmd.UintOr("seed", 7, kMaxSeed);
+    options.seed = cmd.UintOr("seed", 7, kMaxFlagValue);
     if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
     dataset = CensusGenerator(options).Generate();
     out << "generated CENSUS-like dataset (" << dataset.size()
@@ -179,7 +180,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   options.num_bits = dataset.num_items;
   options.fixed_dimensionality = dataset.fixed_dimensionality;
   options.page_size = static_cast<uint32_t>(cmd.UintOr("page", 4096));
-  options.compress = cmd.IntOr("compress", 1) != 0;
+  options.compress = cmd.BoolOr("compress", true);
   const std::string split = cmd.StringOr("split", "avg");
   if (split == "avg") {
     options.split_policy = SplitPolicy::kAverage;
@@ -198,7 +199,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (shards == 0) return Fail(err, "--shards must be positive");
   // --static 1 writes the immutable mmap'able image (static_format.h)
   // instead of the dynamic snapshot: query/check/stats open it read-only.
-  const bool static_out = cmd.IntOr("static", 0) != 0;
+  const bool static_out = cmd.BoolOr("static", false);
   if (static_out && durable_dir.has_value()) {
     return Fail(err,
                 "--static writes a read-only image; combine it with --out, "
@@ -428,7 +429,7 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   const auto metrics_path = cmd.GetString("metrics-json");
   // --json 1: emit the same report as one JSON object on stdout, so ops
   // tooling scrapes fields instead of parsing the human text.
-  const bool json = cmd.IntOr("json", 0) != 0;
+  const bool json = cmd.BoolOr("json", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
   SgTreeOptions options;
   std::string load_error;
@@ -512,11 +513,11 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   AuditOptions audit_options;
   audit_options.max_violations =
       static_cast<size_t>(cmd.UintOr("max-violations", 64));
-  const bool static_image = cmd.IntOr("static", 0) != 0;
+  const bool static_image = cmd.BoolOr("static", false);
   // --verify-checksums 0 admits an image whose body CRC no longer matches,
   // so the semantic audit can localize the damage instead of the open
   // refusing the whole file with one line.
-  const bool verify_checksums = cmd.IntOr("verify-checksums", 1) != 0;
+  const bool verify_checksums = cmd.BoolOr("verify-checksums", true);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   if (static_image) {
@@ -564,8 +565,8 @@ int CmdStaticInfo(const CommandLine& cmd, std::ostream& out,
   const auto index_path = cmd.GetString("index");
   if (!index_path.has_value()) return Fail(err, "static-info requires --index");
   StaticOpenOptions open_options;
-  open_options.verify_checksums = cmd.IntOr("verify-checksums", 1) != 0;
-  const bool json = cmd.IntOr("json", 0) != 0;
+  open_options.verify_checksums = cmd.BoolOr("verify-checksums", true);
+  const bool json = cmd.BoolOr("json", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   std::string open_error;
@@ -639,7 +640,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // worker pool. --static 1 opens a single-file static image instead of a
   // dynamic snapshot.
   const bool sharded = cmd.IntOr("shards", 0) != 0;
-  const bool static_index = cmd.IntOr("static", 0) != 0;
+  const bool static_index = cmd.BoolOr("static", false);
   const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
   std::unique_ptr<SgTree> tree;
   std::unique_ptr<StaticTreeView> view;
@@ -692,7 +693,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
 
   const auto k = static_cast<uint32_t>(cmd.UintOr("k", 1));
   const double epsilon = cmd.DoubleOr("eps", 0);
-  const bool print_trace = cmd.IntOr("trace", 0) != 0;
+  const bool print_trace = cmd.BoolOr("trace", false);
   const auto metrics_path = cmd.GetString("metrics-json");
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
@@ -790,13 +791,13 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
 // the merged trace on --trace, and the join.* metrics on --metrics-json.
 int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
                JoinType type, const std::string& algo, bool sharded,
-               long long limit, bool json, bool print_trace,
+               uint64_t limit, bool json, bool print_trace,
                obs::MetricsRegistry* registry,
                const std::optional<std::string>& metrics_path,
                std::ostream& out, std::ostream& err) {
   const size_t shown =
-      limit <= 0 ? pairs.size()
-                 : std::min(pairs.size(), static_cast<size_t>(limit));
+      limit == 0 ? pairs.size()
+                 : static_cast<size_t>(std::min<uint64_t>(pairs.size(), limit));
   if (json) {
     out << "{\"join\": "
         << (type == JoinType::kContainment ? "\"contain\"" : "\"similar\"")
@@ -880,9 +881,9 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
   const auto buffer_pages =
       static_cast<uint32_t>(cmd.UintOr("buffer-pages", 64));
-  const bool json = cmd.IntOr("json", 0) != 0;
-  const bool print_trace = cmd.IntOr("trace", 0) != 0;
-  const long long limit = cmd.IntOr("limit", 20);
+  const bool json = cmd.BoolOr("json", false);
+  const bool print_trace = cmd.BoolOr("trace", false);
+  const uint64_t limit = cmd.UintOr("limit", 20, kMaxFlagValue);
   const auto metrics_path = cmd.GetString("metrics-json");
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 

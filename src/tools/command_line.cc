@@ -105,6 +105,15 @@ uint64_t CommandLine::UintOr(const std::string& name, uint64_t fallback,
   return static_cast<uint64_t>(*value);
 }
 
+bool CommandLine::BoolOr(const std::string& name, bool fallback) const {
+  const auto value = GetString(name);
+  if (!value.has_value()) return fallback;
+  if (*value == "0" || *value == "1") return *value == "1";
+  bad_values_.push_back("--" + name + " expects 0 or 1, got '" + *value +
+                        "'");
+  return fallback;
+}
+
 std::vector<std::string> CommandLine::UnusedFlags() const {
   std::vector<std::string> unused;
   for (size_t i = 0; i < flags_.size(); ++i) {

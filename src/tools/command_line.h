@@ -35,6 +35,9 @@ class CommandLine {
   /// negative value or one above `max` is also recorded as malformed.
   uint64_t UintOr(const std::string& name, uint64_t fallback,
                   uint64_t max = std::numeric_limits<uint32_t>::max()) const;
+  /// For on/off flags: the value must be exactly "0" or "1"; anything else
+  /// is recorded as malformed ("--json expects 0 or 1, got '2'").
+  bool BoolOr(const std::string& name, bool fallback) const;
 
   /// Flags present on the command line that were never queried via one of
   /// the getters. Call after all lookups; non-empty means a typo.

@@ -108,6 +108,20 @@ TEST(CommandLineTest, UintOrRefusesNegativeAndOversizedValues) {
   EXPECT_EQ(fine.FlagError(), "");
 }
 
+TEST(CommandLineTest, BoolOrAcceptsOnlyZeroOrOne) {
+  CommandLine fine({"query", "--json", "1", "--trace=0"});
+  EXPECT_TRUE(fine.BoolOr("json", false));
+  EXPECT_FALSE(fine.BoolOr("trace", true));
+  EXPECT_TRUE(fine.BoolOr("static", true));  // Absent: the fallback.
+  EXPECT_EQ(fine.FlagError(), "");
+
+  for (const std::string bad : {"2", "-1", "yes", "01", ""}) {
+    CommandLine cmd({"query", "--json", bad});
+    EXPECT_FALSE(cmd.BoolOr("json", false)) << bad;
+    EXPECT_EQ(cmd.FlagError(), "--json expects 0 or 1, got '" + bad + "'");
+  }
+}
+
 TEST(CommandLineTest, FlagErrorNamesUnknownFlags) {
   CommandLine cmd({"stats", "--index", "a", "--typo", "1", "--oops", "2"});
   EXPECT_EQ(cmd.StringOr("index", ""), "a");
@@ -397,6 +411,23 @@ TEST(CliTest, ErrorPaths) {
                "2x"});
   EXPECT_EQ(r.code, 1);
   EXPECT_EQ(r.err, "error: --eps expects a number, got '2x'\n");
+  // On/off flags take exactly 0 or 1.
+  r = RunArgs({"stats", "--index", index, "--json", "2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --json expects 0 or 1, got '2'\n");
+  r = RunArgs({"query", "nn", "--index", index, "--q", "1", "--trace", "-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --trace expects 0 or 1, got '-1'\n");
+  r = RunArgs({"check", "--index", index, "--verify-checksums", "2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --verify-checksums expects 0 or 1, got '2'\n");
+  const std::string never_index = TempPath("cli_err_never.bin");
+  for (const std::string flag : {"--static", "--compress"}) {
+    r = RunArgs({"build", "--data", data, "--out", never_index, flag, "2"});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_EQ(r.err, "error: " + flag + " expects 0 or 1, got '2'\n");
+  }
+  EXPECT_FALSE(std::ifstream(never_index).good());
   const std::string never = TempPath("cli_err_never.txt");
   r = RunArgs({"gen", "quest", "--out", never, "--d", "5k"});
   EXPECT_EQ(r.code, 1);
@@ -501,6 +532,21 @@ TEST(CliTest, JoinValidationAndSupportErrorsExitNonzero) {
   EXPECT_EQ(RunArgs({"join", "frobnicate", "--left", index, "--right", index})
                 .code,
             1);
+
+  // --limit is a count: negative is refused, 0 still lists every pair (a
+  // self-join has at least one pair per transaction, more than the
+  // default limit of 20).
+  r = RunArgs({"join", "contain", "--left", index, "--right", index,
+               "--limit", "-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --limit expects a non-negative integer, got '-1'\n");
+  r = RunArgs({"join", "contain", "--left", index, "--right", index});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find(" more; raise --limit"), std::string::npos) << r.out;
+  r = RunArgs({"join", "contain", "--left", index, "--right", index,
+               "--limit", "0"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.find(" more; raise --limit"), std::string::npos) << r.out;
 
   std::remove(data.c_str());
   std::remove(index.c_str());

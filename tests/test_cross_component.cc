@@ -47,7 +47,7 @@ std::unique_ptr<StaticTreeView> StaticImageOf(
 
 // 1-NN through the unified API over a static image.
 Neighbor StaticNearest(const StaticTreeView& view, const Signature& query,
-                       PageCache* pool = nullptr) {
+                       BufferPool* pool = nullptr) {
   QueryRequest request;
   request.query = query;
   const QueryResult result = Execute(StaticTreeBackend(view), request, pool);

@@ -1,6 +1,5 @@
-// Tests for the parallel query engine and the concurrent storage layer:
-// the flat-array LRU against a reference model, the sharded pool's lock
-// striping and stats merging, and the QueryExecutor's central promise —
+// Tests for the parallel query engine and its storage layer: the flat-array
+// LRU against a reference model, and the QueryExecutor's central promise —
 // parallel batches are byte-identical to the serial path for every query
 // type and metric. The stress tests at the bottom are the ThreadSanitizer
 // targets (see the tsan CI job).
@@ -27,7 +26,6 @@
 #include "sgtable/sg_table.h"
 #include "sgtree/search.h"
 #include "storage/buffer_pool.h"
-#include "storage/sharded_buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -135,70 +133,6 @@ TEST(BufferPoolModelTest, ResizeKeepsMostRecentAndMatchesModelAfter) {
     const auto id = static_cast<PageId>(rng.UniformInt(48));
     ASSERT_EQ(pool.Touch(id), model.Touch(id)) << "op=" << op;
   }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedBufferPool.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedBufferPoolTest, SingleThreadBehavesLikeLruPerShard) {
-  ShardedBufferPool pool(64, 4);
-  // A page is resident after a touch and hits on re-touch.
-  EXPECT_FALSE(pool.Touch(17));
-  EXPECT_TRUE(pool.Touch(17));
-  const IoStats merged = pool.StatsSnapshot();
-  EXPECT_EQ(merged.random_ios, 1u);
-  EXPECT_EQ(merged.buffer_hits, 1u);
-  EXPECT_EQ(pool.ResidentPages(), 1u);
-  pool.Evict(17);
-  EXPECT_EQ(pool.ResidentPages(), 0u);
-  EXPECT_FALSE(pool.Touch(17));
-  pool.Clear();
-  EXPECT_EQ(pool.ResidentPages(), 0u);
-  // Stats survive Clear, matching BufferPool semantics.
-  EXPECT_EQ(pool.StatsSnapshot().random_ios, 2u);
-  pool.ResetStats();
-  EXPECT_EQ(pool.StatsSnapshot().random_ios, 0u);
-}
-
-TEST(ShardedBufferPoolTest, CapacityIsDistributedAcrossShards) {
-  // 10 frames over 4 shards: 3+3+2+2. Whatever the distribution, the pool
-  // as a whole must never hold more than 10 pages.
-  ShardedBufferPool pool(10, 4);
-  for (PageId id = 0; id < 1000; ++id) pool.Touch(id);
-  EXPECT_LE(pool.ResidentPages(), 10u);
-  EXPECT_GT(pool.ResidentPages(), 0u);
-}
-
-TEST(ShardedBufferPoolTest, ZeroShardsClampsToOne) {
-  ShardedBufferPool pool(8, 0);
-  EXPECT_FALSE(pool.Touch(1));
-  EXPECT_TRUE(pool.Touch(1));
-}
-
-TEST(ShardedBufferPoolTest, ConcurrentTouchesLoseNoStats) {
-  // Every touch is classified as exactly one hit or miss; with all threads
-  // hammering the same small id range, hits + misses must equal the total
-  // number of touches regardless of interleaving. Run under TSAN this also
-  // exercises the per-shard locking.
-  ShardedBufferPool pool(16, 4);
-  constexpr int kThreads = 8;
-  constexpr int kTouchesPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t] {
-      Rng rng(1000 + t);
-      for (int i = 0; i < kTouchesPerThread; ++i) {
-        pool.Touch(static_cast<PageId>(rng.UniformInt(64)));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const IoStats merged = pool.StatsSnapshot();
-  EXPECT_EQ(merged.random_ios + merged.buffer_hits,
-            static_cast<uint64_t>(kThreads) * kTouchesPerThread);
-  EXPECT_LE(pool.ResidentPages(), 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -439,64 +373,59 @@ TEST(ExecutorTest, EmptyBatchAndEmptyTree) {
   EXPECT_TRUE(results[0].neighbors.empty());
 }
 
-TEST(ExecutorTest, SharedShardedPoolReturnsSameValues) {
-  // With a shared pool, per-query I/O counts depend on scheduling, but the
-  // query *values* must still match the serial oracle exactly.
-  const ExecFixture f = MakeExecFixture(15, Metric::kHamming);
-  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
-  QueryExecutorOptions options;
-  options.num_threads = 4;
-  options.buffer_pages = 64;
-  options.pool_shards = 4;
-  QueryExecutor executor(options);
-  ASSERT_NE(executor.shared_pool(), nullptr);
-  const auto parallel = executor.Run(SgTreeBackend(*f.tree), f.batch);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].neighbors, serial[i].neighbors) << "query " << i;
-    EXPECT_EQ(parallel[i].ids, serial[i].ids) << "query " << i;
-  }
+// A fan-out size and lane count, and the claim size the executor derives
+// from them: clamp(n / (8 * lanes), 1, 64).
+struct ChunkCase {
+  uint32_t lanes;
+  size_t n;
+  size_t chunk;
+};
+
+size_t AutoChunk(const ChunkCase& c) {
+  return std::clamp<size_t>(c.n / (8 * static_cast<size_t>(c.lanes)), 1, 64);
 }
 
 TEST(ExecutorTest, ParallelApplyVisitsEachIndexExactlyOnce) {
-  // Every index runs exactly once on a valid lane, across chunk policies:
-  // auto (0), per-item (1), and a chunk size that does not divide the lane
-  // ranges evenly (7).
-  for (uint32_t max_chunk : {0u, 1u, 7u}) {
+  // Every index runs exactly once on a valid lane, across claim sizes:
+  // per-item (1), a size that does not divide the lane ranges evenly (7),
+  // and the cap (64).
+  for (const ChunkCase& c : {ChunkCase{4, 50, 1}, ChunkCase{4, 230, 7},
+                             ChunkCase{4, 10000, 64}}) {
+    ASSERT_EQ(AutoChunk(c), c.chunk) << "n " << c.n;
     QueryExecutorOptions options;
-    options.num_threads = 4;
-    options.max_chunk = max_chunk;
+    options.num_threads = c.lanes;
     QueryExecutor executor(options);
-    constexpr size_t kN = 10000;
-    std::vector<std::atomic<uint32_t>> visits(kN);
-    executor.ParallelApply(kN, [&](size_t i, uint32_t worker_id) {
+    std::vector<std::atomic<uint32_t>> visits(c.n);
+    executor.ParallelApply(c.n, [&](size_t i, uint32_t worker_id) {
       ASSERT_LT(worker_id, executor.num_threads());
       visits[i].fetch_add(1, std::memory_order_relaxed);
     });
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(visits[i].load(), 1u)
-          << "index " << i << " max_chunk " << max_chunk;
+    for (size_t i = 0; i < c.n; ++i) {
+      ASSERT_EQ(visits[i].load(), 1u) << "index " << i << " chunk " << c.chunk;
     }
   }
 }
 
 TEST(ExecutorTest, ChunkPolicyDoesNotChangeAnswers) {
   // Chunked claiming and work stealing change WHICH lane runs a query, but
-  // in private-pool mode every lane's pool starts from the same Clear()ed
-  // state per query — so every chunk policy must be byte-identical to the
-  // serial oracle, traces included.
-  const ExecFixture f = MakeExecFixture(18, Metric::kHamming);
+  // every lane's pool starts from the same Clear()ed state per query — so
+  // every claim size must be byte-identical to the serial oracle, traces
+  // included.
+  const ExecFixture f = MakeExecFixture(18, Metric::kHamming, 1100);
   const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
-  for (uint32_t max_chunk : {0u, 1u, 7u}) {
-    for (uint32_t threads : {2u, 8u}) {
-      QueryExecutorOptions options;
-      options.num_threads = threads;
-      options.buffer_pages = 16;
-      options.max_chunk = max_chunk;
-      QueryExecutor executor(options);
-      const auto parallel = executor.Run(SgTreeBackend(*f.tree), f.batch);
-      ExpectBatchesIdentical(parallel, serial);
-    }
+  for (const ChunkCase& c : {ChunkCase{8, 60, 1}, ChunkCase{2, 120, 7},
+                             ChunkCase{2, 1100, 64}}) {
+    ASSERT_EQ(AutoChunk(c), c.chunk) << "n " << c.n;
+    QueryExecutorOptions options;
+    options.num_threads = c.lanes;
+    options.buffer_pages = 16;
+    QueryExecutor executor(options);
+    const std::vector<QueryRequest> batch(f.batch.begin(),
+                                          f.batch.begin() + c.n);
+    const auto parallel = executor.Run(SgTreeBackend(*f.tree), batch);
+    ExpectBatchesIdentical(
+        parallel, std::vector<QueryResult>(serial.begin(),
+                                           serial.begin() + c.n));
   }
 }
 
@@ -616,28 +545,6 @@ TEST(ExecutorTest, InvertedBatchMatchesDirectCalls) {
 // ---------------------------------------------------------------------------
 // Stress: the ThreadSanitizer targets.
 // ---------------------------------------------------------------------------
-
-TEST(ExecutorStressTest, ManyThreadsSmallSharedPool) {
-  // 8 workers against a deliberately tiny 2-shard pool: maximum lock
-  // contention and constant eviction. Values must still match the oracle.
-  const ExecFixture f = MakeExecFixture(31, Metric::kHamming, 120);
-  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 4);
-  QueryExecutorOptions options;
-  options.num_threads = 8;
-  options.buffer_pages = 4;
-  options.pool_shards = 2;
-  QueryExecutor executor(options);
-  for (int round = 0; round < 3; ++round) {
-    const auto parallel = executor.Run(SgTreeBackend(*f.tree), f.batch);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(parallel[i].neighbors, serial[i].neighbors)
-          << "round " << round << " query " << i;
-      ASSERT_EQ(parallel[i].ids, serial[i].ids)
-          << "round " << round << " query " << i;
-    }
-  }
-}
 
 TEST(ExecutorStressTest, ManyThreadsPrivatePoolsRepeatedBatches) {
   const ExecFixture f = MakeExecFixture(32, Metric::kJaccard, 120);

@@ -19,7 +19,7 @@
 #include "sgtree/join.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "storage/sharded_buffer_pool.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -204,9 +204,12 @@ INSTANTIATE_TEST_SUITE_P(Metrics, TreeTraceTest,
                            return MetricName(info.param);
                          });
 
-TEST(TreeTraceTest, ShardedPoolSatisfiesPooledInvariant) {
+TEST(TreeTraceTest, WarmPoolSatisfiesPooledInvariant) {
+  // A caller-owned pool that is never cleared between queries: the trace
+  // still splits every node access into exactly one hit or miss, and the
+  // pool's own counters see the same traffic.
   const TreeFixture f = MakeTreeFixture(19, Metric::kHamming);
-  ShardedBufferPool pool(64, 4);
+  BufferPool pool(64);
   const SgTree& tree = *f.tree;  // Const ref: the thread-safe entry point.
   QueryTrace total;
   for (const TreeQuery type : kAllTreeQueries) {
@@ -223,10 +226,9 @@ TEST(TreeTraceTest, ShardedPoolSatisfiesPooledInvariant) {
   }
   // The pool stays warm across queries, so later queries must have hits.
   EXPECT_GT(total.buffer_hits, 0u);
-  const IoStats merged = pool.StatsSnapshot();
-  EXPECT_EQ(merged.random_ios, total.buffer_misses);
-  EXPECT_EQ(merged.buffer_hits, total.buffer_hits);
-  EXPECT_EQ(merged.page_accesses, total.nodes_visited());
+  EXPECT_EQ(pool.stats().random_ios, total.buffer_misses);
+  EXPECT_EQ(pool.stats().buffer_hits, total.buffer_hits);
+  EXPECT_EQ(pool.stats().page_accesses, total.nodes_visited());
 }
 
 TEST(TreeTraceTest, BufferMissesMatchLegacyIoStatsOnColdCache) {

@@ -194,11 +194,13 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardCountTest,
                          ::testing::Values(1u, 2u, 8u));
 
 TEST(QueryRouterTest, EverySchedulingModeMatchesSingleTree) {
-  // The scheduling knobs (shard-major slicing, overlapped merge, the
-  // per-sub-query cold-cache protocol, the slice size) change WHEN and
-  // WHERE sub-queries run and how the pool warms — never the answers. All
-  // eight mode corners, plus forced slice geometries, must reproduce the
-  // single-tree oracle for the full six-type mix.
+  // The router has one schedule, but its shape depends on the batch: the
+  // slice size is a function of batch size, shard count and lane count,
+  // and chunked claiming and stealing decide which lane runs which slice.
+  // None of that may change the answers. The lane counts and batch sizes
+  // here give slices of 1 up to 21 queries (1 lane, n = 42), and every
+  // schedule must reproduce the single-tree oracle for the full six-type
+  // mix.
   const Dataset dataset = ClusteredDataset(61, 1000, kBits, 8, 10, 2);
   SgTree single(TreeOptions());
   for (const Transaction& txn : dataset.transactions) single.Insert(txn);
@@ -208,70 +210,68 @@ TEST(QueryRouterTest, EverySchedulingModeMatchesSingleTree) {
   const std::vector<QueryRequest> batch = MixedBatch(62, 42);
   const std::vector<QueryResult> expected = SingleTreeReference(single, batch);
 
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = 4;
-  QueryExecutor executor(exec_options);
-  for (const bool shard_major : {true, false}) {
-    for (const bool overlap_merge : {true, false}) {
-      for (const bool cold : {true, false}) {
-        QueryRouterOptions router_options;
-        router_options.shard_major = shard_major;
-        router_options.overlap_merge = overlap_merge;
-        router_options.cold_per_subquery = cold;
-        QueryRouter router(index, &executor, router_options);
-        ExpectSameAnswers(expected, router.Run(batch),
-                          "shard_major=" + std::to_string(shard_major) +
-                              " overlap=" + std::to_string(overlap_merge) +
-                              " cold=" + std::to_string(cold));
-      }
+  for (const uint32_t lanes : {1u, 4u, 8u}) {
+    QueryExecutorOptions exec_options;
+    exec_options.num_threads = lanes;
+    QueryExecutor executor(exec_options);
+    QueryRouter router(index, &executor);
+    for (const size_t n : {size_t{1}, size_t{5}, batch.size()}) {
+      const std::vector<QueryRequest> prefix(batch.begin(),
+                                             batch.begin() + n);
+      ExpectSameAnswers(
+          std::vector<QueryResult>(expected.begin(), expected.begin() + n),
+          router.Run(prefix),
+          "lanes=" + std::to_string(lanes) + " n=" + std::to_string(n));
     }
-  }
-  for (const uint32_t queries_per_task : {1u, 5u, 100u}) {
-    QueryRouterOptions router_options;
-    router_options.queries_per_task = queries_per_task;
-    QueryRouter router(index, &executor, router_options);
-    ExpectSameAnswers(expected, router.Run(batch),
-                      "queries_per_task=" + std::to_string(queries_per_task));
   }
 }
 
 TEST(QueryRouterTest, ColdProtocolCountersAreGeometryIndependent) {
-  // With the per-sub-query cold-cache protocol and the shared bound off,
-  // every (query, shard) part runs from an empty pool — so full results,
-  // counters included, must not depend on slicing mode, slice size, or
-  // lane count.
+  // The router's counter contract: with the shared bound off, every
+  // (query, shard) sub-query runs from a cleared pool, so each query's
+  // merged result — trace included — is the merge of cold per-shard
+  // Execute() calls, whatever the lane count or slice size.
   const Dataset dataset = ClusteredDataset(63, 700, kBits, 8, 10, 2);
   ShardedIndex index(ShardOptions(3));
   index.InsertBatch(dataset.transactions);
   const std::vector<QueryRequest> batch = MixedBatch(64, 24);
 
-  auto run = [&](uint32_t threads, bool shard_major,
-                 uint32_t queries_per_task) {
+  // Reference: each query against each shard on its own, from a cold pool
+  // the size of an executor lane's.
+  BufferPool pool(QueryExecutorOptions{}.buffer_pages);
+  std::vector<QueryTrace> cold_traces(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    for (uint32_t si = 0; si < index.num_shards(); ++si) {
+      pool.Clear();
+      cold_traces[i] +=
+          Execute(SgTreeBackend(index.shard(si)), batch[i], &pool).trace;
+    }
+  }
+
+  auto run = [&](uint32_t lanes, size_t n) {
     QueryExecutorOptions exec_options;
-    exec_options.num_threads = threads;
+    exec_options.num_threads = lanes;
     QueryExecutor executor(exec_options);
     QueryRouterOptions router_options;
     router_options.shared_knn_bound = false;
-    router_options.cold_per_subquery = true;
-    router_options.shard_major = shard_major;
-    router_options.queries_per_task = queries_per_task;
     QueryRouter router(index, &executor, router_options);
-    return router.Run(batch);
+    return router.Run(std::vector<QueryRequest>(batch.begin(),
+                                                batch.begin() + n));
   };
-  const auto reference = run(1, false, 0);  // Serial legacy grid.
-  struct Config {
-    uint32_t threads;
-    bool shard_major;
-    uint32_t queries_per_task;
-  };
-  for (const Config& c : std::vector<Config>{
-           {1, true, 0}, {4, true, 0}, {4, true, 3}, {4, false, 0}}) {
-    const auto results = run(c.threads, c.shard_major, c.queries_per_task);
-    ASSERT_EQ(results.size(), reference.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], reference[i])
-          << "threads=" << c.threads << " shard_major=" << c.shard_major
-          << " qpt=" << c.queries_per_task << " query " << i;
+  const std::vector<QueryResult> reference = run(1, batch.size());
+  // 3 shards: 1 lane aims at 3 slices per shard and 4 lanes at 11, so
+  // n = 1 and 3 give 1-query slices, and n = 24 gives 8-query (1 lane) and
+  // 3-query (4 lanes) slices.
+  for (const uint32_t lanes : {1u, 4u}) {
+    for (const size_t n : {size_t{1}, size_t{3}, batch.size()}) {
+      const std::vector<QueryResult> results = run(lanes, n);
+      ASSERT_EQ(results.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(results[i].trace, cold_traces[i])
+            << "lanes=" << lanes << " n=" << n << " query " << i;
+        EXPECT_EQ(results[i], reference[i])
+            << "lanes=" << lanes << " n=" << n << " query " << i;
+      }
     }
   }
 }
@@ -424,34 +424,9 @@ TEST(QueryRouterTest, FeedsShardMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: the TSAN targets. Shared sharded buffer pool + shared k-NN
-// bound + multiple workers, graded against the serial oracle.
+// Concurrency: the TSAN targets. Shared k-NN bound + multiple workers,
+// graded against the serial oracle.
 // ---------------------------------------------------------------------------
-
-TEST(ShardStressTest, SharedPoolManyWorkersMatchesSerialOracle) {
-  const Dataset dataset = ClusteredDataset(51, 1000, kBits, 8, 10, 2);
-  SgTree single(TreeOptions());
-  for (const Transaction& txn : dataset.transactions) single.Insert(txn);
-  ShardedIndex index(ShardOptions(8));
-  index.InsertBatch(dataset.transactions);
-
-  const std::vector<QueryRequest> batch = MixedBatch(52, 96);
-  const std::vector<QueryResult> expected = SingleTreeReference(single, batch);
-
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = 4;
-  QueryExecutor executor(exec_options);
-  QueryRouterOptions router_options;
-  router_options.pool_shards = 4;  // One shared pool, all workers.
-  router_options.buffer_pages = 128;
-  QueryRouter router(index, &executor, router_options);
-  for (int run = 0; run < 3; ++run) {
-    // Values stay byte-identical even though cache hits (and thus
-    // counters) are schedule-dependent under the shared pool.
-    ExpectSameAnswers(expected, router.Run(batch),
-                      "sharedpool run=" + std::to_string(run));
-  }
-}
 
 TEST(ShardStressTest, SharedBoundManyWorkersMatchesSerialOracle) {
   const Dataset dataset = ClusteredDataset(53, 1000, kBits, 8, 10, 2);
@@ -483,12 +458,12 @@ TEST(ShardStressTest, SharedBoundManyWorkersMatchesSerialOracle) {
   }
 }
 
-TEST(ShardStressTest, OverlappedMergeTinySlicesMatchesSerialOracle) {
-  // Worst case for the overlapped merge: single-query slices (maximum
-  // countdown contention — all 8 shards of a query can finish on different
-  // lanes at once), a shared pool, the shared bound, and stealing-prone
-  // skew from the mixed batch. TSAN checks the per-query countdown and the
-  // merge-once guarantee; the oracle checks the answers.
+TEST(ShardStressTest, TinySlicesMatchSerialOracle) {
+  // Worst case for the fan-out: 8-query batches on 8 lanes and 8 shards
+  // give 1-query slices and a claim size of 1, so all 8 sub-queries of a
+  // query can run on different lanes at once, sharing its k-NN bound.
+  // TSAN checks the claiming, stealing and bound updates; the oracle
+  // checks the answers.
   const Dataset dataset = ClusteredDataset(65, 1000, kBits, 8, 10, 2);
   SgTree single(TreeOptions());
   for (const Transaction& txn : dataset.transactions) single.Insert(txn);
@@ -500,16 +475,18 @@ TEST(ShardStressTest, OverlappedMergeTinySlicesMatchesSerialOracle) {
 
   QueryExecutorOptions exec_options;
   exec_options.num_threads = 8;
-  exec_options.max_chunk = 1;  // Per-item claiming: maximum interleaving.
   QueryExecutor executor(exec_options);
-  QueryRouterOptions router_options;
-  router_options.pool_shards = 4;
-  router_options.buffer_pages = 64;
-  router_options.queries_per_task = 1;
-  QueryRouter router(index, &executor, router_options);
+  QueryRouter router(index, &executor);
+  constexpr size_t kBatch = 8;
   for (int run = 0; run < 3; ++run) {
-    ExpectSameAnswers(expected, router.Run(batch),
-                      "overlap run=" + std::to_string(run));
+    for (size_t first = 0; first < batch.size(); first += kBatch) {
+      ExpectSameAnswers(
+          std::vector<QueryResult>(expected.begin() + first,
+                                   expected.begin() + first + kBatch),
+          router.Run(std::vector<QueryRequest>(
+              batch.begin() + first, batch.begin() + first + kBatch)),
+          "run=" + std::to_string(run) + " first=" + std::to_string(first));
+    }
   }
 }
 

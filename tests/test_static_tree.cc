@@ -293,12 +293,11 @@ TEST_P(StaticShardCountTest, RouterIdenticalToDynamicShards) {
   QueryExecutorOptions exec_options;
   exec_options.num_threads = 3;
   QueryExecutor executor(exec_options);
-  // Shared bound off + cold per sub-query: per-shard counters are pure
-  // functions of the input, so FULL results must match across the two
-  // index flavors.
+  // Shared bound off: every sub-query starts cold, so per-shard counters
+  // are pure functions of the input and FULL results must match across
+  // the two index flavors.
   QueryRouterOptions router_options;
   router_options.shared_knn_bound = false;
-  router_options.cold_per_subquery = true;
   QueryRouter dynamic_router(dynamic_index, &executor, router_options);
   QueryRouter static_router(*static_index, &executor, router_options);
   const std::vector<QueryResult> expected = dynamic_router.Run(batch);

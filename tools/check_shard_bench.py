@@ -109,21 +109,6 @@ def main() -> int:
               f"{args.min_efficiency:.3f}")
         ok = False
 
-    # The ablation rows are informational, but the default mode must not be
-    # slower than the legacy scheduler it replaced (tolerating 20% noise —
-    # CI runners are shared machines).
-    ablation = {r.get("label"): r for r in data.get("ablation", [])
-                if isinstance(r, dict)}
-    if "measured_qps" in ablation.get("legacy", {}) and \
-            "measured_qps" in ablation.get("+overlap", {}):
-        legacy = float(ablation["legacy"]["measured_qps"])
-        current = float(ablation["+overlap"]["measured_qps"])
-        print(f"ablation: legacy={legacy:.1f} qps, default={current:.1f} qps")
-        if current < 0.8 * legacy:
-            print(f"FAIL: default scheduler ({current:.1f} qps) is slower "
-                  f"than legacy ({legacy:.1f} qps)")
-            ok = False
-
     print("PASS" if ok else "check_shard_bench: regression detected")
     return 0 if ok else 1
 
