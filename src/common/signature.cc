@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/signature_ops.h"
 
 namespace sgtree {
 
@@ -18,18 +19,9 @@ Signature Signature::FromItems(std::span<const uint32_t> items,
 
 void Signature::Clear() { std::fill(words_.begin(), words_.end(), 0); }
 
-uint32_t Signature::Area() const {
-  uint32_t count = 0;
-  for (uint64_t w : words_) count += PopCount(w);
-  return count;
-}
+uint32_t Signature::Area() const { return sig::Area(*this); }
 
-bool Signature::Empty() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
+bool Signature::Empty() const { return sig::Empty(*this); }
 
 void Signature::UnionWith(const Signature& other) {
   SGTREE_DCHECK(num_bits_ == other.num_bits_);
@@ -42,74 +34,19 @@ void Signature::IntersectWith(const Signature& other) {
 }
 
 bool Signature::Contains(const Signature& other) const {
-  SGTREE_DCHECK(num_bits_ == other.num_bits_);
-  if (this == &other) return true;
-  // Early exit on the first word with a bit of `other` not already present
-  // in *this; random signatures diverge within the first word or two, so
-  // the common (non-contained) case touches a fraction of the words.
-  const uint64_t* mine = words_.data();
-  const uint64_t* theirs = other.words_.data();
-  const size_t n = words_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if ((theirs[i] & ~mine[i]) != 0) return false;
-  }
-  return true;
-}
-
-Signature::BoundAndArea Signature::EnlargementAndArea(const Signature& a,
-                                                      const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  BoundAndArea result;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    result.enlargement += PopCount(b.words_[i] & ~a.words_[i]);
-    result.area += PopCount(a.words_[i]);
-  }
-  return result;
+  return sig::Contains(*this, other);
 }
 
 uint32_t Signature::IntersectCount(const Signature& a, const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  uint32_t count = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    count += PopCount(a.words_[i] & b.words_[i]);
-  }
-  return count;
+  return sig::IntersectCount(a, b);
 }
 
 uint32_t Signature::AndNotCount(const Signature& a, const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  uint32_t count = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    count += PopCount(a.words_[i] & ~b.words_[i]);
-  }
-  return count;
+  return sig::AndNotCount(a, b);
 }
 
 uint32_t Signature::XorCount(const Signature& a, const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  uint32_t count = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    count += PopCount(a.words_[i] ^ b.words_[i]);
-  }
-  return count;
-}
-
-uint32_t Signature::UnionCount(const Signature& a, const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  uint32_t count = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    count += PopCount(a.words_[i] | b.words_[i]);
-  }
-  return count;
-}
-
-uint32_t Signature::Enlargement(const Signature& a, const Signature& b) {
-  SGTREE_DCHECK(a.num_bits_ == b.num_bits_);
-  uint32_t count = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i) {
-    count += PopCount(b.words_[i] & ~a.words_[i]);
-  }
-  return count;
+  return sig::XorCount(a, b);
 }
 
 std::vector<uint32_t> Signature::ToItems() const {

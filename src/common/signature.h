@@ -68,26 +68,17 @@ class Signature {
   /// covers `other`; a directory entry covers every signature below it).
   bool Contains(const Signature& other) const;
 
-  /// Enlargement and area of `a` computed together. ChooseSubtree needs
-  /// both for every candidate entry; fusing them halves the passes over the
-  /// signature words on the insert hot path.
-  struct BoundAndArea {
-    uint32_t enlargement = 0;  // |b AND NOT a| = growth of a to cover b.
-    uint32_t area = 0;         // |a|.
-  };
-  static BoundAndArea EnlargementAndArea(const Signature& a,
-                                         const Signature& b);
+  /// The counts below run the selected word kernel (common/bit_kernels.h);
+  /// they are the Signature forms of the sig:: templates in
+  /// common/signature_ops.h.
 
   /// |a AND b| without materializing the intersection.
   static uint32_t IntersectCount(const Signature& a, const Signature& b);
-  /// |a AND NOT b|: bits of `a` missing from `b`.
+  /// |a AND NOT b|: bits of `a` missing from `b`. With the arguments
+  /// swapped, the enlargement of `b` needed to cover `a`.
   static uint32_t AndNotCount(const Signature& a, const Signature& b);
   /// |a XOR b| = Hamming distance between the bitmaps.
   static uint32_t XorCount(const Signature& a, const Signature& b);
-  /// |a OR b|.
-  static uint32_t UnionCount(const Signature& a, const Signature& b);
-  /// |a OR b| - |a|: how much `a` must grow to cover `b`.
-  static uint32_t Enlargement(const Signature& a, const Signature& b);
 
   /// Direct access to the backing words (for codecs and hashing).
   std::span<const uint64_t> words() const { return words_; }

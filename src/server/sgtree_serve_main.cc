@@ -8,9 +8,10 @@
 // --index loads a Save()d or SaveStatic()d ShardedIndex manifest (static
 // manifests unlock --replicas > 1); --durable-dir opens a durable index
 // instead (mutable over the wire via insert/checkpoint frames). The server
-// prints "listening on 127.0.0.1:<port>" once ready (port 0 = ephemeral,
-// resolved in the message — how scripts drive it without a port race) and
-// runs until SIGINT/SIGTERM.
+// prints "listening on 127.0.0.1:<port> (...)" once ready (port 0 =
+// ephemeral, resolved in the message — how scripts drive it without a port
+// race; the parentheses name the index mode, shards, replicas and the
+// signature kernel variant) and runs until SIGINT/SIGTERM.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bit_kernels.h"
 #include "durability/env.h"
 #include "server/server.h"
 #include "shard/sharded_index.h"
@@ -104,8 +106,8 @@ int main(int argc, char** argv) {
                     ? "static"
                     : (index->durable() ? "durable" : "in-memory"))
             << ", " << index->num_shards() << " shard(s), "
-            << server->replica_set()->num_replicas() << " replica(s))"
-            << std::endl;
+            << server->replica_set()->num_replicas() << " replica(s), kernel "
+            << sgtree::kernels::Active().name << ")" << std::endl;
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }

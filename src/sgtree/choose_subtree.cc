@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
+#include "common/signature_ops.h"
 
 namespace sgtree {
 namespace {
@@ -44,16 +46,20 @@ size_t ChooseSubtree(const Node& node, const Signature& sig,
   }
   if (best_containing != node.entries.size()) return best_containing;
 
-  // Case 3: no entry contains the signature. The fused
-  // EnlargementAndArea computes both ranking keys in one pass over the
-  // entry's words instead of two.
+  // Case 3: no entry contains the signature. Both ranking keys come from
+  // one pass over the entry's words: the enlargement |sig AND NOT e| is
+  // |sig| - |sig AND e|, and the same pass counts |e|.
+  const uint32_t sig_area = sig.Area();
+  auto enlargement_and_area = [&](size_t i) {
+    const auto [inter, area] = sig::IntersectAndArea(sig, node.entries[i].sig);
+    return std::pair<uint32_t, uint32_t>{sig_area - inter, area};
+  };
   if (policy == ChooseSubtreePolicy::kMinEnlargement) {
     size_t best = 0;
     uint32_t best_enlargement = std::numeric_limits<uint32_t>::max();
     uint32_t best_area = std::numeric_limits<uint32_t>::max();
     for (size_t i = 0; i < node.entries.size(); ++i) {
-      const auto [enlargement, area] =
-          Signature::EnlargementAndArea(node.entries[i].sig, sig);
+      const auto [enlargement, area] = enlargement_and_area(i);
       if (enlargement < best_enlargement ||
           (enlargement == best_enlargement && area < best_area)) {
         best = i;
@@ -71,8 +77,7 @@ size_t ChooseSubtree(const Node& node, const Signature& sig,
   uint32_t best_area = std::numeric_limits<uint32_t>::max();
   for (size_t i = 0; i < node.entries.size(); ++i) {
     const uint64_t overlap = OverlapIncrease(node, i, sig);
-    const auto [enlargement, area] =
-        Signature::EnlargementAndArea(node.entries[i].sig, sig);
+    const auto [enlargement, area] = enlargement_and_area(i);
     const bool better =
         overlap < best_overlap ||
         (overlap == best_overlap &&

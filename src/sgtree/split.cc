@@ -90,8 +90,8 @@ SplitResult SeedSplit(std::vector<Entry> entries, size_t seed1, size_t seed2,
     }
 
     Entry& entry = entries[rest[r]];
-    const uint32_t grow1 = Signature::Enlargement(sig1, entry.sig);
-    const uint32_t grow2 = Signature::Enlargement(sig2, entry.sig);
+    const uint32_t grow1 = Signature::AndNotCount(entry.sig, sig1);
+    const uint32_t grow2 = Signature::AndNotCount(entry.sig, sig2);
     bool to_first;
     if (grow1 != grow2) {
       to_first = grow1 < grow2;
@@ -240,7 +240,7 @@ SplitResult ClusteringSplit(std::vector<Entry> entries, bool group_average,
       uint32_t best_grow = std::numeric_limits<uint32_t>::max();
       for (size_t i = 0; i < big.size(); ++i) {
         const uint32_t grow =
-            Signature::Enlargement(small_sig, entries[big[i]].sig);
+            Signature::AndNotCount(entries[big[i]].sig, small_sig);
         if (grow < best_grow) {
           best_grow = grow;
           best = i;
