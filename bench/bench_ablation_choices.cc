@@ -67,15 +67,12 @@ void Run() {
   QueryTrace bf_trace;
   Timer dfs_timer;
   for (const Signature& q : queries) {
-    built.tree->buffer_pool().Clear();
-    DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&dfs_trace));
+    DfsNearest(*built.tree, q, QueryContext{nullptr, &dfs_trace});
   }
   const double dfs_ms = dfs_timer.ElapsedMs();
   Timer bf_timer;
   for (const Signature& q : queries) {
-    built.tree->buffer_pool().Clear();
-    BestFirstKNearest(*built.tree, q, 1,
-                      built.tree->OwnPoolContext(&bf_trace));
+    BestFirstKNearest(*built.tree, q, 1, QueryContext{nullptr, &bf_trace});
   }
   const double bf_ms = bf_timer.ElapsedMs();
   std::printf("%-16s %14s %14s\n", "algorithm", "nodes/query", "cpu_ms/query");

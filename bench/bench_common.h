@@ -147,9 +147,9 @@ inline std::vector<Signature> ToSignatures(
   return sigs;
 }
 
-/// Runs k-NN queries against the tree with a cold buffer per query (the
-/// paper measures per-query random I/O).
-inline MethodResult RunTreeKnn(SgTree& tree,
+/// Runs k-NN queries against the tree. No pool is passed, so every node
+/// read is one random I/O: the paper's per-query cold buffer.
+inline MethodResult RunTreeKnn(const SgTree& tree,
                                const std::vector<Signature>& queries,
                                uint32_t k, size_t dataset_size) {
   QueryTrace trace;
@@ -158,13 +158,12 @@ inline MethodResult RunTreeKnn(SgTree& tree,
   Timer timer;
   const SgTreeBackend backend(tree);
   for (const Signature& q : queries) {
-    tree.buffer_pool().Clear();
     QueryRequest request;
     request.type = QueryType::kKnn;
     request.query = q;
     request.k = k;
     Timer per_query;
-    const QueryResult r = Execute(backend, request, &tree.buffer_pool());
+    const QueryResult r = Execute(backend, request);
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
     trace += r.trace;
   }
@@ -196,7 +195,7 @@ inline MethodResult RunTableKnn(const SgTable& table,
   return result;
 }
 
-inline MethodResult RunTreeRange(SgTree& tree,
+inline MethodResult RunTreeRange(const SgTree& tree,
                                  const std::vector<Signature>& queries,
                                  double epsilon, size_t dataset_size) {
   QueryTrace trace;
@@ -205,13 +204,12 @@ inline MethodResult RunTreeRange(SgTree& tree,
   Timer timer;
   const SgTreeBackend backend(tree);
   for (const Signature& q : queries) {
-    tree.buffer_pool().Clear();
     QueryRequest request;
     request.type = QueryType::kRange;
     request.query = q;
     request.epsilon = epsilon;
     Timer per_query;
-    const QueryResult r = Execute(backend, request, &tree.buffer_pool());
+    const QueryResult r = Execute(backend, request);
     latencies_us.push_back(per_query.ElapsedMs() * 1000.0);
     trace += r.trace;
   }

@@ -44,10 +44,9 @@ void Run() {
     QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& probe : probes) {
-      built.tree->buffer_pool().Clear();
       ContainmentSearch(*built.tree,
                         Signature::FromItems(probe, dataset.num_items),
-                        built.tree->OwnPoolContext(&tree_trace));
+                        QueryContext{nullptr, &tree_trace});
     }
     const double tree_ms = tree_timer.ElapsedMs();
     QueryTrace inv_trace;
@@ -79,9 +78,7 @@ void Run() {
     QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& probe : probes) {
-      built.tree->buffer_pool().Clear();
-      SubsetSearch(*built.tree, probe,
-                   built.tree->OwnPoolContext(&tree_trace));
+      SubsetSearch(*built.tree, probe, QueryContext{nullptr, &tree_trace});
     }
     const double tree_ms = tree_timer.ElapsedMs();
     QueryTrace inv_trace;
@@ -104,10 +101,9 @@ void Run() {
     QueryTrace tree_trace;
     Timer tree_timer;
     for (const auto& q : raw_queries) {
-      built.tree->buffer_pool().Clear();
       DfsNearest(*built.tree,
                  Signature::FromItems(q.items, dataset.num_items),
-                 built.tree->OwnPoolContext(&tree_trace));
+                 QueryContext{nullptr, &tree_trace});
     }
     const double tree_ms = tree_timer.ElapsedMs();
     QueryTrace inv_trace;

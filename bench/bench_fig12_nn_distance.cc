@@ -45,11 +45,10 @@ void Run() {
   };
 
   for (const Signature& q : queries) {
-    built.tree->buffer_pool().Clear();
     QueryTrace tree_trace;
     Timer tree_timer;
     const Neighbor nn =
-        DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&tree_trace));
+        DfsNearest(*built.tree, q, QueryContext{nullptr, &tree_trace});
     const double tree_ms = tree_timer.ElapsedMs();
 
     QueryTrace table_trace;

@@ -26,9 +26,8 @@ void RunOn(const char* name, const Dataset& dataset,
     Timer timer;
     bool exact = true;
     for (const Signature& q : queries) {
-      built.tree->buffer_pool().Clear();
       const Neighbor nn =
-          DfsNearest(*built.tree, q, built.tree->OwnPoolContext(&trace));
+          DfsNearest(*built.tree, q, QueryContext{nullptr, &trace});
       if (nn.distance != scan.Nearest(q, metric).distance) exact = false;
     }
     const double elapsed = timer.ElapsedMs();

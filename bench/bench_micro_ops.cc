@@ -200,9 +200,8 @@ void BM_TreeNearestNeighbor(benchmark::State& state) {
   const TreeFixture& f = TreeFixture::Get();
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DfsNearest(*f.tree,
-                                        f.queries[i++ % f.queries.size()],
-                                        f.tree->OwnPoolContext()));
+    benchmark::DoNotOptimize(
+        DfsNearest(*f.tree, f.queries[i++ % f.queries.size()]));
   }
 }
 BENCHMARK(BM_TreeNearestNeighbor);
@@ -211,9 +210,8 @@ void BM_TreeRangeQuery(benchmark::State& state) {
   const TreeFixture& f = TreeFixture::Get();
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RangeSearch(*f.tree,
-                                         f.queries[i++ % f.queries.size()],
-                                         6.0, f.tree->OwnPoolContext()));
+    benchmark::DoNotOptimize(
+        RangeSearch(*f.tree, f.queries[i++ % f.queries.size()], 6.0));
   }
 }
 BENCHMARK(BM_TreeRangeQuery);

@@ -36,7 +36,7 @@ int main() {
     const Signature q = Signature::FromItems(person.items, census.num_items);
 
     QueryTrace trace;
-    const auto knn = DfsKNearest(tree, q, 5, tree.OwnPoolContext(&trace));
+    const auto knn = DfsKNearest(tree, q, 5, QueryContext{nullptr, &trace});
     std::printf("5 most similar individuals (of %zu):", census.size());
     for (const Neighbor& n : knn) {
       std::printf(" #%llu(d=%.0f)", static_cast<unsigned long long>(n.tid),
@@ -49,7 +49,7 @@ int main() {
     // since every attribute mismatch flips two bits).
     QueryTrace range_trace;
     const auto close_matches =
-        RangeSearch(tree, q, 4.0, tree.OwnPoolContext(&range_trace));
+        RangeSearch(tree, q, 4.0, QueryContext{nullptr, &range_trace});
     std::printf("  individuals within 2 attribute changes: %zu "
                 "(touched %.2f%%)\n\n",
                 close_matches.size(),

@@ -36,7 +36,7 @@ int main() {
       Signature::FromItems(pair_probe, qopt.num_items);
   QueryTrace trace;
   const auto holders =
-      ContainmentSearch(*tree_a, probe_sig, tree_a->OwnPoolContext(&trace));
+      ContainmentSearch(*tree_a, probe_sig, QueryContext{nullptr, &trace});
   std::printf("Transactions containing items {%u, %u}: %zu "
               "(visited %llu nodes of %llu)\n\n",
               pair_probe[0], pair_probe[1], holders.size(),

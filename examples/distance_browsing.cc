@@ -1,7 +1,7 @@
 // Distance browsing: stream neighbors of a query in ascending distance
 // without choosing k up front (the Hjaltason-Samet incremental search the
 // paper cites for optimal NN), then run the same query against the index's
-// static on-disk image, served from an mmap through a 32-page buffer.
+// static on-disk image, served from an mmap.
 
 #include <unistd.h>
 
@@ -17,7 +17,6 @@
 #include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
-#include "storage/buffer_pool.h"
 
 int main() {
   using namespace sgtree;
@@ -67,7 +66,7 @@ int main() {
   std::printf("transactions tied at the minimum distance %g: %zu\n\n",
               ties[0].distance, ties.size());
 
-  // Same index as a static image on disk, queried with a 32-page cache.
+  // Same index as a static image on disk.
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("distance_browsing_" + std::to_string(::getpid()) + ".static"))
@@ -84,13 +83,12 @@ int main() {
     std::filesystem::remove(path);
     return 1;
   }
-  BufferPool pool(32);
   QueryRequest request;
   request.type = QueryType::kKnn;
   request.query = query;
   request.k = 1;
-  const QueryResult nn = Execute(StaticTreeBackend(*view), request, &pool);
-  std::printf("static image (%llu bytes, 32-page cache over %llu nodes): "
+  const QueryResult nn = Execute(StaticTreeBackend(*view), request);
+  std::printf("static image (%llu bytes, %llu nodes): "
               "NN #%llu at %g, %llu page reads\n",
               static_cast<unsigned long long>(view->file_size()),
               static_cast<unsigned long long>(view->node_count()),

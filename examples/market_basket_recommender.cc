@@ -48,7 +48,7 @@ int main() {
     QueryTrace trace;
     Timer query_timer;
     const auto neighbors =
-        DfsKNearest(tree, q, 20, tree.OwnPoolContext(&trace));
+        DfsKNearest(tree, q, 20, QueryContext{nullptr, &trace});
     const double ms = query_timer.ElapsedMs();
 
     // Score candidate items by how many similar baskets contain them.

@@ -58,7 +58,7 @@ int main() {
   const auto queries = gen.GenerateQueries(3);
   for (const Transaction& q : queries) {
     const Signature sig = Signature::FromItems(q.items, qopt.num_items);
-    const Neighbor nn = DfsNearest(*loaded, sig, loaded->OwnPoolContext());
+    const Neighbor nn = DfsNearest(*loaded, sig);
     std::printf("  NN of query: transaction %llu at distance %.0f\n",
                 static_cast<unsigned long long>(nn.tid), nn.distance);
   }
@@ -70,7 +70,7 @@ int main() {
   loaded->Insert(fresh);
   const Signature sig =
       Signature::FromItems(queries[0].items, qopt.num_items);
-  const Neighbor nn = DfsNearest(*loaded, sig, loaded->OwnPoolContext());
+  const Neighbor nn = DfsNearest(*loaded, sig);
   std::printf("After inserting the query itself: NN is %llu at distance "
               "%.0f (expected 999999 at 0)\n",
               static_cast<unsigned long long>(nn.tid), nn.distance);

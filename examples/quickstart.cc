@@ -52,7 +52,7 @@ int main() {
   QueryRequest nn_request;
   nn_request.type = QueryType::kKnn;
   nn_request.query = query;
-  const QueryResult nn = Execute(backend, nn_request, &tree.buffer_pool());
+  const QueryResult nn = Execute(backend, nn_request);
   std::printf("Nearest basket to {bread, milk, coffee}: basket %llu "
               "(Hamming distance %.0f)\n",
               static_cast<unsigned long long>(nn.neighbors[0].tid),
@@ -61,8 +61,7 @@ int main() {
   std::printf("\nTop-3 most similar baskets:\n");
   QueryRequest knn_request = nn_request;
   knn_request.k = 3;
-  for (const Neighbor& n :
-       Execute(backend, knn_request, &tree.buffer_pool()).neighbors) {
+  for (const Neighbor& n : Execute(backend, knn_request).neighbors) {
     std::printf("  basket %llu at distance %.0f\n",
                 static_cast<unsigned long long>(n.tid), n.distance);
   }
@@ -72,8 +71,7 @@ int main() {
   range_request.type = QueryType::kRange;
   range_request.query = query;
   range_request.epsilon = 2.0;
-  for (const Neighbor& n :
-       Execute(backend, range_request, &tree.buffer_pool()).neighbors) {
+  for (const Neighbor& n : Execute(backend, range_request).neighbors) {
     std::printf("  basket %llu at distance %.0f\n",
                 static_cast<unsigned long long>(n.tid), n.distance);
   }
@@ -85,8 +83,7 @@ int main() {
   QueryRequest contain_request;
   contain_request.type = QueryType::kContainment;
   contain_request.query = beer_diapers;
-  for (uint64_t tid :
-       Execute(backend, contain_request, &tree.buffer_pool()).ids) {
+  for (uint64_t tid : Execute(backend, contain_request).ids) {
     std::printf(" %llu", static_cast<unsigned long long>(tid));
   }
   std::printf("\n");

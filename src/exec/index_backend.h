@@ -21,9 +21,9 @@ namespace sgtree {
 /// supporting all six query types — lives in static/static_tree_backend.h
 /// so this layer does not depend on the static format.
 
-/// The SG-tree: the only backend answering all six query types. Node reads
-/// go through ctx.pool, so per-query random I/Os are the paper's
-/// cold-cache cost when the caller clears a private pool per query.
+/// The SG-tree: the only backend answering all six query types. Every node
+/// read is charged to ctx; with no pool each one is a random I/O, the
+/// paper's per-query cold-cache cost.
 /// `shared_bound`, when non-null, attaches the cross-partition k-NN
 /// pruning bound (see SharedPruneBound in sgtree/search.h); it affects
 /// only kKnn / kBestFirstKnn.

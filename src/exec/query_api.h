@@ -43,8 +43,9 @@ struct QueryRequest {
 struct QueryResult {
   std::vector<Neighbor> neighbors;  // kKnn / kBestFirstKnn / kRange.
   std::vector<uint64_t> ids;        // kContainment / kExact / kSubset.
-  QueryTrace trace;                 // Per-query counters (deterministic in
-                                    // private-pool mode).
+  QueryTrace trace;                 // Per-query counters (deterministic
+                                    // unless a pool stays warm across
+                                    // queries).
   double elapsed_us = 0;            // Wall time of this query (not compared
                                     // by the determinism tests).
   std::string error;                // Empty on success. Set by Execute()
@@ -108,10 +109,12 @@ class IndexBackend {
 };
 
 /// The single dispatch point of the query API: validates `request`, wires a
-/// QueryContext charging `pool` (may be null for backends that do no paged
-/// I/O) and the result's own trace, runs the backend, and stamps the
-/// wall time. On validation failure the result is empty with `error` set
-/// and the backend is never invoked.
+/// QueryContext charging `pool` and the result's own trace, runs the
+/// backend, and stamps the wall time. `pool` is normally null: every node
+/// read is then one random I/O, the paper's cold buffer (see QueryContext).
+/// It stays a parameter for callers that read a pool's own counters, such
+/// as perfbench's layer ladder. On validation failure the result is empty
+/// with `error` set and the backend is never invoked.
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
                     BufferPool* pool = nullptr);
 

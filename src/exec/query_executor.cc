@@ -72,10 +72,6 @@ QueryExecutor::QueryExecutor(const QueryExecutorOptions& options)
   if (n == 0) n = 1;
   num_lanes_ = n;
   queues_ = std::make_unique<TaskQueue[]>(num_lanes_);
-  pools_.reserve(num_lanes_);
-  for (uint32_t i = 0; i < num_lanes_; ++i) {
-    pools_.push_back(std::make_unique<BufferPool>(options_.buffer_pages));
-  }
   threads_.reserve(num_lanes_ - 1);
   for (uint32_t i = 0; i + 1 < num_lanes_; ++i) {
     threads_.emplace_back(&QueryExecutor::WorkerLoop, this, i);
@@ -178,16 +174,16 @@ void QueryExecutor::RunRanges(size_t n, RangeFn fn, void* ctx) {
   }
 }
 
-template <typename ExecuteFn>
-std::vector<QueryResult> QueryExecutor::RunBatch(size_t n,
-                                                 ExecuteFn&& execute) {
+std::vector<QueryResult> QueryExecutor::Run(
+    const IndexBackend& backend, const std::vector<QueryRequest>& batch) {
+  const size_t n = batch.size();
   // Results land in pre-sized slots by batch index; each slot is written by
   // exactly one lane, so no synchronization is needed on the vector.
   std::vector<QueryResult> results(n);
   std::vector<QueryTrace> lane_traces(num_lanes_);
   Timer batch_timer;
   ParallelApply(n, [&](size_t i, uint32_t worker_id) {
-    results[i] = execute(i, worker_id);
+    results[i] = Execute(backend, batch[i]);
     lane_traces[worker_id] += results[i].trace;
   });
   batch_report_ = BatchReport{};
@@ -236,24 +232,12 @@ std::vector<QueryResult> QueryExecutor::RunBatch(size_t n,
   return results;
 }
 
-std::vector<QueryResult> QueryExecutor::Run(
-    const IndexBackend& backend, const std::vector<QueryRequest>& batch) {
-  return RunBatch(batch.size(), [&](size_t i, uint32_t worker_id) {
-    // Backends that do no paged I/O (table / inverted / scan) simply never
-    // touch the pool.
-    return Execute(backend, batch[i], ClearedLanePool(worker_id));
-  });
-}
-
 std::vector<QueryResult> QueryExecutor::RunSerial(
-    const SgTree& tree, const std::vector<QueryRequest>& batch,
-    uint32_t buffer_pages) {
-  BufferPool pool(buffer_pages);
+    const SgTree& tree, const std::vector<QueryRequest>& batch) {
   std::vector<QueryResult> results;
   results.reserve(batch.size());
   for (const QueryRequest& query : batch) {
-    pool.Clear();
-    results.push_back(Execute(SgTreeBackend(tree), query, &pool));
+    results.push_back(Execute(SgTreeBackend(tree), query));
   }
   return results;
 }

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
 #include "sgtree/sg_tree.h"
-#include "storage/buffer_pool.h"
 
 namespace sgtree {
 
@@ -49,20 +48,11 @@ struct QueryExecutorOptions {
   /// std::thread::hardware_concurrency().
   uint32_t num_threads = 0;
 
-  /// Frames of each lane's private BufferPool. The pool is cleared before
-  /// every query (and before every sub-query of a QueryRouter batch), so
-  /// per-query random I/Os are the cold-cache cost the paper measures,
-  /// independent of scheduling, and parallel output is byte-identical to
-  /// the serial path.
-  uint32_t buffer_pages = 64;
-
   /// Optional metrics sink. When set, every batch feeds the registry's
   /// "exec.*" counters (queries, rejected, nodes, I/Os, verifications,
   /// pruned subtrees) and the "exec.query_latency_us" histogram — one
   /// Observe per query, performed on the calling thread after the fan-out,
-  /// so workers never touch the registry. The pools' cache counters can
-  /// additionally be bound via BufferPool::BindMetrics on the same
-  /// registry.
+  /// so workers never touch the registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -112,20 +102,19 @@ class QueryExecutor {
   uint32_t num_threads() const { return num_lanes_; }
 
   /// Runs a batch against any backend of the unified query API. Each query
-  /// goes through Execute() (validation included) with the lane's pool,
-  /// cleared before every query, so results are byte-identical to the
-  /// serial path.
+  /// goes through Execute() (validation included) with no pool, so every
+  /// node read is one random I/O (see QueryContext) and results are
+  /// byte-identical to the serial path.
   std::vector<QueryResult> Run(const IndexBackend& backend,
                                const std::vector<QueryRequest>& batch);
 
-  /// Serial reference: executes the batch on the calling thread with one
-  /// pool cleared per query — the exact semantics of Run, so
+  /// Serial reference: executes the batch on the calling thread, one
+  /// Execute() per query — the exact semantics of Run, so
   /// Run(SgTreeBackend(tree), batch) == RunSerial(tree, batch) for any
   /// thread count. This is the oracle the determinism tests compare
   /// against.
   static std::vector<QueryResult> RunSerial(
-      const SgTree& tree, const std::vector<QueryRequest>& batch,
-      uint32_t buffer_pages = 64);
+      const SgTree& tree, const std::vector<QueryRequest>& batch);
 
   /// Typed fan-out: invokes body(index, worker_id) for every index in
   /// [0, n), load-balanced across the lanes with chunked claiming and
@@ -150,19 +139,6 @@ class QueryExecutor {
   /// Run()/destruction.
   const BatchReport& last_batch_report() const { return batch_report_; }
 
-  /// Clears the private pool of lane `worker_id` (< num_threads()) and
-  /// returns it; only a job body running on that lane may call this. Run
-  /// takes a pool from here for every query and QueryRouter for every
-  /// (query, shard) sub-query, so each one is charged against a cold
-  /// buffer, as in the paper, whatever the schedule. A buffer_pages of 0
-  /// gives capacity-0 pools that miss on every access: the "no buffer"
-  /// accounting mode.
-  BufferPool* ClearedLanePool(uint32_t worker_id) {
-    BufferPool* pool = pools_[worker_id].get();
-    pool->Clear();
-    return pool;
-  }
-
  private:
   /// One lane's claimable range, a single CAS word so owner claims and
   /// thief splits are linearizable against each other: high 32 bits = next
@@ -182,18 +158,10 @@ class QueryExecutor {
   /// Claim-execute-steal loop of one lane for the current job.
   void Participate(uint32_t worker_id);
 
-  /// Runs `batch` by fanning `execute(i, pool)` results into slot i,
-  /// reducing per-lane traces at the end.
-  template <typename ExecuteFn>
-  std::vector<QueryResult> RunBatch(size_t n, ExecuteFn&& execute);
-
   QueryExecutorOptions options_;
   uint32_t num_lanes_ = 1;
 
   std::vector<std::thread> threads_;  // num_lanes_ - 1 spawned workers.
-  /// One pool per lane (index == worker_id, the last belongs to the
-  /// calling thread).
-  std::vector<std::unique_ptr<BufferPool>> pools_;
 
   /// Rendezvous state. Job fields are plain: they are written before the
   /// release-increment of job_epoch_ and read after an acquire-load of it.

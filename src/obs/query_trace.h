@@ -28,9 +28,10 @@ namespace sgtree {
 ///    no predicate and leaves this 0).
 ///  - results: candidates accepted into the result set.
 ///  - buffer_hits / buffer_misses: split of the node reads charged to the
-///    context's pool (misses == this query's random I/Os); the simulated
-///    multi-page bucket reads of the table/inverted backends count every
-///    page as a miss.
+///    context (misses == this query's random I/Os). A context without a
+///    pool charges every node read as a miss, so hits stay 0; the
+///    simulated multi-page bucket reads of the table/inverted backends
+///    count every page as a miss.
 struct QueryTrace {
   uint64_t dir_nodes_visited = 0;
   uint64_t leaf_nodes_visited = 0;
@@ -67,11 +68,13 @@ struct QueryTrace {
 };
 
 /// Which consistency invariants CheckTraceInvariants enforces. The defaults
-/// are what every single-tree query over a pooled context must satisfy;
-/// relax them for joins (`strict_pruning = false`) and for backends without
-/// a buffer pool or per-node I/O charge (`pooled = false`).
+/// are what every single-tree query must satisfy, with or without a pool;
+/// relax them for joins (`strict_pruning = false`) and for backends that
+/// charge no read per visited node (`pooled = false`).
 struct TraceCheckOptions {
-  /// Every visited node was charged to a pool: visited == hits + misses.
+  /// Every visited node was charged as one read: visited == hits + misses.
+  /// Stays a switch because the table, inverted-file and trie backends
+  /// charge simulated pages, or nothing, instead of one read per node.
   bool pooled = true;
   /// Every tested signature resolved to exactly one descend-or-prune:
   /// tested == descended + pruned, and descended == visited - 1 on a

@@ -22,8 +22,9 @@ namespace sgtree {
 /// the tree must not be modified while iterating.
 class NearestIterator {
  public:
-  /// Node accesses are charged to `ctx` (see search.h); pass
-  /// tree.OwnPoolContext() to charge the tree's own buffer pool.
+  /// Node accesses are charged to `ctx` (see search.h), each node at most
+  /// once per iterator; pass tree.OwnPoolContext() only to keep the tree's
+  /// own buffer warm across iterators.
   NearestIterator(const SgTree& tree, Signature query,
                   const QueryContext& ctx = {});
 

@@ -75,7 +75,9 @@ struct SgTreeOptions {
   /// fixed-dimensionality bound without being told d).
   bool use_area_stats = true;
 
-  /// LRU buffer-pool frames used for random-I/O accounting.
+  /// Frames of the tree's own LRU pool (SgTree::buffer_pool()), charged
+  /// by the update path and by callers that keep a buffer warm across
+  /// queries; queries run with no pool do not use it.
   uint32_t buffer_pages = 128;
 
   /// Resolved maximum node capacity.

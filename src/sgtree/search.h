@@ -15,13 +15,12 @@ namespace sgtree {
 /// Similarity search and related queries over the SG-tree (Section 4).
 ///
 /// Every query takes `const SgTree&` plus a QueryContext. The tree is never
-/// mutated; node accesses are charged to the context's pool and the
-/// per-query counters (including this query's random-I/O misses) to the
-/// context's trace. This is the thread-safe form the parallel QueryExecutor
-/// uses — any number of these may run concurrently against one tree, each
-/// with its own context and pool. The default, empty
-/// context charges and counts nothing; serial callers that want the tree's
-/// own buffer pool charged pass `tree.OwnPoolContext()`.
+/// mutated; the per-query counters go to the context's trace, where each
+/// node read is one random-I/O miss unless the context names a pool. This
+/// is the thread-safe form the parallel QueryExecutor uses — any number of
+/// these may run concurrently against one tree, each with its own context.
+/// The default, empty context counts nothing; serial callers that want a
+/// buffer kept warm across queries pass `tree.OwnPoolContext()`.
 /// Most callers should go through the unified query API instead
 /// (exec/query_api.h): build a QueryRequest and call Execute() on an
 /// SgTreeBackend, which adds parameter validation and works across every

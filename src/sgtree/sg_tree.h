@@ -42,8 +42,9 @@ class PageChangeListener {
 /// overflowing nodes with the configured policy; deletes dissolve
 /// underflowing nodes and reinsert their entries (R-tree condense).
 ///
-/// Every node access is routed through an LRU BufferPool so the exact
-/// random-I/O cost of the access pattern is measured; see BufferPool.
+/// Every node access is charged, so the exact random-I/O cost of the
+/// access pattern is measured: a query charges one I/O per node read to its
+/// QueryContext, and the update path charges the tree's own LRU BufferPool.
 class SgTree {
  public:
   explicit SgTree(const SgTreeOptions& options);
@@ -94,23 +95,26 @@ class SgTree {
   /// the bulk loader and persistence, which bypass Insert).
   void NoteTransactionArea(uint32_t area);
 
-  /// Fetches a node for a query, charging the context's buffer pool and
-  /// trace. The tree itself is not mutated, so any number of
-  /// threads may call this concurrently (each with its own context and
-  /// pool) as long as no thread is updating the tree.
+  /// Fetches a node for a query, charging one read to the context. The
+  /// tree itself is not mutated, so any number of threads may call this
+  /// concurrently (each with its own context) as long as no thread is
+  /// updating the tree.
   const Node& GetNode(PageId id, const QueryContext& ctx) const;
   /// Fetches a node without I/O accounting (checker, persistence, tests).
   const Node& GetNodeNoCharge(PageId id) const;
 
   /// The tree's own buffer pool: charged by the update path and by serial
-  /// queries that pass OwnPoolContext().
+  /// queries that pass OwnPoolContext(). It stays for callers that read
+  /// pages again — the warm-buffer experiment, the tree joins, and
+  /// `sgtree_cli stats`, which reports its counters.
   /// Mutating the pool requires a non-const tree — a const SgTree& is
   /// genuinely read-only and therefore safe to share across threads.
   BufferPool& buffer_pool() { return *pool_; }
   const BufferPool& buffer_pool() const { return *pool_; }
 
-  /// Query context charging this tree's own pool (serial use only). The
-  /// optional trace receives the per-query counters.
+  /// Query context charging this tree's own pool (serial use only), for
+  /// reads that should hit a buffer kept warm across queries or join
+  /// steps. The optional trace receives the per-query counters.
   QueryContext OwnPoolContext(QueryTrace* trace = nullptr) {
     return QueryContext{pool_.get(), trace};
   }

@@ -62,7 +62,6 @@ QueryRouter::QueryRouter(const ShardedIndex& index, QueryExecutor* executor,
 
 void QueryRouter::RunSlice(const std::vector<QueryRequest>& batch,
                            uint32_t si, size_t q_begin, size_t q_end,
-                           uint32_t worker_id,
                            const std::vector<uint8_t>& valid,
                            std::vector<SharedPruneBound>* bounds) {
   const uint32_t s = index_->num_shards();
@@ -76,15 +75,12 @@ void QueryRouter::RunSlice(const std::vector<QueryRequest>& batch,
     SharedPruneBound* bound = options_.shared_knn_bound && IsKnn(request.type)
                                   ? &(*bounds)[qi]
                                   : nullptr;
-    // A cold pool per sub-query keeps its counters independent of which
-    // slice it landed in.
-    BufferPool* pool = executor_->ClearedLanePool(worker_id);
     if (is_static) {
       ExecuteInto(StaticTreeBackend(index_->static_shard(si), bound), request,
-                  pool, &partial_[qi * s + si]);
+                  /*pool=*/nullptr, &partial_[qi * s + si]);
     } else {
-      ExecuteInto(SgTreeBackend(index_->shard(si), bound), request, pool,
-                  &partial_[qi * s + si]);
+      ExecuteInto(SgTreeBackend(index_->shard(si), bound), request,
+                  /*pool=*/nullptr, &partial_[qi * s + si]);
     }
   }
 }
@@ -123,11 +119,11 @@ std::vector<QueryResult> QueryRouter::Run(
   // free.
   executor_->ParallelApply(
       static_cast<size_t>(s) * num_blocks,
-      [&](size_t task, uint32_t worker_id) {
+      [&](size_t task, uint32_t /*worker_id*/) {
         const auto si = static_cast<uint32_t>(task / num_blocks);
         const size_t q_begin = (task % num_blocks) * block;
         const size_t q_end = std::min(n, q_begin + block);
-        RunSlice(batch, si, q_begin, q_end, worker_id, valid, &bounds);
+        RunSlice(batch, si, q_begin, q_end, valid, &bounds);
       });
   for (size_t qi = 0; qi < n; ++qi) {
     if (valid[qi] == 0) continue;

@@ -53,10 +53,8 @@ struct QueryRouterOptions {
 ///    sized for ~8 slices per lane across all shards, so per-task dispatch
 ///    amortizes over a block of sub-queries while the executor's claiming
 ///    and stealing still have grains to balance skew;
-///  - cold sub-queries: each (query, shard) sub-query clears the lane's
-///    pool first — the paper's per-query cold-buffer protocol — so with
-///    the shared bound off, a query's merged trace is the sum of cold
-///    per-shard Execute() traces, whatever the slice geometry;
+///  - cold sub-queries: sub-queries charge no pool, so each (query, shard)
+///    trace is the cold per-shard trace whatever the slice geometry;
 ///  - barrier merge: after the fan-out the calling thread merges every
 ///    query serially, so no lane-to-lane hand-off protocol is needed;
 ///  - scratch reuse: the n-queries-by-s-shards partial-result matrix is a
@@ -64,15 +62,14 @@ struct QueryRouterOptions {
 ///    recycled across Run() calls, so steady-state batches allocate no
 ///    per-task storage.
 ///
-/// The router runs on the executor's lanes and charges their pools. Those
-/// carry no state from one sub-query to the next, so a router and a plain
-/// executor batch may share an executor. Requests are validated once at
-/// the router boundary; an invalid request yields one error result and is
-/// never fanned out.
+/// The router runs on the executor's lanes, which carry no state from one
+/// sub-query to the next, so a router and a plain executor batch may share
+/// an executor. Requests are validated once at the router boundary; an
+/// invalid request yields one error result and is never fanned out.
 class QueryRouter {
  public:
   /// `index` and `executor` must outlive the router. Sub-queries run on the
-  /// executor's lanes and charge each lane's pool (buffer_pages frames).
+  /// executor's lanes.
   QueryRouter(const ShardedIndex& index, QueryExecutor* executor,
               const QueryRouterOptions& options = {});
 
@@ -93,10 +90,10 @@ class QueryRouter {
   const BatchReport& last_batch_report() const { return report_; }
 
  private:
-  /// Runs queries [q_begin, q_end) of `batch` against shard `si` on lane
-  /// `worker_id`, writing each part into partial_[qi * s + si].
+  /// Runs queries [q_begin, q_end) of `batch` against shard `si`, writing
+  /// each part into partial_[qi * s + si].
   void RunSlice(const std::vector<QueryRequest>& batch, uint32_t si,
-                size_t q_begin, size_t q_end, uint32_t worker_id,
+                size_t q_begin, size_t q_end,
                 const std::vector<uint8_t>& valid,
                 std::vector<SharedPruneBound>* bounds);
 

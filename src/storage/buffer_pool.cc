@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace sgtree {
 
@@ -16,25 +15,11 @@ BufferPool::BufferPool(uint32_t capacity) : capacity_(capacity) {
   index_.reserve(capacity_);
 }
 
-void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
-                             const std::string& prefix) {
-  if (registry == nullptr) {
-    ctr_accesses_ = ctr_hits_ = ctr_misses_ = ctr_writes_ = nullptr;
-    return;
-  }
-  ctr_accesses_ = registry->GetCounter(prefix + ".accesses");
-  ctr_hits_ = registry->GetCounter(prefix + ".hits");
-  ctr_misses_ = registry->GetCounter(prefix + ".misses");
-  ctr_writes_ = registry->GetCounter(prefix + ".writes");
-}
-
 bool BufferPool::Touch(PageId id) {
   ++stats_.page_accesses;
-  if (ctr_accesses_ != nullptr) ctr_accesses_->Increment();
   auto it = index_.find(id);
   if (it != index_.end()) {
     ++stats_.buffer_hits;
-    if (ctr_hits_ != nullptr) ctr_hits_->Increment();
     const uint32_t f = it->second;
     if (f != head_) {
       Unlink(f);
@@ -43,14 +28,12 @@ bool BufferPool::Touch(PageId id) {
     return true;
   }
   ++stats_.random_ios;
-  if (ctr_misses_ != nullptr) ctr_misses_->Increment();
   Insert(id);
   return false;
 }
 
 void BufferPool::TouchWrite(PageId id) {
   ++stats_.page_writes;
-  if (ctr_writes_ != nullptr) ctr_writes_->Increment();
   auto it = index_.find(id);
   if (it != index_.end()) {
     const uint32_t f = it->second;

@@ -2,7 +2,6 @@
 #define SGTREE_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -11,20 +10,17 @@
 
 namespace sgtree {
 
-namespace obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace obs
-
 /// LRU buffer-pool simulator with exact random-I/O accounting.
 ///
 /// The SG-tree keeps decoded nodes in memory (laptop-scale reproduction) but
-/// routes every node access through this pool: an access to a page that is
+/// can route node accesses through this pool: an access to a page that is
 /// not among the `capacity` most-recently-used pages is charged as one
 /// random I/O, exactly what the same access pattern would cost a paginated
 /// on-disk tree with an LRU buffer of that many frames. Capacity 0 disables
-/// buffering (every access is an I/O), which matches the paper's cold-cache
-/// query measurements.
+/// buffering (every access is an I/O). Single queries need no pool — they
+/// read no page twice, so a context without one charges the same cold-cache
+/// cost (see QueryContext); the pool serves where pages are read again: the
+/// tree's update path, the warm-buffer experiment and the tree joins.
 ///
 /// The recency list is an intrusive doubly-linked list threaded through a
 /// flat frame array: all frames live in one contiguous allocation sized at
@@ -32,7 +28,7 @@ class MetricsRegistry;
 /// allocation or pointer chasing — roughly twice as fast as the previous
 /// std::list implementation, and the layout one would use for a real frame
 /// table. Not thread-safe by design: every pool is thread-private — a
-/// tree's own pool, one per executor lane, or one a caller brings to
+/// tree's own pool, a join's per-run pools, or one a caller brings to
 /// Execute — so no access ever needs a latch.
 class BufferPool {
  public:
@@ -61,14 +57,6 @@ class BufferPool {
   const IoStats& stats() const { return stats_; }
   IoStats* mutable_stats() { return &stats_; }
 
-  /// Mirrors this pool's counters into `registry` under
-  /// `<prefix>.accesses|hits|misses|writes` — the registry absorbs (and
-  /// extends, with process-wide aggregation across pools) the embedded
-  /// IoStats. Pass nullptr to unbind. The registry must outlive the pool;
-  /// the shared counters are sharded atomics, so several pools (e.g. one
-  /// per executor lane) may bind the same prefix concurrently.
-  void BindMetrics(obs::MetricsRegistry* registry, const std::string& prefix);
-
   uint32_t ResidentPages() const {
     return static_cast<uint32_t>(index_.size());
   }
@@ -93,11 +81,6 @@ class BufferPool {
 
   uint32_t capacity_;
   IoStats stats_;
-  // Optional registry mirrors (all four set, or all four null).
-  obs::Counter* ctr_accesses_ = nullptr;
-  obs::Counter* ctr_hits_ = nullptr;
-  obs::Counter* ctr_misses_ = nullptr;
-  obs::Counter* ctr_writes_ = nullptr;
   std::vector<Frame> frames_;  // Flat frame table, size == capacity_.
   uint32_t head_ = kNil;       // MRU frame index.
   uint32_t tail_ = kNil;       // LRU frame index.

@@ -15,8 +15,14 @@ namespace sgtree {
 /// const SgTree genuinely thread-safe to read — concurrent queries each
 /// bring their own context, with a private pool and a private trace.
 ///
-/// Both pointers may be null: a null `pool` skips buffering entirely (no
-/// I/O is charged anywhere), a null `trace` skips the counters. The
+/// Both pointers may be null: a null `pool` charges every read as a miss,
+/// a null `trace` skips the counters. The no-pool rule is the paper's
+/// per-query cold buffer: each search core (sgtree/search_core.h) and
+/// NearestIterator reads a node at most once per query — every node has
+/// one parent, and best-first search enqueues each child once — so a
+/// cleared pool of any size would miss on every read too. A pool is only
+/// worth passing where pages are read again: across queries (the
+/// warm-buffer experiment, the tree's update path) or within a join. The
 /// Count*/Charge* helpers below are the single place the search code
 /// reports through — and a default-constructed context makes every one of
 /// them a no-op, which is the "metrics off" mode the differential tests
@@ -25,12 +31,15 @@ struct QueryContext {
   BufferPool* pool = nullptr;
   QueryTrace* trace = nullptr;
 
-  /// Charges one page read: touches the pool and records the hit/miss
-  /// split, so trace->buffer_misses is this query's random I/O count.
+  /// Charges one page read. With a pool it touches the pool and records
+  /// the hit/miss split; without one every read is a miss. Either way
+  /// trace->buffer_misses is this query's random I/O count.
   void ChargeRead(PageId id) const {
     if (pool != nullptr) {
       const bool hit = pool->Touch(id);
       if (trace != nullptr) ++(hit ? trace->buffer_hits : trace->buffer_misses);
+    } else if (trace != nullptr) {
+      ++trace->buffer_misses;
     }
   }
 

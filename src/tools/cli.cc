@@ -42,7 +42,6 @@
 #include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
-#include "storage/buffer_pool.h"
 #include "tools/command_line.h"
 
 namespace sgtree {
@@ -721,22 +720,14 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     router_options.metrics = &registry;
     QueryRouter router(*index, &executor, router_options);
     results = router.Run(requests);
-  } else if (static_index) {
-    // The static view owns no pool (it is shared and immutable), so the
-    // query loop brings its own — uncleared between queries, matching the
-    // warm-cache protocol of the dynamic branch below.
-    BufferPool pool(options.buffer_pages);
-    results.reserve(requests.size());
-    for (const QueryRequest& request : requests) {
-      results.push_back(Execute(StaticTreeBackend(*view), request, &pool));
-    }
   } else {
+    // No pool, as in the router: every query is charged one random I/O per
+    // node read, against a cold buffer.
     results.reserve(requests.size());
     for (const QueryRequest& request : requests) {
-      // The tree's own pool, uncleared between queries — the warm-cache
-      // protocol the serial CLI has always used.
-      results.push_back(
-          Execute(SgTreeBackend(*tree), request, &tree->buffer_pool()));
+      results.push_back(static_index
+                            ? Execute(StaticTreeBackend(*view), request)
+                            : Execute(SgTreeBackend(*tree), request));
     }
   }
 

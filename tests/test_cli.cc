@@ -3,10 +3,12 @@
 
 #include "tools/cli.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,26 +245,57 @@ TEST(CliTest, QueryWithMetricFlag) {
   std::remove(index.c_str());
 }
 
+// The value of `key=` in a `trace:` line of `sgtree_cli query --trace 1`.
+uint64_t TraceField(const std::string& line, const std::string& key) {
+  const size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::stoull(line.substr(at + key.size() + 2));
+}
+
 TEST(CliTest, QueriesFromFile) {
   const std::string data = TempPath("cli_qf_data.txt");
   const std::string index = TempPath("cli_qf.bin");
+  const std::string image = TempPath("cli_qf_static.sgt");
   const std::string queries = TempPath("cli_qf_queries.txt");
   ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "800", "--items",
                  "150", "--patterns", "40"})
                 .code,
             0);
   ASSERT_EQ(RunArgs({"build", "--data", data, "--out", index}).code, 0);
+  ASSERT_EQ(
+      RunArgs({"build", "--data", data, "--out", image, "--static", "1"}).code,
+      0);
   {
     std::ofstream out(queries);
     out << "150 0 2\n0 3 14 15\n1 7 8\n";
   }
-  const CliResult r =
-      RunArgs({"query", "nn", "--index", index, "--queries", queries});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("query 0:"), std::string::npos);
-  EXPECT_NE(r.out.find("query 1:"), std::string::npos);
+  // Each query is charged against a cold buffer, whichever index form
+  // answers it: no node read is a hit, not even the second query's root.
+  for (const auto& [path, is_static] :
+       {std::pair<std::string, std::string>{index, "0"}, {image, "1"}}) {
+    const CliResult r =
+        RunArgs({"query", "nn", "--index", path, "--queries", queries,
+                 "--static", is_static, "--trace", "1"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.out.find("query 0:"), std::string::npos);
+    EXPECT_NE(r.out.find("query 1:"), std::string::npos);
+    std::istringstream lines(r.out);
+    std::string line;
+    int traces = 0;
+    while (std::getline(lines, line)) {
+      if (line.find("trace:") == std::string::npos) continue;
+      ++traces;
+      EXPECT_GT(TraceField(line, "nodes"), 0u) << line;
+      EXPECT_EQ(TraceField(line, "hits"), 0u) << "static=" << is_static
+                                              << ": " << line;
+      EXPECT_EQ(TraceField(line, "misses"), TraceField(line, "nodes"))
+          << "static=" << is_static << ": " << line;
+    }
+    EXPECT_EQ(traces, 2) << r.out;
+  }
   std::remove(data.c_str());
   std::remove(index.c_str());
+  std::remove(image.c_str());
   std::remove(queries.c_str());
 }
 

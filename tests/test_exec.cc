@@ -194,11 +194,10 @@ class ExecutorDeterminismTest : public ::testing::TestWithParam<Metric> {};
 
 TEST_P(ExecutorDeterminismTest, ParallelMatchesSerialAllQueryTypes) {
   const ExecFixture f = MakeExecFixture(11, GetParam());
-  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
+  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch);
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     QueryExecutorOptions options;
     options.num_threads = threads;
-    options.buffer_pages = 16;
     QueryExecutor executor(options);
     ASSERT_EQ(executor.num_threads(), threads);
     const auto parallel = executor.Run(SgTreeBackend(*f.tree), f.batch);
@@ -210,7 +209,6 @@ TEST_P(ExecutorDeterminismTest, RepeatedRunsAreIdentical) {
   const ExecFixture f = MakeExecFixture(12, GetParam());
   QueryExecutorOptions options;
   options.num_threads = 4;
-  options.buffer_pages = 16;
   QueryExecutor executor(options);
   const auto first = executor.Run(SgTreeBackend(*f.tree), f.batch);
   const auto second = executor.Run(SgTreeBackend(*f.tree), f.batch);
@@ -225,43 +223,32 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, ExecutorDeterminismTest,
                          });
 
 TEST(ExecutorTest, MatchesDirectSearchCalls) {
-  ExecFixture f = MakeExecFixture(13, Metric::kHamming, 24);
-  QueryExecutor executor({.num_threads = 3, .buffer_pages = 16});
+  const ExecFixture f = MakeExecFixture(13, Metric::kHamming, 24);
+  QueryExecutor executor({.num_threads = 3});
   const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
   ASSERT_EQ(results.size(), f.batch.size());
   for (size_t i = 0; i < f.batch.size(); ++i) {
     const QueryRequest& q = f.batch[i];
-    f.tree->ResetIo();
-    f.tree->buffer_pool().Resize(16);
-    f.tree->buffer_pool().Clear();
     switch (q.type) {
       case QueryType::kKnn:
-        EXPECT_EQ(results[i].neighbors,
-                  DfsKNearest(*f.tree, q.query, q.k,
-                              f.tree->OwnPoolContext()));
+        EXPECT_EQ(results[i].neighbors, DfsKNearest(*f.tree, q.query, q.k));
         break;
       case QueryType::kBestFirstKnn:
         EXPECT_EQ(results[i].neighbors,
-                  BestFirstKNearest(*f.tree, q.query, q.k,
-                                    f.tree->OwnPoolContext()));
+                  BestFirstKNearest(*f.tree, q.query, q.k));
         break;
       case QueryType::kRange:
         EXPECT_EQ(results[i].neighbors,
-                  RangeSearch(*f.tree, q.query, q.epsilon,
-                              f.tree->OwnPoolContext()));
+                  RangeSearch(*f.tree, q.query, q.epsilon));
         break;
       case QueryType::kContainment:
-        EXPECT_EQ(results[i].ids,
-                  ContainmentSearch(*f.tree, q.query,
-                                    f.tree->OwnPoolContext()));
+        EXPECT_EQ(results[i].ids, ContainmentSearch(*f.tree, q.query));
         break;
       case QueryType::kExact:
-        EXPECT_EQ(results[i].ids,
-                  ExactSearch(*f.tree, q.query, f.tree->OwnPoolContext()));
+        EXPECT_EQ(results[i].ids, ExactSearch(*f.tree, q.query));
         break;
       case QueryType::kSubset:
-        EXPECT_EQ(results[i].ids,
-                  SubsetSearch(*f.tree, q.query, f.tree->OwnPoolContext()));
+        EXPECT_EQ(results[i].ids, SubsetSearch(*f.tree, q.query));
         break;
     }
   }
@@ -269,7 +256,7 @@ TEST(ExecutorTest, MatchesDirectSearchCalls) {
 
 TEST(ExecutorTest, BatchReportAggregatesPerQueryTraces) {
   const ExecFixture f = MakeExecFixture(16, Metric::kHamming);
-  QueryExecutor executor({.num_threads = 4, .buffer_pages = 16});
+  QueryExecutor executor({.num_threads = 4});
   const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
 
   QueryTrace sum;
@@ -293,7 +280,7 @@ TEST(ExecutorTest, BatchReportAggregatesPerQueryTraces) {
   }
 
   // The serial oracle produces the identical aggregate trace.
-  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
+  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch);
   QueryTrace serial_sum;
   for (const QueryResult& r : serial) serial_sum += r.trace;
   EXPECT_EQ(serial_sum, sum);
@@ -304,7 +291,6 @@ TEST(ExecutorTest, MetricsRegistryIsFedByEachBatch) {
   obs::MetricsRegistry registry;
   QueryExecutorOptions options;
   options.num_threads = 4;
-  options.buffer_pages = 16;
   options.metrics = &registry;
   QueryExecutor executor(options);
   executor.Run(SgTreeBackend(*f.tree), f.batch);
@@ -343,7 +329,6 @@ TEST(ExecutorTest, BatchReportCountsRejectedRequests) {
   obs::MetricsRegistry registry;
   QueryExecutorOptions options;
   options.num_threads = 2;
-  options.buffer_pages = 16;
   options.metrics = &registry;
   QueryExecutor executor(options);
   const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
@@ -408,17 +393,16 @@ TEST(ExecutorTest, ParallelApplyVisitsEachIndexExactlyOnce) {
 
 TEST(ExecutorTest, ChunkPolicyDoesNotChangeAnswers) {
   // Chunked claiming and work stealing change WHICH lane runs a query, but
-  // every lane's pool starts from the same Clear()ed state per query — so
+  // no query charges a pool, so its trace depends on the request alone —
   // every claim size must be byte-identical to the serial oracle, traces
   // included.
   const ExecFixture f = MakeExecFixture(18, Metric::kHamming, 1100);
-  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch, 16);
+  const auto serial = QueryExecutor::RunSerial(*f.tree, f.batch);
   for (const ChunkCase& c : {ChunkCase{8, 60, 1}, ChunkCase{2, 120, 7},
                              ChunkCase{2, 1100, 64}}) {
     ASSERT_EQ(AutoChunk(c), c.chunk) << "n " << c.n;
     QueryExecutorOptions options;
     options.num_threads = c.lanes;
-    options.buffer_pages = 16;
     QueryExecutor executor(options);
     const std::vector<QueryRequest> batch(f.batch.begin(),
                                           f.batch.begin() + c.n);
@@ -546,11 +530,10 @@ TEST(ExecutorTest, InvertedBatchMatchesDirectCalls) {
 // Stress: the ThreadSanitizer targets.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorStressTest, ManyThreadsPrivatePoolsRepeatedBatches) {
+TEST(ExecutorStressTest, ManyThreadsRepeatedBatches) {
   const ExecFixture f = MakeExecFixture(32, Metric::kJaccard, 120);
   QueryExecutorOptions options;
   options.num_threads = 8;
-  options.buffer_pages = 8;
   QueryExecutor executor(options);
   const auto first = executor.Run(SgTreeBackend(*f.tree), f.batch);
   for (int round = 0; round < 3; ++round) {
@@ -591,8 +574,7 @@ TEST(ExecutorStressTest, ExecutorsConstructedAndDestroyedRepeatedly) {
   // the shutdown flag and exit; destruction joins everything.
   const ExecFixture f = MakeExecFixture(33, Metric::kHamming, 16);
   for (int round = 0; round < 10; ++round) {
-    QueryExecutor executor(
-        {.num_threads = 4, .buffer_pages = 8});
+    QueryExecutor executor({.num_threads = 4});
     const auto results = executor.Run(SgTreeBackend(*f.tree), f.batch);
     ASSERT_EQ(results.size(), f.batch.size());
   }

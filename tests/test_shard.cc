@@ -26,7 +26,6 @@
 #include "shard/query_router.h"
 #include "sgtree/sg_tree.h"
 #include "sgtree/tree_checker.h"
-#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -67,16 +66,14 @@ std::vector<QueryRequest> MixedBatch(uint64_t seed, size_t n) {
   return batch;
 }
 
-// Serial single-tree oracle: one private pool cleared per query, the same
-// cold-cache protocol the router applies per shard task.
+// Serial single-tree oracle: one Execute() per query, with no pool, as the
+// router runs each shard task.
 std::vector<QueryResult> SingleTreeReference(
     const SgTree& tree, const std::vector<QueryRequest>& batch) {
-  BufferPool pool(64);
   std::vector<QueryResult> out;
   out.reserve(batch.size());
   for (const QueryRequest& request : batch) {
-    pool.Clear();
-    out.push_back(Execute(SgTreeBackend(tree), request, &pool));
+    out.push_back(Execute(SgTreeBackend(tree), request));
   }
   return out;
 }
@@ -228,23 +225,19 @@ TEST(QueryRouterTest, EverySchedulingModeMatchesSingleTree) {
 
 TEST(QueryRouterTest, ColdProtocolCountersAreGeometryIndependent) {
   // The router's counter contract: with the shared bound off, every
-  // (query, shard) sub-query runs from a cleared pool, so each query's
-  // merged result — trace included — is the merge of cold per-shard
-  // Execute() calls, whatever the lane count or slice size.
+  // (query, shard) sub-query runs with no pool, so each query's merged
+  // result — trace included — is the merge of cold per-shard Execute()
+  // calls, whatever the lane count or slice size.
   const Dataset dataset = ClusteredDataset(63, 700, kBits, 8, 10, 2);
   ShardedIndex index(ShardOptions(3));
   index.InsertBatch(dataset.transactions);
   const std::vector<QueryRequest> batch = MixedBatch(64, 24);
 
-  // Reference: each query against each shard on its own, from a cold pool
-  // the size of an executor lane's.
-  BufferPool pool(QueryExecutorOptions{}.buffer_pages);
+  // Reference: each query against each shard on its own.
   std::vector<QueryTrace> cold_traces(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     for (uint32_t si = 0; si < index.num_shards(); ++si) {
-      pool.Clear();
-      cold_traces[i] +=
-          Execute(SgTreeBackend(index.shard(si)), batch[i], &pool).trace;
+      cold_traces[i] += Execute(SgTreeBackend(index.shard(si)), batch[i]).trace;
     }
   }
 
@@ -285,7 +278,7 @@ TEST(QueryRouterTest, RepeatedRunsAreFullyDeterministic) {
   QueryExecutorOptions exec_options;
   exec_options.num_threads = 4;
   QueryExecutor executor(exec_options);
-  // Shared bound off + private pools: per-shard counters are a pure
+  // Shared bound off and no pools: per-shard counters are a pure
   // function of the input, so whole results (values AND counters) must be
   // identical run over run.
   QueryRouterOptions router_options;

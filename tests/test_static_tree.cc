@@ -62,16 +62,14 @@ std::vector<QueryRequest> MixedBatch(uint64_t seed, size_t n) {
   return batch;
 }
 
-// Runs `batch` through `backend` under the cold-cache protocol: a private
-// pool cleared per query, so counters are a pure function of the input.
+// Runs `batch` through `backend` with no pool: every node read is one
+// random I/O, so counters are a pure function of the input.
 std::vector<QueryResult> RunBatch(const IndexBackend& backend,
                                   const std::vector<QueryRequest>& batch) {
-  BufferPool pool(64);
   std::vector<QueryResult> out;
   out.reserve(batch.size());
   for (const QueryRequest& request : batch) {
-    pool.Clear();
-    out.push_back(Execute(backend, request, &pool));
+    out.push_back(Execute(backend, request));
   }
   return out;
 }
@@ -168,19 +166,39 @@ TEST(StaticDifferentialTest, AllQueryTypesIdenticalToDynamicTree) {
 }
 
 TEST(StaticDifferentialTest, UntracedContextIdenticalToDynamicTree) {
-  // A fully bare context (no pool, no trace) drives the exact
-  // same traversal: values must still match, and nothing may be charged.
+  // The I/O rule of a context without a pool (ExecuteInto still attaches
+  // the result's trace): every node read is one miss. No search reads a
+  // node twice in one query, so on both trees and for all six query types
+  // the no-pool result equals the result from a cleared pool of any size,
+  // trace included.
   Fixture f(500);
   const std::vector<QueryRequest> batch = MixedBatch(74, 36);
   const SgTreeBackend dynamic_backend(f.tree);
   const StaticTreeBackend static_backend(*f.view);
+  BufferPool pools[] = {BufferPool(0), BufferPool(8), BufferPool(4096)};
   for (size_t i = 0; i < batch.size(); ++i) {
     QueryResult expected;
     QueryResult actual;
     ExecuteInto(dynamic_backend, batch[i], /*pool=*/nullptr, &expected);
     ExecuteInto(static_backend, batch[i], /*pool=*/nullptr, &actual);
     EXPECT_EQ(expected, actual) << "query " << i;
-    EXPECT_EQ(actual.trace.buffer_misses, 0u) << "query " << i;
+    for (const QueryResult* no_pool : {&expected, &actual}) {
+      EXPECT_GT(no_pool->trace.nodes_visited(), 0u) << "query " << i;
+      EXPECT_EQ(no_pool->trace.buffer_hits, 0u) << "query " << i;
+      EXPECT_EQ(no_pool->trace.buffer_misses, no_pool->trace.nodes_visited())
+          << "query " << i;
+    }
+    for (BufferPool& pool : pools) {
+      for (const IndexBackend* backend :
+           {static_cast<const IndexBackend*>(&dynamic_backend),
+            static_cast<const IndexBackend*>(&static_backend)}) {
+        pool.Clear();
+        QueryResult cold;
+        ExecuteInto(*backend, batch[i], &pool, &cold);
+        EXPECT_EQ(cold, expected) << backend->name() << " query " << i
+                                  << " pool " << pool.capacity();
+      }
+    }
   }
 }
 
@@ -377,8 +395,8 @@ TEST(StaticStressTest, ManyThreadsOneSharedViewMatchSerial) {
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        // Each thread its own pool and results; the view itself is the
-        // only shared state — immutable, so no synchronization.
+        // Each thread its own results; the view itself is the only
+        // shared state — immutable, so no synchronization.
         per_thread[t] = RunBatch(StaticTreeBackend(*f.view), batch);
       });
     }
