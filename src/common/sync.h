@@ -174,8 +174,8 @@ class CondVar {
   /// Wait with a deadline: blocks until notified or `timeout_us`
   /// microseconds pass, whichever is first. Returns false on timeout, true
   /// when (possibly spuriously) notified — either way, re-check the
-  /// predicate. This is what the serving batcher and hedge manager use to
-  /// sleep "until the flush deadline or new work, whichever comes first".
+  /// predicate. This is what the serving hedge manager uses to sleep
+  /// "until the next hedge deadline or new work, whichever comes first".
   bool WaitFor(Mutex* mu, int64_t timeout_us) SGTREE_REQUIRES(mu) {
     std::unique_lock<std::mutex> native(mu->mu_, std::adopt_lock);
     const auto status = cv_.wait_for(native, std::chrono::microseconds(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 namespace sgtree {
@@ -32,17 +31,15 @@ QueryResult PendingQuery::Wait() {
   return std::move(result);
 }
 
-Batcher::Batcher(const BatcherOptions& options, Runner runner)
-    : options_(options),
-      runner_(std::move(runner)),
-      linger_us_(options.max_linger_us) {}
+Batcher::Batcher(uint32_t num_dispatchers, Runner runner)
+    : num_dispatchers_(num_dispatchers), runner_(std::move(runner)) {}
 
 Batcher::~Batcher() { Stop(); }
 
 void Batcher::Start() {
   if (started_) return;
   started_ = true;
-  const uint32_t n = std::max<uint32_t>(1, options_.num_dispatchers);
+  const uint32_t n = std::max<uint32_t>(1, num_dispatchers_);
   dispatchers_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     dispatchers_.emplace_back([this] { DispatchLoop(); });
@@ -76,7 +73,6 @@ void Batcher::Stop() {
 std::shared_ptr<PendingQuery> Batcher::Submit(const QueryRequest& request) {
   auto pending = std::make_shared<PendingQuery>();
   pending->request = request;
-  pending->enqueue_us = NowUs();
   {
     MutexLock lock(&mu_);
     if (stop_) return nullptr;
@@ -94,46 +90,19 @@ void Batcher::BindMetrics(obs::Histogram* queue_depth,
   exec_us_hist_ = exec_us;
 }
 
-void Batcher::UpdateLinger() {
-  if (exec_us_hist_ == nullptr) return;
-  const double p99 = exec_us_hist_->Percentile(99.0);
-  if (std::isnan(p99)) return;  // No observations yet; keep the window.
-  int64_t linger;
-  if (std::isinf(p99)) {
-    // Exec tail beyond the histogram's range: the budget is blown either
-    // way, stop adding wait.
-    linger = options_.min_linger_us;
-  } else {
-    linger = std::clamp(
-        options_.latency_budget_us - static_cast<int64_t>(p99),
-        options_.min_linger_us, options_.max_linger_us);
-  }
-  linger_us_.store(linger, std::memory_order_relaxed);
-}
-
 void Batcher::DispatchLoop() {
   for (;;) {
     std::vector<std::shared_ptr<PendingQuery>> batch;
     {
       MutexLock lock(&mu_);
-      for (;;) {
-        if (queue_.empty()) {
-          if (stop_) return;
-          cv_.Wait(&mu_);
-          continue;
-        }
-        if (stop_ || queue_.size() >= options_.max_batch) break;
-        const int64_t flush_at =
-            queue_.front()->enqueue_us +
-            linger_us_.load(std::memory_order_relaxed);
-        const int64_t now = NowUs();
-        if (now >= flush_at) break;
-        cv_.WaitFor(&mu_, flush_at - now);
+      while (queue_.empty()) {
+        if (stop_) return;
+        cv_.Wait(&mu_);
       }
       if (queue_depth_hist_ != nullptr) {
         queue_depth_hist_->Observe(static_cast<double>(queue_.size()));
       }
-      const size_t take = std::min<size_t>(queue_.size(), options_.max_batch);
+      const size_t take = std::min<size_t>(queue_.size(), kMaxBatch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));
@@ -150,12 +119,12 @@ void Batcher::DispatchLoop() {
     // The completion may run on this thread (primary finished first) or on
     // the hedge manager's; `batch` is moved in so the pendings outlive this
     // loop iteration either way.
-    runner_(requests, [this, start, batch = std::move(batch)](
+    runner_(requests, [exec_us = exec_us_hist_, start,
+                       batch = std::move(batch)](
                           std::vector<QueryResult> results) {
-      if (exec_us_hist_ != nullptr) {
-        exec_us_hist_->Observe(static_cast<double>(NowUs() - start));
+      if (exec_us != nullptr) {
+        exec_us->Observe(static_cast<double>(NowUs() - start));
       }
-      UpdateLinger();
       for (size_t i = 0; i < batch.size(); ++i) {
         QueryResult result;
         if (i < results.size()) {

@@ -1,7 +1,6 @@
 #ifndef SGTREE_SERVER_BATCHER_H_
 #define SGTREE_SERVER_BATCHER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,7 +20,6 @@ namespace serve {
 /// the batch completion) fills the result and signals.
 struct PendingQuery {
   QueryRequest request;
-  int64_t enqueue_us = 0;
 
   Mutex mu;
   CondVar cv;
@@ -36,44 +34,29 @@ struct PendingQuery {
   QueryResult Wait() SGTREE_EXCLUDES(mu);
 };
 
-struct BatcherOptions {
-  /// Flush when this many requests have coalesced.
-  uint32_t max_batch = 64;
-  /// Bounds on the adaptive linger window.
-  int64_t min_linger_us = 0;
-  int64_t max_linger_us = 2000;
-  /// End-to-end p99 target the linger adapts toward: the batcher spends at
-  /// most (budget - observed exec p99) waiting for co-batchable requests,
-  /// so coalescing never pushes the tail past the budget by itself.
-  int64_t latency_budget_us = 20000;
-  /// Dispatcher threads pulling batches (each runs its batch's primary
-  /// execution inline, so this is also the router-level concurrency).
-  uint32_t num_dispatchers = 2;
-};
-
-/// Adaptive batcher: coalesces concurrently-submitted queries into one
-/// QueryRouter batch, flushing on size (max_batch) or deadline (oldest
-/// request's arrival + linger). The linger window adapts each batch:
-///
-///     linger = clamp(latency_budget - exec_p99, min_linger, max_linger)
-///
-/// Under light load the exec p99 is far below budget, the window opens,
-/// and sparse requests still coalesce; near saturation execution eats the
-/// whole budget, the window collapses to min_linger, and the batcher stops
-/// adding wait on top of an already-stressed tail.
+/// Natural batcher: a free dispatcher takes everything queued, up to
+/// kMaxBatch requests, and runs it as one QueryRouter batch. Under light
+/// load a request finds an idle dispatcher and runs at once as a batch of
+/// one; under load each batch is whatever queued while the previous batch
+/// ran, so batch size follows load without a timer.
 ///
 /// The runner is handed the batch and a completion callback; it may invoke
 /// the completion from another thread (the hedge path does), so dispatchers
 /// never block on completions — only on their own primary execution.
 class Batcher {
  public:
+  /// Largest batch one dispatcher takes off the queue.
+  static constexpr uint32_t kMaxBatch = 64;
+
   /// on_complete must be called exactly once with one QueryResult per
   /// request, in request order.
   using Completion = std::function<void(std::vector<QueryResult>)>;
   using Runner =
       std::function<void(const std::vector<QueryRequest>&, Completion)>;
 
-  Batcher(const BatcherOptions& options, Runner runner);
+  /// Each dispatcher runs its batch's primary execution inline, so
+  /// `num_dispatchers` is also the router-level concurrency.
+  Batcher(uint32_t num_dispatchers, Runner runner);
   ~Batcher();
 
   Batcher(const Batcher&) = delete;
@@ -81,8 +64,8 @@ class Batcher {
 
   void Start();
 
-  /// Flushes what is queued (ignoring linger), completes the stragglers
-  /// with an error, joins dispatchers. Idempotent.
+  /// Runs what is queued, completes the stragglers with an error, joins
+  /// dispatchers. Idempotent.
   void Stop();
 
   /// Parks a request; returns nullptr when the batcher is stopped (the
@@ -91,22 +74,19 @@ class Batcher {
   std::shared_ptr<PendingQuery> Submit(const QueryRequest& request)
       SGTREE_EXCLUDES(mu_);
 
-  /// Current adaptive linger window (exported for tests and metrics).
-  int64_t linger_us() const {
-    return linger_us_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the batcher never waits for more requests to arrive. Kept
+  /// because perfbench reports it as server.linger_us.
+  int64_t linger_us() const { return 0; }
 
   /// queue_depth: sampled at each batch pull. batch_size: requests per
-  /// flushed batch. exec_us: runner latency — ALSO the input of the linger
-  /// adaptation, so binding it is what turns adaptation on.
+  /// batch. exec_us: runner latency, from the call to the completion.
   void BindMetrics(obs::Histogram* queue_depth, obs::Histogram* batch_size,
                    obs::Histogram* exec_us);
 
  private:
   void DispatchLoop() SGTREE_EXCLUDES(mu_);
-  void UpdateLinger();
 
-  const BatcherOptions options_;
+  const uint32_t num_dispatchers_;
   const Runner runner_;
 
   Mutex mu_;
@@ -115,7 +95,6 @@ class Batcher {
   bool stop_ SGTREE_GUARDED_BY(mu_) = false;
   bool started_ = false;
 
-  std::atomic<int64_t> linger_us_;
   std::vector<std::thread> dispatchers_;
 
   obs::Histogram* queue_depth_hist_ = nullptr;

@@ -44,8 +44,8 @@ struct ReplicaSetOptions {
 ///
 /// Each replica bundles a ShardedIndex view, a private QueryExecutor, and a
 /// QueryRouter (Run is not reentrant, so each replica's mutex serializes
-/// its batches — concurrency comes from having several replicas and
-/// several dispatcher threads, not from re-entering one router).
+/// its batches — concurrency comes from having several replicas, each fed
+/// by its own batcher dispatcher, not from re-entering one router).
 ///
 /// RunHedged() routes a batch to the least-loaded live replica and runs it
 /// inline on the calling thread. With hedging on, the batch is also armed

@@ -60,8 +60,11 @@ std::unique_ptr<Server> Server::Create(ShardedIndex* index,
   server->replica_set_->BindMetrics(m->GetCounter("serve.hedges_fired"),
                                     m->GetCounter("serve.hedges_won"),
                                     m->GetHistogram("serve.run_us"));
+  // One dispatcher per replica: a replica runs one batch at a time, so an
+  // extra dispatcher would only take a batch early and park it on that
+  // replica's mutex while later arrivals could have joined it.
   server->batcher_ = std::make_unique<Batcher>(
-      options.batcher,
+      server->replica_set_->num_replicas(),
       [rs = server->replica_set_.get()](
           const std::vector<QueryRequest>& requests,
           Batcher::Completion on_complete) {

@@ -33,7 +33,6 @@ struct ServerOptions {
   /// NEXT request (the length prefix) is unbounded — an idle client is not
   /// an error — but once a frame starts, it must finish in this budget.
   int io_timeout_ms = 30000;
-  BatcherOptions batcher;
   ReplicaSetOptions replicas;
   /// Metrics registry; nullptr = the server owns a private one.
   obs::MetricsRegistry* metrics = nullptr;
@@ -45,8 +44,8 @@ struct ServerOptions {
 ///
 ///   connection reader -> admission (BUSY past max_inflight)
 ///     -> result cache probe (epoch-keyed; a hit skips everything below)
-///     -> batcher (coalesce into a QueryRouter batch under the latency
-///        budget's adaptive linger)
+///     -> batcher (a free dispatcher runs everything queued as one
+///        QueryRouter batch; nothing waits for company)
 ///     -> replica set (least-loaded replica, hedged second past the
 ///        adaptive p99 delay)
 ///   -> encode answer, populate cache, write frame.
@@ -96,7 +95,7 @@ class Server {
   obs::MetricsRegistry* metrics() { return metrics_; }
 
   /// Test hooks: reach into the stages the failure/consistency tests
-  /// manipulate (FailReplica, cache size, adaptive windows).
+  /// manipulate (FailReplica, cache size, hedge delay).
   ReplicaSet* replica_set() { return replica_set_.get(); }
   ResultCache* result_cache() { return cache_.get(); }
   Batcher* batcher() { return batcher_.get(); }

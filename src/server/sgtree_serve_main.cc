@@ -2,7 +2,6 @@
 //
 //   sgtree_serve --index PATH [--port N] [--durable-dir DIR]
 //                [--replicas N] [--max-inflight N] [--cache-entries N]
-//                [--max-batch N] [--latency-budget-us N] [--dispatchers N]
 //                [--no-hedging 0|1]
 //
 // --index loads a Save()d or SaveStatic()d ShardedIndex manifest (static
@@ -55,12 +54,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(cmd.UintOr("max-inflight", 256));
   options.cache_entries =
       static_cast<size_t>(cmd.UintOr("cache-entries", 4096));
-  options.batcher.max_batch =
-      static_cast<uint32_t>(cmd.UintOr("max-batch", 64));
-  options.batcher.latency_budget_us =
-      static_cast<int64_t>(cmd.UintOr("latency-budget-us", 20'000));
-  options.batcher.num_dispatchers =
-      static_cast<uint32_t>(cmd.UintOr("dispatchers", 2));
   options.replicas.num_replicas =
       static_cast<uint32_t>(cmd.UintOr("replicas", 1));
   options.replicas.enable_hedging = !cmd.BoolOr("no-hedging", false);

@@ -1,6 +1,6 @@
 // Serving front end tests (DESIGN.md §10): protocol codec bijection, the
 // result cache's epoch-keyed invalidation, lock-free admission, the
-// adaptive batcher's flush triggers, and — the load-bearing part — the
+// batcher's natural batching, and — the load-bearing part — the
 // end-to-end differential proof that answers served over TCP are
 // byte-identical to direct QueryRouter execution for all six query types,
 // cached or uncached, replicated or not, hedged or not. The concurrent
@@ -11,9 +11,9 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,101 +248,50 @@ TEST(AdmissionTest, ConcurrentAdmitsNeverExceedBudget) {
 // ---------------------------------------------------------------------------
 // Batcher.
 
-TEST(BatcherTest, FlushesOnSize) {
-  BatcherOptions options;
-  options.max_batch = 4;
-  options.min_linger_us = 500'000;  // Long linger: only size can flush fast.
-  options.max_linger_us = 500'000;
-  options.num_dispatchers = 1;
-  std::atomic<size_t> max_batch_seen{0};
-  Batcher batcher(options, [&max_batch_seen](
-                               const std::vector<QueryRequest>& requests,
-                               Batcher::Completion done) {
-    size_t prev = max_batch_seen.load();
-    while (requests.size() > prev &&
-           !max_batch_seen.compare_exchange_weak(prev, requests.size())) {
+TEST(BatcherTest, TakesWhatQueuedUpToMaxBatch) {
+  std::latch first_running(1);
+  std::latch release(1);
+  std::vector<size_t> sizes;  // Written by the single dispatcher only.
+  Batcher batcher(1, [&](const std::vector<QueryRequest>& requests,
+                         Batcher::Completion done) {
+    sizes.push_back(requests.size());
+    if (sizes.size() == 1) {
+      first_running.count_down();
+      release.wait();
     }
     done(std::vector<QueryResult>(requests.size()));
   });
   batcher.Start();
-  std::vector<std::shared_ptr<PendingQuery>> pendings;
   QueryRequest request;
   request.query = Signature(kBits);
-  for (int i = 0; i < 8; ++i) pendings.push_back(batcher.Submit(request));
+  std::vector<std::shared_ptr<PendingQuery>> pendings;
+  // A request reaching an empty queue runs alone, as a batch of one.
+  pendings.push_back(batcher.Submit(request));
+  first_running.wait();
+  // Everything submitted while that batch runs is taken in kMaxBatch chunks.
+  for (uint32_t i = 0; i < 2 * Batcher::kMaxBatch + 1; ++i) {
+    pendings.push_back(batcher.Submit(request));
+  }
+  release.count_down();
   for (const auto& pending : pendings) {
     ASSERT_NE(pending, nullptr);
     pending->Wait();
   }
   batcher.Stop();
-  // 8 requests against a 500 ms linger: without the size trigger the test
-  // would take over a second; the size-4 flush makes it instant.
-  EXPECT_GE(max_batch_seen.load(), 2u);
-  EXPECT_LE(max_batch_seen.load(), 4u);
-}
-
-TEST(BatcherTest, FlushesOnDeadline) {
-  BatcherOptions options;
-  options.max_batch = 1000;  // Size can never trigger.
-  options.min_linger_us = 5'000;
-  options.max_linger_us = 5'000;
-  options.num_dispatchers = 1;
-  Batcher batcher(options,
-                  [](const std::vector<QueryRequest>& requests,
-                     Batcher::Completion done) {
-                    done(std::vector<QueryResult>(requests.size()));
-                  });
-  batcher.Start();
-  QueryRequest request;
-  request.query = Signature(kBits);
-  const auto start = std::chrono::steady_clock::now();
-  auto pending = batcher.Submit(request);
-  ASSERT_NE(pending, nullptr);
-  pending->Wait();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  batcher.Stop();
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            2000);
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, Batcher::kMaxBatch,
+                                        Batcher::kMaxBatch, 1}));
 }
 
 TEST(BatcherTest, StopFailsStragglersInsteadOfHanging) {
-  BatcherOptions options;
-  options.num_dispatchers = 1;
-  Batcher batcher(options,
-                  [](const std::vector<QueryRequest>& requests,
-                     Batcher::Completion done) {
-                    done(std::vector<QueryResult>(requests.size()));
-                  });
+  Batcher batcher(1, [](const std::vector<QueryRequest>& requests,
+                        Batcher::Completion done) {
+    done(std::vector<QueryResult>(requests.size()));
+  });
   batcher.Start();
   batcher.Stop();
   QueryRequest request;
   request.query = Signature(kBits);
   EXPECT_EQ(batcher.Submit(request), nullptr);
-}
-
-TEST(BatcherTest, LingerAdaptsTowardBudget) {
-  BatcherOptions options;
-  options.max_batch = 1;
-  options.min_linger_us = 0;
-  options.max_linger_us = 10'000;
-  options.latency_budget_us = 1'000'000;  // Huge budget: linger opens fully.
-  options.num_dispatchers = 1;
-  obs::MetricsRegistry registry;
-  Batcher batcher(options,
-                  [](const std::vector<QueryRequest>& requests,
-                     Batcher::Completion done) {
-                    done(std::vector<QueryResult>(requests.size()));
-                  });
-  batcher.BindMetrics(nullptr, nullptr,
-                      registry.GetHistogram("test.exec_us"));
-  batcher.Start();
-  QueryRequest request;
-  request.query = Signature(kBits);
-  batcher.Submit(request)->Wait();
-  batcher.Stop();
-  // Exec is microseconds against a 1 s budget: the window must sit at the
-  // configured maximum.
-  EXPECT_EQ(batcher.linger_us(), 10'000);
 }
 
 // ---------------------------------------------------------------------------
@@ -768,7 +717,6 @@ TEST(ServeConcurrency, ManyClientsAgainstReplicatedStaticIndex) {
   options.replicas.index_options = ShardOptions(2);
   options.replicas.hedge_delay_floor_us = 0;  // Hedge aggressively.
   options.replicas.hedge_delay_cap_us = 200;
-  options.batcher.num_dispatchers = 3;
   auto server = Server::Create(index.get(), options, &error);
   ASSERT_NE(server, nullptr) << error;
   ASSERT_TRUE(server->Start(&error)) << error;

@@ -322,9 +322,9 @@ TEST(QueryRouterTest, InvalidRequestsAreNotFannedOut) {
   EXPECT_EQ(report.rejected, 2u);
 }
 
-// Degenerate batch shapes. The serving layer leans on these: an adaptive
-// batcher can legitimately flush a single request (deadline fired first) or
-// a batch holding byte-identical duplicates (two clients asked the same
+// Degenerate batch shapes. The serving layer leans on these: the batcher
+// runs a lone request as a batch of one (nothing else was queued) or a
+// batch holding byte-identical duplicates (two clients asked the same
 // thing before the cache had it), and the result-cache keying assumes each
 // duplicate gets its own, equal answer in order.
 TEST(QueryRouterTest, EmptyBatchYieldsEmptyResults) {
