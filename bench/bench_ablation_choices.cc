@@ -4,7 +4,8 @@
 //   (b) DFS vs best-first NN (Section 4.1: best-first is optimal in node
 //       accesses).
 //   (c) One-by-one insertion vs Gray-code bulk loading (Section 6).
-//   (d) Sparse-signature compression on/off: persisted index size.
+//   (d) Sparse-signature compression on/off: the page bytes of the durable
+//       page file (snapshots are dense static images).
 //   (e) Fixed-dimensionality bound on CENSUS (Section 6 optimization).
 
 #include <cstdio>
@@ -17,6 +18,7 @@
 namespace sgtree::bench {
 namespace {
 
+// Page bytes the durable page file would hold for this tree.
 uint64_t PersistedBytes(const SgTree& tree, bool compress) {
   uint64_t bytes = 0;
   for (PageId id : tree.LiveNodes()) {
@@ -111,7 +113,7 @@ void Run() {
   std::printf("\n-- (d) Sparse-signature compression (Section 3.2) --\n");
   const uint64_t dense_bytes = PersistedBytes(*built.tree, false);
   const uint64_t compressed_bytes = PersistedBytes(*built.tree, true);
-  std::printf("persisted index size: dense %llu bytes, compressed %llu "
+  std::printf("durable page bytes: dense %llu bytes, compressed %llu "
               "bytes (%.1f%% saved)\n",
               static_cast<unsigned long long>(dense_bytes),
               static_cast<unsigned long long>(compressed_bytes),

@@ -1,11 +1,13 @@
-// Static-format cold-start benchmark: how fast a serving process gets from
-// "image on disk" to "answering queries", dynamic vs static.
+// Static-format cold-start benchmark: how fast a process gets from "image
+// on disk" to "answering queries", thawed vs mapped. One image is written;
+// every row opens it.
 //
-//  - cold start: LoadTree (decode every page image into heap pages) vs
-//    StaticTreeView::Open (mmap + validate). The static open is measured
-//    both with the full body-CRC pass and with verify_checksums=false
-//    (structural walk only), since a fleet restarting behind a checksummed
-//    artifact store typically runs the latter.
+//  - cold start: LoadTree (open with checksums, then thaw every node into
+//    a mutable tree) vs StaticTreeView::Open (mmap + validate). The static
+//    open is measured both with the full body-CRC pass and with
+//    verify_checksums=false (structural walk only), since a fleet
+//    restarting behind a checksummed artifact store typically runs the
+//    latter.
 //  - steady state: k-NN throughput through the unified query API,
 //    SgTreeBackend vs StaticTreeBackend on the same warm buffer pool, with
 //    a per-query equality check — the static view must not buy its cold
@@ -29,7 +31,6 @@
 #include "durability/env.h"
 #include "exec/index_backend.h"
 #include "exec/query_api.h"
-#include "sgtree/persistence.h"
 #include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
@@ -112,37 +113,35 @@ void Run() {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "sg_bench_static_start";
   std::filesystem::create_directories(dir);
-  const std::string dynamic_path = (dir / "tree.sg").string();
   const std::string static_path = (dir / "tree.static").string();
   std::string error;
-  if (!SaveTree(*built.tree, dynamic_path, &error) ||
-      !BuildStaticTree(*built.tree, static_path, &error)) {
+  if (!BuildStaticTree(*built.tree, static_path, &error)) {
     std::fprintf(stderr, "image build failed: %s\n", error.c_str());
     std::exit(1);
   }
 
   std::printf("\n=== Static cold start (Quest T=20, I=6, D=200K) ===\n");
   std::printf("(scale factor %.2f, %zu transactions, build %.1f ms, "
-              "dynamic image %llu B, static image %llu B)\n",
+              "image %llu B)\n",
               ScaleFactor(), dataset.size(), built.build_ms,
-              static_cast<unsigned long long>(FileBytes(dynamic_path)),
               static_cast<unsigned long long>(FileBytes(static_path)));
 
-  // Cold start: mean over fresh opens. Each LoadTree decodes and heap-
-  // allocates every node; each StaticTreeView::Open maps and validates.
+  // Cold start: mean over fresh opens. Each LoadTree verifies the image
+  // and heap-allocates every node; each StaticTreeView::Open maps and
+  // validates.
   std::vector<ColdStartRow> cold;
   {
     double total_ms = 0;
     for (uint32_t r = 0; r < kColdStartRepeats; ++r) {
       Timer timer;
-      auto tree = LoadTree(dynamic_path, tree_options, &error);
+      auto tree = LoadTree(static_path, tree_options, &error);
       total_ms += timer.ElapsedMs();
       if (tree == nullptr) {
         std::fprintf(stderr, "LoadTree failed: %s\n", error.c_str());
         std::exit(1);
       }
     }
-    cold.push_back({"load_dynamic", total_ms / kColdStartRepeats});
+    cold.push_back({"load_tree", total_ms / kColdStartRepeats});
   }
   for (const bool verify : {true, false}) {
     StaticOpenOptions open_options;
@@ -214,7 +213,6 @@ void Run() {
        << ", \"scale_factor\": " << ScaleFactor()
        << ", \"transactions\": " << dataset.size()
        << ", \"batch_queries\": " << batch_n
-       << ", \"dynamic_file_bytes\": " << FileBytes(dynamic_path)
        << ", \"static_file_bytes\": " << FileBytes(static_path)
        << ", \"cold_start\": [\n";
   for (size_t i = 0; i < cold.size(); ++i) {

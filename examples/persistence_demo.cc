@@ -1,6 +1,7 @@
-// Index persistence: build an SG-tree, save it to disk with sparse-
-// signature compression (Section 3.2), load it back, and keep updating the
-// loaded index — the workflow of a long-lived dynamic collection.
+// Index persistence: build an SG-tree, save it to disk as a static image
+// (dense, checksummed — the one file format a tree is saved to), load it
+// back by thawing it into a mutable tree, and keep updating the loaded
+// index — the workflow of a long-lived dynamic collection.
 
 #include <unistd.h>
 
@@ -10,10 +11,10 @@
 
 #include "common/stats.h"
 #include "data/quest_generator.h"
-#include "sgtree/persistence.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
 #include "sgtree/tree_checker.h"
+#include "static/static_tree_builder.h"
 
 int main() {
   using namespace sgtree;
@@ -28,7 +29,6 @@ int main() {
 
   SgTreeOptions topt;
   topt.num_bits = qopt.num_items;
-  topt.compress = true;
   SgTree tree(topt);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
 
@@ -37,13 +37,16 @@ int main() {
        ("sgtree_demo_" + std::to_string(::getpid()) + ".idx"))
           .string();
   Timer save_timer;
-  if (!SaveTree(tree, path)) {
+  if (!BuildStaticTree(tree, path)) {
     std::printf("failed to save %s\n", path.c_str());
     return 1;
   }
-  std::printf("Saved %zu transactions / %llu nodes to %s in %.0f ms\n",
+  std::printf("Saved %zu transactions / %llu nodes to %s (%llu bytes) in "
+              "%.0f ms\n",
               tree.size(), static_cast<unsigned long long>(tree.node_count()),
-              path.c_str(), save_timer.ElapsedMs());
+              path.c_str(),
+              static_cast<unsigned long long>(std::filesystem::file_size(path)),
+              save_timer.ElapsedMs());
 
   Timer load_timer;
   auto loaded = LoadTree(path, topt);

@@ -4,10 +4,13 @@
 //                [--replicas N] [--max-inflight N] [--cache-entries N]
 //                [--no-hedging 0|1]
 //
-// --index loads a Save()d or SaveStatic()d ShardedIndex manifest (static
-// manifests unlock --replicas > 1); --durable-dir opens a durable index
-// instead (mutable over the wire via insert/checkpoint frames). The server
-// prints "listening on 127.0.0.1:<port> (...)" once ready (port 0 =
+// --index loads a ShardedIndex manifest. Both kinds name one static image
+// per shard: a v1 manifest (Save, `build --shards N --out`) thaws them into
+// mutable in-memory trees, a v2 manifest (SaveStatic, `build --shards N
+// --static 1`) serves them mapped and unlocks --replicas > 1. --durable-dir
+// opens a durable index instead (mutable over the wire via
+// insert/checkpoint frames). The server prints
+// "listening on 127.0.0.1:<port> (...)" once ready (port 0 =
 // ephemeral, resolved in the message — how scripts drive it without a port
 // race; the parentheses name the index mode, shards, replicas and the
 // signature kernel variant) and runs until SIGINT/SIGTERM.

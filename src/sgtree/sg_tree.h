@@ -92,7 +92,7 @@ class SgTree {
   std::pair<uint32_t, uint32_t> TransactionAreaBounds() const;
 
   /// Records one indexed transaction's size (called by Insert; exposed for
-  /// the bulk loader and persistence, which bypass Insert).
+  /// the bulk loader, the thaw and recovery, which bypass Insert).
   void NoteTransactionArea(uint32_t area);
 
   /// Fetches a node for a query, charging one read to the context. The
@@ -100,13 +100,12 @@ class SgTree {
   /// concurrently (each with its own context) as long as no thread is
   /// updating the tree.
   const Node& GetNode(PageId id, const QueryContext& ctx) const;
-  /// Fetches a node without I/O accounting (checker, persistence, tests).
+  /// Fetches a node without I/O accounting (checker, image builder, tests).
   const Node& GetNodeNoCharge(PageId id) const;
 
   /// The tree's own buffer pool: charged by the update path and by serial
   /// queries that pass OwnPoolContext(). It stays for callers that read
-  /// pages again — the warm-buffer experiment, the tree joins, and
-  /// `sgtree_cli stats`, which reports its counters.
+  /// pages again — the warm-buffer experiment and the tree joins.
   /// Mutating the pool requires a non-const tree — a const SgTree& is
   /// genuinely read-only and therefore safe to share across threads.
   BufferPool& buffer_pool() { return *pool_; }
@@ -123,25 +122,23 @@ class SgTree {
   /// Clears the buffer contents and counters (cold-cache measurements).
   void ResetIo();
 
-  // -- Low-level node management (bulk loading and persistence) ---------
+  // -- Low-level node management (bulk loading, thaw and recovery) ------
 
   /// Allocates an empty node at `level` and returns its id.
   PageId AllocateNode(uint16_t level);
-  /// Materializes an empty node at a specific page id (crash recovery —
-  /// the rebuilt tree must keep the page ids its log records). The id must
-  /// not be live.
+  /// Materializes an empty node at a specific page id (crash recovery and
+  /// ThawStatic — the rebuilt tree keeps the page ids its log or image
+  /// records). The id must not be live.
   Node* AdoptNode(PageId id, uint16_t level);
   /// Mutable access; charges a read and a write against the buffer pool.
   Node* MutableNode(PageId id);
   /// Frees a node page.
   void FreeNode(PageId id);
-  /// Installs a new root (bulk loader / persistence). `size` is the number
-  /// of indexed transactions, `height` the number of levels.
+  /// Installs a new root (bulk loader / thaw / recovery). `size` is the
+  /// number of indexed transactions, `height` the number of levels.
   void SetRoot(PageId root, uint32_t height, size_t size);
-  /// Recounts nodes after external surgery (persistence).
-  void SetNodeCount(uint64_t count) { node_count_ = count; }
 
-  /// Ids of all live nodes (persistence, checker).
+  /// Ids of all live nodes (checkpoint, checker).
   std::vector<PageId> LiveNodes() const;
 
   /// Registers (or clears, with nullptr) the page-change observer. At most

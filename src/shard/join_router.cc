@@ -38,8 +38,8 @@ JoinRouter::JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
     : left_(&left), right_(&right), executor_(executor), options_(options) {
   if (left.static_mode() || right.static_mode()) {
     setup_error_ =
-        "static shards serve point queries only; joins need dynamic shards "
-        "(load the v1 snapshot or durable form)";
+        "static shards serve point queries only; joins need mutable shards "
+        "(a v1 manifest, which thaws its images, or the durable form)";
     return;
   }
   if (options_.algo == JoinAlgo::kTree) return;

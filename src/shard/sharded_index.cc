@@ -2,13 +2,11 @@
 
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
 #include "common/file_util.h"
-#include "sgtree/persistence.h"
 #include "static/static_tree_builder.h"
 
 namespace sgtree {
@@ -212,34 +210,21 @@ bool ShardedIndex::Checkpoint(std::string* error) {
 }
 
 bool ShardedIndex::Save(const std::string& path, std::string* error) const {
-  if (static_mode()) {
-    if (error != nullptr) *error = "cannot Save a static index";
-    return false;
-  }
-  std::ostringstream manifest;
-  manifest << "sgshard 1\nshards " << num_shards() << "\n";
-  const std::string text = manifest.str();
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    if (!SaveTree(*shards_[i], ShardSnapshotPath(path, i), error)) {
-      return false;
-    }
-  }
-  // The manifest lands last: a crash mid-save leaves either the previous
-  // complete index or a manifest whose shard files all already exist.
-  return AtomicWriteFile(path,
-                         std::vector<uint8_t>(text.begin(), text.end()),
-                         error);
+  return WriteShards(path, "sgshard 1\n", error);
 }
 
 bool ShardedIndex::SaveStatic(const std::string& path,
                               std::string* error) const {
+  return WriteShards(path, "sgshard 2\nformat static\n", error);
+}
+
+bool ShardedIndex::WriteShards(const std::string& path,
+                               const std::string& manifest_head,
+                               std::string* error) const {
   if (static_mode()) {
-    if (error != nullptr) *error = "cannot re-export a static index";
+    if (error != nullptr) *error = "cannot re-save a static index";
     return false;
   }
-  std::ostringstream manifest;
-  manifest << "sgshard 2\nformat static\nshards " << num_shards() << "\n";
-  const std::string text = manifest.str();
   for (uint32_t i = 0; i < num_shards(); ++i) {
     std::string shard_error;
     if (!BuildStaticTree(*shards_[i], ShardSnapshotPath(path, i),
@@ -250,8 +235,10 @@ bool ShardedIndex::SaveStatic(const std::string& path,
       return false;
     }
   }
-  // Same publish order as Save: the manifest lands last, so a crash
-  // mid-export never names a shard image that does not exist.
+  // The manifest lands last: a crash mid-save leaves either the previous
+  // complete index or a manifest whose shard images all already exist.
+  const std::string text =
+      manifest_head + "shards " + std::to_string(num_shards()) + "\n";
   return AtomicWriteFile(path,
                          std::vector<uint8_t>(text.begin(), text.end()),
                          error);

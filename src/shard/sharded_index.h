@@ -38,9 +38,9 @@ struct ShardedIndexOptions {
 /// to a single tree over the same data (see query_router.h for why).
 ///
 /// Shards come in three flavors, mirroring the single-tree story:
-///  - In-memory (constructor / BulkLoad), snapshot-persisted via
-///    Save()/Load(): a small manifest at `path` plus one SaveTree image per
-///    shard at `path.shard<i>`.
+///  - In-memory (constructor / BulkLoad), saved via Save() as a small v1
+///    manifest at `path` plus one static image per shard at
+///    `path.shard<i>`; Load() thaws every image back into a mutable tree.
 ///  - Durable (OpenDurable): each shard is a DurableTree in its own
 ///    subdirectory `<dir>/shard-<i>` with a private page file + WAL, so a
 ///    crash is recovered shard by shard at the next OpenDurable and a
@@ -139,19 +139,17 @@ class ShardedIndex {
   bool Sync();
   bool Checkpoint(std::string* error = nullptr);
 
-  /// Snapshot persistence for in-memory indexes: writes a manifest at
-  /// `path` (format version, shard count) and one crash-atomic SaveTree
-  /// image per shard at ShardSnapshotPath(path, i).
+  /// Saves this (dynamic) index: one crash-atomic static image per shard
+  /// at ShardSnapshotPath(path, i), then a manifest at `path` naming the
+  /// shard count. Save() writes a v1 manifest ("sgshard 1"), which Load()
+  /// thaws into mutable trees; SaveStatic() writes a v2 manifest
+  /// ("sgshard 2" + "format static"), which Load() serves read-only from
+  /// the mapped images. The shard images are the same bytes either way.
   bool Save(const std::string& path, std::string* error = nullptr) const;
-
-  /// Writes a read-only deployment image of this (dynamic) index: a v2
-  /// manifest at `path` ("sgshard 2" + a format tag) plus one static
-  /// SG-tree image per shard at ShardSnapshotPath(path, i), each published
-  /// crash-atomically. Load() restores it in static mode.
   bool SaveStatic(const std::string& path, std::string* error = nullptr) const;
 
   /// Rebuilds a Save()d or SaveStatic()d index, dispatching on the manifest
-  /// version (v1 = dynamic trees via LoadTree, v2 static = mmap'ed views).
+  /// version (v1 = mutable trees via LoadTree, v2 static = mmap'ed views).
   /// `options.num_shards` is taken from the manifest, not the caller;
   /// `options.tree` supplies the runtime (metric, buffer pages) exactly
   /// like LoadTree.
@@ -159,13 +157,18 @@ class ShardedIndex {
                                             const ShardedIndexOptions& options,
                                             std::string* error = nullptr);
 
-  /// `path.shard<i>` — the per-shard snapshot file of Save/Load.
+  /// `path.shard<i>` — the per-shard image of Save/SaveStatic/Load.
   static std::string ShardSnapshotPath(const std::string& path, uint32_t i);
   /// `<dir>/shard-<i>` — the per-shard directory of OpenDurable.
   static std::string ShardDirFor(const std::string& dir, uint32_t i);
 
  private:
   ShardedIndex() = default;
+
+  /// The one shard writer behind Save and SaveStatic: shard images first,
+  /// then the manifest, which starts with `manifest_head`.
+  bool WriteShards(const std::string& path, const std::string& manifest_head,
+                   std::string* error) const;
 
   /// Splits `txns` into per-shard transaction lists.
   std::vector<std::vector<Transaction>> Partition(

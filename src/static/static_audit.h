@@ -15,7 +15,7 @@ namespace sgtree {
 /// enforced by StaticTreeView validation at open, so a view that exists has
 /// passed it; opening with verify_checksums=false is how a deliberately
 /// corrupted-but-structurally-sound image reaches this audit in tests and
-/// `sgtree_cli check --static`.
+/// `sgtree_cli check --verify-checksums 0`.
 ///
 /// Violations reuse the AuditCheck/AuditReport vocabulary; `page` is the
 /// node index within the image.

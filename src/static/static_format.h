@@ -48,6 +48,10 @@ namespace static_format {
 /// layer charges to the buffer pool, preserving the dynamic tree's LRU
 /// hit/miss pattern node for node.
 inline constexpr char kMagic[8] = {'S', 'G', 'S', 'T', 'A', 'T', 'I', 'C'};
+/// Magic of the retired SGTREE01 snapshot format, which had no checksum.
+/// The reader recognizes it only to refuse it with a reason.
+inline constexpr char kRetiredSnapshotMagic[8] = {'S', 'G', 'T', 'R',
+                                                  'E', 'E', '0', '1'};
 inline constexpr uint32_t kVersion = 1;
 inline constexpr size_t kHeaderSize = 88;
 

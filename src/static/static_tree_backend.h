@@ -27,8 +27,9 @@ class StaticTreeBackend : public IndexBackend {
     return std::string();  // All six query types.
   }
   std::string JoinInputReason() const override {
-    return "static images serve point queries only; joins walk dynamic "
-           "trees — load the snapshot (v1) or durable form to join";
+    return "static images serve point queries only; joins walk mutable "
+           "trees — thaw the image (LoadTree) or open the durable form to "
+           "join";
   }
   void Run(const QueryRequest& request, const QueryContext& ctx,
            QueryResult* result) const override;

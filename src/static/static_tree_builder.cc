@@ -130,6 +130,39 @@ bool BuildStaticTree(const SgTree& tree, const std::string& path,
   return AtomicWriteFile(path, image, error);
 }
 
+std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view) {
+  auto tree = std::make_unique<SgTree>(view.options());
+  for (uint64_t i = 0; i < view.node_count(); ++i) {
+    const auto id = static_cast<PageId>(i);
+    const StaticNodeView record = view.GetNodeNoCharge(id);
+    Node* node = tree->AdoptNode(id, record.level());
+    node->entries.reserve(record.Count());
+    for (uint32_t e = 0; e < record.Count(); ++e) {
+      const StaticEntry entry = record.EntryAt(e);
+      node->entries.push_back(Entry{entry.sig.ToSignature(), entry.ref});
+    }
+  }
+  const auto [area_lo, area_hi] = view.stored_area_window();
+  if (area_lo <= area_hi && area_hi <= view.num_bits() && view.size() > 0) {
+    tree->NoteTransactionArea(area_lo);
+    tree->NoteTransactionArea(area_hi);
+  }
+  tree->SetRoot(view.root(), view.height(), view.size());
+  tree->ResetIo();
+  return tree;
+}
+
+std::unique_ptr<SgTree> LoadTree(const std::string& path,
+                                 const SgTreeOptions& runtime_options,
+                                 std::string* error) {
+  StaticOpenOptions open_options;
+  open_options.tree = runtime_options;
+  const std::unique_ptr<StaticTreeView> view =
+      StaticTreeView::Open(Env::Posix(), path, open_options, error);
+  if (view == nullptr) return nullptr;
+  return ThawStatic(*view);
+}
+
 bool ExportStatic(const DurableTree& durable, const std::string& path,
                   std::string* error) {
   return durable.WithFrozenTree([&](const SgTree& tree) {

@@ -31,12 +31,23 @@ std::pair<uint32_t, uint32_t> StaticTreeView::TransactionAreaBounds() const {
 bool StaticTreeView::Init(const uint8_t* data, size_t size,
                           const StaticOpenOptions& options,
                           std::string* error) {
+  // The magic is read as soon as it is there, before the header-size
+  // check: a short foreign file is named foreign, not truncated, and an
+  // empty tree's SGTREE01 file is only 45 bytes.
+  if (size >= sizeof(sf::kMagic)) {
+    if (std::memcmp(data, sf::kRetiredSnapshotMagic,
+                    sizeof(sf::kRetiredSnapshotMagic)) == 0) {
+      return Fail(error,
+                  "retired SGTREE01 snapshot format; rebuild the index to "
+                  "write a static image");
+    }
+    if (std::memcmp(data + sf::kMagicOffset, sf::kMagic,
+                    sizeof(sf::kMagic)) != 0) {
+      return Fail(error, "not a static SG-tree (bad magic)");
+    }
+  }
   if (size < sf::kHeaderSize) {
     return Fail(error, "truncated file (no header)");
-  }
-  if (std::memcmp(data + sf::kMagicOffset, sf::kMagic, sizeof(sf::kMagic)) !=
-      0) {
-    return Fail(error, "not a static SG-tree (bad magic)");
   }
   const uint32_t header_crc = sf::LoadU32(data + sf::kHeaderCrcOffset);
   if (Crc32c(data, sf::kHeaderCrcOffset) != header_crc) {
@@ -65,7 +76,9 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
   area_hi_ = sf::LoadU32(data + sf::kAreaHiOffset);
 
   if (file_size_ != size) {
-    return Fail(error, "file size mismatch (header says " +
+    // A short body is a truncated file, and says so.
+    const std::string prefix = size < file_size_ ? "truncated file: " : "";
+    return Fail(error, prefix + "file size mismatch (header says " +
                            std::to_string(file_size_) + ", file has " +
                            std::to_string(size) + " bytes)");
   }
@@ -73,7 +86,9 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
     return Fail(error, "invalid signature width " +
                            std::to_string(num_bits_));
   }
-  if (max_entries_ == 0 || max_entries_ > sf::kMaxNodeEntries) {
+  // A capacity below 2 leaves no legal minimum fill (m <= M/2, m >= 1),
+  // so no tree, and no builder, can have one.
+  if (max_entries_ < 2 || max_entries_ > sf::kMaxNodeEntries) {
     return Fail(error, "invalid node capacity " +
                            std::to_string(max_entries_));
   }
@@ -184,9 +199,9 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
                            std::to_string(leaf_entries) + ")");
   }
 
-  // Runtime option assembly mirrors LoadTree: adopt the file's width when
-  // the caller left it unset, insist on agreement otherwise; the node
-  // capacity always comes from the file.
+  // Runtime options: adopt the file's width when the caller left it unset,
+  // insist on agreement otherwise; the node capacity always comes from the
+  // file.
   options_ = options.tree;
   if (options_.num_bits == 0) options_.num_bits = num_bits_;
   if (options_.num_bits != num_bits_) {

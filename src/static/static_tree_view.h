@@ -57,7 +57,7 @@ class StaticNodeView {
 struct StaticOpenOptions {
   /// Runtime tree options (metric, area-stats switches, buffer pages...).
   /// num_bits 0 adopts the file's width; a non-zero width must match it.
-  /// max_entries is always adopted from the file, like LoadTree.
+  /// max_entries is always adopted from the file.
   SgTreeOptions tree;
 
   /// Verify the body CRC over the whole image at open. Structural
@@ -122,6 +122,10 @@ class StaticTreeView {
   uint64_t size() const { return size_; }
   uint64_t node_count() const { return node_count_; }
   uint64_t file_size() const { return file_size_; }
+  /// The area window as stored in the header, before any resolution.
+  std::pair<uint32_t, uint32_t> stored_area_window() const {
+    return {area_lo_, area_hi_};
+  }
 
   /// True when the bytes are served from an actual memory mapping rather
   /// than a private buffer.

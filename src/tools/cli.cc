@@ -1,7 +1,6 @@
 #include "tools/cli.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -18,7 +17,6 @@
 #include "durability/durable_tree.h"
 #include "durability/env.h"
 #include "durability/recovery.h"
-#include "exec/index_backend.h"
 #include "exec/join_api.h"
 #include "exec/query_api.h"
 #include "exec/query_executor.h"
@@ -34,7 +32,6 @@
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
 #include "sgtree/invariant_auditor.h"
-#include "sgtree/persistence.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
 #include "sgtree/tree_checker.h"
@@ -180,7 +177,11 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   options.num_bits = dataset.num_items;
   options.fixed_dimensionality = dataset.fixed_dimensionality;
   options.page_size = static_cast<uint32_t>(cmd.UintOr("page", 4096));
-  options.compress = cmd.BoolOr("compress", true);
+  // §3.2 compression applies to the durable page file; --out always writes
+  // the dense static image.
+  if (durable_dir.has_value()) {
+    options.compress = cmd.BoolOr("compress", true);
+  }
   const std::string split = cmd.StringOr("split", "avg");
   if (split == "avg") {
     options.split_policy = SplitPolicy::kAverage;
@@ -197,18 +198,10 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   const std::string bulk = cmd.StringOr("bulk", "none");
   const auto shards = static_cast<uint32_t>(cmd.UintOr("shards", 1));
   if (shards == 0) return Fail(err, "--shards must be positive");
-  // --static 1 writes the immutable mmap'able image (static_format.h)
-  // instead of the dynamic snapshot: query/check/stats open it read-only.
-  const bool static_out = cmd.BoolOr("static", false);
-  if (static_out && durable_dir.has_value()) {
-    return Fail(err,
-                "--static writes a read-only image; combine it with --out, "
-                "not --durable (use wal-checkpoint --export-static to "
-                "snapshot a durable index)");
-  }
-  if (static_out && !out_path.has_value()) {
-    return Fail(err, "build --static requires --out");
-  }
+  // A sharded --out writes one image per shard; --static 1 picks the v2
+  // manifest, which loads read-only over the mapped images.
+  const bool static_manifest =
+      shards > 1 && !durable_dir.has_value() && cmd.BoolOr("static", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   BulkLoadOptions bulk_options;
@@ -226,7 +219,7 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
 
   // Sharded build (--shards N, N >= 2): transactions are hash-partitioned
   // by tid across N per-shard SG-trees. --out writes a manifest plus one
-  // snapshot per shard; --durable opens one DurableTree per shard under
+  // image per shard; --durable opens one DurableTree per shard under
   // DIR/shard-<i> (bulk orders are adopted + checkpointed per shard, plain
   // inserts group-commit into each shard's log).
   if (shards > 1) {
@@ -275,16 +268,18 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
       }
     }
     std::string save_error;
-    const bool saved = static_out ? index->SaveStatic(*out_path, &save_error)
-                                  : index->Save(*out_path, &save_error);
+    const bool saved = static_manifest
+                           ? index->SaveStatic(*out_path, &save_error)
+                           : index->Save(*out_path, &save_error);
     if (!saved) {
       return Fail(err, "cannot write index " + *out_path + ": " + save_error);
     }
     out << "indexed " << index->size() << " transactions across " << shards
         << " shards in " << build_ms << " ms; " << index->node_count()
         << " nodes\n"
-        << "wrote " << *out_path << " + " << shards
-        << (static_out ? " static shard images\n" : " shard snapshots\n");
+        << "wrote " << *out_path
+        << (static_manifest ? " (read-only)" : "") << " + " << shards
+        << " shard images\n";
     return 0;
   }
 
@@ -340,15 +335,13 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return Fail(err, "built tree failed validation: " + report.message);
   }
   std::string save_error;
-  const bool saved = static_out ? BuildStaticTree(*tree, *out_path, &save_error)
-                                : SaveTree(*tree, *out_path, &save_error);
-  if (!saved) {
+  if (!BuildStaticTree(*tree, *out_path, &save_error)) {
     return Fail(err, "cannot write index " + *out_path + ": " + save_error);
   }
   out << "indexed " << tree->size() << " transactions in " << build_ms
       << " ms; height " << tree->height() << ", " << tree->node_count()
       << " nodes, utilization " << report.avg_utilization << "\n"
-      << "wrote " << *out_path << (static_out ? " (static image)\n" : "\n");
+      << "wrote " << *out_path << "\n";
   return 0;
 }
 
@@ -378,7 +371,7 @@ int CmdRecover(const CommandLine& cmd, std::ostream& out,
       << " nodes\n";
   if (out_path.has_value()) {
     std::string save_error;
-    if (!SaveTree(*recovered->tree, *out_path, &save_error)) {
+    if (!BuildStaticTree(*recovered->tree, *out_path, &save_error)) {
       return Fail(err, "cannot export " + *out_path + ": " + save_error);
     }
     out << "exported " << *out_path << "\n";
@@ -431,79 +424,49 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // tooling scrapes fields instead of parsing the human text.
   const bool json = cmd.BoolOr("json", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
-  SgTreeOptions options;
-  std::string load_error;
-  auto tree = LoadTree(*index_path, options, &load_error);
-  if (tree == nullptr) {
-    return Fail(err, "cannot load " + *index_path + ": " + load_error);
-  }
-  const TreeReport report = CheckTree(*tree);
-  const IoStats& io = tree->io_stats();
+  std::string open_error;
+  auto view = StaticTreeView::Open(Env::Posix(), *index_path, {}, &open_error);
+  if (view == nullptr) return Fail(err, "cannot load " + open_error);
+  const AuditReport report = AuditStaticImage(*view);
+  const AuditStats& stats = report.stats;
+  const uint32_t min_entries = view->options().ResolvedMinEntries();
+  const std::string invariants = report.ok() ? "OK" : report.FirstMessage();
   if (json) {
-    const double hit_ratio = io.HitRatio();
-    out << "{\"transactions\": " << tree->size()
-        << ", \"signature_bits\": " << tree->num_bits()
-        << ", \"height\": " << tree->height()
-        << ", \"nodes\": " << tree->node_count()
-        << ", \"node_capacity\": " << tree->max_entries()
-        << ", \"min_entries\": " << tree->min_entries()
-        << ", \"utilization\": " << report.avg_utilization
-        << ", \"invariants_ok\": " << (report.ok ? "true" : "false")
-        << ", \"invariants\": "
-        << JsonQuoted(report.ok ? std::string("OK") : report.message)
-        << ", \"buffer\": {\"accesses\": " << io.page_accesses
-        << ", \"hits\": " << io.buffer_hits
-        << ", \"random_ios\": " << io.random_ios
-        << ", \"writes\": " << io.page_writes << ", \"hit_ratio\": ";
-    if (std::isnan(hit_ratio)) {
-      out << "null";
-    } else {
-      out << hit_ratio;
-    }
-    out << "}, \"kernel\": " << JsonQuoted(kernels::Active().name)
+    out << "{\"transactions\": " << view->size()
+        << ", \"signature_bits\": " << view->num_bits()
+        << ", \"height\": " << stats.height
+        << ", \"nodes\": " << stats.node_count
+        << ", \"node_capacity\": " << view->max_entries()
+        << ", \"min_entries\": " << min_entries
+        << ", \"utilization\": " << stats.avg_utilization
+        << ", \"invariants_ok\": " << (report.ok() ? "true" : "false")
+        << ", \"invariants\": " << JsonQuoted(invariants)
+        << ", \"kernel\": " << JsonQuoted(kernels::Active().name)
         << ", \"avg_entry_area\": [";
-    for (size_t level = 0; level < report.avg_entry_area.size(); ++level) {
-      out << (level > 0 ? ", " : "") << report.avg_entry_area[level];
+    for (size_t level = 0; level < stats.avg_entry_area.size(); ++level) {
+      out << (level > 0 ? ", " : "") << stats.avg_entry_area[level];
     }
     out << "]}\n";
-    if (metrics_path.has_value()) {
-      obs::MetricsRegistry registry;
-      registry.GetCounter("tree.transactions")->Increment(tree->size());
-      registry.GetCounter("tree.nodes")->Increment(tree->node_count());
-      registry.GetCounter("tree.height")->Increment(tree->height());
-      registry.GetCounter("buffer.accesses")->Increment(io.page_accesses);
-      registry.GetCounter("buffer.hits")->Increment(io.buffer_hits);
-      registry.GetCounter("buffer.misses")->Increment(io.random_ios);
-      registry.GetCounter("buffer.writes")->Increment(io.page_writes);
-      return WriteMetricsJson(registry, *metrics_path, out, err);
+  } else {
+    out << "transactions: " << view->size() << "\n"
+        << "signature bits: " << view->num_bits() << "\n"
+        << "height: " << stats.height << "\n"
+        << "nodes: " << stats.node_count << "\n"
+        << "node capacity: " << view->max_entries() << " (min "
+        << min_entries << ")\n"
+        << "utilization: " << stats.avg_utilization << "\n"
+        << "invariants: " << invariants << "\n"
+        << "kernel: " << kernels::Active().name << "\n";
+    for (size_t level = 0; level < stats.avg_entry_area.size(); ++level) {
+      out << "avg entry area, level " << level << ": "
+          << stats.avg_entry_area[level] << "\n";
     }
-    return 0;
-  }
-  out << "transactions: " << tree->size() << "\n"
-      << "signature bits: " << tree->num_bits() << "\n"
-      << "height: " << tree->height() << "\n"
-      << "nodes: " << tree->node_count() << "\n"
-      << "node capacity: " << tree->max_entries() << " (min "
-      << tree->min_entries() << ")\n"
-      << "utilization: " << report.avg_utilization << "\n"
-      << "invariants: " << (report.ok ? "OK" : report.message) << "\n"
-      << "buffer: " << io.page_accesses << " accesses, " << io.buffer_hits
-      << " hits, " << io.random_ios << " random I/Os, " << io.page_writes
-      << " writes, hit ratio " << obs::FormatHitRatio(io) << "\n"
-      << "kernel: " << kernels::Active().name << "\n";
-  for (size_t level = 0; level < report.avg_entry_area.size(); ++level) {
-    out << "avg entry area, level " << level << ": "
-        << report.avg_entry_area[level] << "\n";
   }
   if (metrics_path.has_value()) {
     obs::MetricsRegistry registry;
-    registry.GetCounter("tree.transactions")->Increment(tree->size());
-    registry.GetCounter("tree.nodes")->Increment(tree->node_count());
-    registry.GetCounter("tree.height")->Increment(tree->height());
-    registry.GetCounter("buffer.accesses")->Increment(io.page_accesses);
-    registry.GetCounter("buffer.hits")->Increment(io.buffer_hits);
-    registry.GetCounter("buffer.misses")->Increment(io.random_ios);
-    registry.GetCounter("buffer.writes")->Increment(io.page_writes);
+    registry.GetCounter("tree.transactions")->Increment(view->size());
+    registry.GetCounter("tree.nodes")->Increment(stats.node_count);
+    registry.GetCounter("tree.height")->Increment(stats.height);
     return WriteMetricsJson(registry, *metrics_path, out, err);
   }
   return 0;
@@ -515,51 +478,20 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   AuditOptions audit_options;
   audit_options.max_violations =
       static_cast<size_t>(cmd.UintOr("max-violations", 64));
-  const bool static_image = cmd.BoolOr("static", false);
   // --verify-checksums 0 admits an image whose body CRC no longer matches,
   // so the semantic audit can localize the damage instead of the open
   // refusing the whole file with one line.
-  const bool verify_checksums = cmd.BoolOr("verify-checksums", true);
+  StaticOpenOptions open_options;
+  open_options.verify_checksums = cmd.BoolOr("verify-checksums", true);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
-  if (static_image) {
-    StaticOpenOptions open_options;
-    open_options.verify_checksums = verify_checksums;
-    std::string open_error;
-    auto view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
-                                     &open_error);
-    if (view == nullptr) return Fail(err, "cannot open " + open_error);
-    const AuditReport report = AuditStaticImage(*view, audit_options);
-    out << "static audit: " << report.Summary();
-    return report.ok() ? 0 : 2;
-  }
-
-  SgTreeOptions options;
-  std::string load_error;
-  auto tree = LoadTree(*index_path, options, &load_error);
-  if (tree == nullptr) {
-    return Fail(err, "cannot load " + *index_path + ": " + load_error);
-  }
-
-  const AuditReport report = AuditTree(*tree, audit_options);
-  out << "in-memory audit: " << report.Summary();
-
-  // Second pass over the tree's serialized form: the static image it would
-  // export, re-validated on open and re-audited from its own bytes.
-  std::vector<uint8_t> image;
-  std::string image_error;
-  std::unique_ptr<StaticTreeView> view;
-  if (BuildStaticImage(*tree, &image, &image_error)) {
-    view = StaticTreeView::OpenFromBytes(image.data(), image.size(), {},
-                                         &image_error);
-  }
-  if (view == nullptr) {
-    out << "static image audit: " << image_error << "\n";
-    return 2;
-  }
-  const AuditReport image_report = AuditStaticImage(*view, audit_options);
-  out << "static image audit: " << image_report.Summary();
-  return report.ok() && image_report.ok() ? 0 : 2;
+  std::string open_error;
+  auto view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
+                                   &open_error);
+  if (view == nullptr) return Fail(err, "cannot open " + open_error);
+  const AuditReport report = AuditStaticImage(*view, audit_options);
+  out << "static image audit: " << report.Summary();
+  return report.ok() ? 0 : 2;
 }
 
 int CmdStaticInfo(const CommandLine& cmd, std::ostream& out,
@@ -639,12 +571,9 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // --shards 1 loads --index as a sharded manifest (the shard count comes
   // from the manifest, which also carries the static/dynamic format tag)
   // and answers through the scatter-gather router; --threads sizes its
-  // worker pool. --static 1 opens a single-file static image instead of a
-  // dynamic snapshot.
+  // worker pool. Otherwise --index is one static image, queried in place.
   const bool sharded = cmd.IntOr("shards", 0) != 0;
-  const bool static_index = cmd.BoolOr("static", false);
   const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
-  std::unique_ptr<SgTree> tree;
   std::unique_ptr<StaticTreeView> view;
   std::unique_ptr<ShardedIndex> index;
   uint32_t num_bits = 0;
@@ -658,19 +587,13 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
     num_bits = index->static_mode() ? index->static_shard(0).num_bits()
                                     : index->shard(0).num_bits();
-  } else if (static_index) {
+  } else {
     StaticOpenOptions open_options;
     open_options.tree = options;
     view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
                                 &load_error);
     if (view == nullptr) return Fail(err, "cannot load " + load_error);
     num_bits = view->num_bits();
-  } else {
-    tree = LoadTree(*index_path, options, &load_error);
-    if (tree == nullptr) {
-      return Fail(err, "cannot load " + *index_path + ": " + load_error);
-    }
-    num_bits = tree->num_bits();
   }
 
   // Collect query item lists from --q and/or --queries.
@@ -725,9 +648,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     // node read, against a cold buffer.
     results.reserve(requests.size());
     for (const QueryRequest& request : requests) {
-      results.push_back(static_index
-                            ? Execute(StaticTreeBackend(*view), request)
-                            : Execute(SgTreeBackend(*tree), request));
+      results.push_back(Execute(StaticTreeBackend(*view), request));
     }
   }
 

@@ -14,34 +14,33 @@ namespace sgtree {
 ///               [--seed N]
 ///   gen census  --out F [--tuples N] [--seed N]
 ///   build       --data F (--out F | --durable DIR) [--split avg|min|quadratic]
-///               [--bulk gray|bisect|minhash|none] [--compress 0|1]
-///               [--page N] [--shards N] [--static 0|1]
-///               With --durable, builds a crash-safe index in DIR (page
-///               file + write-ahead log) instead of a plain snapshot:
-///               plain inserts are logged (fold them with wal-checkpoint),
-///               bulk loads are logged wholesale and checkpointed.
+///               [--bulk gray|bisect|minhash|none] [--page N] [--shards N]
+///               --out writes the index as one static image
+///               (static/static_format.h): the only file format a tree is
+///               saved to. Every command below that takes --index F opens
+///               it in place; `join` and the library's LoadTree thaw it
+///               into a mutable tree.
+///               With --durable [--compress 0|1], builds a crash-safe index
+///               in DIR (page file + write-ahead log, §3.2 compression on
+///               by default) instead: plain inserts are logged (fold them
+///               with wal-checkpoint), bulk loads are logged wholesale and
+///               checkpointed.
 ///               With --shards N (N >= 2), hash-partitions the data into N
-///               per-shard SG-trees: --out writes a manifest plus one
-///               snapshot per shard, --durable gives every shard its own
-///               page file + WAL under DIR/shard-<i>.
-///               With --static 1 (requires --out), writes the immutable
-///               mmap'able image of static/static_format.h instead of the
-///               dynamic snapshot — a single static image, or with
-///               --shards N a v2 manifest plus one image per shard. Query
-///               it with `query ... --static 1` (or --shards 1 for the
-///               manifest); it cannot be updated in place.
-///   stats       --index F
-///   check       --index F [--max-violations N] [--static 0|1]
-///               [--verify-checksums 0|1]
-///               Runs the full InvariantAuditor (coverage, levels, fill
-///               bounds, tid uniqueness, page reachability) on the loaded
-///               tree, then builds the tree's static image in memory,
-///               reopens it from those bytes and audits it with
-///               AuditStaticImage. With --static 1, audits a static image via
-///               AuditStaticImage instead (structure is already enforced
-///               at open; --verify-checksums 0 admits a CRC-damaged image
-///               so the audit can localize the corruption). Exit 0 =
-///               clean, 2 = violations found.
+///               per-shard SG-trees: --out writes a manifest plus one image
+///               per shard (add --static 1 for the read-only v2 manifest,
+///               which loads over the mapped images instead of thawing
+///               them), --durable gives every shard its own page file + WAL
+///               under DIR/shard-<i>.
+///   stats       --index F [--json 0|1] [--metrics-json F]
+///               Opens the image and prints its shape (height, nodes,
+///               utilization, per-level entry area) and the
+///               AuditStaticImage verdict.
+///   check       --index F [--max-violations N] [--verify-checksums 0|1]
+///               Audits the image with AuditStaticImage: coverage, fill
+///               bounds, tid uniqueness and signature width (structure is
+///               already enforced at open; --verify-checksums 0 admits a
+///               CRC-damaged image so the audit can localize the
+///               corruption). Exit 0 = clean, 2 = violations found.
 ///   static-info --index F [--verify-checksums 0|1]
 ///               Opens a static image and prints its header: format
 ///               version, transaction/node counts, height, signature
@@ -53,15 +52,13 @@ namespace sgtree {
 ///   query contain --index F (--q ... | --queries F)
 ///   query exact|subset --index F (--q ... | --queries F)
 ///               All query kinds run through the unified query API
-///               (exec/query_api.h). Add --shards 1 to load --index as a
-///               sharded manifest (built with build --shards N) and answer
-///               via the scatter-gather QueryRouter — results are
-///               byte-identical to the single-tree path; --threads N sizes
-///               the router's worker pool (0 = hardware concurrency).
-///               Add --static 1 to open --index as a single static image
-///               (build --static); sharded static manifests need no flag —
-///               the v2 manifest tags itself and the router serves the
-///               mmap'ed shards transparently.
+///               (exec/query_api.h) over the image, read in place. Add
+///               --shards 1 to load --index as a sharded manifest (built
+///               with build --shards N) and answer via the scatter-gather
+///               QueryRouter — results are byte-identical to the
+///               single-image path; --threads N sizes the router's worker
+///               pool (0 = hardware concurrency). The manifest tags its own
+///               format: v1 shards are thawed, v2 shards are served mapped.
 ///   join contain --left F --right F [--algo tree|pretti|fvt] [--shards 1]
 ///               [--threads N] [--buffer-pages N] [--limit N] [--json 1]
 ///               [--trace 1] [--metrics-json F]
@@ -85,7 +82,7 @@ namespace sgtree {
 ///               Replays the write-ahead log over the page file, gates the
 ///               result through the InvariantAuditor, and prints the
 ///               recovery report. --out exports the recovered tree as a
-///               plain snapshot. Exit 0 = recovered clean, 2 = recovered
+///               static image. Exit 0 = recovered clean, 2 = recovered
 ///               structurally but failed the audit, 1 = unrecoverable.
 ///   wal-checkpoint --durable D [--metrics-json F] [--export-static F]
 ///               Opens (recovering if needed) the durable index in D,
@@ -94,8 +91,9 @@ namespace sgtree {
 ///               operation-consistent static image of the checkpointed
 ///               tree to F (crash-atomic publish).
 ///
-/// Datasets use the text format of data/dataset_io.h; indexes the binary
-/// format of sgtree/persistence.h.
+/// Datasets use the text format of data/dataset_io.h; indexes the static
+/// image of static/static_format.h. An index saved in the retired SGTREE01
+/// snapshot format is refused with a reason that says to rebuild it.
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);
 

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,8 +184,6 @@ TEST(CliTest, GenBuildStatsQueryPipeline) {
 
   r = RunArgs({"check", "--index", index});
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("in-memory audit: all invariants hold"),
-            std::string::npos);
   EXPECT_NE(r.out.find("static image audit: all invariants hold"),
             std::string::npos);
 
@@ -255,47 +252,36 @@ uint64_t TraceField(const std::string& line, const std::string& key) {
 TEST(CliTest, QueriesFromFile) {
   const std::string data = TempPath("cli_qf_data.txt");
   const std::string index = TempPath("cli_qf.bin");
-  const std::string image = TempPath("cli_qf_static.sgt");
   const std::string queries = TempPath("cli_qf_queries.txt");
   ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "800", "--items",
                  "150", "--patterns", "40"})
                 .code,
             0);
   ASSERT_EQ(RunArgs({"build", "--data", data, "--out", index}).code, 0);
-  ASSERT_EQ(
-      RunArgs({"build", "--data", data, "--out", image, "--static", "1"}).code,
-      0);
   {
     std::ofstream out(queries);
     out << "150 0 2\n0 3 14 15\n1 7 8\n";
   }
-  // Each query is charged against a cold buffer, whichever index form
-  // answers it: no node read is a hit, not even the second query's root.
-  for (const auto& [path, is_static] :
-       {std::pair<std::string, std::string>{index, "0"}, {image, "1"}}) {
-    const CliResult r =
-        RunArgs({"query", "nn", "--index", path, "--queries", queries,
-                 "--static", is_static, "--trace", "1"});
-    ASSERT_EQ(r.code, 0) << r.err;
-    EXPECT_NE(r.out.find("query 0:"), std::string::npos);
-    EXPECT_NE(r.out.find("query 1:"), std::string::npos);
-    std::istringstream lines(r.out);
-    std::string line;
-    int traces = 0;
-    while (std::getline(lines, line)) {
-      if (line.find("trace:") == std::string::npos) continue;
-      ++traces;
-      EXPECT_GT(TraceField(line, "nodes"), 0u) << line;
-      EXPECT_EQ(TraceField(line, "hits"), 0u) << "static=" << is_static
-                                              << ": " << line;
-      EXPECT_EQ(TraceField(line, "misses"), TraceField(line, "nodes"))
-          << "static=" << is_static << ": " << line;
-    }
-    EXPECT_EQ(traces, 2) << r.out;
+  // Each query is charged against a cold buffer: no node read is a hit,
+  // not even the second query's root.
+  const CliResult r = RunArgs({"query", "nn", "--index", index, "--queries",
+                               queries, "--trace", "1"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("query 0:"), std::string::npos);
+  EXPECT_NE(r.out.find("query 1:"), std::string::npos);
+  std::istringstream lines(r.out);
+  std::string line;
+  int traces = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("trace:") == std::string::npos) continue;
+    ++traces;
+    EXPECT_GT(TraceField(line, "nodes"), 0u) << line;
+    EXPECT_EQ(TraceField(line, "hits"), 0u) << line;
+    EXPECT_EQ(TraceField(line, "misses"), TraceField(line, "nodes")) << line;
   }
+  EXPECT_EQ(traces, 2) << r.out;
   std::remove(data.c_str());
   std::remove(index.c_str());
-  std::remove(image.c_str());
   std::remove(queries.c_str());
 }
 
@@ -332,18 +318,15 @@ TEST(CliTest, StatsAndQueryExportMetrics) {
             0);
   ASSERT_EQ(RunArgs({"build", "--data", data, "--out", index}).code, 0);
 
-  // stats prints the pool counters and exports them as registry JSON.
+  // stats exports the tree's shape as registry JSON.
   CliResult r = RunArgs({"stats", "--index", index, "--metrics-json",
                          stats_json});
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("buffer:"), std::string::npos);
-  EXPECT_NE(r.out.find("hit ratio"), std::string::npos);
   EXPECT_NE(r.out.find("wrote metrics " + stats_json), std::string::npos);
   const std::string stats_export = ReadFile(stats_json);
   EXPECT_NE(stats_export.find("\"counters\""), std::string::npos);
   EXPECT_NE(stats_export.find("\"tree.transactions\":800"),
             std::string::npos);
-  EXPECT_NE(stats_export.find("\"buffer.accesses\""), std::string::npos);
   EXPECT_NE(stats_export.find("\"histograms\""), std::string::npos);
 
   // query with --trace=1 prints the per-query pruning breakdown (and the
@@ -377,22 +360,17 @@ TEST(CliTest, StatsAndQueryExportMetrics) {
 TEST(CliTest, StatsAndStaticInfoEmitJson) {
   const std::string data = TempPath("cli_json_data.txt");
   const std::string index = TempPath("cli_json_index.bin");
-  const std::string image = TempPath("cli_json_static.sgt");
   ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "700", "--items",
                  "150", "--patterns", "40"})
                 .code,
             0);
   ASSERT_EQ(RunArgs({"build", "--data", data, "--out", index}).code, 0);
-  ASSERT_EQ(
-      RunArgs({"build", "--data", data, "--out", image, "--static", "1"}).code,
-      0);
 
   CliResult r = RunArgs({"stats", "--index", index, "--json", "1"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(r.out.front(), '{');
   EXPECT_NE(r.out.find("\"transactions\": 700"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("\"invariants_ok\": true"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("\"buffer\": {\"accesses\":"), std::string::npos);
   EXPECT_NE(r.out.find("\"avg_entry_area\": ["), std::string::npos);
   EXPECT_NE(r.out.find(std::string("\"kernel\": \"") +
                        kernels::Active().name + "\""),
@@ -401,7 +379,7 @@ TEST(CliTest, StatsAndStaticInfoEmitJson) {
   EXPECT_EQ(r.out.find("transactions: "), std::string::npos)
       << "human text leaked into the JSON report";
 
-  r = RunArgs({"static-info", "--index", image, "--json", "1"});
+  r = RunArgs({"static-info", "--index", index, "--json", "1"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(r.out.front(), '{');
   EXPECT_NE(r.out.find("\"format_version\": "), std::string::npos) << r.out;
@@ -417,7 +395,6 @@ TEST(CliTest, StatsAndStaticInfoEmitJson) {
 
   std::remove(data.c_str());
   std::remove(index.c_str());
-  std::remove(image.c_str());
 }
 
 TEST(CliTest, ErrorPaths) {
@@ -465,13 +442,34 @@ TEST(CliTest, ErrorPaths) {
   r = RunArgs({"check", "--index", index, "--verify-checksums", "2"});
   EXPECT_EQ(r.code, 1);
   EXPECT_EQ(r.err, "error: --verify-checksums expects 0 or 1, got '2'\n");
+  // --static picks the manifest of a sharded --out, --compress the page
+  // encoding of a durable index; each is read only there.
   const std::string never_index = TempPath("cli_err_never.bin");
-  for (const std::string flag : {"--static", "--compress"}) {
-    r = RunArgs({"build", "--data", data, "--out", never_index, flag, "2"});
-    EXPECT_EQ(r.code, 1) << flag;
-    EXPECT_EQ(r.err, "error: " + flag + " expects 0 or 1, got '2'\n");
-  }
+  const std::string never_dir = TempPath("cli_err_never_dir");
+  r = RunArgs({"build", "--data", data, "--shards", "2", "--out",
+               never_index, "--static", "2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --static expects 0 or 1, got '2'\n");
+  r = RunArgs({"build", "--data", data, "--durable", never_dir, "--compress",
+               "2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: --compress expects 0 or 1, got '2'\n");
   EXPECT_FALSE(std::ifstream(never_index).good());
+  EXPECT_FALSE(std::ifstream(never_dir).good());
+  // Every single-file index is a static image, so no command takes a
+  // --static switch for one.
+  r = RunArgs({"build", "--data", data, "--out", never_index, "--static",
+               "1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err, "error: unknown flag(s): --static\n");
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"query", "nn", "--index", index, "--q", "1",
+                                 "--static", "1"},
+        {"check", "--index", index, "--static", "1"}}) {
+    r = RunArgs(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_EQ(r.err, "error: unknown flag(s): --static\n") << args[0];
+  }
   const std::string never = TempPath("cli_err_never.txt");
   r = RunArgs({"gen", "quest", "--out", never, "--d", "5k"});
   EXPECT_EQ(r.code, 1);

@@ -1,9 +1,9 @@
 // Unit tests for the durability subsystem: CRC framing, the posix Env, the
 // file-backed page store (slotted layout, ping-pong headers, free-list
 // persistence, checksum detection), the write-ahead log (framing, torn-tail
-// scan, reset), metadata round-trips, crash-atomic snapshot save/load, and
-// the DurableTree write path (log-before-apply, group commit, checkpoint,
-// reopen). Crash-schedule sweeps live in test_recovery_torture.cc.
+// scan, reset), metadata round-trips, and the DurableTree write path
+// (log-before-apply, group commit, checkpoint, reopen). Crash-schedule
+// sweeps live in test_recovery_torture.cc.
 
 #include <cstdint>
 #include <cstring>
@@ -14,6 +14,7 @@
 
 #include "common/crc32.h"
 #include "common/file_util.h"
+#include "common/rng.h"
 #include "common/signature.h"
 #include "data/transaction.h"
 #include "durability/byte_io.h"
@@ -25,7 +26,6 @@
 #include "durability/recovery.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
-#include "sgtree/persistence.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
 #include "storage/page_store.h"
@@ -63,6 +63,29 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
     std::vector<uint8_t> flipped = data;
     flipped[bit / 8] ^= uint8_t(1u << (bit % 8));
     EXPECT_NE(Crc32c(flipped), clean) << "bit " << bit;
+  }
+}
+
+TEST(Crc32Test, HardwarePathMatchesTheTable) {
+  // Crc32c takes eight bytes per step on the crc32 instruction where the
+  // build has SSE4.2; the byte table is the reference. Random lengths hit
+  // every tail length, start offsets every alignment, and each result seeds
+  // the next call, as chained computations do.
+  const char* digits = "123456789";
+  EXPECT_EQ(Crc32cTable(reinterpret_cast<const uint8_t*>(digits), 9),
+            0xE3069283u);
+  Rng rng(41);
+  std::vector<uint8_t> buffer(4096 + 7);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextU64());
+  uint32_t seed = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const size_t offset = rng.UniformInt(8);
+    const size_t length = rng.UniformInt(4097);
+    const uint8_t* data = buffer.data() + offset;
+    const uint32_t expected = Crc32cTable(data, length, seed);
+    ASSERT_EQ(Crc32c(data, length, seed), expected)
+        << "offset " << offset << ", length " << length << ", seed " << seed;
+    seed = expected;
   }
 }
 
@@ -602,7 +625,7 @@ TEST(FaultStateTest, ReadBitFlip) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-atomic snapshot persistence.
+// DurableTree end to end.
 // ---------------------------------------------------------------------------
 
 SgTreeOptions SmallOptions() {
@@ -611,64 +634,6 @@ SgTreeOptions SmallOptions() {
   options.page_size = 512;
   return options;
 }
-
-TEST(PersistenceTest, SaveIsAtomicAndLoadReportsTruncation) {
-  SgTreeOptions options = SmallOptions();
-  SgTree tree(options);
-  for (uint64_t tid = 0; tid < 40; ++tid) {
-    tree.Insert(MakeTxn(tid, {ItemId(tid % 64), ItemId((tid * 7) % 64)}));
-  }
-  const std::string path = TempPath("snapshot.sgt");
-  std::string error = "stale";
-  ASSERT_TRUE(SaveTree(tree, path, &error));
-  EXPECT_TRUE(error.empty());
-  EXPECT_FALSE(Env::Posix()->FileExists(path + ".tmp"));
-
-  auto loaded = LoadTree(path, options, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  EXPECT_EQ(loaded->size(), tree.size());
-
-  // Every truncation point must be rejected with a clear diagnostic.
-  auto file = Env::Posix()->Open(path, false);
-  ASSERT_NE(file, nullptr);
-  const uint64_t full = file->Size();
-  file.reset();
-  for (uint64_t cut : {full - 1, full / 2, uint64_t{10}, uint64_t{3}}) {
-    auto trunc = Env::Posix()->Open(path, false);
-    std::vector<uint8_t> bytes;
-    ASSERT_TRUE(trunc->ReadAt(0, full, &bytes));
-    trunc.reset();
-    const std::string cut_path = TempPath("snapshot_cut.sgt");
-    bytes.resize(cut);
-    ASSERT_TRUE(AtomicWriteFile(cut_path, bytes));
-    EXPECT_EQ(LoadTree(cut_path, options, &error), nullptr) << cut;
-    EXPECT_NE(error.find("truncated"), std::string::npos)
-        << "cut " << cut << ": " << error;
-  }
-}
-
-TEST(PersistenceTest, BadMagicAndShapeMismatchReported) {
-  const std::string path = TempPath("not_a_tree.sgt");
-  ASSERT_TRUE(AtomicWriteFile(
-      path, std::vector<uint8_t>{'n', 'o', 'p', 'e', 0, 0, 0, 0, 0, 0}));
-  std::string error;
-  SgTreeOptions options = SmallOptions();
-  EXPECT_EQ(LoadTree(path, options, &error), nullptr);
-  EXPECT_NE(error.find("magic"), std::string::npos) << error;
-
-  SgTree tree(options);
-  tree.Insert(MakeTxn(1, {1, 2}));
-  const std::string good = TempPath("width.sgt");
-  ASSERT_TRUE(SaveTree(tree, good, &error));
-  SgTreeOptions wrong = options;
-  wrong.num_bits = 128;
-  EXPECT_EQ(LoadTree(good, wrong, &error), nullptr);
-  EXPECT_NE(error.find("width"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------------
-// DurableTree end to end.
-// ---------------------------------------------------------------------------
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = TempPath(name);

@@ -1,7 +1,4 @@
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,7 +8,6 @@
 
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
-#include "sgtree/persistence.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
 #include "sgtree/tree_checker.h"
@@ -177,102 +173,6 @@ TEST(EraseTest, HeightShrinksWhenTreeDrains) {
   }
   EXPECT_LT(tree.height(), tall);
   EXPECT_TRUE(CheckTree(tree).ok);
-}
-
-// ---------------------------------------------------------------------------
-// Persistence.
-// ---------------------------------------------------------------------------
-
-class PersistenceTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
-  const Dataset dataset = ClusteredDataset(10, 400, 120, 8, 10, 2);
-  SgTreeOptions options = SmallOptions();
-  options.compress = GetParam();
-  SgTree tree(options);
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-
-  // Parameter-unique path: ctest runs the two instances concurrently, and
-  // a shared file would race between one instance's save and the other's
-  // cleanup.
-  const std::string path = ::testing::TempDir() +
-                           (GetParam() ? "/sgtree_save_compressed.bin"
-                                       : "/sgtree_save_dense.bin");
-  ASSERT_TRUE(SaveTree(tree, path));
-  auto loaded = LoadTree(path, options);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->size(), tree.size());
-  EXPECT_EQ(loaded->height(), tree.height());
-  EXPECT_EQ(loaded->node_count(), tree.node_count());
-  const TreeReport report = CheckTree(*loaded);
-  EXPECT_TRUE(report.ok) << report.message;
-
-  // Loaded tree answers identically.
-  LinearScan scan(dataset);
-  Rng rng(11);
-  for (int q = 0; q < 20; ++q) {
-    const Signature query = RandomSignature(rng, 120, 0.07);
-    EXPECT_DOUBLE_EQ(DfsNearest(*loaded, query).distance,
-                     scan.Nearest(query).distance);
-  }
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(CompressOnOff, PersistenceTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "compressed" : "dense";
-                         });
-
-TEST(PersistenceTest, EmptyTreeRoundTrip) {
-  SgTree tree(SmallOptions());
-  const std::string path = ::testing::TempDir() + "/sgtree_empty.bin";
-  ASSERT_TRUE(SaveTree(tree, path));
-  auto loaded = LoadTree(path, SmallOptions());
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_TRUE(loaded->empty());
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/sgtree_garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a tree";
-  }
-  EXPECT_EQ(LoadTree(path, SmallOptions()), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, LoadRejectsWidthMismatch) {
-  SgTree tree(SmallOptions(120));
-  tree.Insert(Signature::FromItems(std::vector<uint32_t>{3}, 120), 1);
-  const std::string path = ::testing::TempDir() + "/sgtree_width.bin";
-  ASSERT_TRUE(SaveTree(tree, path));
-  SgTreeOptions wrong = SmallOptions(200);
-  EXPECT_EQ(LoadTree(path, wrong), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, LoadedTreeAcceptsFurtherUpdates) {
-  const Dataset dataset = ClusteredDataset(12, 300, 120, 6, 10, 2);
-  SgTree tree(SmallOptions());
-  for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const std::string path = ::testing::TempDir() + "/sgtree_update.bin";
-  ASSERT_TRUE(SaveTree(tree, path));
-  auto loaded = LoadTree(path, SmallOptions());
-  ASSERT_NE(loaded, nullptr);
-
-  Rng rng(13);
-  for (uint64_t i = 0; i < 200; ++i) {
-    Signature sig = RandomSignature(rng, 120, 0.07);
-    if (sig.Empty()) sig.Set(1);
-    loaded->Insert(sig, 1000 + i);
-  }
-  ASSERT_TRUE(loaded->Erase(dataset.transactions[0]));
-  EXPECT_EQ(loaded->size(), 300u + 200u - 1u);
-  const TreeReport report = CheckTree(*loaded);
-  EXPECT_TRUE(report.ok) << report.message;
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Format-conformance tests for the static SG-tree image (static_format.h):
 // the builder's byte-stability promise pinned by golden files, version /
-// magic / truncation gating with one-line reasons in the LoadTree style,
+// magic / truncation gating with one-line reasons,
 // and exhaustive single-bit corruption — every flip must be rejected
 // cleanly with checksums on, and must never crash with checksums off.
 //
@@ -213,12 +213,22 @@ TEST(StaticFormatGateTest, RejectsUnknownFlags) {
 
 TEST(StaticFormatGateTest, RejectsForeignMagic) {
   std::vector<uint8_t> bytes = BuildImage(*DeterministicTree(20));
-  const char foreign[8] = {'S', 'G', 'T', 'R', 'E', 'E', '0', '1'};
+  const char foreign[8] = {'S', 'G', 'T', 'R', 'E', 'E', '9', '9'};
   std::copy(foreign, foreign + 8, bytes.begin());
   FixHeaderCrc(&bytes);
   std::string error;
   EXPECT_EQ(OpenImage(bytes, &error), nullptr);
   EXPECT_EQ(error, "not a static SG-tree (bad magic)");
+
+  // The retired SGTREE01 snapshot magic is not foreign: it gets its own
+  // reason, which says to rebuild.
+  std::copy(sf::kRetiredSnapshotMagic, sf::kRetiredSnapshotMagic + 8,
+            bytes.begin());
+  FixHeaderCrc(&bytes);
+  EXPECT_EQ(OpenImage(bytes, &error), nullptr);
+  EXPECT_EQ(error,
+            "retired SGTREE01 snapshot format; rebuild the index to write a "
+            "static image");
 }
 
 TEST(StaticFormatGateTest, RejectsTruncation) {
@@ -248,6 +258,7 @@ TEST(StaticFormatGateTest, RejectsHostileHeaderFields) {
       {sf::kNumBitsOffset, 0, "invalid signature width"},
       {sf::kNumBitsOffset, sf::kMaxNumBits + 1, "invalid signature width"},
       {sf::kMaxEntriesOffset, 0, "invalid node capacity"},
+      {sf::kMaxEntriesOffset, 1, "invalid node capacity"},
       {sf::kNodeCountOffset, 0xffffffffu, "node count exceeds file"},
   };
   for (const Case& c : cases) {
@@ -345,7 +356,8 @@ TEST(StaticCorruptionTest, BodyCorruptionNamesTheChecksum) {
   EXPECT_EQ(error, "body checksum mismatch (file is corrupt)");
   error.clear();
   // The same damage is admitted once checksums are off (it only touches a
-  // signature word), which is exactly what check --static relies on.
+  // signature word), which is exactly what check --verify-checksums 0
+  // relies on.
   EXPECT_NE(OpenImage(bytes, &error, /*verify_checksums=*/false), nullptr)
       << error;
 }

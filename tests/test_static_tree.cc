@@ -147,10 +147,11 @@ TEST(StaticTreeBackendTest, SupportsAllSixQueryTypes) {
     EXPECT_TRUE(backend.Supports(static_cast<QueryType>(type))) << type;
   }
   // Static images cannot feed collection-level joins: the support matrix
-  // says so with a reason pointing at the dynamic forms.
+  // says so with a reason pointing at the mutable forms.
   EXPECT_EQ(backend.JoinInputReason(),
-            "static images serve point queries only; joins walk dynamic "
-            "trees — load the snapshot (v1) or durable form to join");
+            "static images serve point queries only; joins walk mutable "
+            "trees — thaw the image (LoadTree) or open the durable form to "
+            "join");
 }
 
 // ---------------------------------------------------------------------------
