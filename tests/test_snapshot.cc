@@ -65,13 +65,23 @@ Transaction MakeTxn(uint64_t tid, std::vector<ItemId> items) {
 // Save and load.
 // ---------------------------------------------------------------------------
 
-TEST(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
+// The parameter is SgTreeOptions::compress. Snapshots are always dense
+// static images, so a tree built with either setting must round trip the
+// same way and load back under the options it was built with.
+class PersistenceTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
   const Dataset dataset = ClusteredDataset(10, 400, 120, 8, 10, 2);
-  const SgTreeOptions options = SmallOptions();
+  SgTreeOptions options = SmallOptions();
+  options.compress = GetParam();
   SgTree tree(options);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
 
-  const std::string path = TempPath("sgtree_save.bin");
+  // Parameter-unique path: ctest runs the two instances concurrently, and
+  // a shared file would race between one instance's save and the other's
+  // cleanup.
+  const std::string path = TempPath(GetParam() ? "sgtree_save_compressed.bin"
+                                               : "sgtree_save_dense.bin");
   ASSERT_TRUE(BuildStaticTree(tree, path));
   auto loaded = LoadTree(path, options);
   ASSERT_NE(loaded, nullptr);
@@ -91,6 +101,11 @@ TEST(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
   }
   std::remove(path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(CompressOnOff, PersistenceTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "compressed" : "dense";
+                         });
 
 TEST(PersistenceTest, EmptyTreeRoundTrip) {
   SgTree tree(SmallOptions());
