@@ -4,8 +4,8 @@
 //   (b) DFS vs best-first NN (Section 4.1: best-first is optimal in node
 //       accesses).
 //   (c) One-by-one insertion vs Gray-code bulk loading (Section 6).
-//   (d) Sparse-signature compression on/off: the page bytes of the durable
-//       page file (snapshots are dense static images).
+//   (d) Sparse-signature compression on/off: the §3.2 bytes of the tree's
+//       nodes (no file stores this encoding; images are dense).
 //   (e) Fixed-dimensionality bound on CENSUS (Section 6 optimization).
 
 #include <cstdio>
@@ -18,8 +18,9 @@
 namespace sgtree::bench {
 namespace {
 
-// Page bytes the durable page file would hold for this tree.
-uint64_t PersistedBytes(const SgTree& tree, bool compress) {
+// §3.2 bytes of the tree's nodes: what its pages would take in the paper's
+// page layout, with or without sparse-signature compression.
+uint64_t NodeBytes(const SgTree& tree, bool compress) {
   uint64_t bytes = 0;
   for (PageId id : tree.LiveNodes()) {
     const Node& node = tree.GetNodeNoCharge(id);
@@ -111,10 +112,10 @@ void Run() {
 
   // (d) Compression.
   std::printf("\n-- (d) Sparse-signature compression (Section 3.2) --\n");
-  const uint64_t dense_bytes = PersistedBytes(*built.tree, false);
-  const uint64_t compressed_bytes = PersistedBytes(*built.tree, true);
-  std::printf("durable page bytes: dense %llu bytes, compressed %llu "
-              "bytes (%.1f%% saved)\n",
+  const uint64_t dense_bytes = NodeBytes(*built.tree, false);
+  const uint64_t compressed_bytes = NodeBytes(*built.tree, true);
+  std::printf("§3.2 bytes of the tree's nodes: dense %llu bytes, "
+              "compressed %llu bytes (%.1f%% saved)\n",
               static_cast<unsigned long long>(dense_bytes),
               static_cast<unsigned long long>(compressed_bytes),
               100.0 * (dense_bytes - compressed_bytes) / dense_bytes);

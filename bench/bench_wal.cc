@@ -1,12 +1,14 @@
 // Durability cost benchmark: what the write-ahead log charges for insert
-// throughput (per-op fsync vs group commit vs no durability at all) and how
-// recovery time scales with the length of the unfolded log. Results are
-// printed as a table and written as JSON to $BENCH_WAL_JSON (default
-// BENCH_wal.json) for the CI artifact.
+// throughput (per-op fsync vs group commit vs no durability at all), how
+// recovery time (thaw the checkpoint image, replay the log) scales with the
+// length of the log, and what a checkpoint (publish the whole image) costs.
+// Results are printed as a table and written as JSON to $BENCH_WAL_JSON
+// (default BENCH_wal.json) for the CI artifact.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -36,14 +38,12 @@ struct RecoveryRow {
   uint64_t records_replayed = 0;
   double recover_ms = 0;
   double checkpoint_ms = 0;
+  uint64_t checkpoint_bytes = 0;  // The image a checkpoint publishes.
 };
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = "bench_wal_tmp_" + name;
-  Env* env = Env::Posix();
-  env->CreateDir(dir);
-  env->Delete(DurableTree::PagePathFor(dir));
-  env->Delete(DurableTree::WalPathFor(dir));
+  std::filesystem::remove_all(dir);
   return dir;
 }
 
@@ -96,7 +96,7 @@ InsertRow BenchDurable(const Dataset& dataset, bool sync_each_op) {
 }
 
 // Builds a durable tree whose first `ops` operations all sit in the log
-// (no checkpoint), then measures cold recovery and the checkpoint fold.
+// (no checkpoint), then measures cold recovery and the checkpoint.
 RecoveryRow BenchRecovery(const Dataset& dataset, uint64_t ops) {
   const std::string dir = FreshDir("recovery_" + std::to_string(ops));
   DurableTree::Options options;
@@ -120,14 +120,12 @@ RecoveryRow BenchRecovery(const Dataset& dataset, uint64_t ops) {
     }
   }
   {
-    auto file = Env::Posix()->Open(DurableTree::WalPathFor(dir), false);
+    auto file = Env::Posix()->Open(WalPathFor(dir), false);
     if (file != nullptr) row.wal_bytes = file->Size();
   }
   {
     Timer timer;
-    auto recovered =
-        RecoverTree(Env::Posix(), DurableTree::PagePathFor(dir),
-                    DurableTree::WalPathFor(dir), &error, &options.tree);
+    auto recovered = RecoverTree(Env::Posix(), dir, &error, &options.tree);
     row.recover_ms = timer.ElapsedMs();
     if (recovered == nullptr) {
       std::fprintf(stderr, "recovery failed: %s\n", error.c_str());
@@ -143,6 +141,9 @@ RecoveryRow BenchRecovery(const Dataset& dataset, uint64_t ops) {
       std::exit(1);
     }
     row.checkpoint_ms = timer.ElapsedMs();
+    auto image = Env::Posix()->Open(
+        CheckpointPathFor(dir, durable->checkpoint_seq()), false);
+    if (image != nullptr) row.checkpoint_bytes = image->Size();
   }
   return row;
 }
@@ -170,7 +171,8 @@ void WriteJson(const std::vector<InsertRow>& inserts,
     file << "  {\"ops\": " << row.ops << ", \"wal_bytes\": " << row.wal_bytes
          << ", \"records_replayed\": " << row.records_replayed
          << ", \"recover_ms\": " << row.recover_ms
-         << ", \"checkpoint_ms\": " << row.checkpoint_ms << "}"
+         << ", \"checkpoint_ms\": " << row.checkpoint_ms
+         << ", \"checkpoint_bytes\": " << row.checkpoint_bytes << "}"
          << (i + 1 < recoveries.size() ? ",\n" : "\n");
   }
   file << "]}\n";
@@ -194,19 +196,20 @@ int Run() {
   }
 
   std::printf("\n=== Recovery time vs log length ===\n");
-  std::printf("%10s %12s %10s %12s %14s\n", "ops", "wal_bytes", "records",
-              "recover_ms", "checkpoint_ms");
+  std::printf("%10s %12s %10s %12s %14s %14s\n", "ops", "wal_bytes",
+              "records", "recover_ms", "checkpoint_ms", "checkpoint_B");
   std::vector<RecoveryRow> recoveries;
   for (const double fraction : {0.125, 0.25, 0.5, 1.0}) {
     const auto ops =
         static_cast<uint64_t>(double(dataset.size()) * fraction);
     if (ops == 0) continue;
     const RecoveryRow row = BenchRecovery(dataset, ops);
-    std::printf("%10llu %12llu %10llu %12.2f %14.2f\n",
+    std::printf("%10llu %12llu %10llu %12.2f %14.2f %14llu\n",
                 static_cast<unsigned long long>(row.ops),
                 static_cast<unsigned long long>(row.wal_bytes),
                 static_cast<unsigned long long>(row.records_replayed),
-                row.recover_ms, row.checkpoint_ms);
+                row.recover_ms, row.checkpoint_ms,
+                static_cast<unsigned long long>(row.checkpoint_bytes));
     recoveries.push_back(row);
   }
 

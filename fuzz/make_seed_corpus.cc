@@ -173,34 +173,20 @@ void EmitWalSeeds(const std::filesystem::path& dir) {
   sgtree::WalRecord checkpoint;
   checkpoint.type = sgtree::WalRecordType::kCheckpoint;
   checkpoint.checkpoint_seq = 3;
-  sgtree::WalRecord alloc;
-  alloc.type = sgtree::WalRecordType::kAlloc;
-  alloc.page = 7;
-  sgtree::WalRecord image;
-  image.type = sgtree::WalRecordType::kPageImage;
-  image.page = 7;
-  for (uint32_t i = 0; i < 96; ++i) {
-    image.image.push_back(static_cast<uint8_t>(i * 5));
-  }
-  sgtree::WalRecord free_rec;
-  free_rec.type = sgtree::WalRecordType::kFree;
-  free_rec.page = 2;
-  sgtree::WalRecord marker;
-  marker.type = sgtree::WalRecordType::kTreeMeta;
-  marker.meta.op_seq = 12;
-  marker.meta.root = 7;
-  marker.meta.height = 1;
-  marker.meta.size = 40;
-  marker.meta.area_lo = 2;
-  marker.meta.area_hi = 55;
-  marker.meta.node_count = 3;
+  checkpoint.op_seq = 40;
+  sgtree::WalRecord insert;
+  insert.type = sgtree::WalRecordType::kInsert;
+  insert.tid = 41;
+  insert.positions = {2, 17, 30, 55, 63};
+  sgtree::WalRecord erase;
+  erase.type = sgtree::WalRecordType::kErase;
+  erase.tid = 12;
+  erase.positions = {4, 9};
 
   std::vector<uint8_t> op = {0};
   frame(checkpoint, &op);
-  frame(alloc, &op);
-  frame(image, &op);
-  frame(free_rec, &op);
-  frame(marker, &op);
+  frame(insert, &op);
+  frame(erase, &op);
   WriteFile(dir / "committed_op.bin", op);
 
   // The same stream torn mid-record: the scanner's bread and butter.

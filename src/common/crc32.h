@@ -8,8 +8,8 @@
 namespace sgtree {
 
 /// CRC-32C (Castagnoli polynomial 0x1EDC6F41, reflected). Used to checksum
-/// durable bytes: WAL record payloads, page-file slots, the page-file
-/// header and static images. Castagnoli has better error-detection
+/// durable bytes: WAL record payloads and static images (which are also
+/// the durable checkpoints). Castagnoli has better error-detection
 /// properties than the zlib polynomial for the short records a log
 /// produces, and is what modern storage engines checksum with.
 ///

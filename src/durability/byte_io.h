@@ -7,11 +7,10 @@
 
 namespace sgtree {
 
-/// Little-endian scalar framing shared by the durable formats (page-file
-/// header, WAL records, tree metadata). All readers are bounds-checked and
-/// advance `*offset` only on success, so decoders stop cleanly on
-/// truncated input — the property the WAL torn-tail scan and the fuzz
-/// harnesses rely on.
+/// Little-endian scalar framing shared by the WAL records and the serving
+/// protocol. All readers are bounds-checked and advance `*offset` only on
+/// success, so decoders stop cleanly on truncated input — the property the
+/// WAL torn-tail scan and the fuzz harnesses rely on.
 
 inline void AppendU8(uint8_t v, std::vector<uint8_t>* out) {
   out->push_back(v);

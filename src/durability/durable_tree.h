@@ -4,15 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/sync.h"
 #include "data/transaction.h"
 #include "durability/env.h"
-#include "durability/file_page_store.h"
-#include "durability/meta.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
@@ -20,32 +17,36 @@
 
 namespace sgtree {
 
-/// Crash-safe SG-tree: an in-memory SgTree whose every update is logged to
-/// a write-ahead log before it is acknowledged, with a file-backed page
-/// store as the checkpoint target.
+/// Crash-safe SG-tree: an in-memory SgTree whose every update is logged
+/// before it is acknowledged. A durable directory holds two files: the
+/// static image of the last checkpoint, `<dir>/checkpoint-<c>.sgs`
+/// (static/static_format.h, unchanged), and `<dir>/wal.sgw`, whose first
+/// record is the checkpoint marker {c, op_seq} and whose every later record
+/// is one acknowledged insert or erase.
 ///
-/// Write path (log-before-acknowledge): the tree mutates in memory while a
-/// PageChangeListener collects the touched pages; the operation's redo set
-/// — alloc records, full post-images of every dirtied page, free records —
-/// is appended to the WAL followed by a TreeMeta commit marker, then
-/// (sync_each_op) fsynced. A crash at any point loses at most the
-/// operations whose markers never reached the disk, never a prefix-torn
-/// half-operation: recovery replays whole committed operations only.
+/// Write path (log-before-acknowledge): Insert/Erase mutate the tree and
+/// append one record, which commits itself, then (sync_each_op) fsync.
+/// Recovery thaws the marker's image and replays the records through
+/// SgTree::Insert/Erase, so a crash loses at most operations that were
+/// never acknowledged.
 ///
-/// Checkpoint() folds the accumulated dirty pages into the page file,
-/// seals it (meta + fsync), and truncates the log — bounding both the log
-/// size and recovery time. Directory layout: `<dir>/pages.sgp` (page file)
-/// and `<dir>/wal.sgw` (log).
+/// Checkpoint c -> c+1: commit the log; publish `checkpoint-<c+1>.sgs`;
+/// publish a new log holding only the marker {c+1, op_seq} over wal.sgw
+/// (temp file, fsync, rename, directory fsync) and reopen it for
+/// appending; only then delete `checkpoint-<c>.sgs`. The marker is the only
+/// commit point: a crash before the rename leaves the old marker, whose
+/// image still exists, and a crash after it leaves the new pair. A log
+/// never pairs with a newer image, because replaying an operation twice
+/// is not harmless. Every file write goes through the tree's Env.
 ///
 /// Lock protocol (compile-checked; see common/sync.h): mu_ serializes the
 /// entire write path. "WAL append before ack" is a single critical section
-/// per operation — mutate tree, collect the redo set, append records +
-/// commit marker, fsync, THEN release and acknowledge — so two concurrent
-/// Insert() calls can never interleave their redo runs in the log, and a
-/// reader of op_seq() never observes a sequence number whose records are
-/// still being appended. Lock order: mu_ is always acquired before the
-/// Wal's internal lock (LogOp holds mu_ across wal_->Append), never the
-/// reverse — the Wal never calls back into DurableTree.
+/// per operation — mutate tree, append the record, fsync, THEN release and
+/// acknowledge — so a reader of op_seq() never observes a sequence number
+/// whose record is still being appended, and a checkpoint never lands
+/// between an operation and its record. Lock order: mu_ is always acquired
+/// before the Wal's internal lock, never the reverse — the Wal never calls
+/// back into DurableTree.
 ///
 /// Reads are deliberately OUTSIDE the lock: tree() hands out the SgTree
 /// for lock-free const queries (queries touch nothing durable). The tree_
@@ -65,16 +66,18 @@ class DurableTree {
 
   /// Opens (or creates) the durable tree in `dir`. An existing index is
   /// crash-recovered first — including truncating a torn log tail — and
-  /// `recovery_report()` tells what replay did. Returns nullptr with
-  /// `*error` set on failure (I/O trouble, corrupt files, failed audit, or
-  /// options that contradict the stored meta).
+  /// `recovery_report()` tells what replay did. Only a directory with no
+  /// log (its creation never finished) opens as a fresh index; it needs
+  /// options.tree.num_bits. Returns nullptr with `*error` set on failure
+  /// (I/O trouble, an unreadable marker or image, a failed audit, options
+  /// that contradict the image, or a retired page-file directory), and
+  /// then leaves the directory's files as they were.
   static std::unique_ptr<DurableTree> Open(Env* env, const std::string& dir,
                                            const Options& options,
                                            std::string* error);
 
   DurableTree(const DurableTree&) = delete;
   DurableTree& operator=(const DurableTree&) = delete;
-  ~DurableTree();
 
   /// Logged updates. Return false when the operation could not be made
   /// durable (the in-memory tree may have advanced; treat the instance as
@@ -84,17 +87,19 @@ class DurableTree {
   bool Erase(const Transaction& txn);
   bool Erase(const Signature& sig, uint64_t tid) SGTREE_EXCLUDES(mu_);
 
-  /// Inserts a batch under one group commit (one fsync for the whole batch
-  /// regardless of sync_each_op). Returns the number of inserts logged.
-  /// The whole batch is one critical section: concurrent writers wait, so
-  /// their operations land before or after the batch, never inside it.
+  /// Inserts a batch under one group commit: one record per insert, one
+  /// fsync for the whole batch regardless of sync_each_op. Returns
+  /// txns.size() when that fsync succeeded and 0 otherwise (then none of
+  /// the batch is acknowledged). The whole batch is one critical section:
+  /// concurrent writers wait, so their operations land before or after the
+  /// batch, never inside it.
   size_t InsertBatch(const std::vector<Transaction>& txns)
       SGTREE_EXCLUDES(mu_);
 
   /// Replaces the (required-empty) tree with `loaded` (a BulkLoad /
-  /// BulkLoadEntries result built with the same options), logging the
-  /// entire content as one committed operation and then checkpointing, so
-  /// the load is crash-safe from the moment this returns true.
+  /// BulkLoadEntries result built with the same options) and checkpoints,
+  /// so the load is crash-safe from the moment this returns true. The load
+  /// counts as one operation.
   bool AdoptBulkLoaded(std::unique_ptr<SgTree> loaded,
                        std::string* error = nullptr) SGTREE_EXCLUDES(mu_);
 
@@ -102,8 +107,10 @@ class DurableTree {
   /// sync_each_op is off).
   bool Sync() SGTREE_EXCLUDES(mu_);
 
-  /// Folds dirty pages into the page file, seals the checkpoint, and
-  /// truncates the log. Returns false with `*error` set on failure.
+  /// Publishes the tree as the next checkpoint image and restarts the log
+  /// at its marker (see the class comment). Returns false with `*error`
+  /// set on failure; a failure after the old log was retired leaves the
+  /// instance without a log, so later updates fail until it is reopened.
   bool Checkpoint(std::string* error = nullptr) SGTREE_EXCLUDES(mu_);
 
   /// The underlying tree. Reads are free to use it directly (queries touch
@@ -113,9 +120,8 @@ class DurableTree {
 
   /// Runs `fn` against the tree with the write path locked out, so `fn`
   /// observes a frozen, operation-consistent snapshot (no half-applied
-  /// insert can be in flight). Used by the static export
-  /// (static/static_tree_builder.h) to build an image of a live index.
-  /// Keep `fn` short: writers block for its whole duration.
+  /// insert can be in flight). Used by ExportStatic. Keep `fn` short:
+  /// writers block for its whole duration.
   bool WithFrozenTree(const std::function<bool(const SgTree&)>& fn) const
       SGTREE_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -135,34 +141,26 @@ class DurableTree {
   /// What recovery did at Open (all-zero for a fresh index).
   const RecoveryReport& recovery_report() const { return recovery_report_; }
 
-  const std::string& page_path() const { return page_path_; }
-  const std::string& wal_path() const { return wal_path_; }
-
-  /// Builds the durable file names for `dir`.
-  static std::string PagePathFor(const std::string& dir);
-  static std::string WalPathFor(const std::string& dir);
-
  private:
-  class Tracker;
+  DurableTree(const Options& options, Env* env, const std::string& dir);
 
-  DurableTree(const Options& options, Env* env);
-
-  /// Appends the current operation's redo set + commit marker; clears the
-  /// tracker. `sync` forces/suppresses the per-op fsync.
-  bool LogOp(bool sync) SGTREE_REQUIRES(mu_);
+  /// Appends the record of one operation; `sync` forces/suppresses the
+  /// per-op fsync.
+  bool LogOp(WalRecordType type, const Signature& sig, uint64_t tid,
+             bool sync) SGTREE_REQUIRES(mu_);
   /// Checkpoint body for callers already in the critical section
   /// (AdoptBulkLoaded checkpoints as the tail of its own operation — the
   /// EXCLUDES/REQUIRES split is what lets the analysis prove the public
   /// Checkpoint() is never re-entered under mu_).
   bool CheckpointLocked(std::string* error) SGTREE_REQUIRES(mu_);
-  /// TreeMeta snapshot of the current in-memory state at `op_seq`.
-  TreeMeta CurrentTreeMeta() const SGTREE_REQUIRES(mu_);
-  bool EncodeLivePage(PageId id, std::vector<uint8_t>* out) const;
+  /// Publishes image `checkpoint_seq`, then a log holding only its marker,
+  /// and appends to that log from then on.
+  bool PublishCheckpoint(uint64_t checkpoint_seq, std::string* error)
+      SGTREE_REQUIRES(mu_);
 
   Options options_;
   Env* env_;
-  std::string page_path_;
-  std::string wal_path_;
+  const std::string dir_;
 
   /// Serializes the write path; see the class comment for the protocol.
   mutable Mutex mu_;
@@ -172,25 +170,23 @@ class DurableTree {
   /// unannotated — the analysis cannot model single-writer/lock-free-reader
   /// fields, TSAN covers that axis.
   std::unique_ptr<SgTree> tree_;
-  /// Set once at Open; the pointees carry the mutable durable state.
-  std::unique_ptr<FilePageStore> store_ SGTREE_PT_GUARDED_BY(mu_);
-  std::unique_ptr<Wal> wal_ SGTREE_PT_GUARDED_BY(mu_);
-  std::unique_ptr<Tracker> tracker_ SGTREE_PT_GUARDED_BY(mu_);
+  /// The open log; replaced at every checkpoint, null after a checkpoint
+  /// that failed once the old log was retired.
+  std::unique_ptr<Wal> wal_ SGTREE_GUARDED_BY(mu_);
 
   uint64_t op_seq_ SGTREE_GUARDED_BY(mu_) = 0;
   uint64_t checkpoint_seq_ SGTREE_GUARDED_BY(mu_) = 0;
   RecoveryReport recovery_report_;
 
-  // Pages to fold at the next checkpoint, accumulated across ops (and
-  // seeded from the replay delta after recovery). Invariant: every id in
-  // ckpt_dirty_ has a redo image in the current log, so a torn fold write
-  // is always repairable by replay.
-  std::set<PageId> ckpt_dirty_ SGTREE_GUARDED_BY(mu_);
-  std::set<PageId> ckpt_freed_ SGTREE_GUARDED_BY(mu_);
-
   obs::Histogram* checkpoint_latency_us_ = nullptr;
   obs::Counter* checkpoint_count_ = nullptr;
 };
+
+/// Exports a live durable index as a static image at `path`, holding the
+/// write path locked for the duration so the image is an
+/// operation-consistent snapshot.
+bool ExportStatic(const DurableTree& durable, const std::string& path,
+                  std::string* error = nullptr);
 
 }  // namespace sgtree
 

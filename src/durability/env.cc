@@ -190,4 +190,27 @@ Env* Env::Posix() {
   return &env;
 }
 
+bool AtomicWriteFile(Env* env, const std::string& path,
+                     const std::vector<uint8_t>& data, std::string* error) {
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (error != nullptr) error->clear();
+  const std::string tmp = path + ".tmp";
+  {
+    std::unique_ptr<File> file = env->Open(tmp, /*create=*/true);
+    if (file == nullptr) return fail("cannot create " + tmp);
+    if (!file->Truncate(0) || !file->Append(data.data(), data.size())) {
+      return fail("cannot write " + tmp);
+    }
+    if (!file->Sync()) return fail("cannot sync " + tmp);
+  }
+  if (!env->Rename(tmp, path)) {
+    return fail("cannot rename " + tmp + " over " + path);
+  }
+  if (!env->SyncDir(path)) return fail("cannot sync directory of " + path);
+  return true;
+}
+
 }  // namespace sgtree

@@ -9,9 +9,9 @@
 
 namespace sgtree {
 
-/// Random-access file handle used by the durability layer (page file and
-/// write-ahead log). All offsets are absolute; there is no seek state, so a
-/// store and a log can interleave operations on their handles freely.
+/// Random-access file handle used by the durability layer (checkpoint
+/// images and the write-ahead log). All offsets are absolute; there is no
+/// seek state, so several handles can interleave operations freely.
 ///
 /// Durability contract: WriteAt/Append affect the OS view of the file
 /// immediately but are only guaranteed to survive a crash after Sync()
@@ -58,10 +58,12 @@ class FileMapping {
   virtual bool zero_copy() const { return false; }
 };
 
-/// Filesystem abstraction the durability layer runs over. The production
-/// implementation (Env::Posix()) maps straight onto POSIX calls; the
-/// FaultInjectingEnv wrapper (fault_injection.h) threads deterministic
-/// crash/corruption hooks under every durable component at once.
+/// Filesystem abstraction that every file the index writes or maps goes
+/// through. The production implementation (Env::Posix()) maps straight onto
+/// POSIX calls; the FaultInjectingEnv wrapper (fault_injection.h) threads
+/// deterministic crash/corruption hooks under every durable component at
+/// once. It sits below the static image reader and the durable tree, so
+/// both use it without depending on each other.
 class Env {
  public:
   virtual ~Env() = default;
@@ -95,6 +97,17 @@ class Env {
   /// The process-wide POSIX environment.
   static Env* Posix();
 };
+
+/// Crash-atomically replaces the contents of `path` with `data` through
+/// `env`: the bytes go to the sibling `path.tmp`, which is fsynced and
+/// renamed over `path`, and then the directory is fsynced. A crash at any
+/// point leaves the old file or the complete new one, never a mix. Every
+/// static image, shard manifest, checkpoint image and fresh log is
+/// published this way. Returns false with `*error` set (when non-null) on
+/// failure.
+bool AtomicWriteFile(Env* env, const std::string& path,
+                     const std::vector<uint8_t>& data,
+                     std::string* error = nullptr);
 
 }  // namespace sgtree
 

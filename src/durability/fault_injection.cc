@@ -99,25 +99,4 @@ bool FaultInjectingEnv::SyncDir(const std::string& path) {
   return !state_->dead() && base_->SyncDir(path);
 }
 
-bool FaultInjectingPageStore::Write(PageId id,
-                                    std::vector<uint8_t> payload) {
-  bool fail = false;
-  const size_t apply = state_->OnWrite(payload.size(), &fail);
-  if (apply < payload.size()) payload.resize(apply);
-  // A torn page write leaves only the prefix in the slot; MemPageStore has
-  // no checksum to catch that, which is exactly what FilePageStore adds.
-  if (apply > 0 || !fail) {
-    const bool ok = base_->Write(id, std::move(payload));
-    return ok && !fail;
-  }
-  return false;
-}
-
-bool FaultInjectingPageStore::Read(PageId id,
-                                   std::vector<uint8_t>* payload) const {
-  if (!base_->Read(id, payload)) return false;
-  state_->OnRead(payload);
-  return true;
-}
-
 }  // namespace sgtree

@@ -8,16 +8,14 @@
 #include <vector>
 
 #include "durability/env.h"
-#include "storage/page_store.h"
 
 namespace sgtree {
 
-/// Deterministic fault schedule shared by FaultInjectingEnv and
-/// FaultInjectingPageStore. A "write" below is any mutating file operation
-/// (WriteAt/Append/Truncate at the env level; Write at the store level),
-/// counted 1-based across every file opened through the env, so a crash
-/// point sweeps the interleaved page-file + WAL write sequence exactly as
-/// a real kill would.
+/// Deterministic fault schedule of a FaultInjectingEnv. A "write" below is
+/// any mutating file operation (WriteAt, Append, Truncate, Rename), counted
+/// 1-based across every file opened through the env, so a crash point
+/// sweeps the interleaved image + log write sequence exactly as a real kill
+/// would.
 struct FaultPlan {
   /// The Nth write is the crash point: it fails (after optionally applying
   /// a torn prefix) and every later mutating operation fails too — the
@@ -42,9 +40,10 @@ struct FaultPlan {
   uint64_t flip_bit = 0;
 };
 
-/// Mutable fault state: the plan plus the operation counters. Shared by an
-/// env/store wrapper and the test driving it, so the test can read how many
+/// Mutable fault state: the plan plus the operation counters. Shared by the
+/// env wrapper and the test driving it, so the test can read how many
 /// writes a clean run issues and then sweep kill_at_write over that range.
+/// Not thread-safe: drive one env from one thread at a time.
 class FaultState {
  public:
   explicit FaultState(const FaultPlan& plan = {}) : plan_(plan) {}
@@ -80,7 +79,7 @@ class FaultState {
 };
 
 /// Env wrapper threading the fault schedule under every file the durability
-/// layer opens — the page file and the WAL see one interleaved write
+/// layer opens — checkpoint images and the log see one interleaved write
 /// numbering. After the crash point, reads still work (recovery re-opens
 /// with a clean env anyway; these reads only serve debugging).
 class FaultInjectingEnv final : public Env {
@@ -103,34 +102,6 @@ class FaultInjectingEnv final : public Env {
 
  private:
   Env* base_;
-  FaultState* state_;
-};
-
-/// PageStoreInterface wrapper with the same deterministic faults at page
-/// granularity: Write is the counted mutating operation (a torn prefix
-/// truncates the payload), Read the counted flip target. Lets store-level
-/// clients (an SgTree running directly over an injected store, the
-/// invariant auditor) be crash-tested without files.
-class FaultInjectingPageStore final : public PageStoreInterface {
- public:
-  FaultInjectingPageStore(PageStoreInterface* base, FaultState* state)
-      : base_(base), state_(state) {}
-
-  uint32_t page_size() const override { return base_->page_size(); }
-  PageId Allocate() override { return base_->Allocate(); }
-  bool Reserve(PageId id) override { return base_->Reserve(id); }
-  void Free(PageId id) override {
-    bool fail = false;
-    state_->OnWrite(0, &fail);
-    if (!fail) base_->Free(id);
-  }
-  bool Write(PageId id, std::vector<uint8_t> payload) override;
-  bool Read(PageId id, std::vector<uint8_t>* payload) const override;
-  uint32_t LivePages() const override { return base_->LivePages(); }
-  uint32_t TotalPages() const override { return base_->TotalPages(); }
-
- private:
-  PageStoreInterface* base_;
   FaultState* state_;
 };
 

@@ -1,12 +1,10 @@
 #include "durability/recovery.h"
 
-#include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "durability/wal.h"
-#include "storage/node_format.h"
+#include "static/static_tree_builder.h"
+#include "static/static_tree_view.h"
 
 namespace sgtree {
 namespace {
@@ -17,22 +15,22 @@ std::string Plural(uint64_t n, const char* noun) {
 
 }  // namespace
 
+std::string WalPathFor(const std::string& dir) { return dir + "/wal.sgw"; }
+
+std::string CheckpointPathFor(const std::string& dir,
+                              uint64_t checkpoint_seq) {
+  return dir + "/checkpoint-" + std::to_string(checkpoint_seq) + ".sgs";
+}
+
 std::string RecoveryReport::Summary() const {
   std::string out = "checkpoint " + std::to_string(checkpoint_seq) + ", " +
-                    Plural(ops_committed, "op") + " replayed (" +
-                    Plural(records_replayed, "record") + ")";
-  if (records_discarded > 0) {
-    out += ", " + Plural(records_discarded, "uncommitted record") +
-           " discarded";
-  }
+                    Plural(records_replayed, "op") + " replayed";
   if (torn_tail) out += ", torn tail truncated";
   out += ", recovered at op_seq " + std::to_string(op_seq);
   return out;
 }
 
-std::unique_ptr<RecoveredTree> RecoverTree(Env* env,
-                                           const std::string& page_path,
-                                           const std::string& wal_path,
+std::unique_ptr<RecoveredTree> RecoverTree(Env* env, const std::string& dir,
                                            std::string* error,
                                            const SgTreeOptions* options_hint,
                                            obs::MetricsRegistry* metrics) {
@@ -41,171 +39,80 @@ std::unique_ptr<RecoveredTree> RecoverTree(Env* env,
     if (error != nullptr) *error = message;
     return nullptr;
   };
-
-  auto result = std::make_unique<RecoveredTree>();
-
-  // 1. Checkpoint state: the page file's live pages.
-  std::string store_error;
-  result->pages = FilePageStore::Open(env, page_path, &store_error);
-  if (result->pages == nullptr) return fail(store_error);
-  FilePageStore& store = *result->pages;
-
-  if (!DecodeDurableTreeMeta(store.meta(), &result->meta)) {
-    return fail("page file " + page_path + ": corrupt tree meta");
-  }
-  if (result->meta.num_bits == 0) {
-    return fail("page file " + page_path + ": tree meta has zero num_bits");
+  if (env->FileExists(dir + "/pages.sgp")) {
+    return fail(dir + ": retired page-file format (pages.sgp); rebuild the "
+                      "index from its data");
   }
 
-  std::map<PageId, std::vector<uint8_t>> images;
-  std::set<PageId> bad_pages;  // checksum failures awaiting log repair
-  for (PageId id = 0; id < store.TotalPages(); ++id) {
-    std::vector<uint8_t> payload;
-    if (store.Read(id, &payload)) {
-      images[id] = std::move(payload);
-    } else if (store.last_error().find("checksum") != std::string::npos ||
-               store.last_error().find("corrupt") != std::string::npos) {
-      bad_pages.insert(id);
-    }
-    // Freed slots simply fail the live check; nothing to load.
+  // 1. The marker names the checkpoint image this log follows.
+  const std::string wal_path = WalPathFor(dir);
+  if (!env->FileExists(wal_path)) {
+    return fail("no durable index in " + dir + " (missing " + wal_path + ")");
   }
-
-  // 2. Scan the WAL and pair it with the checkpoint.
-  RecoveryReport& report = result->report;
-  report.checkpoint_seq = result->meta.checkpoint_seq;
-
   std::vector<uint8_t> region;
-  std::string wal_error;
-  if (!Wal::ReadRecordRegion(env, wal_path, &region, &wal_error)) {
-    return fail(wal_error);
-  }
+  if (!Wal::ReadRecordRegion(env, wal_path, &region, error)) return nullptr;
   WalScanner scanner(region.data(), region.size());
+  WalRecord marker;
+  if (!scanner.Next(&marker) || marker.type != WalRecordType::kCheckpoint) {
+    return fail("wal " + wal_path + ": unreadable checkpoint marker");
+  }
 
-  // 3. Replay committed operations over the checkpoint images.
-  struct StagedOp {
-    std::map<PageId, std::vector<uint8_t>> writes;
-    std::vector<PageId> frees;
-    uint64_t records = 0;
+  // 2. Thaw the image. StaticTreeView::Open checks the signature width;
+  // the node capacity it always takes from the file, so compare it here.
+  auto result = std::make_unique<RecoveredTree>();
+  RecoveryReport& report = result->report;
+  report.checkpoint_seq = marker.checkpoint_seq;
+  StaticOpenOptions open_options;
+  if (options_hint != nullptr) open_options.tree = *options_hint;
+  {
+    const std::unique_ptr<StaticTreeView> view = StaticTreeView::Open(
+        env, CheckpointPathFor(dir, marker.checkpoint_seq), open_options,
+        error);
+    if (view == nullptr) return nullptr;
+    if (options_hint != nullptr &&
+        options_hint->ResolvedMaxEntries() != view->max_entries()) {
+      return fail("supplied node capacity " +
+                  std::to_string(options_hint->ResolvedMaxEntries()) +
+                  " does not match the checkpoint image's " +
+                  std::to_string(view->max_entries()));
+    }
+    result->tree = ThawStatic(*view);
+  }
+  SgTree& tree = *result->tree;
+
+  // 3. Replay the acknowledged operations.
+  const uint32_t num_bits = tree.num_bits();
+  const std::string foreign = "; the log does not belong to checkpoint " +
+                              std::to_string(marker.checkpoint_seq);
+  auto refuse = [&](const std::string& what) {
+    return fail("wal " + wal_path + ": record " +
+                std::to_string(scanner.records()) + " " + what);
   };
-  StagedOp staged;
-  bool saw_marker = false;
   WalRecord record;
   while (scanner.Next(&record)) {
-    if (!saw_marker) {
-      // First record must bind this log to the page file's checkpoint.
-      if (record.type != WalRecordType::kCheckpoint) {
-        return fail("wal " + wal_path +
-                    ": first record is not a checkpoint marker");
-      }
-      const uint64_t cp = result->meta.checkpoint_seq;
-      if (record.checkpoint_seq != cp &&
-          record.checkpoint_seq + 1 != cp) {
-        return fail("wal " + wal_path + ": checkpoint marker " +
-                    std::to_string(record.checkpoint_seq) +
-                    " does not match page file checkpoint " +
-                    std::to_string(cp));
-      }
-      saw_marker = true;
-      continue;
+    if (record.type == WalRecordType::kCheckpoint) {
+      return refuse("is a second checkpoint marker");
     }
-    switch (record.type) {
-      case WalRecordType::kCheckpoint:
-        return fail("wal " + wal_path +
-                    ": checkpoint marker in the middle of the log");
-      case WalRecordType::kAlloc:
-        // Allocation itself carries no bytes; the page image follows in
-        // the same operation. Staging nothing keeps replay idempotent.
-        ++staged.records;
-        break;
-      case WalRecordType::kPageImage:
-        staged.writes[record.page] = std::move(record.image);
-        ++staged.records;
-        break;
-      case WalRecordType::kFree:
-        staged.frees.push_back(record.page);
-        ++staged.records;
-        break;
-      case WalRecordType::kTreeMeta:
-        // Commit marker: fold the staged operation in atomically.
-        for (auto& [id, image] : staged.writes) {
-          bad_pages.erase(id);
-          images[id] = std::move(image);
-          result->replay_written.insert(id);
-          result->replay_freed.erase(id);
-        }
-        for (const PageId id : staged.frees) {
-          bad_pages.erase(id);
-          images.erase(id);
-          result->replay_freed.insert(id);
-          result->replay_written.erase(id);
-        }
-        result->meta.tree = record.meta;
-        report.records_replayed += staged.records + 1;
-        ++report.ops_committed;
-        staged = StagedOp{};
-        break;
+    if (!record.positions.empty() && record.positions.back() >= num_bits) {
+      return refuse("sets bit " + std::to_string(record.positions.back()) +
+                    " of a " + std::to_string(num_bits) + "-bit signature" +
+                    foreign);
     }
+    const Signature sig = Signature::FromItems(record.positions, num_bits);
+    if (record.type == WalRecordType::kInsert) {
+      tree.Insert(sig, record.tid);
+    } else if (!tree.Erase(sig, record.tid)) {
+      return refuse("erases tid " + std::to_string(record.tid) +
+                    ", which is not indexed" + foreign);
+    }
+    ++report.records_replayed;
   }
-  report.wal_records_scanned = scanner.records();
-  report.records_discarded = staged.records;
+  tree.ResetIo();
   report.torn_tail = scanner.torn();
   report.wal_valid_end = scanner.valid_end();
-  report.op_seq = result->meta.tree.op_seq;
+  report.op_seq = marker.op_seq + report.records_replayed;
 
-  // A checksum-failing checkpoint page that the log never overwrote or
-  // freed is unrecoverable bit rot.
-  if (!bad_pages.empty()) {
-    return fail("page " + std::to_string(*bad_pages.begin()) +
-                ": checksum mismatch not repaired by the log");
-  }
-
-  // 4. Rebuild the tree with its original page ids.
-  SgTreeOptions options;
-  if (options_hint != nullptr) {
-    options = *options_hint;
-    if (options.num_bits != result->meta.num_bits ||
-        options.ResolvedMaxEntries() != result->meta.max_entries ||
-        options.page_size != store.page_size() ||
-        (options.compress ? 1 : 0) != result->meta.compress) {
-      return fail("supplied tree options do not match the stored meta");
-    }
-  } else {
-    options.num_bits = result->meta.num_bits;
-    options.max_entries = result->meta.max_entries;
-    options.page_size = store.page_size();
-    options.compress = result->meta.compress != 0;
-  }
-
-  const TreeMeta& tree_meta = result->meta.tree;
-  result->tree = std::make_unique<SgTree>(options);
-  SgTree& tree = *result->tree;
-  for (const auto& [id, image] : images) {
-    NodeRecord node_record;
-    if (!DecodeNode(image, options.num_bits, &node_record)) {
-      return fail("page " + std::to_string(id) + ": image does not decode");
-    }
-    Node* node = tree.AdoptNode(id, node_record.level);
-    node->entries.reserve(node_record.entries.size());
-    for (auto& [ref, sig] : node_record.entries) {
-      node->entries.push_back(Entry{std::move(sig), ref});
-    }
-  }
-  if (tree_meta.root != kInvalidPageId &&
-      images.find(tree_meta.root) == images.end()) {
-    return fail("recovered root page " + std::to_string(tree_meta.root) +
-                " is not live");
-  }
-  tree.SetRoot(tree_meta.root, tree_meta.height, tree_meta.size);
-  if (tree.node_count() != tree_meta.node_count) {
-    return fail("recovered " + Plural(tree.node_count(), "node") +
-                " but meta records " + std::to_string(tree_meta.node_count));
-  }
-  if (tree_meta.area_lo <= tree_meta.area_hi) {
-    tree.NoteTransactionArea(tree_meta.area_lo);
-    tree.NoteTransactionArea(tree_meta.area_hi);
-  }
-
-  // 5. Post-recovery gate: a structurally broken tree is an error.
+  // 4. Post-recovery gate: a structurally broken tree is an error.
   result->audit = AuditTree(tree);
   if (!result->audit.ok()) {
     return fail("recovered tree failed the invariant audit: " +

@@ -3,91 +3,72 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "durability/env.h"
-#include "durability/file_page_store.h"
-#include "durability/meta.h"
 #include "obs/metrics.h"
 #include "sgtree/invariant_auditor.h"
 #include "sgtree/sg_tree.h"
 
 namespace sgtree {
 
-/// What crash recovery did: how much of the log was clean, how many
-/// committed operations it replayed, and what it threw away.
+/// The two files of a durable directory: the log, and the static image of
+/// checkpoint `checkpoint_seq` (static/static_format.h, format v1).
+std::string WalPathFor(const std::string& dir);
+std::string CheckpointPathFor(const std::string& dir, uint64_t checkpoint_seq);
+
+/// What crash recovery did: which checkpoint it thawed, how many logged
+/// operations it replayed, and whether the log ended in a torn tail.
 struct RecoveryReport {
-  /// Checkpoint the page file and the WAL agreed on.
+  /// The checkpoint named by the log's marker.
   uint64_t checkpoint_seq = 0;
-  /// Complete, well-formed records the scanner accepted (incl. the marker).
-  uint64_t wal_records_scanned = 0;
-  /// Records belonging to committed operations that were applied.
+  /// Operation records replayed on the thawed checkpoint image.
   uint64_t records_replayed = 0;
-  /// Committed operations (TreeMeta markers) replayed from the log.
-  uint64_t ops_committed = 0;
-  /// Records of the trailing uncommitted operation, discarded.
-  uint64_t records_discarded = 0;
   /// True when bytes past the clean prefix existed (torn tail / corruption).
   bool torn_tail = false;
   /// Bytes of the WAL record region accepted (the append point for the
   /// continuing log; everything past it is truncated away).
   uint64_t wal_valid_end = 0;
-  /// op_seq of the recovered state (number of operations that survived).
+  /// op_seq of the recovered state: the marker's op_seq plus the records
+  /// replayed.
   uint64_t op_seq = 0;
 
   /// One-line human-readable summary.
   std::string Summary() const;
 };
 
-/// A recovered index: the rebuilt in-memory tree (page ids identical to the
-/// ones the log and page file record), the opened page file, the durable
-/// meta as of the recovered state, and the post-recovery audit.
+/// A recovered index: the rebuilt in-memory tree, what recovery did, and
+/// the post-recovery audit.
 struct RecoveredTree {
   std::unique_ptr<SgTree> tree;
-  std::unique_ptr<FilePageStore> pages;
-  DurableTreeMeta meta;  // meta.tree reflects the recovered state
   RecoveryReport report;
   AuditReport audit;
-
-  /// Pages whose content/liveness the replay changed relative to the
-  /// checkpoint base. These seed the next checkpoint's fold sets: the
-  /// page file is still at the old checkpoint, and only log-covered pages
-  /// may ever be rewritten in place (a torn fold write on a page with no
-  /// redo record in the log would be unrepairable).
-  std::set<PageId> replay_written;
-  std::set<PageId> replay_freed;
 };
 
-/// ARIES-lite redo-only crash recovery:
+/// Crash recovery of the durable directory `dir`. Reads nothing but the
+/// directory and writes nothing:
 ///
-///   1. open the page file, pick the winning header, load every live page
-///      (checksum-verified) as the checkpoint state;
-///   2. scan the WAL: the leading checkpoint marker must name the page
-///      file's checkpoint (or the one before it — the crash window between
-///      sealing a checkpoint and folding the log is benign because page
-///      images are absolute and replay converges);
-///   3. replay committed operations: records are staged and applied only
-///      when the operation's TreeMeta commit marker is read, so a crash
-///      mid-operation rolls the whole operation back;
-///   4. stop cleanly at the first torn/corrupt frame, discarding the
-///      uncommitted tail;
-///   5. rebuild the SgTree with its original page ids (AdoptNode) and gate
-///      the result through the InvariantAuditor — a tree that recovers but
-///      fails the audit is reported as an error, not returned as good.
+///   1. read the log's first record, the checkpoint marker {c, op_seq}; a
+///      log without a readable marker is refused, never taken for empty;
+///   2. open `checkpoint-<c>.sgs` with checksums on and thaw it;
+///   3. replay the operation records in order through SgTree::Insert and
+///      Erase, stopping at the first torn or corrupt frame;
+///   4. gate the result through the InvariantAuditor — a tree that
+///      recovers but fails the audit is an error, not a result.
 ///
-/// A checkpoint-state page whose checksum fails is an error unless the log
-/// overwrites or frees it (the store can detect, not repair, bit rot that
-/// predates the log window).
+/// A replayed erase that finds nothing, or a position at or beyond the
+/// image's signature width, means the log does not belong to this image,
+/// and recovery refuses it. A directory in the retired page-file layout
+/// (`pages.sgp`) is refused with a reason that says to rebuild the index.
 ///
-/// `options_hint`, when non-null, supplies the full tree options (its
-/// structural fields must match the stored meta); otherwise options are
-/// reconstructed from the stored meta with defaults for tuning knobs.
-/// `metrics`, when non-null, receives recovery.records_replayed.
-/// Returns nullptr with `*error` set on any failure.
+/// `options_hint`, when non-null, supplies the runtime tree options; its
+/// signature width and node capacity must match the image. Otherwise both
+/// are taken from the image. `metrics`, when non-null, receives
+/// recovery.records_replayed. Returns nullptr with a one-line `*error` on
+/// any failure.
 std::unique_ptr<RecoveredTree> RecoverTree(
-    Env* env, const std::string& page_path, const std::string& wal_path,
-    std::string* error, const SgTreeOptions* options_hint = nullptr,
+    Env* env, const std::string& dir, std::string* error,
+    const SgTreeOptions* options_hint = nullptr,
     obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace sgtree

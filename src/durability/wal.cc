@@ -10,6 +10,23 @@ namespace {
 
 constexpr char kWalMagic[8] = {'S', 'G', 'W', 'L', '0', '0', '0', '1'};
 
+// type + tid + count: the bytes of an operation record before its
+// positions.
+constexpr size_t kOpRecordHeader = 1 + 8 + 4;
+
+void AppendFrame(const WalRecord& record, std::vector<uint8_t>* out) {
+  std::vector<uint8_t> payload;
+  EncodeWalRecord(record, &payload);
+  AppendU32(static_cast<uint32_t>(payload.size()), out);
+  AppendU32(Crc32c(payload), out);
+  out->insert(out->end(), payload.begin(), payload.end());
+}
+
+obs::Counter* CounterOrNull(obs::MetricsRegistry* registry,
+                            const char* name) {
+  return registry == nullptr ? nullptr : registry->GetCounter(name);
+}
+
 }  // namespace
 
 uint64_t Wal::RecordRegionStart() { return sizeof(kWalMagic); }
@@ -19,17 +36,15 @@ void EncodeWalRecord(const WalRecord& record, std::vector<uint8_t>* out) {
   switch (record.type) {
     case WalRecordType::kCheckpoint:
       AppendU64(record.checkpoint_seq, out);
+      AppendU64(record.op_seq, out);
       break;
-    case WalRecordType::kAlloc:
-    case WalRecordType::kFree:
-      AppendU32(record.page, out);
-      break;
-    case WalRecordType::kPageImage:
-      AppendU32(record.page, out);
-      out->insert(out->end(), record.image.begin(), record.image.end());
-      break;
-    case WalRecordType::kTreeMeta:
-      EncodeTreeMeta(record.meta, out);
+    case WalRecordType::kInsert:
+    case WalRecordType::kErase:
+      AppendU64(record.tid, out);
+      AppendU32(static_cast<uint32_t>(record.positions.size()), out);
+      for (const uint32_t position : record.positions) {
+        AppendU32(position, out);
+      }
       break;
   }
 }
@@ -44,22 +59,26 @@ bool DecodeWalRecord(const std::vector<uint8_t>& payload,
     case WalRecordType::kCheckpoint:
       record->type = WalRecordType::kCheckpoint;
       return ReadU64(payload, &offset, &record->checkpoint_seq) &&
+             ReadU64(payload, &offset, &record->op_seq) &&
              offset == payload.size();
-    case WalRecordType::kAlloc:
-    case WalRecordType::kFree:
+    case WalRecordType::kInsert:
+    case WalRecordType::kErase: {
       record->type = static_cast<WalRecordType>(type);
-      return ReadU32(payload, &offset, &record->page) &&
-             offset == payload.size();
-    case WalRecordType::kPageImage:
-      record->type = WalRecordType::kPageImage;
-      if (!ReadU32(payload, &offset, &record->page)) return false;
-      record->image.assign(payload.begin() + static_cast<ptrdiff_t>(offset),
-                           payload.end());
+      uint32_t count = 0;
+      if (!ReadU64(payload, &offset, &record->tid) ||
+          !ReadU32(payload, &offset, &count) ||
+          payload.size() - kOpRecordHeader != uint64_t{count} * 4) {
+        return false;
+      }
+      record->positions.resize(count);
+      for (uint32_t i = 0; i < count; ++i) {
+        ReadU32(payload, &offset, &record->positions[i]);
+        if (i > 0 && record->positions[i] <= record->positions[i - 1]) {
+          return false;
+        }
+      }
       return true;
-    case WalRecordType::kTreeMeta:
-      record->type = WalRecordType::kTreeMeta;
-      return DecodeTreeMeta(payload, &offset, &record->meta) &&
-             offset == payload.size();
+    }
   }
   return false;
 }
@@ -94,29 +113,36 @@ bool WalScanner::Next(WalRecord* record) {
   return true;
 }
 
-std::unique_ptr<Wal> Wal::Create(Env* env, const std::string& path,
-                                 std::string* error) {
-  auto file = env->Open(path, /*create=*/true);
-  if (file == nullptr || !file->Truncate(0) ||
-      !file->Append(reinterpret_cast<const uint8_t*>(kWalMagic),
-                    sizeof(kWalMagic))) {
-    if (error != nullptr) *error = "cannot create wal " + path;
-    return nullptr;
-  }
-  return std::unique_ptr<Wal>(
-      new Wal(env, path, std::move(file), sizeof(kWalMagic)));
+Wal::Wal(std::unique_ptr<File> file, uint64_t size,
+         obs::MetricsRegistry* metrics)
+    : file_(std::move(file)),
+      size_(size),
+      appends_counter_(CounterOrNull(metrics, "wal.appends")),
+      fsyncs_counter_(CounterOrNull(metrics, "wal.fsyncs")),
+      bytes_counter_(CounterOrNull(metrics, "wal.bytes")) {}
+
+std::unique_ptr<Wal> Wal::Publish(Env* env, const std::string& path,
+                                  const WalRecord& marker,
+                                  obs::MetricsRegistry* metrics,
+                                  std::string* error) {
+  std::vector<uint8_t> bytes(kWalMagic, kWalMagic + sizeof(kWalMagic));
+  AppendFrame(marker, &bytes);
+  if (!AtomicWriteFile(env, path, bytes, error)) return nullptr;
+  return OpenForAppend(env, path, bytes.size() - sizeof(kWalMagic), metrics,
+                       error);
 }
 
 std::unique_ptr<Wal> Wal::OpenForAppend(Env* env, const std::string& path,
                                         uint64_t append_offset,
+                                        obs::MetricsRegistry* metrics,
                                         std::string* error) {
   auto file = env->Open(path, /*create=*/false);
   const uint64_t end = sizeof(kWalMagic) + append_offset;
-  if (file == nullptr || !file->Truncate(end)) {
+  if (file == nullptr || (file->Size() != end && !file->Truncate(end))) {
     if (error != nullptr) *error = "cannot open wal " + path;
     return nullptr;
   }
-  return std::unique_ptr<Wal>(new Wal(env, path, std::move(file), end));
+  return std::unique_ptr<Wal>(new Wal(std::move(file), end, metrics));
 }
 
 bool Wal::ReadRecordRegion(Env* env, const std::string& path,
@@ -134,7 +160,7 @@ bool Wal::ReadRecordRegion(Env* env, const std::string& path,
     if (error != nullptr) *error = "cannot stat wal " + path;
     return false;
   }
-  if (size < sizeof(kWalMagic)) return true;  // Torn creation: empty log.
+  if (size < sizeof(kWalMagic)) return true;
   std::vector<uint8_t> magic;
   if (!file->ReadAt(0, sizeof(kWalMagic), &magic) ||
       std::memcmp(magic.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
@@ -151,18 +177,11 @@ bool Wal::ReadRecordRegion(Env* env, const std::string& path,
 }
 
 bool Wal::Append(const WalRecord& record) {
-  MutexLock lock(&mu_);
-  return AppendLocked(record);
-}
-
-bool Wal::AppendLocked(const WalRecord& record) {
-  std::vector<uint8_t> payload;
-  EncodeWalRecord(record, &payload);
   std::vector<uint8_t> frame;
-  frame.reserve(8 + payload.size());
-  AppendU32(static_cast<uint32_t>(payload.size()), &frame);
-  AppendU32(Crc32c(payload), &frame);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  AppendFrame(record, &frame);
+  // The scanner would stop at an oversized frame, losing the operation.
+  if (frame.size() - 8 > kMaxWalRecordSize) return false;
+  MutexLock lock(&mu_);
   if (!file_->Append(frame.data(), frame.size())) return false;
   size_ += frame.size();
   ++records_appended_;
@@ -174,36 +193,11 @@ bool Wal::AppendLocked(const WalRecord& record) {
 
 bool Wal::Commit() {
   MutexLock lock(&mu_);
-  return CommitLocked();
-}
-
-bool Wal::CommitLocked() {
   if (dirty_appends_ == 0) return true;
   if (!file_->Sync()) return false;
   dirty_appends_ = 0;
   if (fsyncs_counter_ != nullptr) fsyncs_counter_->Increment();
   return true;
-}
-
-bool Wal::Reset(uint64_t checkpoint_seq) {
-  // One critical section: truncate, checkpoint marker, sync. A concurrent
-  // Append can land before or after the fold, never inside it.
-  MutexLock lock(&mu_);
-  if (!file_->Truncate(sizeof(kWalMagic))) return false;
-  size_ = sizeof(kWalMagic);
-  WalRecord marker;
-  marker.type = WalRecordType::kCheckpoint;
-  marker.checkpoint_seq = checkpoint_seq;
-  if (!AppendLocked(marker)) return false;
-  return CommitLocked();
-}
-
-void Wal::BindMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  MutexLock lock(&mu_);
-  appends_counter_ = registry->GetCounter("wal.appends");
-  fsyncs_counter_ = registry->GetCounter("wal.fsyncs");
-  bytes_counter_ = registry->GetCounter("wal.bytes");
 }
 
 }  // namespace sgtree

@@ -8,43 +8,45 @@
 
 #include "common/sync.h"
 #include "durability/env.h"
-#include "durability/meta.h"
 #include "obs/metrics.h"
-#include "storage/page.h"
 
 namespace sgtree {
 
-/// WAL record types. One committed tree operation is the record run
-///   [kAlloc | kPageImage | kFree]*  kTreeMeta
-/// where the trailing kTreeMeta is the commit marker; recovery discards a
-/// trailing run with no marker. A fresh (or just-checkpointed) log starts
-/// with kCheckpoint naming the page-file checkpoint it follows.
+/// WAL record types. A log is the checkpoint marker followed by one record
+/// per acknowledged operation; each operation record commits itself.
+/// (Codes 2-5 belonged to the retired page-image log and are never read.)
 enum class WalRecordType : uint8_t {
-  kCheckpoint = 1,  // checkpoint_seq
-  kAlloc = 2,       // page
-  kPageImage = 3,   // page + full post-image of the page (redo record)
-  kFree = 4,        // page
-  kTreeMeta = 5,    // meta (commit marker)
+  kCheckpoint = 1,  // checkpoint_seq, op_seq: the log's first record
+  kInsert = 6,      // tid, set-bit positions
+  kErase = 7,       // tid, set-bit positions
 };
 
+/// One log record. Payload layouts (little-endian):
+///   kCheckpoint: u8 type | u64 checkpoint_seq | u64 op_seq
+///   kInsert, kErase: u8 type | u64 tid | u32 count | count x u32 position
+/// Positions are the signature's set bits in strictly increasing order, so
+/// a framed insert of |t| items is 21 + 4|t| bytes.
 struct WalRecord {
   WalRecordType type = WalRecordType::kCheckpoint;
-  PageId page = kInvalidPageId;
+  /// kCheckpoint: the image `checkpoint-<checkpoint_seq>.sgs` this log
+  /// follows, and the op_seq that image holds.
   uint64_t checkpoint_seq = 0;
-  std::vector<uint8_t> image;
-  TreeMeta meta;
+  uint64_t op_seq = 0;
+  /// kInsert / kErase.
+  uint64_t tid = 0;
+  std::vector<uint32_t> positions;
 };
 
 /// Serializes the record payload (without framing).
 void EncodeWalRecord(const WalRecord& record, std::vector<uint8_t>* out);
 
-/// Decodes a record payload. Returns false on malformed input without
-/// crashing or over-reading — fuzzed directly by fuzz/fuzz_wal.cc.
+/// Decodes a record payload. Returns false on malformed input (unknown
+/// type, short or trailing bytes, positions not strictly increasing)
+/// without crashing or over-reading — fuzzed directly by fuzz/fuzz_wal.cc.
 bool DecodeWalRecord(const std::vector<uint8_t>& payload, WalRecord* record);
 
 /// Upper bound on a sane framed record; anything larger is treated as
-/// corruption by the scanner (a page image plus small headers fits well
-/// under this for any supported page size).
+/// corruption by the scanner.
 inline constexpr uint32_t kMaxWalRecordSize = 1u << 20;
 
 /// Forward scan over the record region of a WAL (the bytes after the file
@@ -79,33 +81,39 @@ class WalScanner {
 /// records appended since the previous Commit durable at once — one fsync
 /// per logical operation or per batch, not per record.
 ///
+/// A log file is never truncated to start over: Publish writes a new log
+/// holding only a checkpoint marker and renames it over the old one, so a
+/// crash leaves either the old log or the new one. Its wal.* counters are
+/// bound at construction, so a log published at a checkpoint keeps
+/// counting into the same registry.
+///
 /// Lock protocol: mu_ serializes the file and its bookkeeping (offset,
 /// dirty-append count), so concurrent committers can interleave Append()
-/// runs with group Commit() calls — the classic group-commit shape where
+/// calls with group Commit() calls — the classic group-commit shape where
 /// one fsync covers every record appended before it, whoever appended
-/// them. Reset() holds the lock across truncate + checkpoint record +
-/// sync, making the log fold one atomic transition. Record framing order
-/// within one logical operation is the CALLER's contract (DurableTree
-/// holds its own lock across the whole record run); the Wal lock only
-/// guarantees records never interleave mid-frame.
+/// them. The Wal lock only guarantees records never interleave mid-frame.
 class Wal {
  public:
-  /// Creates a fresh, empty log (truncates an existing file), writing the
-  /// file magic. Not yet synced.
-  static std::unique_ptr<Wal> Create(Env* env, const std::string& path,
-                                     std::string* error);
+  /// Publishes a log holding only `marker` at `path` (AtomicWriteFile:
+  /// temp file, fsync, rename, directory fsync) and opens it for appending
+  /// after the marker. `metrics` (may be null) receives wal.appends,
+  /// wal.fsyncs and wal.bytes for the records appended later.
+  static std::unique_ptr<Wal> Publish(Env* env, const std::string& path,
+                                      const WalRecord& marker,
+                                      obs::MetricsRegistry* metrics,
+                                      std::string* error);
 
   /// Opens an existing log for appending at `append_offset` (a valid_end
   /// from a recovery scan; any torn tail past it is truncated away).
-  static std::unique_ptr<Wal> OpenForAppend(Env* env,
-                                            const std::string& path,
+  static std::unique_ptr<Wal> OpenForAppend(Env* env, const std::string& path,
                                             uint64_t append_offset,
+                                            obs::MetricsRegistry* metrics,
                                             std::string* error);
 
   /// Reads the record region (bytes after the magic) of the log at `path`
   /// into `*records_region`. A missing or shorter-than-magic file yields
-  /// an empty region (a log that never finished being created is an empty
-  /// log); a wrong magic is an error.
+  /// an empty region, which holds no checkpoint marker; a wrong magic is an
+  /// error.
   static bool ReadRecordRegion(Env* env, const std::string& path,
                                std::vector<uint8_t>* records_region,
                                std::string* error);
@@ -120,13 +128,6 @@ class Wal {
   /// last Commit). The group-commit point.
   bool Commit() SGTREE_EXCLUDES(mu_);
 
-  /// Folds the log: truncates to the magic, appends a kCheckpoint record
-  /// naming `checkpoint_seq`, and syncs — one critical section, so a
-  /// concurrent Append can never land between the truncate and the
-  /// checkpoint marker. The page file must be durable before this is
-  /// called.
-  bool Reset(uint64_t checkpoint_seq) SGTREE_EXCLUDES(mu_);
-
   /// Bytes of the log file, including magic.
   uint64_t size_bytes() const SGTREE_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -137,24 +138,13 @@ class Wal {
     return records_appended_;
   }
 
-  /// Binds wal.appends / wal.fsyncs / wal.bytes counters (may be null).
-  void BindMetrics(obs::MetricsRegistry* registry) SGTREE_EXCLUDES(mu_);
-
   /// Offset of the first record in a WAL file (the magic length).
   static uint64_t RecordRegionStart();
 
  private:
-  Wal(Env* env, std::string path, std::unique_ptr<File> file, uint64_t size)
-      : env_(env), path_(std::move(path)), file_(std::move(file)),
-        size_(size) {}
+  Wal(std::unique_ptr<File> file, uint64_t size,
+      obs::MetricsRegistry* metrics);
 
-  /// Unlocked bodies for callers already inside the critical section
-  /// (Reset composes append + commit under one hold).
-  bool AppendLocked(const WalRecord& record) SGTREE_REQUIRES(mu_);
-  bool CommitLocked() SGTREE_REQUIRES(mu_);
-
-  Env* env_;
-  const std::string path_;
   mutable Mutex mu_;
   /// The File pointer is set once at construction; the pointee (append
   /// offset, sync state) is what the lock guards.
@@ -162,9 +152,9 @@ class Wal {
   uint64_t size_ SGTREE_GUARDED_BY(mu_);
   uint64_t records_appended_ SGTREE_GUARDED_BY(mu_) = 0;
   uint64_t dirty_appends_ SGTREE_GUARDED_BY(mu_) = 0;
-  obs::Counter* appends_counter_ SGTREE_GUARDED_BY(mu_) = nullptr;
-  obs::Counter* fsyncs_counter_ SGTREE_GUARDED_BY(mu_) = nullptr;
-  obs::Counter* bytes_counter_ SGTREE_GUARDED_BY(mu_) = nullptr;
+  obs::Counter* const appends_counter_;
+  obs::Counter* const fsyncs_counter_;
+  obs::Counter* const bytes_counter_;
 };
 
 }  // namespace sgtree

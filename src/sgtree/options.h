@@ -58,11 +58,6 @@ struct SgTreeOptions {
   SplitPolicy split_policy = SplitPolicy::kAverage;
   ChooseSubtreePolicy choose_policy = ChooseSubtreePolicy::kMinEnlargement;
 
-  /// Sparse-signature compression (Section 3.2) for the durable page
-  /// file's pages, which the write-ahead log also carries. Snapshots are
-  /// static images and always dense.
-  bool compress = true;
-
   /// Distance metric served by the similarity searches.
   Metric metric = Metric::kHamming;
 

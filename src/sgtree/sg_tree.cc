@@ -50,19 +50,13 @@ uint32_t SgTreeOptions::ResolvedMinEntries() const {
 }
 
 SgTree::SgTree(const SgTreeOptions& options)
-    : SgTree(options, std::make_unique<MemPageStore>(options.page_size)) {}
-
-SgTree::SgTree(const SgTreeOptions& options,
-               std::unique_ptr<PageStoreInterface> pages)
     : options_(options),
       max_entries_(options.ResolvedMaxEntries()),
       min_entries_(options.ResolvedMinEntries()),
-      pages_(std::move(pages)),
+      pages_(options.page_size),
       pool_(std::make_unique<BufferPool>(options.buffer_pages)) {
   SGTREE_ASSERT(options_.num_bits > 0);
   SGTREE_ASSERT(min_entries_ >= 1 && min_entries_ <= max_entries_ / 2);
-  SGTREE_ASSERT_MSG(pages_->page_size() == options_.page_size,
-                    "page store size mismatch");
 }
 
 const Node& SgTree::GetNode(PageId id, const QueryContext& ctx) const {
@@ -84,19 +78,18 @@ void SgTree::ResetIo() {
 }
 
 PageId SgTree::AllocateNode(uint16_t level) {
-  const PageId id = pages_->Allocate();
+  const PageId id = pages_.Allocate();
   auto node = std::make_unique<Node>();
   node->id = id;
   node->level = level;
   nodes_[id] = std::move(node);
   ++node_count_;
   pool_->TouchWrite(id);
-  if (listener_ != nullptr) listener_->OnAlloc(id);
   return id;
 }
 
 Node* SgTree::AdoptNode(PageId id, uint16_t level) {
-  const bool reserved = pages_->Reserve(id);
+  const bool reserved = pages_.Reserve(id);
   SGTREE_ASSERT_MSG(reserved, "AdoptNode on a live page id");
   SGTREE_ASSERT(nodes_.find(id) == nodes_.end());
   auto node = std::make_unique<Node>();
@@ -106,7 +99,6 @@ Node* SgTree::AdoptNode(PageId id, uint16_t level) {
   nodes_[id] = std::move(node);
   ++node_count_;
   pool_->TouchWrite(id);
-  if (listener_ != nullptr) listener_->OnAlloc(id);
   return raw;
 }
 
@@ -115,16 +107,14 @@ Node* SgTree::MutableNode(PageId id) {
   pool_->TouchWrite(id);
   auto it = nodes_.find(id);
   SGTREE_ASSERT_MSG(it != nodes_.end(), "dangling page reference");
-  if (listener_ != nullptr) listener_->OnDirty(id);
   return it->second.get();
 }
 
 void SgTree::FreeNode(PageId id) {
   pool_->Evict(id);
   nodes_.erase(id);
-  pages_->Free(id);
+  pages_.Free(id);
   --node_count_;
-  if (listener_ != nullptr) listener_->OnFree(id);
 }
 
 void SgTree::SetRoot(PageId root, uint32_t height, size_t size) {

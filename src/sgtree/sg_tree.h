@@ -18,20 +18,6 @@
 
 namespace sgtree {
 
-/// Observer of page-level changes made by the tree's update paths. The
-/// durability layer registers one to learn which pages an operation
-/// touched: the union of allocated + dirtied pages (minus freed ones) is
-/// exactly the redo set the write-ahead log must carry for that operation.
-/// Callbacks fire synchronously inside the mutation; implementations must
-/// not reenter the tree.
-class PageChangeListener {
- public:
-  virtual ~PageChangeListener() = default;
-  virtual void OnAlloc(PageId id) = 0;
-  virtual void OnDirty(PageId id) = 0;
-  virtual void OnFree(PageId id) = 0;
-};
-
 /// The signature tree (Section 3): a dynamic height-balanced paginated tree
 /// over fixed-length bit signatures, structured like an R-tree with bitmap
 /// containment/union taking the role of MBR containment/enlargement.
@@ -48,10 +34,6 @@ class PageChangeListener {
 class SgTree {
  public:
   explicit SgTree(const SgTreeOptions& options);
-  /// Runs the tree over an injected page store (file-backed or
-  /// fault-injecting). The store's page size must match the options'.
-  SgTree(const SgTreeOptions& options,
-         std::unique_ptr<PageStoreInterface> pages);
 
   SgTree(const SgTree&) = delete;
   SgTree& operator=(const SgTree&) = delete;
@@ -92,7 +74,7 @@ class SgTree {
   std::pair<uint32_t, uint32_t> TransactionAreaBounds() const;
 
   /// Records one indexed transaction's size (called by Insert; exposed for
-  /// the bulk loader, the thaw and recovery, which bypass Insert).
+  /// the bulk loader and the thaw, which bypass Insert).
   void NoteTransactionArea(uint32_t area);
 
   /// Fetches a node for a query, charging one read to the context. The
@@ -122,35 +104,24 @@ class SgTree {
   /// Clears the buffer contents and counters (cold-cache measurements).
   void ResetIo();
 
-  // -- Low-level node management (bulk loading, thaw and recovery) ------
+  // -- Low-level node management (bulk loading and thaw) ----------------
 
   /// Allocates an empty node at `level` and returns its id.
   PageId AllocateNode(uint16_t level);
-  /// Materializes an empty node at a specific page id (crash recovery and
-  /// ThawStatic — the rebuilt tree keeps the page ids its log or image
-  /// records). The id must not be live.
+  /// Materializes an empty node at a specific page id (ThawStatic — the
+  /// rebuilt tree's page ids are the image's node indexes). The id must not
+  /// be live.
   Node* AdoptNode(PageId id, uint16_t level);
   /// Mutable access; charges a read and a write against the buffer pool.
   Node* MutableNode(PageId id);
   /// Frees a node page.
   void FreeNode(PageId id);
-  /// Installs a new root (bulk loader / thaw / recovery). `size` is the
-  /// number of indexed transactions, `height` the number of levels.
+  /// Installs a new root (bulk loader / thaw). `size` is the number of
+  /// indexed transactions, `height` the number of levels.
   void SetRoot(PageId root, uint32_t height, size_t size);
 
-  /// Ids of all live nodes (checkpoint, checker).
+  /// Ids of all live nodes (checker, ablation bench).
   std::vector<PageId> LiveNodes() const;
-
-  /// Registers (or clears, with nullptr) the page-change observer. At most
-  /// one listener; the durability layer owns it.
-  void SetChangeListener(PageChangeListener* listener) {
-    listener_ = listener;
-  }
-  PageChangeListener* change_listener() const { return listener_; }
-
-  /// The tree's page-id allocator / persistence target.
-  PageStoreInterface& page_store() { return *pages_; }
-  const PageStoreInterface& page_store() const { return *pages_; }
 
  private:
   /// Inserts `entry` into a node at exactly `target_level` in the subtree
@@ -177,9 +148,8 @@ class SgTree {
   uint32_t min_entries_ = 0;
 
   std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<PageStoreInterface> pages_;  // Page-id allocator.
+  MemPageStore pages_;  // Page-id allocator.
   std::unique_ptr<BufferPool> pool_;
-  PageChangeListener* listener_ = nullptr;
 
   PageId root_ = kInvalidPageId;
   uint32_t height_ = 0;

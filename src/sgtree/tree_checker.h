@@ -16,9 +16,8 @@ namespace sgtree {
 ///
 /// This is the historical single-verdict interface, now a thin wrapper over
 /// the InvariantAuditor (sgtree/invariant_auditor.h), which reports every
-/// violation with a machine-readable check id and also audits serialized
-/// page images. New code that needs diagnostics should call AuditTree
-/// directly.
+/// violation with a machine-readable check id. New code that needs
+/// diagnostics should call AuditTree directly.
 struct TreeReport {
   bool ok = true;
   std::string message;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/file_util.h"
 #include "static/static_tree_builder.h"
 
 namespace sgtree {
@@ -239,7 +238,7 @@ bool ShardedIndex::WriteShards(const std::string& path,
   // complete index or a manifest whose shard images all already exist.
   const std::string text =
       manifest_head + "shards " + std::to_string(num_shards()) + "\n";
-  return AtomicWriteFile(path,
+  return AtomicWriteFile(Env::Posix(), path,
                          std::vector<uint8_t>(text.begin(), text.end()),
                          error);
 }

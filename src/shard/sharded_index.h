@@ -42,8 +42,8 @@ struct ShardedIndexOptions {
 ///    manifest at `path` plus one static image per shard at
 ///    `path.shard<i>`; Load() thaws every image back into a mutable tree.
 ///  - Durable (OpenDurable): each shard is a DurableTree in its own
-///    subdirectory `<dir>/shard-<i>` with a private page file + WAL, so a
-///    crash is recovered shard by shard at the next OpenDurable and a
+///    subdirectory `<dir>/shard-<i>` with a private checkpoint image + WAL,
+///    so a crash is recovered shard by shard at the next OpenDurable and a
 ///    fault in one shard's log never contaminates the others.
 ///  - Static (SaveStatic / Load of a v2 manifest): each shard is an
 ///    immutable mmap'ed StaticTreeView (static/static_tree_view.h). The

@@ -6,7 +6,7 @@
 
 #include "common/bit_ops.h"
 #include "common/crc32.h"
-#include "common/file_util.h"
+#include "durability/env.h"
 #include "sgtree/node.h"
 #include "static/static_format.h"
 #include "storage/page.h"
@@ -127,7 +127,7 @@ bool BuildStaticTree(const SgTree& tree, const std::string& path,
                      std::string* error) {
   std::vector<uint8_t> image;
   if (!BuildStaticImage(tree, &image, error)) return false;
-  return AtomicWriteFile(path, image, error);
+  return AtomicWriteFile(Env::Posix(), path, image, error);
 }
 
 std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view) {
@@ -161,13 +161,6 @@ std::unique_ptr<SgTree> LoadTree(const std::string& path,
       StaticTreeView::Open(Env::Posix(), path, open_options, error);
   if (view == nullptr) return nullptr;
   return ThawStatic(*view);
-}
-
-bool ExportStatic(const DurableTree& durable, const std::string& path,
-                  std::string* error) {
-  return durable.WithFrozenTree([&](const SgTree& tree) {
-    return BuildStaticTree(tree, path, error);
-  });
 }
 
 }  // namespace sgtree

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "durability/durable_tree.h"
 #include "sgtree/sg_tree.h"
 #include "static/static_tree_view.h"
 
@@ -26,10 +25,10 @@ namespace sgtree {
 bool BuildStaticImage(const SgTree& tree, std::vector<uint8_t>* out,
                       std::string* error = nullptr);
 
-/// BuildStaticImage + crash-atomic publication: the image is written to a
-/// sibling temp file, fsynced, renamed over `path`, and the directory entry
-/// fsynced (AtomicWriteFile), so a crash mid-save leaves the previous file
-/// (or nothing), never a torn one.
+/// BuildStaticImage + crash-atomic publication through Env::Posix(): the
+/// image is written to a sibling temp file, fsynced, renamed over `path`,
+/// and the directory entry fsynced (AtomicWriteFile), so a crash mid-save
+/// leaves the previous file (or nothing), never a torn one.
 bool BuildStaticTree(const SgTree& tree, const std::string& path,
                      std::string* error = nullptr);
 
@@ -50,13 +49,6 @@ std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view);
 std::unique_ptr<SgTree> LoadTree(const std::string& path,
                                  const SgTreeOptions& runtime_options,
                                  std::string* error = nullptr);
-
-/// Exports a live durable index as a static image at `path`, holding the
-/// write path locked for the duration so the image is an
-/// operation-consistent snapshot. Lives here (not in src/durability) so the
-/// durability layer does not depend on the static format.
-bool ExportStatic(const DurableTree& durable, const std::string& path,
-                  std::string* error = nullptr);
 
 }  // namespace sgtree
 

@@ -9,9 +9,11 @@
 
 namespace sgtree {
 
-/// Storage-neutral image of one SG-tree node, used by the page codec and by
-/// persistence. `ref` is a child PageId for directory entries and a
-/// transaction id for leaf entries.
+/// Storage-neutral image of one SG-tree node in the paper's §3.2 page
+/// layout. No file stores it: the §3.2 ablation (bench_ablation_choices)
+/// measures the encoding on a tree's nodes, and the fuzzers exercise it.
+/// `ref` is a child PageId for directory entries and a transaction id for
+/// leaf entries.
 struct NodeRecord {
   uint16_t level = 0;  // 0 = leaf.
   std::vector<std::pair<uint64_t, Signature>> entries;

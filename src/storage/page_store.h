@@ -8,72 +8,45 @@
 
 namespace sgtree {
 
-/// Abstract store of variable-payload pages with a free list. Payloads are
-/// capped at the page size; callers that need the raw bytes of a node image
-/// go through a page store (persistence does), while the hot path keeps
-/// decoded nodes in memory and charges I/O through the BufferPool.
-///
-/// Implementations:
-///   * MemPageStore (below)            — the simulated in-memory disk;
-///   * FilePageStore (durability/)     — real file-backed slotted pages with
-///     checksums, the checkpoint target of the durable tree;
-///   * FaultInjectingPageStore (durability/) — wrapper injecting
-///     deterministic write/read faults for crash testing.
-class PageStoreInterface {
- public:
-  virtual ~PageStoreInterface() = default;
-
-  virtual uint32_t page_size() const = 0;
-
-  /// Allocates a page (reusing freed ids first) and returns its id.
-  virtual PageId Allocate() = 0;
-
-  /// Marks a specific id live, allocating backing space as needed (ids
-  /// skipped over become free pages). Returns false if already live or the
-  /// id cannot be materialized. Recovery uses this to rebuild a store whose
-  /// page ids must match the ones recorded in the log.
-  virtual bool Reserve(PageId id) = 0;
-
-  /// Returns a page to the free list. The id may be reused by Allocate.
-  virtual void Free(PageId id) = 0;
-
-  /// Stores `payload` into page `id`. The payload must fit in one page.
-  /// Returns false if it does not, or if the id is invalid/freed, or on
-  /// I/O failure.
-  virtual bool Write(PageId id, std::vector<uint8_t> payload) = 0;
-
-  /// Reads the payload of page `id`. Returns false for invalid/freed ids
-  /// and (file-backed stores) for pages whose checksum does not match.
-  virtual bool Read(PageId id, std::vector<uint8_t>* payload) const = 0;
-
-  /// Number of live (allocated, not freed) pages.
-  virtual uint32_t LivePages() const = 0;
-
-  /// Total allocated page slots including freed ones.
-  virtual uint32_t TotalPages() const = 0;
-};
-
-/// The simulated in-memory disk: a growable array of page slots. This is
-/// the default store under an SgTree (pure id allocator — node payloads
-/// stay decoded in memory).
-class MemPageStore final : public PageStoreInterface {
+/// The simulated in-memory disk under an SgTree: a growable array of page
+/// slots with a free list. The tree uses it as its page-id allocator — node
+/// payloads stay decoded in memory and I/O is charged through the
+/// BufferPool. Payloads are capped at the page size.
+class MemPageStore {
  public:
   explicit MemPageStore(uint32_t page_size = kDefaultPageSize)
       : page_size_(page_size) {}
 
   MemPageStore(const MemPageStore&) = delete;
   MemPageStore& operator=(const MemPageStore&) = delete;
+  MemPageStore(MemPageStore&&) = default;
+  MemPageStore& operator=(MemPageStore&&) = default;
 
-  uint32_t page_size() const override { return page_size_; }
-  PageId Allocate() override;
-  bool Reserve(PageId id) override;
-  void Free(PageId id) override;
-  bool Write(PageId id, std::vector<uint8_t> payload) override;
-  bool Read(PageId id, std::vector<uint8_t>* payload) const override;
-  uint32_t LivePages() const override;
-  uint32_t TotalPages() const override {
-    return static_cast<uint32_t>(pages_.size());
-  }
+  uint32_t page_size() const { return page_size_; }
+
+  /// Allocates a page (reusing freed ids first) and returns its id.
+  PageId Allocate();
+
+  /// Marks a specific id live, allocating slots as needed (ids skipped over
+  /// become free pages). Returns false if already live. The thaw uses this
+  /// to rebuild a tree whose page ids equal the image's node indexes.
+  bool Reserve(PageId id);
+
+  /// Returns a page to the free list. The id may be reused by Allocate.
+  void Free(PageId id);
+
+  /// Stores `payload` into page `id`. Returns false if it does not fit in
+  /// one page or the id is invalid or freed.
+  bool Write(PageId id, std::vector<uint8_t> payload);
+
+  /// Reads the payload of page `id`. Returns false for invalid/freed ids.
+  bool Read(PageId id, std::vector<uint8_t>* payload) const;
+
+  /// Number of live (allocated, not freed) pages.
+  uint32_t LivePages() const;
+
+  /// Total allocated page slots including freed ones.
+  uint32_t TotalPages() const { return static_cast<uint32_t>(pages_.size()); }
 
  private:
   struct Slot {

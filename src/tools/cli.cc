@@ -177,11 +177,6 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   options.num_bits = dataset.num_items;
   options.fixed_dimensionality = dataset.fixed_dimensionality;
   options.page_size = static_cast<uint32_t>(cmd.UintOr("page", 4096));
-  // §3.2 compression applies to the durable page file; --out always writes
-  // the dense static image.
-  if (durable_dir.has_value()) {
-    options.compress = cmd.BoolOr("compress", true);
-  }
   const std::string split = cmd.StringOr("split", "avg");
   if (split == "avg") {
     options.split_policy = SplitPolicy::kAverage;
@@ -284,8 +279,8 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
 
   // Durable build: every insert goes through the write-ahead log; a bulk
-  // order is logged wholesale and checkpointed, plain inserts are left in
-  // the log (run wal-checkpoint to fold them).
+  // order is adopted and checkpointed, plain inserts are left in the log
+  // (run wal-checkpoint to publish them as a checkpoint image).
   if (durable_dir.has_value()) {
     DurableTree::Options dt_options;
     dt_options.tree = options;
@@ -315,8 +310,9 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
         << build_ms << " ms; height " << tree.height() << ", "
         << tree.node_count() << " nodes, " << durable->op_seq()
         << " logged ops, checkpoint " << durable->checkpoint_seq() << "\n"
-        << "wrote " << durable->page_path() << " + "
-        << durable->wal_path() << "\n";
+        << "wrote "
+        << CheckpointPathFor(*durable_dir, durable->checkpoint_seq())
+        << " + " << WalPathFor(*durable_dir) << "\n";
     return 0;
   }
 
@@ -355,8 +351,7 @@ int CmdRecover(const CommandLine& cmd, std::ostream& out,
 
   obs::MetricsRegistry registry;
   std::string error;
-  auto recovered = RecoverTree(Env::Posix(), DurableTree::PagePathFor(*dir),
-                               DurableTree::WalPathFor(*dir), &error,
+  auto recovered = RecoverTree(Env::Posix(), *dir, &error,
                                /*options_hint=*/nullptr, &registry);
   if (recovered == nullptr) {
     err << "error: " << error << "\n";
@@ -401,9 +396,9 @@ int CmdWalCheckpoint(const CommandLine& cmd, std::ostream& out,
   if (!durable->Checkpoint(&error)) {
     return Fail(err, "checkpoint failed: " + error);
   }
-  out << "checkpoint " << durable->checkpoint_seq() << " sealed: "
+  out << "checkpoint " << durable->checkpoint_seq() << " published: "
       << durable->tree().size() << " transactions, "
-      << durable->tree().node_count() << " nodes folded; log truncated\n";
+      << durable->tree().node_count() << " nodes; log restarted\n";
   if (export_path.has_value()) {
     if (!ExportStatic(*durable, *export_path, &error)) {
       return Fail(err, "static export failed: " + error);

@@ -20,17 +20,18 @@ namespace sgtree {
 ///               saved to. Every command below that takes --index F opens
 ///               it in place; `join` and the library's LoadTree thaw it
 ///               into a mutable tree.
-///               With --durable [--compress 0|1], builds a crash-safe index
-///               in DIR (page file + write-ahead log, §3.2 compression on
-///               by default) instead: plain inserts are logged (fold them
-///               with wal-checkpoint), bulk loads are logged wholesale and
-///               checkpointed.
+///               With --durable, builds a crash-safe index in DIR instead:
+///               the static image of the last checkpoint
+///               (checkpoint-<c>.sgs) plus a write-ahead log (wal.sgw) with
+///               one record per operation since then. Plain inserts are
+///               logged (publish them as a checkpoint with wal-checkpoint);
+///               a bulk load is adopted and checkpointed.
 ///               With --shards N (N >= 2), hash-partitions the data into N
 ///               per-shard SG-trees: --out writes a manifest plus one image
 ///               per shard (add --static 1 for the read-only v2 manifest,
 ///               which loads over the mapped images instead of thawing
-///               them), --durable gives every shard its own page file + WAL
-///               under DIR/shard-<i>.
+///               them), --durable gives every shard its own checkpoint
+///               image + log under DIR/shard-<i>.
 ///   stats       --index F [--json 0|1] [--metrics-json F]
 ///               Opens the image and prints its shape (height, nodes,
 ///               utilization, per-level entry area) and the
@@ -79,17 +80,20 @@ namespace sgtree {
 ///               Validation errors (bad threshold, unsupported combo)
 ///               exit 1 with the reason on stderr.
 ///   recover     --durable D [--out F] [--metrics-json F]
-///               Replays the write-ahead log over the page file, gates the
-///               result through the InvariantAuditor, and prints the
-///               recovery report. --out exports the recovered tree as a
+///               Thaws the checkpoint image the log's marker names, replays
+///               the logged operations on it, gates the result through the
+///               InvariantAuditor, and prints the recovery report; it
+///               writes nothing in D. --out exports the recovered tree as a
 ///               static image. Exit 0 = recovered clean, 2 = recovered
-///               structurally but failed the audit, 1 = unrecoverable.
+///               structurally but failed the audit, 1 = unrecoverable (an
+///               unreadable marker or image, a log that does not belong to
+///               the image, or a retired page-file directory).
 ///   wal-checkpoint --durable D [--metrics-json F] [--export-static F]
 ///               Opens (recovering if needed) the durable index in D,
-///               folds the logged operations into the page file, and
-///               truncates the log. --export-static additionally writes an
-///               operation-consistent static image of the checkpointed
-///               tree to F (crash-atomic publish).
+///               publishes the tree as the next checkpoint image, and
+///               restarts the log at its marker. --export-static
+///               additionally writes an operation-consistent static image
+///               of the checkpointed tree to F (crash-atomic publish).
 ///
 /// Datasets use the text format of data/dataset_io.h; indexes the static
 /// image of static/static_format.h. An index saved in the retired SGTREE01

@@ -3,8 +3,10 @@
 
 #include "tools/cli.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -397,6 +399,72 @@ TEST(CliTest, StatsAndStaticInfoEmitJson) {
   std::remove(index.c_str());
 }
 
+// The durable commands refuse a log whose checkpoint marker is unreadable
+// and a directory in the retired page-file layout, with one line, and leave
+// the directory's files as they were.
+TEST(CliTest, DurableCommandsRefuseUnreadableAndRetiredDirectories) {
+  auto listing = [](const std::string& dir) {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files.emplace_back(entry.path().filename().string(), bytes.str());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const std::string data = TempPath("cli_durable_data.txt");
+  ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "300", "--items",
+                     "60", "--patterns", "20"})
+                .code,
+            0);
+  const std::string dir = TempPath("cli_durable_bad_marker");
+  std::filesystem::remove_all(dir);
+  CliResult r = RunArgs({"build", "--data", data, "--durable", dir});
+  ASSERT_EQ(r.code, 0) << r.err;
+  r = RunArgs({"recover", "--durable", dir});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("300 transactions"), std::string::npos) << r.out;
+
+  // Flip one bit of the marker's payload (magic 8 + frame header 8).
+  const std::string wal = dir + "/wal.sgw";
+  {
+    std::fstream file(wal, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(8 + 8 + 2);
+    const char byte = static_cast<char>(file.get() ^ 0x01);
+    file.seekp(8 + 8 + 2);
+    file.put(byte);
+  }
+  const auto before = listing(dir);
+  for (const char* command : {"recover", "wal-checkpoint"}) {
+    r = RunArgs({command, "--durable", dir});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_EQ(r.err, "error: wal " + wal + ": unreadable checkpoint marker\n")
+        << command;
+  }
+  EXPECT_EQ(listing(dir), before);
+
+  const std::string retired = TempPath("cli_durable_retired");
+  std::filesystem::remove_all(retired);
+  std::filesystem::copy(std::string(SGTREE_GOLDEN_DIR) + "/durable_v1_small",
+                        retired);
+  const auto retired_before = listing(retired);
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"recover", "--durable", retired},
+        {"wal-checkpoint", "--durable", retired},
+        {"build", "--data", data, "--durable", retired}}) {
+    r = RunArgs(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_EQ(r.err, "error: " + retired +
+                         ": retired page-file format (pages.sgp); rebuild "
+                         "the index from its data\n")
+        << args[0];
+  }
+  EXPECT_EQ(listing(retired), retired_before);
+  std::remove(data.c_str());
+}
+
 TEST(CliTest, ErrorPaths) {
   EXPECT_EQ(RunArgs({"gen", "quest"}).code, 1);                    // No --out.
   EXPECT_EQ(RunArgs({"gen", "warehouse", "--out", "/tmp/x"}).code, 1);
@@ -442,8 +510,9 @@ TEST(CliTest, ErrorPaths) {
   r = RunArgs({"check", "--index", index, "--verify-checksums", "2"});
   EXPECT_EQ(r.code, 1);
   EXPECT_EQ(r.err, "error: --verify-checksums expects 0 or 1, got '2'\n");
-  // --static picks the manifest of a sharded --out, --compress the page
-  // encoding of a durable index; each is read only there.
+  // --static picks the manifest of a sharded --out and is read only there.
+  // A durable index stores checkpoints as static images, so no --compress
+  // switch exists for it.
   const std::string never_index = TempPath("cli_err_never.bin");
   const std::string never_dir = TempPath("cli_err_never_dir");
   r = RunArgs({"build", "--data", data, "--shards", "2", "--out",
@@ -451,9 +520,9 @@ TEST(CliTest, ErrorPaths) {
   EXPECT_EQ(r.code, 1);
   EXPECT_EQ(r.err, "error: --static expects 0 or 1, got '2'\n");
   r = RunArgs({"build", "--data", data, "--durable", never_dir, "--compress",
-               "2"});
+               "1"});
   EXPECT_EQ(r.code, 1);
-  EXPECT_EQ(r.err, "error: --compress expects 0 or 1, got '2'\n");
+  EXPECT_EQ(r.err, "error: unknown flag(s): --compress\n");
   EXPECT_FALSE(std::ifstream(never_index).good());
   EXPECT_FALSE(std::ifstream(never_dir).good());
   // Every single-file index is a static image, so no command takes a

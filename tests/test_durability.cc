@@ -1,19 +1,20 @@
-// Unit tests for the durability subsystem: CRC framing, the posix Env, the
-// file-backed page store (slotted layout, ping-pong headers, free-list
-// persistence, checksum detection), the write-ahead log (framing, torn-tail
-// scan, reset), metadata round-trips, and the DurableTree write path
-// (log-before-apply, group commit, checkpoint, reopen). Crash-schedule
-// sweeps live in test_recovery_torture.cc.
+// Unit tests for the durability subsystem: CRC framing, the posix Env and
+// its atomic publish, checkpoint images (verified reopen, thaw ids,
+// checksum refusal, crash-atomic publication), the write-ahead log
+// (record codec, framing, torn-tail scan, publication), and the
+// DurableTree write path (log-before-acknowledge, group commit,
+// checkpoint, reopen, refusals). Crash-schedule sweeps live in
+// test_recovery_torture.cc, whole histories in test_durable_history.cc.
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
-#include "common/file_util.h"
 #include "common/rng.h"
 #include "common/signature.h"
 #include "data/transaction.h"
@@ -21,13 +22,14 @@
 #include "durability/durable_tree.h"
 #include "durability/env.h"
 #include "durability/fault_injection.h"
-#include "durability/file_page_store.h"
-#include "durability/meta.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
+#include "static/static_tree_builder.h"
+#include "static/static_tree_view.h"
 #include "storage/page_store.h"
 
 namespace sgtree {
@@ -42,6 +44,61 @@ Transaction MakeTxn(uint64_t tid, std::vector<ItemId> items) {
   txn.tid = tid;
   txn.items = std::move(items);
   return txn;
+}
+
+SgTreeOptions SmallOptions() {
+  SgTreeOptions options;
+  options.num_bits = 64;
+  options.page_size = 512;
+  return options;
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  auto file = Env::Posix()->Open(path, /*create=*/false);
+  if (file != nullptr) file->ReadAt(0, size_t(file->Size()), &bytes);
+  return bytes;
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  ASSERT_TRUE(AtomicWriteFile(Env::Posix(), path, bytes));
+}
+
+// Every file of `dir` with its bytes: the refusal tests require a refused
+// directory to stay exactly as it was.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> DirContents(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace_back(entry.path().filename().string(),
+                       ReadBytes(entry.path().string()));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// The durable tree the checkpoint-image tests share: `n` logged inserts of
+// small transactions into 64-bit signatures and 512-byte pages.
+std::unique_ptr<DurableTree> OpenWithInserts(const std::string& dir,
+                                             uint64_t n) {
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  std::string error;
+  auto durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+  EXPECT_NE(durable, nullptr) << error;
+  if (durable == nullptr) return nullptr;
+  for (uint64_t tid = 0; tid < n; ++tid) {
+    EXPECT_TRUE(durable->Insert(MakeTxn(
+        tid, {ItemId(tid % 64), ItemId((tid * 7 + 3) % 64),
+              ItemId((tid * 13 + 5) % 64)})));
+  }
+  return durable;
 }
 
 // ---------------------------------------------------------------------------
@@ -167,10 +224,10 @@ TEST(EnvTest, OpenWithoutCreateFails) {
 
 TEST(FileUtilTest, AtomicWriteFileReplacesAndReportsErrors) {
   const std::string path = TempPath("atomic.bin");
-  std::string error;
-  ASSERT_TRUE(AtomicWriteFile(path, {1, 2, 3}, &error)) << error;
-  ASSERT_TRUE(AtomicWriteFile(path, {9, 9}, &error)) << error;
   Env* env = Env::Posix();
+  std::string error;
+  ASSERT_TRUE(AtomicWriteFile(env, path, {1, 2, 3}, &error)) << error;
+  ASSERT_TRUE(AtomicWriteFile(env, path, {9, 9}, &error)) << error;
   auto file = env->Open(path, false);
   ASSERT_NE(file, nullptr);
   std::vector<uint8_t> got;
@@ -178,144 +235,172 @@ TEST(FileUtilTest, AtomicWriteFileReplacesAndReportsErrors) {
   EXPECT_EQ(got, (std::vector<uint8_t>{9, 9}));
   // The staging file must not linger.
   EXPECT_FALSE(env->FileExists(path + ".tmp"));
-  EXPECT_FALSE(AtomicWriteFile(TempPath("no_such_dir") + "/x", {1}, &error));
+  EXPECT_FALSE(
+      AtomicWriteFile(env, TempPath("no_such_dir") + "/x", {1}, &error));
   EXPECT_FALSE(error.empty());
 }
 
 // ---------------------------------------------------------------------------
-// File page store.
+// Checkpoint images. (The suite keeps the name of the page file these
+// tests covered before checkpoints became static images.)
 // ---------------------------------------------------------------------------
 
 TEST(FilePageStoreTest, CreateWriteReopenRead) {
-  Env* env = Env::Posix();
-  const std::string path = TempPath("store_basic.sgp");
-  env->Delete(path);
+  const std::string dir = FreshDir("ckpt_basic");
+  auto durable = OpenWithInserts(dir, 40);
+  ASSERT_NE(durable, nullptr);
   std::string error;
-  auto store = FilePageStore::Create(env, path, 256, &error);
-  ASSERT_NE(store, nullptr) << error;
-  const PageId a = store->Allocate();
-  const PageId b = store->Allocate();
-  ASSERT_TRUE(store->Write(a, {1, 2, 3}));
-  ASSERT_TRUE(store->Write(b, std::vector<uint8_t>(256, 0x5A)));
-  ASSERT_TRUE(store->WriteMeta({7, 7, 7}));
-  ASSERT_TRUE(store->Sync());
-  EXPECT_EQ(store->LivePages(), 2u);
-  store.reset();
+  ASSERT_TRUE(durable->Checkpoint(&error)) << error;
 
-  store = FilePageStore::Open(env, path, &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->page_size(), 256u);
-  EXPECT_EQ(store->LivePages(), 2u);
-  EXPECT_EQ(store->meta(), (std::vector<uint8_t>{7, 7, 7}));
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(store->Read(a, &payload));
-  EXPECT_EQ(payload, (std::vector<uint8_t>{1, 2, 3}));
-  ASSERT_TRUE(store->Read(b, &payload));
-  EXPECT_EQ(payload, std::vector<uint8_t>(256, 0x5A));
+  // The checkpoint is the live tree's static image, byte for byte, and it
+  // opens with its checksums verified.
+  const std::string path = CheckpointPathFor(dir, durable->checkpoint_seq());
+  std::vector<uint8_t> image;
+  ASSERT_TRUE(BuildStaticImage(durable->tree(), &image, &error)) << error;
+  EXPECT_EQ(ReadBytes(path), image);
+  StaticOpenOptions open_options;
+  open_options.verify_checksums = true;
+  auto view = StaticTreeView::Open(Env::Posix(), path, open_options, &error);
+  ASSERT_NE(view, nullptr) << error;
+  EXPECT_EQ(view->size(), 40u);
+  // Only the newest checkpoint is kept.
+  EXPECT_FALSE(Env::Posix()->FileExists(
+      CheckpointPathFor(dir, durable->checkpoint_seq() - 1)));
 }
 
 TEST(FilePageStoreTest, FreeListSurvivesReopen) {
-  Env* env = Env::Posix();
-  const std::string path = TempPath("store_freelist.sgp");
-  env->Delete(path);
+  // An erase-heavy history frees and reuses nodes; the checkpoint holds the
+  // live nodes only, and the reopened tree is the live tree.
+  const std::string dir = FreshDir("ckpt_erase_heavy");
+  auto durable = OpenWithInserts(dir, 120);
+  ASSERT_NE(durable, nullptr);
+  for (uint64_t tid = 0; tid < 120; tid += 4) {
+    if (tid % 3 == 0) continue;
+    ASSERT_TRUE(durable->Erase(MakeTxn(
+        tid, {ItemId(tid % 64), ItemId((tid * 7 + 3) % 64),
+              ItemId((tid * 13 + 5) % 64)})));
+  }
+  for (uint64_t tid = 200; tid < 220; ++tid) {
+    ASSERT_TRUE(durable->Insert(MakeTxn(tid, {ItemId(tid % 64), 9})));
+  }
   std::string error;
-  auto store = FilePageStore::Create(env, path, 128, &error);
-  ASSERT_NE(store, nullptr) << error;
-  const PageId a = store->Allocate();
-  const PageId b = store->Allocate();
-  const PageId c = store->Allocate();
-  ASSERT_TRUE(store->Write(a, {1}));
-  ASSERT_TRUE(store->Write(b, {2}));
-  ASSERT_TRUE(store->Write(c, {3}));
-  store->Free(b);
-  ASSERT_TRUE(store->WriteMeta({}));
-  ASSERT_TRUE(store->Sync());
-  store.reset();
+  ASSERT_TRUE(durable->Checkpoint(&error)) << error;
+  const uint64_t live_nodes = durable->tree().node_count();
+  const size_t live_size = durable->tree().size();
+  durable.reset();
 
-  store = FilePageStore::Open(env, path, &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->LivePages(), 2u);
-  std::vector<uint8_t> payload;
-  EXPECT_FALSE(store->Read(b, &payload));
-  // The freed slot is reusable after reopen.
-  const PageId again = store->Allocate();
-  EXPECT_EQ(again, b);
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  EXPECT_EQ(durable->tree().node_count(), live_nodes);
+  EXPECT_EQ(durable->tree().size(), live_size);
+  const AuditReport audit = AuditTree(durable->tree());
+  EXPECT_TRUE(audit.ok()) << audit.FirstMessage();
 }
 
 TEST(FilePageStoreTest, ReserveAndPut) {
-  Env* env = Env::Posix();
-  const std::string path = TempPath("store_reserve.sgp");
-  env->Delete(path);
+  // A thawed tree adopts the image's node indexes as page ids; the nodes
+  // later splits allocate must collide with none of them.
+  const std::string dir = FreshDir("ckpt_thaw_ids");
+  auto durable = OpenWithInserts(dir, 60);
+  ASSERT_NE(durable, nullptr);
   std::string error;
-  auto store = FilePageStore::Create(env, path, 128, &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_TRUE(store->Reserve(5));
-  EXPECT_FALSE(store->Reserve(5));  // already live
-  ASSERT_TRUE(store->Put(9, {42}));
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(store->Read(9, &payload));
-  EXPECT_EQ(payload, (std::vector<uint8_t>{42}));
-  // Holes below the reserved ids are allocatable.
-  const PageId id = store->Allocate();
-  EXPECT_LT(id, 9u);
-  EXPECT_NE(id, 5u);
+  ASSERT_TRUE(durable->Checkpoint(&error)) << error;
+  durable.reset();
+
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  const std::vector<PageId> adopted = durable->tree().LiveNodes();
+  for (uint64_t tid = 1000; tid < 1200; ++tid) {
+    ASSERT_TRUE(durable->Insert(MakeTxn(
+        tid, {ItemId(tid % 64), ItemId((tid * 11) % 64), 40})));
+  }
+  // A split that reused an adopted id would replace that node: the live
+  // node map would then hold fewer nodes than were allocated.
+  const std::vector<PageId> after = durable->tree().LiveNodes();
+  EXPECT_GT(after.size(), adopted.size());
+  EXPECT_EQ(after.size(), durable->tree().node_count());
+  const AuditReport audit = AuditTree(durable->tree());
+  EXPECT_TRUE(audit.ok()) << audit.FirstMessage();
 }
 
 TEST(FilePageStoreTest, ChecksumMismatchDetected) {
-  Env* env = Env::Posix();
-  const std::string path = TempPath("store_crc.sgp");
-  env->Delete(path);
+  const std::string dir = FreshDir("ckpt_crc");
+  auto durable = OpenWithInserts(dir, 30);
+  ASSERT_NE(durable, nullptr);
   std::string error;
-  auto store = FilePageStore::Create(env, path, 128, &error);
-  ASSERT_NE(store, nullptr) << error;
-  const PageId a = store->Allocate();
-  ASSERT_TRUE(store->Write(a, {10, 20, 30, 40}));
-  ASSERT_TRUE(store->WriteMeta({}));
-  ASSERT_TRUE(store->Sync());
-  store.reset();
+  ASSERT_TRUE(durable->Checkpoint(&error)) << error;
+  const std::string path = CheckpointPathFor(dir, durable->checkpoint_seq());
+  durable.reset();
 
-  // Flip one payload byte behind the store's back: slot 0 payload starts at
-  // 4096 + 16.
-  auto file = env->Open(path, false);
-  ASSERT_NE(file, nullptr);
-  const uint8_t evil = 99;
-  ASSERT_TRUE(file->WriteAt(4096 + 16, &evil, 1));
-  file.reset();
+  // Flip one byte of the last node record behind the tree's back.
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  ASSERT_GT(bytes.size(), 200u);
+  bytes[bytes.size() - 3] ^= 0x20;
+  WriteBytes(path, bytes);
 
-  store = FilePageStore::Open(env, path, &error);
-  ASSERT_NE(store, nullptr) << error;
-  std::vector<uint8_t> payload;
-  EXPECT_FALSE(store->Read(a, &payload));
-  EXPECT_NE(store->last_error().find("checksum"), std::string::npos);
-  EXPECT_EQ(store->crc_failures(), 1u);
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, options, &error), nullptr);
+  EXPECT_NE(error.find("body checksum mismatch"), std::string::npos)
+      << error;
 }
 
 TEST(FilePageStoreTest, HeaderPingPongSurvivesTornHeaderWrite) {
-  Env* env = Env::Posix();
-  const std::string path = TempPath("store_header.sgp");
-  env->Delete(path);
+  // A kill at every write of a checkpoint's publications (image, then log),
+  // torn or whole, still recovers every acknowledged operation.
+  const std::string reference_dir = FreshDir("ckpt_kill_count");
+  FaultState state;
+  FaultInjectingEnv env(Env::Posix(), &state);
+  DurableTree::Options options;
+  options.tree = SmallOptions();
   std::string error;
-  auto store = FilePageStore::Create(env, path, 128, &error);
-  ASSERT_NE(store, nullptr) << error;
-  ASSERT_TRUE(store->WriteMeta({1}));  // seq 1 -> copy B
-  ASSERT_TRUE(store->WriteMeta({2}));  // seq 2 -> copy A
-  ASSERT_TRUE(store->Sync());
-  const uint64_t seq = store->meta_seq();
-  store.reset();
+  uint64_t ops_writes = 0;
+  {
+    auto durable = OpenWithInserts(reference_dir, 25);
+    ASSERT_NE(durable, nullptr);
+  }
+  {
+    state.Reset();
+    auto durable = DurableTree::Open(&env, reference_dir, options, &error);
+    ASSERT_NE(durable, nullptr) << error;
+    ops_writes = state.writes_issued();
+    ASSERT_TRUE(durable->Checkpoint(&error)) << error;
+  }
+  const uint64_t checkpoint_writes = state.writes_issued() - ops_writes;
+  // Temp file truncate + append + rename, once for the image and once for
+  // the log.
+  ASSERT_EQ(checkpoint_writes, 6u);
 
-  // Corrupt the copy holding the newest meta (seq % 2 == 0 -> copy A at 0).
-  auto file = env->Open(path, false);
-  ASSERT_NE(file, nullptr);
-  const uint64_t offset = (seq % 2 == 0) ? 0 : 2048;
-  std::vector<uint8_t> garbage(32, 0xFF);
-  ASSERT_TRUE(file->WriteAt(offset + 8, garbage.data(), garbage.size()));
-  file.reset();
-
-  // The surviving copy wins: one meta step back, never an open failure.
-  store = FilePageStore::Open(env, path, &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->meta_seq(), seq - 1);
-  EXPECT_EQ(store->meta(), (std::vector<uint8_t>{1}));
+  for (uint64_t kill = 1; kill <= checkpoint_writes; ++kill) {
+    for (const uint64_t torn : {UINT64_MAX, uint64_t{9}}) {
+      SCOPED_TRACE("kill " + std::to_string(kill) + " torn " +
+                   std::to_string(torn));
+      const std::string dir = FreshDir("ckpt_kill");
+      {
+        auto durable = OpenWithInserts(dir, 25);
+        ASSERT_NE(durable, nullptr);
+      }
+      state.Reset();
+      FaultPlan plan;
+      plan.kill_at_write = kill;
+      plan.torn_prefix_bytes = torn;
+      state.set_plan(plan);
+      {
+        auto durable = DurableTree::Open(&env, dir, options, &error);
+        ASSERT_NE(durable, nullptr) << error;
+        EXPECT_FALSE(durable->Checkpoint(&error));
+      }
+      state.set_plan(FaultPlan{});
+      auto durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+      ASSERT_NE(durable, nullptr) << error;
+      EXPECT_EQ(durable->tree().size(), 25u);
+      EXPECT_EQ(durable->op_seq(), 25u);
+    }
+  }
 }
 
 TEST(MemPageStoreTest, ReserveMatchesFileStoreSemantics) {
@@ -331,51 +416,49 @@ TEST(MemPageStoreTest, ReserveMatchesFileStoreSemantics) {
 // WAL records and scanner.
 // ---------------------------------------------------------------------------
 
-WalRecord ImageRecord(PageId page, std::vector<uint8_t> image) {
+WalRecord Marker(uint64_t checkpoint_seq, uint64_t op_seq) {
   WalRecord record;
-  record.type = WalRecordType::kPageImage;
-  record.page = page;
-  record.image = std::move(image);
+  record.type = WalRecordType::kCheckpoint;
+  record.checkpoint_seq = checkpoint_seq;
+  record.op_seq = op_seq;
   return record;
 }
 
-TEST(WalRecordTest, AllTypesRoundTrip) {
-  std::vector<WalRecord> records;
-  WalRecord cp;
-  cp.type = WalRecordType::kCheckpoint;
-  cp.checkpoint_seq = 42;
-  records.push_back(cp);
-  WalRecord alloc;
-  alloc.type = WalRecordType::kAlloc;
-  alloc.page = 7;
-  records.push_back(alloc);
-  records.push_back(ImageRecord(9, {1, 2, 3, 4}));
-  WalRecord free_rec;
-  free_rec.type = WalRecordType::kFree;
-  free_rec.page = 3;
-  records.push_back(free_rec);
-  WalRecord meta;
-  meta.type = WalRecordType::kTreeMeta;
-  meta.meta.op_seq = 17;
-  meta.meta.root = 2;
-  meta.meta.height = 1;
-  meta.meta.size = 100;
-  meta.meta.area_lo = 5;
-  meta.meta.area_hi = 90;
-  meta.meta.node_count = 3;
-  records.push_back(meta);
+WalRecord OpRecord(WalRecordType type, uint64_t tid,
+                   std::vector<uint32_t> positions) {
+  WalRecord record;
+  record.type = type;
+  record.tid = tid;
+  record.positions = std::move(positions);
+  return record;
+}
 
+void ExpectSameRecord(const WalRecord& a, const WalRecord& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.checkpoint_seq, b.checkpoint_seq);
+  EXPECT_EQ(a.op_seq, b.op_seq);
+  EXPECT_EQ(a.tid, b.tid);
+  EXPECT_EQ(a.positions, b.positions);
+}
+
+TEST(WalRecordTest, AllTypesRoundTrip) {
+  const std::vector<WalRecord> records = {
+      Marker(42, 1'000'000'007),
+      OpRecord(WalRecordType::kInsert, 9, {0, 3, 63}),
+      OpRecord(WalRecordType::kErase, uint64_t{1} << 40, {17}),
+      OpRecord(WalRecordType::kInsert, 5, {}),
+  };
   for (const WalRecord& record : records) {
     std::vector<uint8_t> payload;
     EncodeWalRecord(record, &payload);
     WalRecord decoded;
     ASSERT_TRUE(DecodeWalRecord(payload, &decoded));
-    EXPECT_EQ(decoded.type, record.type);
-    EXPECT_EQ(decoded.page, record.page);
-    EXPECT_EQ(decoded.checkpoint_seq, record.checkpoint_seq);
-    EXPECT_EQ(decoded.image, record.image);
-    EXPECT_EQ(decoded.meta, record.meta);
+    ExpectSameRecord(decoded, record);
   }
+  // A framed insert of |t| items is 21 + 4|t| bytes.
+  std::vector<uint8_t> payload;
+  EncodeWalRecord(records[1], &payload);
+  EXPECT_EQ(8 + payload.size(), 21u + 4u * 3u);
 }
 
 TEST(WalRecordTest, MalformedPayloadsRejected) {
@@ -383,31 +466,47 @@ TEST(WalRecordTest, MalformedPayloadsRejected) {
   EXPECT_FALSE(DecodeWalRecord({}, &decoded));
   EXPECT_FALSE(DecodeWalRecord({0}, &decoded));     // type 0 invalid
   EXPECT_FALSE(DecodeWalRecord({99}, &decoded));    // unknown type
-  EXPECT_FALSE(DecodeWalRecord({2}, &decoded));     // kAlloc missing page
-  // Trailing junk after a fixed-size record is corruption, not padding.
+  // The retired page-image log's record types are never read.
+  for (const uint8_t retired : {2, 3, 4, 5}) {
+    std::vector<uint8_t> payload = {retired};
+    AppendU32(1, &payload);
+    EXPECT_FALSE(DecodeWalRecord(payload, &decoded)) << int(retired);
+  }
   std::vector<uint8_t> payload;
-  WalRecord alloc;
-  alloc.type = WalRecordType::kAlloc;
-  alloc.page = 1;
-  EncodeWalRecord(alloc, &payload);
-  payload.push_back(0);
-  EXPECT_FALSE(DecodeWalRecord(payload, &decoded));
+  EncodeWalRecord(OpRecord(WalRecordType::kInsert, 1, {4, 8}), &payload);
+  // Trailing junk after a record is corruption, not padding.
+  std::vector<uint8_t> longer = payload;
+  longer.push_back(0);
+  EXPECT_FALSE(DecodeWalRecord(longer, &decoded));
+  // A count that disagrees with the payload is not an allocation request.
+  std::vector<uint8_t> lying = payload;
+  lying[9] = 0xFF;
+  lying[12] = 0x7F;
+  EXPECT_FALSE(DecodeWalRecord(lying, &decoded));
+  // Positions must be strictly increasing.
+  for (const std::vector<uint32_t>& positions :
+       {std::vector<uint32_t>{8, 4}, std::vector<uint32_t>{4, 4}}) {
+    std::vector<uint8_t> unordered;
+    EncodeWalRecord(OpRecord(WalRecordType::kErase, 1, positions),
+                    &unordered);
+    EXPECT_FALSE(DecodeWalRecord(unordered, &decoded));
+  }
 }
 
 TEST(WalTest, AppendScanRoundTrip) {
   Env* env = Env::Posix();
   const std::string path = TempPath("wal_roundtrip.sgw");
   env->Delete(path);
+  obs::MetricsRegistry registry;
   std::string error;
-  auto wal = Wal::Create(env, path, &error);
+  auto wal = Wal::Publish(env, path, Marker(1, 0), &registry, &error);
   ASSERT_NE(wal, nullptr) << error;
-  WalRecord cp;
-  cp.type = WalRecordType::kCheckpoint;
-  cp.checkpoint_seq = 1;
-  ASSERT_TRUE(wal->Append(cp));
-  ASSERT_TRUE(wal->Append(ImageRecord(4, {9, 8, 7})));
+  const WalRecord insert = OpRecord(WalRecordType::kInsert, 4, {9, 18, 27});
+  ASSERT_TRUE(wal->Append(insert));
   ASSERT_TRUE(wal->Commit());
-  EXPECT_EQ(wal->records_appended(), 2u);
+  EXPECT_EQ(wal->records_appended(), 1u);
+  // The published marker is not an append.
+  EXPECT_EQ(registry.GetCounter("wal.appends")->Value(), 1u);
   wal.reset();
 
   std::vector<uint8_t> region;
@@ -415,11 +514,9 @@ TEST(WalTest, AppendScanRoundTrip) {
   WalScanner scanner(region.data(), region.size());
   WalRecord record;
   ASSERT_TRUE(scanner.Next(&record));
-  EXPECT_EQ(record.type, WalRecordType::kCheckpoint);
-  EXPECT_EQ(record.checkpoint_seq, 1u);
+  ExpectSameRecord(record, Marker(1, 0));
   ASSERT_TRUE(scanner.Next(&record));
-  EXPECT_EQ(record.type, WalRecordType::kPageImage);
-  EXPECT_EQ(record.image, (std::vector<uint8_t>{9, 8, 7}));
+  ExpectSameRecord(record, insert);
   EXPECT_FALSE(scanner.Next(&record));
   EXPECT_FALSE(scanner.torn());
   EXPECT_EQ(scanner.valid_end(), region.size());
@@ -431,15 +528,17 @@ TEST(WalTest, ScannerStopsAtTornTail) {
   const std::string path = TempPath("wal_torn.sgw");
   env->Delete(path);
   std::string error;
-  auto wal = Wal::Create(env, path, &error);
+  auto wal = Wal::Publish(env, path, Marker(1, 0), nullptr, &error);
   ASSERT_NE(wal, nullptr) << error;
-  ASSERT_TRUE(wal->Append(ImageRecord(1, {1, 1})));
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 1, {1})));
   const uint64_t clean_size = wal->size_bytes();
-  ASSERT_TRUE(wal->Append(ImageRecord(2, std::vector<uint8_t>(64, 2))));
+  std::vector<uint32_t> many;
+  for (uint32_t i = 0; i < 16; ++i) many.push_back(i * 3);
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 2, many)));
   ASSERT_TRUE(wal->Commit());
   wal.reset();
 
-  // Tear the second record in half.
+  // Tear the last record in half.
   auto file = env->Open(path, false);
   ASSERT_NE(file, nullptr);
   ASSERT_TRUE(file->Truncate(clean_size + 10));
@@ -450,10 +549,11 @@ TEST(WalTest, ScannerStopsAtTornTail) {
   WalScanner scanner(region.data(), region.size());
   WalRecord record;
   ASSERT_TRUE(scanner.Next(&record));
+  ASSERT_TRUE(scanner.Next(&record));
   EXPECT_FALSE(scanner.Next(&record));
   EXPECT_TRUE(scanner.torn());
   EXPECT_EQ(scanner.valid_end() + Wal::RecordRegionStart(), clean_size);
-  EXPECT_EQ(scanner.records(), 1u);
+  EXPECT_EQ(scanner.records(), 2u);
 }
 
 TEST(WalTest, ScannerStopsAtCorruptPayloadAndInsaneLength) {
@@ -461,20 +561,19 @@ TEST(WalTest, ScannerStopsAtCorruptPayloadAndInsaneLength) {
   const std::string path = TempPath("wal_corrupt.sgw");
   env->Delete(path);
   std::string error;
-  auto wal = Wal::Create(env, path, &error);
+  auto wal = Wal::Publish(env, path, Marker(1, 0), nullptr, &error);
   ASSERT_NE(wal, nullptr) << error;
-  ASSERT_TRUE(wal->Append(ImageRecord(1, {5})));
-  ASSERT_TRUE(wal->Append(ImageRecord(2, {6})));
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 1, {5})));
+  const uint64_t last_frame = wal->size_bytes();
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 2, {6})));
   ASSERT_TRUE(wal->Commit());
-  const uint64_t second_frame =
-      Wal::RecordRegionStart() + (wal->size_bytes() - Wal::RecordRegionStart()) / 2;
   wal.reset();
 
-  // Flip a payload byte of the second record: the first still scans.
+  // Flip a payload byte of the last record: the ones before it still scan.
   auto file = env->Open(path, false);
   ASSERT_NE(file, nullptr);
   const uint8_t evil = 0xEE;
-  ASSERT_TRUE(file->WriteAt(second_frame + 9, &evil, 1));
+  ASSERT_TRUE(file->WriteAt(last_frame + 9, &evil, 1));
   file.reset();
 
   std::vector<uint8_t> region;
@@ -482,9 +581,10 @@ TEST(WalTest, ScannerStopsAtCorruptPayloadAndInsaneLength) {
   WalScanner scanner(region.data(), region.size());
   WalRecord record;
   EXPECT_TRUE(scanner.Next(&record));
+  EXPECT_TRUE(scanner.Next(&record));
   EXPECT_FALSE(scanner.Next(&record));
   EXPECT_TRUE(scanner.torn());
-  EXPECT_EQ(scanner.records(), 1u);
+  EXPECT_EQ(scanner.records(), 2u);
 
   // A length field past kMaxWalRecordSize is corruption, not an allocation
   // request.
@@ -503,11 +603,11 @@ TEST(WalTest, OpenForAppendTruncatesTornTailAndResetFolds) {
   const std::string path = TempPath("wal_append.sgw");
   env->Delete(path);
   std::string error;
-  auto wal = Wal::Create(env, path, &error);
+  auto wal = Wal::Publish(env, path, Marker(8, 30), nullptr, &error);
   ASSERT_NE(wal, nullptr) << error;
-  ASSERT_TRUE(wal->Append(ImageRecord(1, {1})));
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 1, {1})));
   const uint64_t clean = wal->size_bytes();
-  ASSERT_TRUE(wal->Append(ImageRecord(2, {2})));
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kInsert, 2, {2})));
   ASSERT_TRUE(wal->Commit());
   wal.reset();
 
@@ -516,21 +616,26 @@ TEST(WalTest, OpenForAppendTruncatesTornTailAndResetFolds) {
   file.reset();
 
   wal = Wal::OpenForAppend(env, path, clean - Wal::RecordRegionStart(),
-                           &error);
+                           nullptr, &error);
   ASSERT_NE(wal, nullptr) << error;
   EXPECT_EQ(wal->size_bytes(), clean);
-  ASSERT_TRUE(wal->Append(ImageRecord(3, {3})));
+  EXPECT_EQ(ReadBytes(path).size(), clean);
+  ASSERT_TRUE(wal->Append(OpRecord(WalRecordType::kErase, 1, {1})));
   ASSERT_TRUE(wal->Commit());
-
-  ASSERT_TRUE(wal->Reset(9));
   wal.reset();
+
+  // A checkpoint publishes a new log holding only its marker over the old
+  // one; the old file is replaced whole, not truncated in place.
+  wal = Wal::Publish(env, path, Marker(9, 31), nullptr, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  wal.reset();
+  EXPECT_FALSE(env->FileExists(path + ".tmp"));
   std::vector<uint8_t> region;
   ASSERT_TRUE(Wal::ReadRecordRegion(env, path, &region, &error)) << error;
   WalScanner scanner(region.data(), region.size());
   WalRecord record;
   ASSERT_TRUE(scanner.Next(&record));
-  EXPECT_EQ(record.type, WalRecordType::kCheckpoint);
-  EXPECT_EQ(record.checkpoint_seq, 9u);
+  ExpectSameRecord(record, Marker(9, 31));
   EXPECT_FALSE(scanner.Next(&record));
   EXPECT_FALSE(scanner.torn());
 }
@@ -545,43 +650,49 @@ TEST(WalTest, MissingFileIsAnEmptyLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Metadata.
+// The log's commit records. (The suite keeps the name of the tree meta
+// blob the retired page file committed with.)
 // ---------------------------------------------------------------------------
 
 TEST(MetaTest, RoundTripAndTruncationRejected) {
-  DurableTreeMeta meta;
-  meta.num_bits = 128;
-  meta.max_entries = 50;
-  meta.compress = 1;
-  meta.checkpoint_seq = 12;
-  meta.tree.op_seq = 99;
-  meta.tree.root = 4;
-  meta.tree.height = 2;
-  meta.tree.size = 1000;
-  meta.tree.area_lo = 3;
-  meta.tree.area_hi = 80;
-  meta.tree.node_count = 17;
-
-  std::vector<uint8_t> blob;
-  EncodeDurableTreeMeta(meta, &blob);
-  DurableTreeMeta decoded;
-  ASSERT_TRUE(DecodeDurableTreeMeta(blob, &decoded));
-  EXPECT_EQ(decoded.num_bits, meta.num_bits);
-  EXPECT_EQ(decoded.max_entries, meta.max_entries);
-  EXPECT_EQ(decoded.compress, meta.compress);
-  EXPECT_EQ(decoded.checkpoint_seq, meta.checkpoint_seq);
-  EXPECT_EQ(decoded.tree, meta.tree);
-
-  for (size_t cut = 0; cut < blob.size(); ++cut) {
-    std::vector<uint8_t> truncated(blob.begin(),
-                                   blob.begin() + ptrdiff_t(cut));
-    EXPECT_FALSE(DecodeDurableTreeMeta(truncated, &decoded)) << cut;
+  for (const WalRecord& record :
+       {Marker(12, 99), OpRecord(WalRecordType::kInsert, 7, {3, 40, 80}),
+        OpRecord(WalRecordType::kErase, 1000, {127})}) {
+    std::vector<uint8_t> payload;
+    EncodeWalRecord(record, &payload);
+    WalRecord decoded;
+    ASSERT_TRUE(DecodeWalRecord(payload, &decoded));
+    ExpectSameRecord(decoded, record);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::vector<uint8_t> prefix(payload.begin(),
+                                        payload.begin() + ptrdiff_t(cut));
+      EXPECT_FALSE(DecodeWalRecord(prefix, &decoded)) << cut;
+    }
   }
 }
 
 TEST(MetaTest, DefaultAreaWindowIsEmptySentinel) {
-  TreeMeta meta;
-  EXPECT_GT(meta.area_lo, meta.area_hi);
+  // An empty durable tree's checkpoint stores the trivial window [0, bits],
+  // and the reopened empty tree notes no transaction area from it.
+  const std::string dir = FreshDir("ckpt_empty_window");
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  std::string error;
+  {
+    auto durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+    ASSERT_NE(durable, nullptr) << error;
+  }
+  auto view = StaticTreeView::Open(Env::Posix(), CheckpointPathFor(dir, 1),
+                                   StaticOpenOptions{}, &error);
+  ASSERT_NE(view, nullptr) << error;
+  EXPECT_EQ(view->size(), 0u);
+  EXPECT_EQ(view->stored_area_window(), std::make_pair(0u, 64u));
+  view.reset();
+  auto durable = DurableTree::Open(Env::Posix(), dir, options, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  ASSERT_TRUE(durable->Insert(MakeTxn(1, {3, 9})));
+  EXPECT_EQ(durable->tree().TransactionAreaBounds(),
+            std::make_pair(2u, 2u));
 }
 
 // ---------------------------------------------------------------------------
@@ -628,21 +739,6 @@ TEST(FaultStateTest, ReadBitFlip) {
 // DurableTree end to end.
 // ---------------------------------------------------------------------------
 
-SgTreeOptions SmallOptions() {
-  SgTreeOptions options;
-  options.num_bits = 64;
-  options.page_size = 512;
-  return options;
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = TempPath(name);
-  Env* env = Env::Posix();
-  env->Delete(DurableTree::PagePathFor(dir));
-  env->Delete(DurableTree::WalPathFor(dir));
-  return dir;
-}
-
 TEST(DurableTreeTest, InsertEraseSurviveReopen) {
   const std::string dir = FreshDir("dt_basic");
   DurableTree::Options options;
@@ -664,7 +760,7 @@ TEST(DurableTreeTest, InsertEraseSurviveReopen) {
   durable = DurableTree::Open(Env::Posix(), dir, options, &error);
   ASSERT_NE(durable, nullptr) << error;
   EXPECT_EQ(durable->op_seq(), ops);
-  EXPECT_EQ(durable->recovery_report().ops_committed, ops);
+  EXPECT_EQ(durable->recovery_report().records_replayed, ops);
   EXPECT_EQ(durable->tree().size(), 29u);
   const std::vector<ItemId> gone_items = {4, 20};
   const Signature gone = Signature::FromItems(gone_items, 64);
@@ -698,7 +794,8 @@ TEST(DurableTreeTest, CheckpointTruncatesLogAndReopensClean) {
 
   durable = DurableTree::Open(Env::Posix(), dir, options, &error);
   ASSERT_NE(durable, nullptr) << error;
-  // Everything lives in the page file now; replay has nothing to do.
+  // Everything lives in the checkpoint image now; replay has nothing to
+  // do.
   EXPECT_EQ(durable->recovery_report().records_replayed, 0u);
   EXPECT_EQ(durable->tree().size(), 50u);
   EXPECT_EQ(durable->op_seq(), 50u);
@@ -721,7 +818,7 @@ TEST(DurableTreeTest, OpenWithoutOptionsAdoptsStoredShape) {
   ASSERT_TRUE(durable->Insert(MakeTxn(1, {3, 9})));
   durable.reset();
 
-  DurableTree::Options shapeless;  // num_bits == 0: take it from the meta
+  DurableTree::Options shapeless;  // num_bits == 0: take it from the image
   durable = DurableTree::Open(Env::Posix(), dir, shapeless, &error);
   ASSERT_NE(durable, nullptr) << error;
   EXPECT_EQ(durable->tree().num_bits(), 64u);
@@ -748,6 +845,12 @@ TEST(DurableTreeTest, MismatchedOptionsRejected) {
   wrong.tree.num_bits = 128;
   EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, wrong, &error), nullptr);
   EXPECT_FALSE(error.empty());
+  // The node capacity is compared too: LoadTree alone would silently take
+  // the image's.
+  wrong = options;
+  wrong.tree.max_entries = SmallOptions().ResolvedMaxEntries() + 1;
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, wrong, &error), nullptr);
+  EXPECT_NE(error.find("node capacity"), std::string::npos) << error;
 }
 
 TEST(DurableTreeTest, WalMetricsFlow) {
@@ -761,11 +864,17 @@ TEST(DurableTreeTest, WalMetricsFlow) {
   ASSERT_NE(durable, nullptr) << error;
   ASSERT_TRUE(durable->Insert(MakeTxn(1, {1, 5})));
   ASSERT_TRUE(durable->Insert(MakeTxn(2, {2, 6})));
-  EXPECT_GE(registry.GetCounter("wal.appends")->Value(), 4u);
+  // One record per operation: 21 + 4 * 2 bytes each.
+  EXPECT_EQ(registry.GetCounter("wal.appends")->Value(), 2u);
   EXPECT_GE(registry.GetCounter("wal.fsyncs")->Value(), 2u);
-  EXPECT_GT(registry.GetCounter("wal.bytes")->Value(), 0u);
+  const uint64_t bytes = registry.GetCounter("wal.bytes")->Value();
+  EXPECT_EQ(bytes, 2u * 29u);
   ASSERT_TRUE(durable->Checkpoint(&error)) << error;
   EXPECT_EQ(registry.GetCounter("checkpoint.count")->Value(), 1u);
+  // The log a checkpoint publishes counts into the same registry.
+  ASSERT_TRUE(durable->Insert(MakeTxn(3, {3, 7})));
+  EXPECT_EQ(registry.GetCounter("wal.appends")->Value(), 3u);
+  EXPECT_GT(registry.GetCounter("wal.bytes")->Value(), bytes);
 }
 
 TEST(DurableTreeTest, AdoptBulkLoadedIsCheckpointedAndRecoverable) {
@@ -796,24 +905,128 @@ TEST(DurableTreeTest, AdoptBulkLoadedIsCheckpointedAndRecoverable) {
 }
 
 TEST(RecoveryTest, RejectsGarbagePageFile) {
+  // A garbage checkpoint image is refused, not thawed.
   const std::string dir = FreshDir("dt_garbage");
-  ASSERT_TRUE(Env::Posix()->CreateDir(dir));
-  ASSERT_TRUE(AtomicWriteFile(DurableTree::PagePathFor(dir),
-                              std::vector<uint8_t>(64, 0xAB)));
+  {
+    auto durable = OpenWithInserts(dir, 5);
+    ASSERT_NE(durable, nullptr);
+  }
+  WriteBytes(CheckpointPathFor(dir, 1), std::vector<uint8_t>(64, 0xAB));
   std::string error;
-  EXPECT_EQ(RecoverTree(Env::Posix(), DurableTree::PagePathFor(dir),
-                        DurableTree::WalPathFor(dir), &error),
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error), nullptr);
+  EXPECT_NE(error.find(CheckpointPathFor(dir, 1)), std::string::npos)
+      << error;
+}
+
+TEST(DurableTreeTest, UnreadableCheckpointMarkerIsRefused) {
+  // One flipped bit in the first frame makes the marker unreadable. The
+  // log must be refused, never taken for an empty one: that would drop
+  // every acknowledged insert and overwrite the log.
+  const std::string dir = FreshDir("dt_bad_marker");
+  {
+    auto durable = OpenWithInserts(dir, 42);
+    ASSERT_NE(durable, nullptr);
+  }
+  const std::string wal_path = WalPathFor(dir);
+  std::vector<uint8_t> wal = ReadBytes(wal_path);
+  ASSERT_GT(wal.size(), Wal::RecordRegionStart() + 12);
+  wal[Wal::RecordRegionStart() + 8 + 3] ^= 0x04;  // Marker payload byte 3.
+  WriteBytes(wal_path, wal);
+  const auto before = DirContents(dir);
+
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  std::string error;
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, options, &error), nullptr);
+  EXPECT_EQ(error, "wal " + wal_path + ": unreadable checkpoint marker");
+  error.clear();
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error), nullptr);
+  EXPECT_EQ(error, "wal " + wal_path + ": unreadable checkpoint marker");
+  EXPECT_EQ(DirContents(dir), before);
+
+  // A log cut short of its marker is refused the same way.
+  WriteBytes(wal_path, std::vector<uint8_t>(wal.begin(), wal.begin() + 4));
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, options, &error), nullptr);
+  EXPECT_EQ(error, "wal " + wal_path + ": unreadable checkpoint marker");
+}
+
+TEST(DurableTreeTest, RetiredPageFileDirectoryIsRefused) {
+  // A directory written by the page-file DurableTree (pages.sgp + a log of
+  // page images) is refused, and nothing is created beside it.
+  const std::string dir = FreshDir("dt_retired");
+  std::filesystem::copy(std::string(SGTREE_GOLDEN_DIR) + "/durable_v1_small",
+                        dir);
+  const auto before = DirContents(dir);
+  DurableTree::Options options;
+  options.tree = SmallOptions();
+  std::string error;
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, options, &error), nullptr);
+  EXPECT_EQ(error, dir + ": retired page-file format (pages.sgp); rebuild "
+                         "the index from its data");
+  EXPECT_EQ(DurableTree::Open(Env::Posix(), dir, DurableTree::Options{},
+                              &error),
             nullptr);
-  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error), nullptr);
+  EXPECT_NE(error.find("retired page-file format"), std::string::npos);
+  EXPECT_EQ(DirContents(dir), before);
+}
+
+TEST(DurableTreeTest, ForeignLogIsRefused) {
+  // Replaying a log on an image it does not belong to would double-apply
+  // or miss operations; an erase that finds nothing gives it away.
+  const std::string dir = FreshDir("dt_foreign");
+  {
+    auto durable = OpenWithInserts(dir, 10);
+    ASSERT_NE(durable, nullptr);
+    ASSERT_TRUE(durable->Erase(MakeTxn(3, {3, 24, 44})));
+  }
+  // Pair the log with an empty image under the marker's name.
+  SgTree empty(SmallOptions());
+  std::string error;
+  ASSERT_TRUE(BuildStaticTree(empty, CheckpointPathFor(dir, 1), &error));
+  {
+    // Drop the inserts: keep the marker and the erase only.
+    std::vector<uint8_t> region;
+    ASSERT_TRUE(Wal::ReadRecordRegion(Env::Posix(), WalPathFor(dir), &region,
+                                      &error));
+    WalScanner scanner(region.data(), region.size());
+    WalRecord marker;
+    ASSERT_TRUE(scanner.Next(&marker));
+    WalRecord record;
+    while (scanner.Next(&record)) {
+    }
+    ASSERT_EQ(record.type, WalRecordType::kErase);
+    auto wal = Wal::Publish(Env::Posix(), WalPathFor(dir), marker, nullptr,
+                            &error);
+    ASSERT_NE(wal, nullptr) << error;
+    ASSERT_TRUE(wal->Append(record));
+    ASSERT_TRUE(wal->Commit());
+  }
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error), nullptr);
+  EXPECT_NE(error.find("erases tid 3, which is not indexed"),
+            std::string::npos)
+      << error;
+
+  // A position beyond the image's signature width gives it away as well.
+  ASSERT_TRUE(BuildStaticTree(SgTree([] {
+                                SgTreeOptions narrow = SmallOptions();
+                                narrow.num_bits = 16;
+                                return narrow;
+                              }()),
+                              CheckpointPathFor(dir, 1), &error));
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error), nullptr);
+  EXPECT_NE(error.find("sets bit 44 of a 16-bit signature"),
+            std::string::npos)
+      << error;
 }
 
 // ---------------------------------------------------------------------------
-// AdoptNode / page-id-stable rebuild.
+// AdoptNode: the thaw's page-id-stable rebuild.
 // ---------------------------------------------------------------------------
 
 TEST(SgTreeAdoptTest, AdoptNodePreservesIds) {
   SgTreeOptions options = SmallOptions();
-  SgTree tree(options, std::make_unique<MemPageStore>(options.page_size));
+  SgTree tree(options);
   Node* high = tree.AdoptNode(7, 0);
   ASSERT_NE(high, nullptr);
   EXPECT_EQ(high->id, 7u);

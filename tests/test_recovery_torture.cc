@@ -8,6 +8,7 @@
 // prefix. The recovered op_seq pins down which prefix that is.
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -115,10 +116,7 @@ std::string ReferenceSnapshot(const std::vector<Op>& ops, uint64_t n_ops) {
 
 std::string TrialDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
-  Env* env = Env::Posix();
-  env->CreateDir(dir);
-  env->Delete(DurableTree::PagePathFor(dir));
-  env->Delete(DurableTree::WalPathFor(dir));
+  std::filesystem::remove_all(dir);
   return dir;
 }
 
@@ -150,9 +148,7 @@ void CheckRecovered(const std::string& dir, const std::vector<Op>& ops,
                     uint64_t acked, const std::string& label) {
   const SgTreeOptions options = TortureOptions();
   std::string error;
-  auto recovered = RecoverTree(Env::Posix(), DurableTree::PagePathFor(dir),
-                               DurableTree::WalPathFor(dir), &error,
-                               &options);
+  auto recovered = RecoverTree(Env::Posix(), dir, &error, &options);
   ASSERT_NE(recovered, nullptr) << label << ": " << error;
   ASSERT_TRUE(recovered->audit.ok()) << label;
   const uint64_t survived = recovered->report.op_seq;
@@ -190,7 +186,8 @@ TEST(RecoveryTortureTest, KillAfterEveryWrite) {
   ASSERT_TRUE(opened);
   ASSERT_EQ(acked_all, ops.size());
   const uint64_t total_writes = state.writes_issued();
-  ASSERT_GT(total_writes, ops.size());  // several records per operation
+  // One record per operation, after the creation's image and log.
+  ASSERT_GT(total_writes, ops.size());
   CheckRecovered(clean_dir, ops, acked_all, "clean run");
 
   for (uint64_t kill = 1; kill <= total_writes; ++kill) {
@@ -206,9 +203,7 @@ TEST(RecoveryTortureTest, KillAfterEveryWrite) {
       // that is required is that recovery fails cleanly instead of
       // fabricating a tree.
       std::string error;
-      auto recovered =
-          RecoverTree(Env::Posix(), DurableTree::PagePathFor(dir),
-                      DurableTree::WalPathFor(dir), &error);
+      auto recovered = RecoverTree(Env::Posix(), dir, &error);
       if (recovered != nullptr) {
         EXPECT_EQ(recovered->report.op_seq, 0u) << label;
       } else {
@@ -251,7 +246,8 @@ TEST(RecoveryTortureTest, CrashDuringCheckpoint) {
   const std::vector<Op> ops = Workload();
 
   // Clean pass with a trailing checkpoint: writes in (ops_writes, total]
-  // fall inside the checkpoint protocol.
+  // fall inside the checkpoint protocol — the publication of the image and
+  // then of the new log.
   FaultState state;
   FaultInjectingEnv fenv(Env::Posix(), &state);
   const std::string clean_dir = TrialDir("ckpt_clean");
@@ -306,7 +302,7 @@ TEST(RecoveryTortureTest, BitFlipsInTheLogNeverCrashRecovery) {
   ASSERT_EQ(RunWorkload(env, dir, ops, &opened), ops.size());
 
   // Take the intact WAL bytes once, then probe flipped copies.
-  const std::string wal_path = DurableTree::WalPathFor(dir);
+  const std::string wal_path = WalPathFor(dir);
   std::vector<uint8_t> wal_bytes;
   {
     auto file = env->Open(wal_path, false);
@@ -316,26 +312,17 @@ TEST(RecoveryTortureTest, BitFlipsInTheLogNeverCrashRecovery) {
   ASSERT_GT(wal_bytes.size(), 64u);
 
   const std::string probe_dir = TrialDir("flip_probe");
-  const std::string probe_pages = DurableTree::PagePathFor(probe_dir);
-  const std::string probe_wal = DurableTree::WalPathFor(probe_dir);
-  std::vector<uint8_t> page_bytes;
-  {
-    auto file = env->Open(DurableTree::PagePathFor(dir), false);
-    ASSERT_NE(file, nullptr);
-    ASSERT_TRUE(file->ReadAt(0, size_t(file->Size()), &page_bytes));
-  }
+  const std::string probe_wal = WalPathFor(probe_dir);
 
   const uint64_t step = wal_bytes.size() / 29 + 1;
   for (uint64_t pos = 2; pos < wal_bytes.size(); pos += step) {
     const std::string label = "flip@" + std::to_string(pos);
     std::vector<uint8_t> flipped = wal_bytes;
     flipped[size_t(pos)] ^= uint8_t(1u << (pos % 8));
-    env->Delete(probe_pages);
-    env->Delete(probe_wal);
+    std::filesystem::remove_all(probe_dir);
+    std::filesystem::copy(dir, probe_dir);
     {
-      auto file = env->Open(probe_pages, true);
-      ASSERT_TRUE(file->WriteAt(0, page_bytes.data(), page_bytes.size()));
-      file = env->Open(probe_wal, true);
+      auto file = env->Open(probe_wal, true);
       ASSERT_TRUE(file->WriteAt(0, flipped.data(), flipped.size()));
     }
     // A flipped log byte truncates the committed prefix at worst; recovery
@@ -343,8 +330,7 @@ TEST(RecoveryTortureTest, BitFlipsInTheLogNeverCrashRecovery) {
     // error — never crash, never serve a corrupt tree.
     const SgTreeOptions options = TortureOptions();
     std::string error;
-    auto recovered =
-        RecoverTree(Env::Posix(), probe_pages, probe_wal, &error, &options);
+    auto recovered = RecoverTree(Env::Posix(), probe_dir, &error, &options);
     if (recovered == nullptr) {
       EXPECT_FALSE(error.empty()) << label;
       continue;
@@ -373,28 +359,13 @@ TEST(RecoveryTortureTest, UnloggedPageRotIsDetectedNotServed) {
     ASSERT_TRUE(durable->Checkpoint(&error)) << error;
   }
 
-  // After the checkpoint the log covers nothing, so rot in a live page is
-  // unrepairable and recovery must say so. Find a live slot and flip one
-  // payload byte (slot i sits at 4096 + i * (16 + page_size)).
-  const std::string page_path = DurableTree::PagePathFor(dir);
-  std::string error;
-  auto store = FilePageStore::Open(env, page_path, &error);
-  ASSERT_NE(store, nullptr) << error;
-  PageId live = kInvalidPageId;
-  for (PageId id = 0; id < store->TotalPages(); ++id) {
-    std::vector<uint8_t> payload;
-    if (store->Read(id, &payload) && !payload.empty()) {
-      live = id;
-      break;
-    }
-  }
-  ASSERT_NE(live, kInvalidPageId);
-  store.reset();
-
-  const uint64_t offset =
-      4096 + uint64_t(live) * (16 + TortureOptions().page_size) + 16;
-  auto file = env->Open(page_path, false);
+  // After the checkpoint the log holds nothing but its marker, so rot in
+  // the checkpoint image cannot be repaired, and recovery must say so
+  // instead of serving the image. Flip one byte of the last node record.
+  const std::string image_path = CheckpointPathFor(dir, 2);
+  auto file = env->Open(image_path, false);
   ASSERT_NE(file, nullptr);
+  const uint64_t offset = file->Size() - 5;
   std::vector<uint8_t> byte;
   ASSERT_TRUE(file->ReadAt(offset, 1, &byte));
   byte[0] ^= 0x10;
@@ -402,10 +373,9 @@ TEST(RecoveryTortureTest, UnloggedPageRotIsDetectedNotServed) {
   file.reset();
 
   const SgTreeOptions options = TortureOptions();
-  EXPECT_EQ(RecoverTree(Env::Posix(), page_path,
-                        DurableTree::WalPathFor(dir), &error, &options),
-            nullptr);
-  EXPECT_NE(error.find("checksum mismatch not repaired"), std::string::npos)
+  std::string error;
+  EXPECT_EQ(RecoverTree(Env::Posix(), dir, &error, &options), nullptr);
+  EXPECT_NE(error.find("body checksum mismatch"), std::string::npos)
       << error;
 }
 

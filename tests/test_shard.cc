@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -533,15 +534,9 @@ TEST(ShardedIndexPersistenceTest, LoadRejectsGarbageManifest) {
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
-  Env* env = Env::Posix();
-  env->CreateDir(dir);
   // Start from a clean slate: remove any per-shard state a previous run
   // left behind.
-  for (uint32_t s = 0; s < 16; ++s) {
-    const std::string shard_dir = ShardedIndex::ShardDirFor(dir, s);
-    env->Delete(DurableTree::PagePathFor(shard_dir));
-    env->Delete(DurableTree::WalPathFor(shard_dir));
-  }
+  std::filesystem::remove_all(dir);
   return dir;
 }
 
@@ -667,6 +662,33 @@ TEST(ShardedDurableTest, KillMidWriteLosesNothingAcknowledged) {
     ExpectSameAnswers(reference_router.Run(batch),
                       recovered_router.Run(batch), "recovered");
   }
+}
+
+// A shard directory written by the page-file DurableTree is refused with
+// a reason that says to rebuild, and nothing is created beside it.
+TEST(ShardedDurableTest, RetiredPageFileShardIsRefused) {
+  const std::string dir = FreshDir("sharded_retired");
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy(std::string(SGTREE_GOLDEN_DIR) + "/durable_v1_small",
+                        ShardedIndex::ShardDirFor(dir, 0));
+  auto listing = [&dir] {
+    std::vector<std::string> paths;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+      paths.push_back(entry.path().string());
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
+  };
+  const std::vector<std::string> before = listing();
+  std::string error;
+  EXPECT_EQ(ShardedIndex::OpenDurable(Env::Posix(), dir, ShardOptions(1),
+                                      &error),
+            nullptr);
+  EXPECT_EQ(error, "shard 0: " + ShardedIndex::ShardDirFor(dir, 0) +
+                       ": retired page-file format (pages.sgp); rebuild the "
+                       "index from its data");
+  EXPECT_EQ(listing(), before);
 }
 
 }  // namespace

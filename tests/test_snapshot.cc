@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/linear_scan.h"
-#include "common/file_util.h"
 #include "common/rng.h"
 #include "durability/env.h"
 #include "sgtree/bulk_load.h"
@@ -26,6 +25,7 @@
 #include "shard/sharded_index.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
+#include "storage/codec.h"
 #include "tests/test_util.h"
 #include "tools/cli.h"
 
@@ -65,23 +65,34 @@ Transaction MakeTxn(uint64_t tid, std::vector<ItemId> items) {
 // Save and load.
 // ---------------------------------------------------------------------------
 
-// The parameter is SgTreeOptions::compress. Snapshots are always dense
-// static images, so a tree built with either setting must round trip the
-// same way and load back under the options it was built with.
+// The parameter picks the data: sparse transactions that §3.2 would
+// compress (about 8 items of 1000), or dense ones that it would store raw
+// (about 40 items of 120). Snapshots are dense static images either way,
+// so both trees must round trip the same way.
 class PersistenceTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
-  const Dataset dataset = ClusteredDataset(10, 400, 120, 8, 10, 2);
-  SgTreeOptions options = SmallOptions();
-  options.compress = GetParam();
+  const bool sparse = GetParam();
+  const uint32_t num_bits = sparse ? 1000 : 120;
+  const Dataset dataset =
+      ClusteredDataset(10, 400, num_bits, 8, sparse ? 8 : 40, 2);
+  for (const Transaction& txn : dataset.transactions) {
+    const Signature sig = Signature::FromItems(txn.items, num_bits);
+    if (sparse) {
+      ASSERT_LT(EncodedSize(sig), DenseEncodedSize(num_bits));
+    } else {
+      ASSERT_EQ(EncodedSize(sig), DenseEncodedSize(num_bits));
+    }
+  }
+  const SgTreeOptions options = SmallOptions(num_bits);
   SgTree tree(options);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
 
   // Parameter-unique path: ctest runs the two instances concurrently, and
   // a shared file would race between one instance's save and the other's
   // cleanup.
-  const std::string path = TempPath(GetParam() ? "sgtree_save_compressed.bin"
-                                               : "sgtree_save_dense.bin");
+  const std::string path = TempPath(sparse ? "sgtree_save_compressed.bin"
+                                           : "sgtree_save_dense.bin");
   ASSERT_TRUE(BuildStaticTree(tree, path));
   auto loaded = LoadTree(path, options);
   ASSERT_NE(loaded, nullptr);
@@ -95,7 +106,8 @@ TEST_P(PersistenceTest, SaveLoadRoundTripPreservesStructure) {
   LinearScan scan(dataset);
   Rng rng(11);
   for (int q = 0; q < 20; ++q) {
-    const Signature query = RandomSignature(rng, 120, 0.07);
+    const Signature query =
+        RandomSignature(rng, num_bits, sparse ? 0.008 : 0.3);
     EXPECT_DOUBLE_EQ(DfsNearest(*loaded, query).distance,
                      scan.Nearest(query).distance);
   }
@@ -187,7 +199,7 @@ TEST(PersistenceTest, SaveIsAtomicAndLoadReportsTruncation) {
     trunc.reset();
     const std::string cut_path = TempPath("snapshot_cut.sgt");
     bytes.resize(cut);
-    ASSERT_TRUE(AtomicWriteFile(cut_path, bytes));
+    ASSERT_TRUE(AtomicWriteFile(Env::Posix(), cut_path, bytes));
     EXPECT_EQ(LoadTree(cut_path, options, &error), nullptr) << cut;
     EXPECT_NE(error.find("truncated"), std::string::npos)
         << "cut " << cut << ": " << error;
@@ -197,7 +209,7 @@ TEST(PersistenceTest, SaveIsAtomicAndLoadReportsTruncation) {
 TEST(PersistenceTest, BadMagicAndShapeMismatchReported) {
   const std::string path = TempPath("not_a_tree.sgt");
   ASSERT_TRUE(AtomicWriteFile(
-      path, std::vector<uint8_t>{'n', 'o', 'p', 'e', 0, 0, 0, 0, 0, 0}));
+      Env::Posix(), path, std::vector<uint8_t>{'n', 'o', 'p', 'e', 0, 0, 0, 0, 0, 0}));
   std::string error;
   SgTreeOptions options = PageOptions();
   EXPECT_EQ(LoadTree(path, options, &error), nullptr);
@@ -396,8 +408,9 @@ TEST(SnapshotMigrationTest, Sgtree01FilesAreRefusedByEveryReader) {
   const std::string manifest = TempPath("sgtree01_manifest.idx");
   const std::string text = "sgshard 1\nshards 1\n";
   ASSERT_TRUE(AtomicWriteFile(
-      manifest, std::vector<uint8_t>(text.begin(), text.end())));
-  ASSERT_TRUE(AtomicWriteFile(ShardedIndex::ShardSnapshotPath(manifest, 0),
+      Env::Posix(), manifest, std::vector<uint8_t>(text.begin(), text.end())));
+  ASSERT_TRUE(AtomicWriteFile(Env::Posix(),
+                              ShardedIndex::ShardSnapshotPath(manifest, 0),
                               old_bytes));
   std::string error;
   EXPECT_EQ(ShardedIndex::Load(manifest, ShardedIndexOptions{}, &error),

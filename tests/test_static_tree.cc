@@ -8,6 +8,7 @@
 #include "static/static_tree_view.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -252,10 +253,8 @@ TEST(StaticDifferentialTest, WrappingEnvFallbackIdenticalToPosixMmap) {
 TEST(StaticDifferentialTest, ExportStaticSnapshotsADurableTree) {
   const Dataset dataset = ClusteredDataset(77, 300, kBits, 6, 10, 2);
   const std::string dir = ::testing::TempDir() + "/sgtree_static_export";
+  std::filesystem::remove_all(dir);
   Env* env = Env::Posix();
-  env->CreateDir(dir);
-  env->Delete(DurableTree::PagePathFor(dir));
-  env->Delete(DurableTree::WalPathFor(dir));
 
   DurableTree::Options options;
   options.tree = TreeOptions();
