@@ -8,7 +8,7 @@
 
 #include "bench/bench_common.h"
 #include "sgtree/bulk_load.h"
-#include "sgtree/tree_checker.h"
+#include "sgtree/invariant_auditor.h"
 
 namespace sgtree::bench {
 namespace {
@@ -16,17 +16,17 @@ namespace {
 struct Row {
   std::string name;
   double build_ms;
-  TreeReport report;
+  AuditStats stats;
   MethodResult query;
 };
 
 void Print(const Row& row) {
   std::printf("%-16s %10.0f %8llu %8.2f %10.1f %10.2f %10.3f %12.1f\n",
               row.name.c_str(), row.build_ms,
-              static_cast<unsigned long long>(row.report.node_count),
-              row.report.avg_utilization,
-              row.report.avg_entry_area.size() > 1
-                  ? row.report.avg_entry_area[1]
+              static_cast<unsigned long long>(row.stats.node_count),
+              row.stats.avg_utilization,
+              row.stats.avg_entry_area.size() > 1
+                  ? row.stats.avg_entry_area[1]
                   : 0.0,
               row.query.pct_data, row.query.cpu_ms, row.query.random_ios);
 }
@@ -47,7 +47,7 @@ void Run() {
 
   {
     const BuiltTree built = BuildTree(dataset, options);
-    Print({"insert", built.build_ms, CheckTree(*built.tree),
+    Print({"insert", built.build_ms, AuditTree(*built.tree).stats,
            RunTreeKnn(*built.tree, queries, 1, dataset.size())});
   }
   for (BulkLoadOrder order :
@@ -58,7 +58,7 @@ void Run() {
     Timer timer;
     auto tree = BulkLoad(dataset, options, bulk);
     const double build_ms = timer.ElapsedMs();
-    Print({BulkLoadOrderName(order), build_ms, CheckTree(*tree),
+    Print({BulkLoadOrderName(order), build_ms, AuditTree(*tree).stats,
            RunTreeKnn(*tree, queries, 1, dataset.size())});
   }
   std::printf("\nAll bulk orders build ~10x faster and pack denser than\n"

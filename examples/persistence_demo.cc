@@ -11,9 +11,9 @@
 
 #include "common/stats.h"
 #include "data/quest_generator.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "sgtree/tree_checker.h"
 #include "static/static_tree_builder.h"
 
 int main() {
@@ -55,7 +55,7 @@ int main() {
     return 1;
   }
   std::printf("Loaded in %.0f ms; invariants %s\n", load_timer.ElapsedMs(),
-              CheckTree(*loaded).ok ? "OK" : "BROKEN");
+              AuditTree(*loaded).ok() ? "OK" : "BROKEN");
 
   // The loaded index answers queries...
   const auto queries = gen.GenerateQueries(3);

@@ -23,11 +23,6 @@ uint32_t Signature::Area() const { return sig::Area(*this); }
 
 bool Signature::Empty() const { return sig::Empty(*this); }
 
-void Signature::UnionWith(const Signature& other) {
-  SGTREE_DCHECK(num_bits_ == other.num_bits_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
 void Signature::IntersectWith(const Signature& other) {
   SGTREE_DCHECK(num_bits_ == other.num_bits_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
@@ -49,19 +44,7 @@ uint32_t Signature::XorCount(const Signature& a, const Signature& b) {
   return sig::XorCount(a, b);
 }
 
-std::vector<uint32_t> Signature::ToItems() const {
-  std::vector<uint32_t> items;
-  items.reserve(Area());
-  for (uint32_t wi = 0; wi < words_.size(); ++wi) {
-    uint64_t w = words_[wi];
-    while (w != 0) {
-      const uint32_t bit = static_cast<uint32_t>(std::countr_zero(w));
-      items.push_back(wi * kBitsPerWord + bit);
-      w &= w - 1;
-    }
-  }
-  return items;
-}
+std::vector<uint32_t> Signature::ToItems() const { return sig::Items(*this); }
 
 std::string Signature::ToString() const {
   std::string out;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bit_ops.h"
+#include "common/check.h"
 
 namespace sgtree {
 
@@ -59,8 +60,14 @@ class Signature {
 
   bool Empty() const;
 
-  /// this |= other. Widths must match.
-  void UnionWith(const Signature& other);
+  /// this |= other. Widths must match; `other` may be any signature-like
+  /// type (common/signature_ops.h), such as a SignatureView into a node.
+  template <typename S>
+  void UnionWith(const S& other) {
+    SGTREE_DCHECK(num_bits_ == other.num_bits());
+    const auto src = other.words();
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= src[i];
+  }
   /// this &= other. Widths must match.
   void IntersectWith(const Signature& other);
 
@@ -118,6 +125,9 @@ class SignatureView {
   SignatureView() = default;
   SignatureView(uint32_t num_bits, const uint64_t* words)
       : num_bits_(num_bits), words_(words) {}
+  /// Views an owning signature, like std::string_view over a std::string.
+  SignatureView(const Signature& sig)
+      : num_bits_(sig.num_bits()), words_(sig.words().data()) {}
 
   uint32_t num_bits() const { return num_bits_; }
   std::span<const uint64_t> words() const {

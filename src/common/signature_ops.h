@@ -1,10 +1,13 @@
 #ifndef SGTREE_COMMON_SIGNATURE_OPS_H_
 #define SGTREE_COMMON_SIGNATURE_OPS_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/bit_kernels.h"
+#include "common/bit_ops.h"
 #include "common/check.h"
 
 namespace sgtree::sig {
@@ -101,6 +104,23 @@ bool Equal(const A& a, const B& b) {
     if (aw[i] != bw[i]) return false;
   }
   return true;
+}
+
+/// The positions of all set bits, ascending.
+template <typename S>
+std::vector<uint32_t> Items(const S& s) {
+  std::vector<uint32_t> items;
+  items.reserve(Area(s));
+  const auto words = s.words();
+  for (uint32_t wi = 0; wi < words.size(); ++wi) {
+    uint64_t w = words[wi];
+    while (w != 0) {
+      const auto bit = static_cast<uint32_t>(std::countr_zero(w));
+      items.push_back(wi * kBitsPerWord + bit);
+      w &= w - 1;
+    }
+  }
+  return items;
 }
 
 }  // namespace sgtree::sig

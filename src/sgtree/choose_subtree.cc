@@ -11,54 +11,57 @@ namespace sgtree {
 namespace {
 
 // Overlap increase with siblings if entries[index] is enlarged to cover sig.
-uint64_t OverlapIncrease(const Node& node, size_t index,
+uint64_t OverlapIncrease(const NodeView& node, size_t index,
                          const Signature& sig) {
-  Signature enlarged = node.entries[index].sig;
+  const SignatureView entry = node.EntryAt(index).sig;
+  Signature enlarged = entry.ToSignature();
   enlarged.UnionWith(sig);
   uint64_t increase = 0;
-  for (size_t j = 0; j < node.entries.size(); ++j) {
+  for (size_t j = 0; j < node.Count(); ++j) {
     if (j == index) continue;
-    const Signature& other = node.entries[j].sig;
-    increase += Signature::IntersectCount(enlarged, other) -
-                Signature::IntersectCount(node.entries[index].sig, other);
+    const SignatureView other = node.EntryAt(j).sig;
+    increase += sig::IntersectCount(enlarged, other) -
+                sig::IntersectCount(entry, other);
   }
   return increase;
 }
 
 }  // namespace
 
-size_t ChooseSubtree(const Node& node, const Signature& sig,
+size_t ChooseSubtree(const NodeView& node, const Signature& sig,
                      ChooseSubtreePolicy policy) {
-  SGTREE_ASSERT(!node.entries.empty());
+  const size_t count = node.Count();
+  SGTREE_ASSERT(count > 0);
 
   // Cases 1 and 2: prefer entries that already contain the signature; among
   // those, the one with minimum area.
-  size_t best_containing = node.entries.size();
+  size_t best_containing = count;
   uint32_t best_containing_area = std::numeric_limits<uint32_t>::max();
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    if (node.entries[i].sig.Contains(sig)) {
-      const uint32_t area = node.entries[i].sig.Area();
+  for (size_t i = 0; i < count; ++i) {
+    const SignatureView entry = node.EntryAt(i).sig;
+    if (sig::Contains(entry, sig)) {
+      const uint32_t area = sig::Area(entry);
       if (area < best_containing_area) {
         best_containing_area = area;
         best_containing = i;
       }
     }
   }
-  if (best_containing != node.entries.size()) return best_containing;
+  if (best_containing != count) return best_containing;
 
   // Case 3: no entry contains the signature. Both ranking keys come from
   // one pass over the entry's words: the enlargement |sig AND NOT e| is
   // |sig| - |sig AND e|, and the same pass counts |e|.
   const uint32_t sig_area = sig.Area();
   auto enlargement_and_area = [&](size_t i) {
-    const auto [inter, area] = sig::IntersectAndArea(sig, node.entries[i].sig);
+    const auto [inter, area] = sig::IntersectAndArea(sig, node.EntryAt(i).sig);
     return std::pair<uint32_t, uint32_t>{sig_area - inter, area};
   };
   if (policy == ChooseSubtreePolicy::kMinEnlargement) {
     size_t best = 0;
     uint32_t best_enlargement = std::numeric_limits<uint32_t>::max();
     uint32_t best_area = std::numeric_limits<uint32_t>::max();
-    for (size_t i = 0; i < node.entries.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       const auto [enlargement, area] = enlargement_and_area(i);
       if (enlargement < best_enlargement ||
           (enlargement == best_enlargement && area < best_area)) {
@@ -75,7 +78,7 @@ size_t ChooseSubtree(const Node& node, const Signature& sig,
   uint64_t best_overlap = std::numeric_limits<uint64_t>::max();
   uint32_t best_enlargement = std::numeric_limits<uint32_t>::max();
   uint32_t best_area = std::numeric_limits<uint32_t>::max();
-  for (size_t i = 0; i < node.entries.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const uint64_t overlap = OverlapIncrease(node, i, sig);
     const auto [enlargement, area] = enlargement_and_area(i);
     const bool better =

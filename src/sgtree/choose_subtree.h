@@ -20,7 +20,7 @@ namespace sgtree {
 ///        after enlargement; ties by enlargement, then area.
 ///
 /// Returns the index of the chosen entry. `node` must not be empty.
-size_t ChooseSubtree(const Node& node, const Signature& sig,
+size_t ChooseSubtree(const NodeView& node, const Signature& sig,
                      ChooseSubtreePolicy policy);
 
 }  // namespace sgtree

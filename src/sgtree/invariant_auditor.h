@@ -10,14 +10,13 @@
 
 namespace sgtree {
 
-/// Deep structural verification of an in-memory SG-tree (the static image
-/// form has its own auditor, AuditStaticImage in static/static_audit.h,
-/// which reuses this vocabulary). Unlike the original tree checker (which
-/// stopped at the first broken invariant), the auditor keeps walking and
-/// reports every violation it finds, each tagged with a machine-readable
-/// check id and a human-readable diagnostic naming the offending page —
-/// the difference between "tree is broken" and "page 17, entry 3 lost bit
-/// 412 of its signature".
+/// Deep structural verification of an SG-tree: one walk over the node view
+/// (sgtree/audit_core.h) checks the dynamic tree (AuditTree, here) and the
+/// static image (AuditStaticImage, static/static_audit.h) alike. It keeps
+/// walking past the first broken invariant and reports every violation,
+/// each tagged with a machine-readable check id and a diagnostic naming the
+/// offending node — the difference between "tree is broken" and "node 17,
+/// entry 3 lost bit 412 of its signature".
 ///
 /// Verified invariants:
 ///   - coverage (Definition 5): every directory entry's signature is exactly
@@ -26,20 +25,20 @@ namespace sgtree {
 ///     0, recorded height matches the root level;
 ///   - fill-factor bounds: non-root nodes hold between m and M entries, a
 ///     directory root at least 2;
-///   - signature width: every entry matches the tree-wide width;
+///   - signature width: no entry sets a bit beyond the tree-wide width;
 ///   - leaf tid uniqueness: no transaction id is indexed twice;
 ///   - referential integrity: every entry reference resolves to a live
-///     page, and every live page is reached exactly once from the root;
+///     node, and every live node is reached exactly once from the root;
 ///   - bookkeeping: recorded size / height / node count match the walk.
 enum class AuditCheck {
   kStructure,        // bookkeeping mismatch (size/height/count, cycles)
   kCoverage,         // directory signature != OR of child entries
   kLevel,            // child level != parent level - 1
   kFill,             // under minimum fill / over capacity / root fill
-  kSignatureWidth,   // entry signature width != tree signature width
+  kSignatureWidth,   // entry sets a bit beyond the signature width
   kDuplicateTid,     // transaction id indexed by two leaf entries
-  kUnreachablePage,  // live page never reached from the root (orphan)
-  kDanglingRef,      // entry referencing a freed or unknown page
+  kUnreachablePage,  // live node never reached from the root (orphan)
+  kDanglingRef,      // entry referencing a freed or unknown node
 };
 
 /// Stable name for an AuditCheck ("coverage", "fill", ...), used by the CLI
@@ -48,7 +47,7 @@ std::string_view AuditCheckName(AuditCheck check);
 
 struct AuditViolation {
   AuditCheck check;
-  /// Offending page (kInvalidPageId for tree-level bookkeeping violations).
+  /// Offending node (kInvalidPageId for tree-level bookkeeping violations).
   PageId page = kInvalidPageId;
   std::string detail;
 
@@ -91,7 +90,7 @@ struct AuditReport {
   std::string Summary() const;
 };
 
-/// Audits the in-memory tree. Read-only and side-effect free: node access
+/// Audits the dynamic tree. Read-only and side-effect free: node access
 /// bypasses the buffer pool, so I/O counters are untouched.
 AuditReport AuditTree(const SgTree& tree, const AuditOptions& options = {});
 

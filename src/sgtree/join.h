@@ -44,7 +44,7 @@ class JoinSink {
 /// Lower bound on the distance between transactions drawn from two covering
 /// signatures. `leaf_a` / `leaf_b` mark exact (leaf-entry) signatures, which
 /// tighten the bound considerably.
-double PairMinDist(const Signature& a, bool leaf_a, const Signature& b,
+double PairMinDist(SignatureView a, bool leaf_a, SignatureView b,
                    bool leaf_b, Metric metric, uint32_t fixed_dimensionality);
 
 /// All pairs (ta, tb), ta indexed by `a`, tb by `b`, with distance <=

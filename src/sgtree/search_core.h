@@ -26,10 +26,9 @@ namespace sgtree {
 ///
 /// A `Tree` must expose the SgTree read surface: `root()` (PageId,
 /// kInvalidPageId when empty), `GetNode(PageId, const QueryContext&)`
-/// (returning a node by reference or by value), `options().metric`, and
-/// `TransactionAreaBounds()`. A node must expose `IsLeaf()`, `Count()`, and
-/// `EntryAt(i)` yielding an entry with `.sig` (signature-like, see
-/// common/signature_ops.h) and `.ref`.
+/// returning a NodeView (sgtree/node.h), `options().metric`, and
+/// `TransactionAreaBounds()`. Both trees store their nodes in the same
+/// record layout and hand out the same node type.
 ///
 /// Both instantiations therefore execute the same statements in the same
 /// order: every pruning decision, every counter increment

@@ -1,7 +1,8 @@
 #ifndef SGTREE_SGTREE_SPLIT_H_
 #define SGTREE_SGTREE_SPLIT_H_
 
-#include <utility>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sgtree/node.h"
@@ -9,19 +10,20 @@
 
 namespace sgtree {
 
-/// Result of splitting an overflowed node: the two entry groups. Both groups
-/// are non-empty and contain at least `min_entries` entries whenever the
-/// input has at least `2 * min_entries` entries.
+/// Result of splitting an overflowed node: the indexes of its entries in
+/// each of the two groups, in the order the new records list them. Both
+/// groups are non-empty and hold at least `min_entries` entries whenever
+/// the node has at least `2 * min_entries`.
 struct SplitResult {
-  std::vector<Entry> first;
-  std::vector<Entry> second;
+  std::vector<size_t> first;
+  std::vector<size_t> second;
 };
 
-/// Divides `entries` (the M+1 entries of an overflowed node) into two groups
-/// according to `policy` (Section 3.1). `min_entries` is the underflow
-/// limit m of the resulting nodes; `num_bits` the signature width.
-SplitResult SplitEntries(std::vector<Entry> entries, SplitPolicy policy,
-                         uint32_t min_entries, uint32_t num_bits);
+/// Divides the entries of `node` (the M+1 entries of an overflowed node)
+/// into two groups according to `policy` (Section 3.1). `min_entries` is
+/// the underflow limit m of the resulting nodes.
+SplitResult SplitEntries(const NodeView& node, SplitPolicy policy,
+                         uint32_t min_entries);
 
 }  // namespace sgtree
 

@@ -1,189 +1,12 @@
 #include "static/static_audit.h"
 
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "common/bit_ops.h"
-#include "common/signature.h"
+#include "sgtree/audit_core.h"
 
 namespace sgtree {
-namespace {
-
-/// Walk state; mirrors the recording/statistics half of the dynamic
-/// Auditor (invariant_auditor.cc) for the static node representation.
-struct StaticAuditor {
-  explicit StaticAuditor(const StaticTreeView& v, const AuditOptions& opts)
-      : view(v),
-        options(opts),
-        num_bits(v.num_bits()),
-        max_entries(v.max_entries()),
-        min_entries(v.options().ResolvedMinEntries()) {}
-
-  const StaticTreeView& view;
-  AuditOptions options;
-  AuditReport report;
-  std::unordered_map<uint64_t, PageId> tid_owner;  // tid -> first leaf node
-  std::vector<uint64_t> area_sum;     // Per level.
-  std::vector<uint64_t> entry_count;  // Per level.
-  uint64_t non_root_nodes = 0;
-  uint64_t non_root_entries = 0;
-
-  const uint32_t num_bits;
-  const uint32_t max_entries;
-  const uint32_t min_entries;
-
-  void Violate(AuditCheck check, PageId page, std::string detail) {
-    ++report.total_violations;
-    if (report.violations.size() < options.max_violations) {
-      report.violations.push_back({check, page, std::move(detail)});
-    }
-  }
-
-  /// Checks one node and returns the OR of its entry signatures (the value
-  /// the parent entry must carry).
-  Signature Visit(PageId id, bool is_root) {
-    const StaticNodeView node = view.GetNodeNoCharge(id);
-    ++report.stats.node_count;
-    const uint32_t level = node.level();
-    if (area_sum.size() <= level) {
-      area_sum.resize(level + 1, 0);
-      entry_count.resize(level + 1, 0);
-    }
-
-    if (node.Count() > max_entries) {
-      Violate(AuditCheck::kFill, id,
-              "node has " + std::to_string(node.Count()) +
-                  " entries, above capacity " + std::to_string(max_entries));
-    }
-    if (is_root) {
-      if (!node.IsLeaf() && node.Count() < 2) {
-        Violate(AuditCheck::kFill, id,
-                "directory root has fewer than 2 entries");
-      }
-    } else {
-      if (min_entries > 0 && node.Count() < min_entries) {
-        Violate(AuditCheck::kFill, id,
-                "node has " + std::to_string(node.Count()) +
-                    " entries, below minimum fill " +
-                    std::to_string(min_entries));
-      }
-      ++non_root_nodes;
-      non_root_entries += node.Count();
-      if (max_entries > 0) {
-        const double fill = static_cast<double>(node.Count()) /
-                            static_cast<double>(max_entries);
-        if (fill < report.stats.min_fill) report.stats.min_fill = fill;
-      }
-    }
-
-    Signature union_sig(num_bits);
-    const uint64_t tail = TailMask(num_bits);
-    const uint32_t words = WordsForBits(num_bits);
-    for (size_t i = 0; i < node.Count(); ++i) {
-      const StaticEntry entry = node.EntryAt(i);
-      // The dense encoding stores whole words; bits past num_bits in the
-      // last word must be zero or word-level set operations would observe
-      // phantom items.
-      if (words > 0 && (entry.sig.words()[words - 1] & ~tail) != 0) {
-        Violate(AuditCheck::kSignatureWidth, id,
-                "entry " + std::to_string(i) +
-                    " has bits set beyond the signature width");
-      }
-      area_sum[level] += sig::Area(entry.sig);
-      ++entry_count[level];
-      for (uint32_t w = 0; w < words; ++w) {
-        union_sig.mutable_words()[w] |= entry.sig.words()[w];
-      }
-      if (node.IsLeaf()) {
-        ++report.stats.leaf_entries;
-        if (options.check_tid_uniqueness) {
-          const auto [it, inserted] = tid_owner.emplace(entry.ref, id);
-          if (!inserted) {
-            Violate(AuditCheck::kDuplicateTid, id,
-                    "tid " + std::to_string(entry.ref) +
-                        " already indexed by node " +
-                        std::to_string(it->second));
-          }
-        }
-        continue;
-      }
-
-      // Recurse, then compare the entry signature against the child union
-      // (coverage, Definition 5). The open-time validation already proved
-      // levels and acyclicity, so the walk needs no cycle guard.
-      const Signature child_union =
-          Visit(static_cast<PageId>(entry.ref), /*is_root=*/false);
-      bool equal = true;
-      for (uint32_t w = 0; w < words; ++w) {
-        if (entry.sig.words()[w] != child_union.words()[w]) {
-          equal = false;
-          break;
-        }
-      }
-      if (!equal) {
-        std::string diff;
-        for (uint32_t pos = 0; pos < num_bits; ++pos) {
-          if (entry.sig.Test(pos) != child_union.Test(pos)) {
-            diff = child_union.Test(pos)
-                       ? " (lost bit " + std::to_string(pos) +
-                             " of the child union)"
-                       : " (excess bit " + std::to_string(pos) +
-                             " not in the child union)";
-            break;
-          }
-        }
-        Violate(AuditCheck::kCoverage, id,
-                "entry " + std::to_string(i) +
-                    " signature is not the OR of child node " +
-                    std::to_string(entry.ref) + "'s entries" + diff);
-      }
-    }
-    return union_sig;
-  }
-
-  void Finalize() {
-    report.stats.height = view.height();
-    report.stats.avg_entry_area.assign(area_sum.size(), 0.0);
-    for (size_t level = 0; level < area_sum.size(); ++level) {
-      if (entry_count[level] > 0) {
-        report.stats.avg_entry_area[level] =
-            static_cast<double>(area_sum[level]) /
-            static_cast<double>(entry_count[level]);
-      }
-    }
-    if (non_root_nodes > 0 && max_entries > 0) {
-      report.stats.avg_utilization =
-          static_cast<double>(non_root_entries) /
-          (static_cast<double>(non_root_nodes) *
-           static_cast<double>(max_entries));
-    }
-    if (report.stats.leaf_entries != view.size()) {
-      Violate(AuditCheck::kStructure, kInvalidPageId,
-              "header says " + std::to_string(view.size()) +
-                  " transactions, leaves hold " +
-                  std::to_string(report.stats.leaf_entries));
-    }
-    if (report.stats.node_count != view.node_count()) {
-      Violate(AuditCheck::kStructure, kInvalidPageId,
-              "header says " + std::to_string(view.node_count()) +
-                  " nodes, walk visited " +
-                  std::to_string(report.stats.node_count));
-    }
-  }
-};
-
-}  // namespace
 
 AuditReport AuditStaticImage(const StaticTreeView& view,
                              const AuditOptions& options) {
-  StaticAuditor auditor(view, options);
-  if (view.root() != kInvalidPageId) {
-    auditor.Visit(view.root(), /*is_root=*/true);
-  }
-  auditor.Finalize();
-  return auditor.report;
+  return AuditTreeOf(view, options);
 }
 
 }  // namespace sgtree

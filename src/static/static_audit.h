@@ -6,19 +6,17 @@
 
 namespace sgtree {
 
-/// Audits a validated static SG-tree image against the same semantic
-/// invariants AuditTree verifies on the dynamic tree — coverage (every
-/// directory signature is exactly the OR of its child's entries), fill
-/// bounds, leaf tid uniqueness, plus the static format's own hygiene rule
-/// that no signature word carries bits beyond the declared width. Pure
-/// structure (offsets, levels, reachability, bookkeeping counts) is already
-/// enforced by StaticTreeView validation at open, so a view that exists has
-/// passed it; opening with verify_checksums=false is how a deliberately
-/// corrupted-but-structurally-sound image reaches this audit in tests and
+/// Audits a validated static SG-tree image with the same walk AuditTree
+/// runs on the dynamic tree (sgtree/audit_core.h): coverage, levels, fill
+/// bounds, leaf tid uniqueness, bits beyond the signature width, and the
+/// header's size, height and node count. StaticTreeView validation at open
+/// already enforces pure structure (offsets, levels, reachability), so
+/// those checks cannot fire on an image; opening with
+/// verify_checksums=false is how a deliberately corrupted but structurally
+/// sound image reaches this audit in tests and
 /// `sgtree_cli check --verify-checksums 0`.
 ///
-/// Violations reuse the AuditCheck/AuditReport vocabulary; `page` is the
-/// node index within the image.
+/// `page` in a violation is the node index within the image.
 AuditReport AuditStaticImage(const StaticTreeView& view,
                              const AuditOptions& options = {});
 

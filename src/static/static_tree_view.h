@@ -11,48 +11,13 @@
 #include "common/bit_ops.h"
 #include "common/signature.h"
 #include "durability/env.h"
+#include "sgtree/node.h"
 #include "sgtree/options.h"
 #include "static/static_format.h"
 #include "storage/page.h"
 #include "storage/query_context.h"
 
 namespace sgtree {
-
-/// One entry of a static node, viewed in place: the signature words are
-/// read straight out of the image (zero copy), `ref` is the child node
-/// index (directory) or transaction id (leaf).
-struct StaticEntry {
-  SignatureView sig;
-  uint64_t ref = 0;
-};
-
-/// A node of the static image, viewed in place. Exposes the same
-/// `IsLeaf()` / `Count()` / `EntryAt(i)` surface as the dynamic Node, so
-/// the templated search cores (sgtree/search_core.h) traverse either
-/// representation through one spelling. Cheap to copy (pointer + width).
-class StaticNodeView {
- public:
-  StaticNodeView(const uint64_t* record, uint32_t num_bits)
-      : record_(record), num_bits_(num_bits) {}
-
-  uint16_t level() const {
-    return static_cast<uint16_t>(record_[0] & 0xffff);
-  }
-  bool IsLeaf() const { return level() == 0; }
-  uint32_t Count() const {
-    return static_cast<uint32_t>((record_[0] >> 16) & 0xffff);
-  }
-
-  StaticEntry EntryAt(size_t i) const {
-    const size_t stride = 1 + WordsForBits(num_bits_);
-    const uint64_t* entry = record_ + 1 + i * stride;
-    return {SignatureView(num_bits_, entry + 1), entry[0]};
-  }
-
- private:
-  const uint64_t* record_;  // Aligned start of the node record.
-  uint32_t num_bits_;
-};
 
 struct StaticOpenOptions {
   /// Runtime tree options (metric, area-stats switches, buffer pages...).
@@ -100,12 +65,14 @@ class StaticTreeView {
                                                 : static_cast<PageId>(root_);
   }
 
-  StaticNodeView GetNode(PageId id, const QueryContext& ctx) const {
+  /// The node's record, read in place: the same NodeView the dynamic tree
+  /// returns, over the same record layout (sgtree/node.h).
+  NodeView GetNode(PageId id, const QueryContext& ctx) const {
     ctx.ChargeRead(id);
     return GetNodeNoCharge(id);
   }
 
-  StaticNodeView GetNodeNoCharge(PageId id) const {
+  NodeView GetNodeNoCharge(PageId id) const {
     return {reinterpret_cast<const uint64_t*>(data_ + index_[id]),
             num_bits_};
   }
@@ -118,6 +85,7 @@ class StaticTreeView {
 
   uint32_t num_bits() const { return num_bits_; }
   uint32_t max_entries() const { return max_entries_; }
+  uint32_t min_entries() const { return options_.ResolvedMinEntries(); }
   uint32_t height() const { return height_; }
   uint64_t size() const { return size_; }
   uint64_t node_count() const { return node_count_; }
@@ -126,6 +94,9 @@ class StaticTreeView {
   std::pair<uint32_t, uint32_t> stored_area_window() const {
     return {area_lo_, area_hi_};
   }
+
+  /// Every node index below node_count(): an image has no free nodes.
+  std::vector<PageId> LiveNodes() const;
 
   /// True when the bytes are served from an actual memory mapping rather
   /// than a private buffer.

@@ -14,8 +14,8 @@
 #include "data/quest_generator.h"
 #include "sgtree/bulk_load.h"
 #include "sgtree/incremental.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
-#include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -215,9 +215,9 @@ TEST_P(BulkOrderTest, InvariantsAndExactness) {
   bulk.order = GetParam();
   auto tree = BulkLoad(dataset, SmallOptions(), bulk);
   EXPECT_EQ(tree->size(), dataset.size());
-  const TreeReport report = CheckTree(*tree);
-  ASSERT_TRUE(report.ok) << report.message;
-  EXPECT_GT(report.avg_utilization, 0.8);
+  const AuditReport report = AuditTree(*tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
+  EXPECT_GT(report.stats.avg_utilization, 0.8);
 
   LinearScan scan(dataset);
   Rng rng(331);
@@ -236,8 +236,8 @@ TEST_P(BulkOrderTest, OrderingActuallyClusters) {
   BulkLoadOptions bulk;
   bulk.order = GetParam();
   auto tree = BulkLoad(dataset, SmallOptions(300), bulk);
-  const TreeReport report = CheckTree(*tree);
-  ASSERT_TRUE(report.ok);
+  const AuditReport report = AuditTree(*tree);
+  ASSERT_TRUE(report.ok());
 
   // Shuffled baseline: pack entries in tid order scrambled by a fixed RNG.
   std::vector<Entry> shuffled;
@@ -263,8 +263,8 @@ TEST_P(BulkOrderTest, OrderingActuallyClusters) {
     ++shuffled_leaves;
   }
   const double shuffled_avg = shuffled_area_sum / shuffled_leaves;
-  ASSERT_GE(report.avg_entry_area.size(), 2u);
-  EXPECT_LT(report.avg_entry_area[1], shuffled_avg * 0.8)
+  ASSERT_GE(report.stats.avg_entry_area.size(), 2u);
+  EXPECT_LT(report.stats.avg_entry_area[1], shuffled_avg * 0.8)
       << BulkLoadOrderName(GetParam());
 }
 

@@ -13,9 +13,9 @@
 #include "data/quest_generator.h"
 #include "sgtable/sg_table.h"
 #include "sgtree/bulk_load.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "sgtree/tree_checker.h"
 
 namespace sgtree {
 namespace {
@@ -97,7 +97,7 @@ TEST(IntegrationTest, CensusPipelineEndToEnd) {
   topt.num_bits = dataset.num_items;
   topt.fixed_dimensionality = dataset.fixed_dimensionality;
   auto tree = BulkLoad(dataset, topt);
-  ASSERT_TRUE(CheckTree(*tree).ok);
+  ASSERT_TRUE(AuditTree(*tree).ok());
 
   SgTableOptions sopt;
   sopt.clustering.num_signatures = 12;
@@ -147,7 +147,7 @@ TEST(IntegrationTest, DynamicBatchesStayExact) {
       all.transactions.push_back(txn);
     }
   }
-  ASSERT_TRUE(CheckTree(tree).ok);
+  ASSERT_TRUE(AuditTree(tree).ok());
   LinearScan scan(all);
   QuestGenerator query_gen(base);
   for (const Transaction& q : query_gen.GenerateQueries(15)) {
@@ -189,13 +189,13 @@ TEST(IntegrationTest, MixedWorkloadSurvivesEverything) {
   // Insert, query, delete, bulk-compare, re-insert: a downstream user's
   // session in one test.
   const Workbench w = QuestBench(106, 1200);
-  ASSERT_TRUE(CheckTree(*w.tree).ok);
+  ASSERT_TRUE(AuditTree(*w.tree).ok());
 
   // Delete a third.
   for (size_t i = 0; i < w.dataset.size(); i += 3) {
     ASSERT_TRUE(w.tree->Erase(w.dataset.transactions[i]));
   }
-  ASSERT_TRUE(CheckTree(*w.tree).ok);
+  ASSERT_TRUE(AuditTree(*w.tree).ok());
 
   // Remaining data as ground truth.
   Dataset remaining;
@@ -215,7 +215,7 @@ TEST(IntegrationTest, MixedWorkloadSurvivesEverything) {
   for (size_t i = 0; i < w.dataset.size(); i += 3) {
     w.tree->Insert(w.dataset.transactions[i]);
   }
-  ASSERT_TRUE(CheckTree(*w.tree).ok);
+  ASSERT_TRUE(AuditTree(*w.tree).ok());
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
     EXPECT_DOUBLE_EQ(

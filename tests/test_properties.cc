@@ -11,9 +11,9 @@
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
 #include "sgtable/sg_table.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -55,8 +55,8 @@ TEST_P(OrderInvarianceTest, QueryAnswersIndependentOfInsertionOrder) {
        Shuffled(dataset.transactions, GetParam() * 31 + 7)) {
     shuffled.Insert(txn);
   }
-  ASSERT_TRUE(CheckTree(in_order).ok);
-  ASSERT_TRUE(CheckTree(shuffled).ok);
+  ASSERT_TRUE(AuditTree(in_order).ok());
+  ASSERT_TRUE(AuditTree(shuffled).ok());
 
   Rng rng(GetParam() ^ 0xbeef);
   for (int q = 0; q < 20; ++q) {
@@ -101,7 +101,7 @@ TEST(InverseUpdateTest, EraseUndoesInsert) {
     txn.tid += 100000;
     ASSERT_TRUE(with_extra.Erase(txn));
   }
-  ASSERT_TRUE(CheckTree(with_extra).ok);
+  ASSERT_TRUE(AuditTree(with_extra).ok());
   EXPECT_EQ(with_extra.size(), without.size());
 
   Rng rng(612);

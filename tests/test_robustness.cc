@@ -10,9 +10,9 @@
 
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "sgtree/tree_checker.h"
 #include "storage/codec.h"
 #include "storage/node_format.h"
 #include "tests/test_util.h"
@@ -95,7 +95,7 @@ TEST(AdversarialShapeTest, AllIdenticalTransactions) {
   const Signature sig =
       Signature::FromItems(std::vector<uint32_t>{7, 8, 9}, 64);
   for (uint64_t i = 0; i < 300; ++i) tree.Insert(sig, i);
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
   EXPECT_EQ(ContainmentSearch(tree, sig).size(), 300u);
   EXPECT_DOUBLE_EQ(DfsNearest(tree, sig).distance, 0.0);
   for (uint64_t i = 0; i < 300; ++i) {
@@ -116,7 +116,7 @@ TEST(AdversarialShapeTest, StrictlyNestedSignatures) {
     items.push_back(i);
     tree.Insert(Signature::FromItems(items, 128), i);
   }
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
   // The singleton {0} has exactly one superset chain; containment query for
   // the largest prefix set must return only the largest transactions.
   const auto holders =
@@ -132,7 +132,7 @@ TEST(AdversarialShapeTest, SingletonTransactionsEveryItem) {
   for (uint32_t i = 0; i < 256; ++i) {
     tree.Insert(Signature::FromItems(std::vector<uint32_t>{i}, 256), i);
   }
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
   // NN of {i} is itself at distance 0.
   for (uint32_t i = 0; i < 256; i += 37) {
     const Signature q = Signature::FromItems(std::vector<uint32_t>{i}, 256);
@@ -151,8 +151,8 @@ TEST_P(CapacitySweepTest, InvariantsAndExactness) {
   SgTree tree(options);
   const Dataset dataset = ClusteredDataset(520, 500, 150, 8, 10, 2);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const TreeReport report = CheckTree(tree);
-  ASSERT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
   LinearScan scan(dataset);
   Rng rng(521);
   for (int q = 0; q < 10; ++q) {
@@ -165,7 +165,7 @@ TEST_P(CapacitySweepTest, InvariantsAndExactness) {
   for (size_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(tree.Erase(dataset.transactions[i]));
   }
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CapacitySweepTest,
@@ -186,7 +186,7 @@ TEST_P(MinFillSweepTest, InvariantsHold) {
     if (sig.Empty()) sig.Set(0);
     tree.Insert(sig, i);
   }
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Fills, MinFillSweepTest,

@@ -10,9 +10,9 @@
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
 #include "sgtree/clustering.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/join.h"
 #include "sgtree/search.h"
-#include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -36,7 +36,7 @@ TEST(BulkLoadTest, EmptyDataset) {
   dataset.num_items = 200;
   auto tree = BulkLoad(dataset, SmallOptions());
   EXPECT_TRUE(tree->empty());
-  EXPECT_TRUE(CheckTree(*tree).ok);
+  EXPECT_TRUE(AuditTree(*tree).ok());
 }
 
 TEST(BulkLoadTest, SingleTransaction) {
@@ -46,7 +46,7 @@ TEST(BulkLoadTest, SingleTransaction) {
   auto tree = BulkLoad(dataset, SmallOptions());
   EXPECT_EQ(tree->size(), 1u);
   EXPECT_EQ(tree->height(), 1u);
-  EXPECT_TRUE(CheckTree(*tree).ok);
+  EXPECT_TRUE(AuditTree(*tree).ok());
 }
 
 class BulkSizeTest : public ::testing::TestWithParam<uint32_t> {};
@@ -55,8 +55,8 @@ TEST_P(BulkSizeTest, InvariantsHoldAcrossSizes) {
   const Dataset dataset = ClusteredDataset(20, GetParam(), 200, 8, 10, 2);
   auto tree = BulkLoad(dataset, SmallOptions());
   EXPECT_EQ(tree->size(), GetParam());
-  const TreeReport report = CheckTree(*tree);
-  EXPECT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(*tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BulkSizeTest,
@@ -87,9 +87,9 @@ TEST(BulkLoadTest, PackedTreeIsDenserThanIncremental) {
     incremental.Insert(txn);
   }
   EXPECT_LT(packed->node_count(), incremental.node_count());
-  const TreeReport packed_report = CheckTree(*packed);
-  ASSERT_TRUE(packed_report.ok);
-  EXPECT_GT(packed_report.avg_utilization, 0.8);  // 0.9 fill requested.
+  const AuditReport packed_report = AuditTree(*packed);
+  ASSERT_TRUE(packed_report.ok());
+  EXPECT_GT(packed_report.stats.avg_utilization, 0.8);  // 0.9 fill requested.
 }
 
 TEST(BulkLoadTest, GrayOrderClustersLeaves) {
@@ -99,10 +99,10 @@ TEST(BulkLoadTest, GrayOrderClustersLeaves) {
   // is that it is far below the dictionary size.
   const Dataset dataset = ClusteredDataset(24, 1500, 200, 6, 12, 2);
   auto packed = BulkLoad(dataset, SmallOptions());
-  const TreeReport report = CheckTree(*packed);
-  ASSERT_TRUE(report.ok);
-  ASSERT_GE(report.avg_entry_area.size(), 2u);
-  EXPECT_LT(report.avg_entry_area[1], 120.0);
+  const AuditReport report = AuditTree(*packed);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GE(report.stats.avg_entry_area.size(), 2u);
+  EXPECT_LT(report.stats.avg_entry_area[1], 120.0);
 }
 
 TEST(BulkLoadTest, FillFractionRespected) {
@@ -119,11 +119,11 @@ TEST(BulkLoadTest, FillFractionRespected) {
         return entries;
       }(),
       SmallOptions(), bulk);
-  const TreeReport report = CheckTree(*tree);
-  ASSERT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(*tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
   // Half-full leaves: utilization around 0.5, never above ~0.7.
-  EXPECT_LT(report.avg_utilization, 0.75);
-  EXPECT_GE(report.avg_utilization, 0.4);
+  EXPECT_LT(report.stats.avg_utilization, 0.75);
+  EXPECT_GE(report.stats.avg_utilization, 0.4);
 }
 
 TEST(BulkLoadTest, BulkTreeAcceptsUpdates) {
@@ -137,7 +137,7 @@ TEST(BulkLoadTest, BulkTreeAcceptsUpdates) {
   }
   ASSERT_TRUE(tree->Erase(dataset.transactions[7]));
   EXPECT_EQ(tree->size(), 400u + 150u - 1u);
-  EXPECT_TRUE(CheckTree(*tree).ok);
+  EXPECT_TRUE(AuditTree(*tree).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 
 #include "common/rng.h"
 #include "sgtree/choose_subtree.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/split.h"
-#include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -66,22 +66,34 @@ Entry MakeEntry(std::initializer_list<uint32_t> items, uint64_t ref,
   return Entry{Signature::FromItems(std::vector<uint32_t>(items), bits), ref};
 }
 
+// A standalone node record at `level` holding `entries`, `bits` wide.
+std::vector<uint64_t> MakeRecord(uint16_t level,
+                                 const std::vector<Entry>& entries,
+                                 uint32_t bits = 32) {
+  std::vector<uint64_t> record(
+      NodeRecordWords(entries.size(), WordsForBits(bits)));
+  MutableNodeView node(record.data(), bits);
+  node.Reset(level);
+  for (const Entry& entry : entries) node.Append(entry.sig.words(), entry.ref);
+  return record;
+}
+
 TEST(ChooseSubtreeTest, SingleContainingEntryWins) {
-  Node node;
-  node.level = 1;
-  node.entries.push_back(MakeEntry({0, 1, 2, 3, 4, 5, 6, 7}, 0));
-  node.entries.push_back(MakeEntry({10, 11, 12}, 1));
+  const std::vector<uint64_t> record =
+      MakeRecord(1, {MakeEntry({0, 1, 2, 3, 4, 5, 6, 7}, 0),
+                     MakeEntry({10, 11, 12}, 1)});
+  const NodeView node(record.data(), 32);
   const Signature sig = Signature::FromItems(std::vector<uint32_t>{10, 12}, 32);
   EXPECT_EQ(ChooseSubtree(node, sig, ChooseSubtreePolicy::kMinEnlargement),
             1u);
 }
 
 TEST(ChooseSubtreeTest, MultipleContainingPicksMinArea) {
-  Node node;
-  node.level = 1;
-  node.entries.push_back(MakeEntry({0, 1, 2, 3, 4, 5, 6, 7}, 0));
-  node.entries.push_back(MakeEntry({0, 1, 2}, 1));  // Smaller area.
-  node.entries.push_back(MakeEntry({0, 1, 2, 3, 4}, 2));
+  const std::vector<uint64_t> record =
+      MakeRecord(1, {MakeEntry({0, 1, 2, 3, 4, 5, 6, 7}, 0),
+                     MakeEntry({0, 1, 2}, 1),  // Smaller area.
+                     MakeEntry({0, 1, 2, 3, 4}, 2)});
+  const NodeView node(record.data(), 32);
   const Signature sig = Signature::FromItems(std::vector<uint32_t>{0, 2}, 32);
   EXPECT_EQ(ChooseSubtree(node, sig, ChooseSubtreePolicy::kMinEnlargement),
             1u);
@@ -90,10 +102,10 @@ TEST(ChooseSubtreeTest, MultipleContainingPicksMinArea) {
 }
 
 TEST(ChooseSubtreeTest, NoContainingPicksMinEnlargement) {
-  Node node;
-  node.level = 1;
-  node.entries.push_back(MakeEntry({0, 1, 2, 3}, 0));    // Needs 2 new bits.
-  node.entries.push_back(MakeEntry({8, 9, 10, 20}, 1));  // Needs 1 new bit.
+  const std::vector<uint64_t> record =
+      MakeRecord(1, {MakeEntry({0, 1, 2, 3}, 0),       // Needs 2 new bits.
+                     MakeEntry({8, 9, 10, 20}, 1)});  // Needs 1 new bit.
+  const NodeView node(record.data(), 32);
   const Signature sig =
       Signature::FromItems(std::vector<uint32_t>{8, 9, 21}, 32);
   EXPECT_EQ(ChooseSubtree(node, sig, ChooseSubtreePolicy::kMinEnlargement),
@@ -101,10 +113,10 @@ TEST(ChooseSubtreeTest, NoContainingPicksMinEnlargement) {
 }
 
 TEST(ChooseSubtreeTest, EnlargementTieBrokenByArea) {
-  Node node;
-  node.level = 1;
-  node.entries.push_back(MakeEntry({0, 1, 2, 3, 4}, 0));  // Area 5.
-  node.entries.push_back(MakeEntry({10, 11}, 1));         // Area 2.
+  const std::vector<uint64_t> record =
+      MakeRecord(1, {MakeEntry({0, 1, 2, 3, 4}, 0),  // Area 5.
+                     MakeEntry({10, 11}, 1)});       // Area 2.
+  const NodeView node(record.data(), 32);
   // One new bit for either entry.
   const Signature sig = Signature::FromItems(std::vector<uint32_t>{20}, 32);
   EXPECT_EQ(ChooseSubtree(node, sig, ChooseSubtreePolicy::kMinEnlargement),
@@ -112,13 +124,13 @@ TEST(ChooseSubtreeTest, EnlargementTieBrokenByArea) {
 }
 
 TEST(ChooseSubtreeTest, MinOverlapAvoidsSharedGrowth) {
-  Node node;
-  node.level = 1;
   // Entry 0 overlaps entry 2 heavily if enlarged towards {4,5}; entry 1
   // grows the same amount without new overlap.
-  node.entries.push_back(MakeEntry({0, 1, 2, 3}, 0));
-  node.entries.push_back(MakeEntry({20, 21, 22, 23}, 1));
-  node.entries.push_back(MakeEntry({4, 5, 6, 7}, 2));
+  const std::vector<uint64_t> record =
+      MakeRecord(1, {MakeEntry({0, 1, 2, 3}, 0),
+                     MakeEntry({20, 21, 22, 23}, 1),
+                     MakeEntry({4, 5, 6, 7}, 2)});
+  const NodeView node(record.data(), 32);
   const Signature sig = Signature::FromItems(std::vector<uint32_t>{4, 5}, 32);
   // {4,5} is contained in entry 2 — containment wins. Use {5, 30} instead:
   const Signature sig2 =
@@ -140,20 +152,21 @@ TEST_P(SplitPolicyTest, PreservesEntriesAndRespectsMinFill) {
   for (int trial = 0; trial < 30; ++trial) {
     const uint32_t n = 9;
     const uint32_t min_entries = 3;
-    std::vector<Entry> entries;
+    std::vector<Entry> input;
     std::set<uint64_t> refs;
     for (uint32_t i = 0; i < n; ++i) {
-      entries.push_back(Entry{RandomSignature(rng, 64, 0.2), i});
+      input.push_back(Entry{RandomSignature(rng, 64, 0.2), i});
       refs.insert(i);
     }
-    const SplitResult result =
-        SplitEntries(std::move(entries), GetParam(), min_entries, 64);
+    const std::vector<uint64_t> record = MakeRecord(0, input, 64);
+    const NodeView node(record.data(), 64);
+    const SplitResult result = SplitEntries(node, GetParam(), min_entries);
     EXPECT_GE(result.first.size(), min_entries);
     EXPECT_GE(result.second.size(), min_entries);
     EXPECT_EQ(result.first.size() + result.second.size(), n);
     std::set<uint64_t> seen;
-    for (const Entry& e : result.first) seen.insert(e.ref);
-    for (const Entry& e : result.second) seen.insert(e.ref);
+    for (const size_t i : result.first) seen.insert(node.EntryAt(i).ref);
+    for (const size_t i : result.second) seen.insert(node.EntryAt(i).ref);
     EXPECT_EQ(seen, refs);  // No entry lost or duplicated.
   }
 }
@@ -161,41 +174,45 @@ TEST_P(SplitPolicyTest, PreservesEntriesAndRespectsMinFill) {
 TEST_P(SplitPolicyTest, SeparatesTwoObviousClusters) {
   // Two tight disjoint item blocks (intra-cluster distance 2, inter 6) must
   // end up in different groups under every policy.
-  std::vector<Entry> entries;
-  entries.push_back(MakeEntry({0, 1, 2}, 0, 64));
-  entries.push_back(MakeEntry({0, 1, 3}, 1, 64));
-  entries.push_back(MakeEntry({0, 2, 3}, 2, 64));
-  entries.push_back(MakeEntry({1, 2, 3}, 3, 64));
-  entries.push_back(MakeEntry({40, 41, 42}, 100, 64));
-  entries.push_back(MakeEntry({40, 41, 43}, 101, 64));
-  entries.push_back(MakeEntry({40, 42, 43}, 102, 64));
-  entries.push_back(MakeEntry({41, 42, 43}, 103, 64));
-  const SplitResult result = SplitEntries(std::move(entries), GetParam(), 3, 64);
-  auto side = [](const Entry& e) { return e.ref < 100 ? 0 : 1; };
+  std::vector<Entry> input;
+  input.push_back(MakeEntry({0, 1, 2}, 0, 64));
+  input.push_back(MakeEntry({0, 1, 3}, 1, 64));
+  input.push_back(MakeEntry({0, 2, 3}, 2, 64));
+  input.push_back(MakeEntry({1, 2, 3}, 3, 64));
+  input.push_back(MakeEntry({40, 41, 42}, 100, 64));
+  input.push_back(MakeEntry({40, 41, 43}, 101, 64));
+  input.push_back(MakeEntry({40, 42, 43}, 102, 64));
+  input.push_back(MakeEntry({41, 42, 43}, 103, 64));
+  const std::vector<uint64_t> record = MakeRecord(0, input, 64);
+  const NodeView node(record.data(), 64);
+  const SplitResult result = SplitEntries(node, GetParam(), 3);
+  auto side = [&](size_t i) { return node.EntryAt(i).ref < 100 ? 0 : 1; };
   for (const auto& group : {result.first, result.second}) {
     ASSERT_FALSE(group.empty());
     const int expected = side(group.front());
-    for (const Entry& e : group) EXPECT_EQ(side(e), expected);
+    for (const size_t i : group) EXPECT_EQ(side(i), expected);
   }
 }
 
 TEST_P(SplitPolicyTest, MinimumInputOfTwo) {
-  std::vector<Entry> entries;
-  entries.push_back(MakeEntry({1, 2}, 0, 64));
-  entries.push_back(MakeEntry({5, 6}, 1, 64));
+  std::vector<Entry> input;
+  input.push_back(MakeEntry({1, 2}, 0, 64));
+  input.push_back(MakeEntry({5, 6}, 1, 64));
+  const std::vector<uint64_t> record = MakeRecord(0, input, 64);
   const SplitResult result =
-      SplitEntries(std::move(entries), GetParam(), 1, 64);
+      SplitEntries(NodeView(record.data(), 64), GetParam(), 1);
   EXPECT_EQ(result.first.size(), 1u);
   EXPECT_EQ(result.second.size(), 1u);
 }
 
 TEST_P(SplitPolicyTest, IdenticalSignaturesStillBalance) {
-  std::vector<Entry> entries;
+  std::vector<Entry> input;
   for (uint32_t i = 0; i < 10; ++i) {
-    entries.push_back(MakeEntry({3, 4, 5}, i, 64));
+    input.push_back(MakeEntry({3, 4, 5}, i, 64));
   }
+  const std::vector<uint64_t> record = MakeRecord(0, input, 64);
   const SplitResult result =
-      SplitEntries(std::move(entries), GetParam(), 4, 64);
+      SplitEntries(NodeView(record.data(), 64), GetParam(), 4);
   EXPECT_GE(result.first.size(), 4u);
   EXPECT_GE(result.second.size(), 4u);
 }
@@ -218,8 +235,8 @@ TEST(SgTreeTest, EmptyTree) {
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.height(), 0u);
   EXPECT_EQ(tree.node_count(), 0u);
-  const TreeReport report = CheckTree(tree);
-  EXPECT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
 }
 
 TEST(SgTreeTest, SingleInsert) {
@@ -227,10 +244,10 @@ TEST(SgTreeTest, SingleInsert) {
   tree.Insert(Signature::FromItems(std::vector<uint32_t>{1, 5, 7}, 100), 42);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1u);
-  const Node& root = tree.GetNodeNoCharge(tree.root());
+  const NodeView root = tree.GetNodeNoCharge(tree.root());
   EXPECT_TRUE(root.IsLeaf());
   ASSERT_EQ(root.Count(), 1u);
-  EXPECT_EQ(root.entries[0].ref, 42u);
+  EXPECT_EQ(root.EntryAt(0).ref, 42u);
 }
 
 TEST(SgTreeTest, RootSplitsGrowHeight) {
@@ -240,8 +257,8 @@ TEST(SgTreeTest, RootSplitsGrowHeight) {
     tree.Insert(RandomSignature(rng, 100, 0.1), i);
   }
   EXPECT_EQ(tree.height(), 2u);
-  const TreeReport report = CheckTree(tree);
-  EXPECT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
 }
 
 class TreeInvariantTest
@@ -259,11 +276,11 @@ TEST_P(TreeInvariantTest, ThousandInsertsKeepInvariants) {
   }
   EXPECT_EQ(tree.size(), 1000u);
   EXPECT_GE(tree.height(), 3u);
-  const TreeReport report = CheckTree(tree);
-  EXPECT_TRUE(report.ok) << report.message;
-  EXPECT_EQ(report.leaf_entries, 1000u);
+  const AuditReport report = AuditTree(tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
+  EXPECT_EQ(report.stats.leaf_entries, 1000u);
   // 40% minimum fill must hold on average with margin.
-  EXPECT_GE(report.avg_utilization, 0.4);
+  EXPECT_GE(report.stats.avg_utilization, 0.4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -289,8 +306,7 @@ TEST(SgTreeTest, DirectorySignaturesCoverEveryInsertedTransaction) {
     tree.Insert(sig, i);
     inserted.push_back(std::move(sig));
   }
-  const Node& root = tree.GetNodeNoCharge(tree.root());
-  const Signature root_cover = root.UnionSignature(150);
+  const Signature root_cover = tree.GetNodeNoCharge(tree.root()).Cover();
   for (const Signature& sig : inserted) {
     EXPECT_TRUE(root_cover.Contains(sig));
   }
@@ -304,12 +320,12 @@ TEST(SgTreeTest, ClusteredDataProducesSmallerAreasThanShuffledClusters) {
   SgTree tree(options);
   const Dataset dataset = ClusteredDataset(99, 800, 300, 8, 12, 2);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  const TreeReport report = CheckTree(tree);
-  ASSERT_TRUE(report.ok) << report.message;
-  ASSERT_GE(report.avg_entry_area.size(), 2u);
+  const AuditReport report = AuditTree(tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
+  ASSERT_GE(report.stats.avg_entry_area.size(), 2u);
   // Level-1 entries cover whole leaves; on well-clustered data their area
   // stays near the cluster footprint (~12-25 bits), not the full 300.
-  EXPECT_LT(report.avg_entry_area[1], 150.0);
+  EXPECT_LT(report.stats.avg_entry_area[1], 150.0);
 }
 
 TEST(SgTreeTest, NodeCountTracksAllocations) {
@@ -318,9 +334,9 @@ TEST(SgTreeTest, NodeCountTracksAllocations) {
   for (uint64_t i = 0; i < 200; ++i) {
     tree.Insert(RandomSignature(rng, 100, 0.1), i);
   }
-  const TreeReport report = CheckTree(tree);
-  ASSERT_TRUE(report.ok) << report.message;
-  EXPECT_EQ(report.node_count, tree.node_count());
+  const AuditReport report = AuditTree(tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
+  EXPECT_EQ(report.stats.node_count, tree.node_count());
   EXPECT_EQ(tree.LiveNodes().size(), tree.node_count());
 }
 
@@ -340,8 +356,8 @@ TEST(SgTreeTest, DuplicateSignaturesSupported) {
       Signature::FromItems(std::vector<uint32_t>{1, 2, 3}, 100);
   for (uint64_t i = 0; i < 50; ++i) tree.Insert(sig, i);
   EXPECT_EQ(tree.size(), 50u);
-  const TreeReport report = CheckTree(tree);
-  EXPECT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 
 #include "baseline/linear_scan.h"
 #include "common/rng.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "sgtree/tree_checker.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -67,8 +67,8 @@ TEST(EraseTest, EraseHalfTheTreeKeepsInvariants) {
         << "tid " << dataset.transactions[i].tid;
   }
   EXPECT_EQ(tree.size(), dataset.size() / 2);
-  const TreeReport report = CheckTree(tree);
-  EXPECT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  EXPECT_TRUE(report.ok()) << report.FirstMessage();
 
   // Remaining transactions must still be findable; deleted ones must not.
   for (size_t i = 0; i < dataset.size(); ++i) {
@@ -91,7 +91,7 @@ TEST(EraseTest, EraseEverythingEmptiesTree) {
   }
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.node_count(), 0u);
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
 }
 
 TEST(EraseTest, SignaturesShrinkAfterDeletes) {
@@ -108,12 +108,10 @@ TEST(EraseTest, SignaturesShrinkAfterDeletes) {
   }
   Signature rare = Signature::FromItems(std::vector<uint32_t>{0, 119}, 120);
   tree.Insert(rare, 999);
-  EXPECT_TRUE(
-      tree.GetNodeNoCharge(tree.root()).UnionSignature(120).Test(119));
+  EXPECT_TRUE(tree.GetNodeNoCharge(tree.root()).Cover().Test(119));
   ASSERT_TRUE(tree.Erase(rare, 999));
-  EXPECT_FALSE(
-      tree.GetNodeNoCharge(tree.root()).UnionSignature(120).Test(119));
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_FALSE(tree.GetNodeNoCharge(tree.root()).Cover().Test(119));
+  EXPECT_TRUE(AuditTree(tree).ok());
 }
 
 TEST(EraseTest, RandomInsertEraseChurnKeepsInvariantsAndExactness) {
@@ -136,8 +134,8 @@ TEST(EraseTest, RandomInsertEraseChurnKeepsInvariantsAndExactness) {
     }
   }
   EXPECT_EQ(tree.size(), live.size());
-  const TreeReport report = CheckTree(tree);
-  ASSERT_TRUE(report.ok) << report.message;
+  const AuditReport report = AuditTree(tree);
+  ASSERT_TRUE(report.ok()) << report.FirstMessage();
 
   // NN results must match a scan over the live set.
   Dataset live_dataset;
@@ -172,7 +170,7 @@ TEST(EraseTest, HeightShrinksWhenTreeDrains) {
     ASSERT_TRUE(tree.Erase(entries[i].first, entries[i].second));
   }
   EXPECT_LT(tree.height(), tall);
-  EXPECT_TRUE(CheckTree(tree).ok);
+  EXPECT_TRUE(AuditTree(tree).ok());
 }
 
 }  // namespace
