@@ -5,6 +5,7 @@
 namespace sgtree {
 
 size_t FaultState::OnWrite(size_t n, bool* fail) {
+  MutexLock lock(&mu_);
   if (dead_) {
     *fail = true;
     return 0;
@@ -23,6 +24,7 @@ size_t FaultState::OnWrite(size_t n, bool* fail) {
 }
 
 void FaultState::OnRead(std::vector<uint8_t>* data) {
+  MutexLock lock(&mu_);
   ++reads_;
   if (plan_.flip_at_read == 0) return;
   if (reads_ != plan_.flip_at_read || data->empty()) return;

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sync.h"
 #include "durability/env.h"
 
 namespace sgtree {
@@ -43,20 +43,34 @@ struct FaultPlan {
 /// Mutable fault state: the plan plus the operation counters. Shared by the
 /// env wrapper and the test driving it, so the test can read how many
 /// writes a clean run issues and then sweep kill_at_write over that range.
-/// Not thread-safe: drive one env from one thread at a time.
+/// Thread-safe: the per-shard threads of a sharded InsertBatch write
+/// through one env concurrently, and the count, the crash point and the
+/// dead flag they share change under one lock.
 class FaultState {
  public:
   explicit FaultState(const FaultPlan& plan = {}) : plan_(plan) {}
 
-  const FaultPlan& plan() const { return plan_; }
-  void set_plan(const FaultPlan& plan) { plan_ = plan; }
+  void set_plan(const FaultPlan& plan) SGTREE_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    plan_ = plan;
+  }
 
-  uint64_t writes_issued() const { return writes_; }
-  uint64_t reads_issued() const { return reads_; }
-  bool dead() const { return dead_; }
+  uint64_t writes_issued() const SGTREE_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return writes_;
+  }
+  uint64_t reads_issued() const SGTREE_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return reads_;
+  }
+  bool dead() const SGTREE_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return dead_;
+  }
 
   /// Resets counters and the dead flag (keeps the plan).
-  void Reset() {
+  void Reset() SGTREE_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
     writes_ = 0;
     reads_ = 0;
     dead_ = false;
@@ -65,17 +79,18 @@ class FaultState {
   /// Counts one mutating operation. Returns the number of payload bytes to
   /// apply: `n` when the operation proceeds, a torn prefix < n at the crash
   /// point, with *fail set when the operation must report failure.
-  size_t OnWrite(size_t n, bool* fail);
+  size_t OnWrite(size_t n, bool* fail) SGTREE_EXCLUDES(mu_);
 
   /// Counts one read; flips a bit of `data` when this read is the faulty
   /// one.
-  void OnRead(std::vector<uint8_t>* data);
+  void OnRead(std::vector<uint8_t>* data) SGTREE_EXCLUDES(mu_);
 
  private:
-  FaultPlan plan_;
-  uint64_t writes_ = 0;
-  uint64_t reads_ = 0;
-  bool dead_ = false;
+  mutable Mutex mu_;
+  FaultPlan plan_ SGTREE_GUARDED_BY(mu_);
+  uint64_t writes_ SGTREE_GUARDED_BY(mu_) = 0;
+  uint64_t reads_ SGTREE_GUARDED_BY(mu_) = 0;
+  bool dead_ SGTREE_GUARDED_BY(mu_) = false;
 };
 
 /// Env wrapper threading the fault schedule under every file the durability

@@ -289,22 +289,11 @@ class HistoryRunner {
   bool Batch(uint64_t n) {
     std::vector<Transaction> txns;
     for (uint64_t i = 0; i < n; ++i) txns.push_back(NewTxn());
-    const size_t acked = subject_->InsertBatch(txns);
-    // The first `acked` inserts of each shard's part are acknowledged; a
-    // batch that failed leaves the rest of that part in doubt.
-    std::vector<std::vector<Transaction>> parts(subject_->num_shards());
-    for (const Transaction& txn : txns) {
-      parts[model_.ShardOf(txn.tid)].push_back(txn);
-    }
-    size_t left = acked;
-    for (const auto& part : parts) {
-      for (const Transaction& txn : part) {
-        const bool ok = left > 0;
-        if (ok) --left;
-        model_.Record(Op{true, txn}, ok);
-      }
-    }
-    return acked == txns.size();
+    // All or nothing: a batch that failed leaves every shard's part in
+    // doubt, and Settle() resolves each shard by its op_seq.
+    const bool ok = subject_->InsertBatch(txns) == txns.size();
+    for (const Transaction& txn : txns) model_.Record(Op{true, txn}, ok);
+    return ok;
   }
 
   bool Checkpoint() {
@@ -331,16 +320,15 @@ class HistoryRunner {
     plan.kill_at_write = state.writes_issued() + 1 + rng_.UniformInt(24);
     if (rng_.Bernoulli(0.5)) plan.torn_prefix_bytes = 1 + rng_.UniformInt(24);
     state.set_plan(plan);
-    // Batches fan out over one thread per shard, which the fault counter
-    // does not support; a one-shard batch runs on this thread.
-    const bool batches = subject_->num_shards() == 1;
+    // A sharded batch writes from one thread per shard, so the crash can
+    // land inside any shard's part while the others are still writing.
     for (int i = 0; i < kMaxCrashOps && !state.dead(); ++i) {
       const uint64_t pick = rng_.UniformInt(100);
       if (pick < 45) {
         InsertNew();
       } else if (pick < 65) {
         ErasePresent();
-      } else if (pick < 80 && batches) {
+      } else if (pick < 80) {
         Batch(1 + rng_.UniformInt(6));
       } else {
         Checkpoint();
