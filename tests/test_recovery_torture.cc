@@ -270,7 +270,7 @@ TEST(RecoveryTortureTest, CrashDuringCheckpoint) {
   // any crash inside it.
   for (uint64_t kill = 1; kill <= reopen_and_ckpt_writes; ++kill) {
     const std::string label = "ckpt-kill@" + std::to_string(kill);
-    const std::string dir = TrialDir("ckpt_kill");
+    const std::string dir = TrialDir("torture_ckpt_kill");
     FaultState build_state;
     FaultInjectingEnv build_env(Env::Posix(), &build_state);
     ASSERT_EQ(RunWorkload(&build_env, dir, ops, &opened), ops.size());
