@@ -20,13 +20,14 @@ double Distance(const Signature& a, const Signature& b, Metric metric) {
   return DistanceOf(a, b, metric);
 }
 
-double MinDistBound(const Signature& query, const Signature& entry,
-                    Metric metric, uint32_t fixed_dimensionality) {
+double MinDistBound(SignatureView query, SignatureView entry, Metric metric,
+                    uint32_t fixed_dimensionality) {
   if (fixed_dimensionality == 0) {
-    return MinDistBoundAreaStats(query, entry, metric, 0, query.num_bits());
+    return MinDistBoundAreaStatsOf(query, entry, metric, 0,
+                                   query.num_bits());
   }
-  return MinDistBoundAreaStats(query, entry, metric, fixed_dimensionality,
-                               fixed_dimensionality);
+  return MinDistBoundAreaStatsOf(query, entry, metric, fixed_dimensionality,
+                                 fixed_dimensionality);
 }
 
 double MinDistBoundAreaStats(const Signature& query, const Signature& entry,

@@ -49,8 +49,11 @@ double Distance(const Signature& a, const Signature& b, Metric metric);
 /// Hamming distance is |q| + d - 2 |q AND t| >= |q| + d - 2 |q AND entry|,
 /// a strictly tighter bound than the generic one. Pass d, or 0 when the
 /// collection does not have fixed-size transactions.
-double MinDistBound(const Signature& query, const Signature& entry,
-                    Metric metric, uint32_t fixed_dimensionality = 0);
+///
+/// Takes views, so an owning Signature and a signature read in place from
+/// a node record both bind.
+double MinDistBound(SignatureView query, SignatureView entry, Metric metric,
+                    uint32_t fixed_dimensionality = 0);
 
 /// Generalization of the Section 6 optimization from fixed dimensionality
 /// to arbitrary *transaction-size statistics*: when every transaction below
