@@ -219,21 +219,11 @@ void EmitStaticTreeSeeds(const std::filesystem::path& dir) {
     std::sort(txn.items.begin(), txn.items.end());
     tree.Insert(txn);
   }
-  std::vector<uint8_t> image;
-  std::string error;
-  if (!sgtree::BuildStaticImage(tree, &image, &error)) {
-    std::cerr << "static seed build failed: " << error << "\n";
-    std::exit(1);
-  }
+  const std::vector<uint8_t> image = sgtree::BuildStaticImage(tree);
   WriteFile(dir / "valid.bin", image);
 
   const sgtree::SgTree empty(options);
-  std::vector<uint8_t> empty_image;
-  if (!sgtree::BuildStaticImage(empty, &empty_image, &error)) {
-    std::cerr << "static empty seed build failed: " << error << "\n";
-    std::exit(1);
-  }
-  WriteFile(dir / "empty.bin", empty_image);
+  WriteFile(dir / "empty.bin", sgtree::BuildStaticImage(empty));
 
   WriteFile(dir / "truncated.bin",
             std::vector<uint8_t>(image.begin(), image.begin() + 40));

@@ -167,10 +167,8 @@ bool DurableTree::CheckpointLocked(std::string* error) {
 
 bool DurableTree::PublishCheckpoint(uint64_t checkpoint_seq,
                                     std::string* error) {
-  std::vector<uint8_t> image;
-  if (!BuildStaticImage(*tree_, &image, error) ||
-      !AtomicWriteFile(env_, CheckpointPathFor(dir_, checkpoint_seq), image,
-                       error)) {
+  if (!AtomicWriteFile(env_, CheckpointPathFor(dir_, checkpoint_seq),
+                       BuildStaticImage(*tree_), error)) {
     return false;
   }
   // The marker is the commit point. From here the old log may already be

@@ -16,14 +16,11 @@ namespace sgtree {
 // and thaws it into a mutable SgTree. They live here, not in src/sgtree,
 // because the tree library must not depend on the image reader.
 
-/// Serializes `tree` into a static SG-tree image (static_format.h) in
-/// `*out`. Nodes are laid out in BFS order from the root, which makes the
-/// output a pure function of the tree's logical content — byte-stable
-/// across runs, hosts, and heap layouts (the golden-file tests depend on
-/// this). Returns false with `*error` set (when non-null) on failure (node
-/// capacity beyond the format's 16-bit entry count).
-bool BuildStaticImage(const SgTree& tree, std::vector<uint8_t>* out,
-                      std::string* error = nullptr);
+/// Serializes `tree` into a static SG-tree image (static_format.h). Nodes
+/// are laid out in BFS order from the root, which makes the output a pure
+/// function of the tree's logical content — byte-stable across runs,
+/// hosts, and heap layouts (the golden-file tests depend on this).
+std::vector<uint8_t> BuildStaticImage(const SgTree& tree);
 
 /// BuildStaticImage + crash-atomic publication through Env::Posix(): the
 /// image is written to a sibling temp file, fsynced, renamed over `path`,

@@ -33,12 +33,8 @@ using ::sgtree::testing::RandomSignature;
 // The tree's static image, reopened from its bytes with `open_options`.
 std::unique_ptr<StaticTreeView> StaticImageOf(
     const SgTree& tree, const StaticOpenOptions& open_options = {}) {
-  std::vector<uint8_t> image;
+  const std::vector<uint8_t> image = BuildStaticImage(tree);
   std::string error;
-  if (!BuildStaticImage(tree, &image, &error)) {
-    ADD_FAILURE() << error;
-    return nullptr;
-  }
   auto view = StaticTreeView::OpenFromBytes(image.data(), image.size(),
                                             open_options, &error);
   if (view == nullptr) ADD_FAILURE() << error;

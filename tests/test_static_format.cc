@@ -74,10 +74,7 @@ std::unique_ptr<SgTree> DeterministicTree(uint32_t n) {
 }
 
 std::vector<uint8_t> BuildImage(const SgTree& tree) {
-  std::vector<uint8_t> bytes;
-  std::string error;
-  EXPECT_TRUE(BuildStaticImage(tree, &bytes, &error)) << error;
-  return bytes;
+  return BuildStaticImage(tree);
 }
 
 // Recomputes the header CRC after a test patched a header field, so the
@@ -259,6 +256,8 @@ TEST(StaticFormatGateTest, RejectsHostileHeaderFields) {
       {sf::kNumBitsOffset, sf::kMaxNumBits + 1, "invalid signature width"},
       {sf::kMaxEntriesOffset, 0, "invalid node capacity"},
       {sf::kMaxEntriesOffset, 1, "invalid node capacity"},
+      // An overflowing node of 65535 holds 65536 entries: no 16-bit count.
+      {sf::kMaxEntriesOffset, 65535, "invalid node capacity"},
       {sf::kNodeCountOffset, 0xffffffffu, "node count exceeds file"},
   };
   for (const Case& c : cases) {

@@ -91,8 +91,8 @@ struct Fixture {
       : dataset(ClusteredDataset(71, num_transactions, kBits, 8, 10, 2)),
         tree(TreeOptions()) {
     for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
+    image = BuildStaticImage(tree);
     std::string error;
-    EXPECT_TRUE(BuildStaticImage(tree, &image, &error)) << error;
     StaticOpenOptions options;
     options.tree = TreeOptions();
     view = StaticTreeView::OpenFromBytes(image.data(), image.size(), options,
@@ -124,9 +124,8 @@ TEST(StaticTreeViewTest, HeaderMatchesSourceTree) {
 
 TEST(StaticTreeViewTest, EmptyTreeRoundTrips) {
   const SgTree empty(TreeOptions());
-  std::vector<uint8_t> image;
+  const std::vector<uint8_t> image = BuildStaticImage(empty);
   std::string error;
-  ASSERT_TRUE(BuildStaticImage(empty, &image, &error)) << error;
   StaticOpenOptions options;
   options.tree = TreeOptions();
   auto view =
