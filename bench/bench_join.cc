@@ -1,12 +1,11 @@
-// Collection-level containment join: tree-vs-tree baseline against the
-// PRETTI (inverted index + prefix tree) and FVT (candidate-free trie)
-// backends on Zipf-skewed set collections — the workload shape the
+// Collection-level containment join: the tree-vs-tree baseline against
+// PRETTI (inverted index + prefix tree), the backend the join rule runs
+// for containment, on Zipf-skewed set collections — the workload shape the
 // set-containment-join literature benchmarks, where item frequencies are
-// heavily skewed and the prefix/trie sharing is what pays. Also verifies
-// that the sharded JoinRouter's merged answer stays byte-identical to the
-// single-index join for every algorithm, and writes BENCH_join.json
-// (override with SG_JOIN_BENCH_JSON_OUT) for the CI gate in
-// tools/check_join_bench.py.
+// heavily skewed and prefix sharing is what pays. Also verifies that the
+// sharded JoinRouter's merged answer stays byte-identical to the
+// single-index join, and writes BENCH_join.json (override with
+// SG_JOIN_BENCH_JSON_OUT) for the CI gate in tools/check_bench.py.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "common/zipf.h"
 #include "exec/join_api.h"
 #include "exec/query_executor.h"
-#include "join/fvt_join.h"
 #include "join/pretti_join.h"
 #include "join/set_collection.h"
 #include "join/tree_join.h"
@@ -39,7 +37,7 @@ constexpr double kTheta = 0.95;
 
 struct JoinRow {
   std::string algo;
-  double build_us = 0;    // Join-structure construction (postings/tries).
+  double build_us = 0;    // Join-structure construction (trees/postings).
   double elapsed_us = 0;  // Median measured join wall time.
   double p50_us = 0;
   double p99_us = 0;
@@ -116,8 +114,8 @@ JoinRow Measure(const std::string& algo, double build_us,
   return row;
 }
 
-// The sharded router must merge to the exact single-index pair vector for
-// every algorithm (the join API's central cross-layer promise).
+// The sharded router must merge to the exact single-index pair vector (the
+// join API's central cross-layer promise).
 bool ShardedMatches(const std::vector<Transaction>& r,
                     const std::vector<Transaction>& s,
                     const std::vector<JoinPair>& oracle) {
@@ -133,18 +131,12 @@ bool ShardedMatches(const std::vector<Transaction>& r,
   right.InsertBatch(s);
   QueryExecutor executor;
   const JoinRequest request{JoinType::kContainment, Metric::kHamming, 0.0};
-  for (const JoinAlgo algo :
-       {JoinAlgo::kTree, JoinAlgo::kPretti, JoinAlgo::kFvt}) {
-    JoinRouterOptions router_options;
-    router_options.algo = algo;
-    JoinRouter router(left, right, &executor, router_options);
-    std::vector<JoinPair> pairs;
-    const JoinResult result = router.Run(request, &pairs);
-    if (!result.ok() || pairs != oracle) {
-      std::fprintf(stderr, "sharded %s diverged from the single index\n",
-                   JoinAlgoName(algo));
-      return false;
-    }
+  JoinRouter router(left, right, &executor);
+  std::vector<JoinPair> pairs;
+  const JoinResult result = router.Run(request, &pairs);
+  if (!result.ok() || pairs != oracle) {
+    std::fprintf(stderr, "sharded join diverged from the single index\n");
+    return false;
   }
   return true;
 }
@@ -156,7 +148,7 @@ void Run() {
   const std::vector<Transaction> s =
       ZipfSets(2, rows_per_side, 1'000'000, 4, 16);
 
-  std::printf("=== Containment join: tree vs PRETTI vs FVT ===\n");
+  std::printf("=== Containment join: tree vs PRETTI ===\n");
   std::printf("(Zipf theta=%.2f, %u items, %u rows per side, %u rounds)\n",
               kTheta, kItems, rows_per_side, rounds);
 
@@ -175,17 +167,11 @@ void Run() {
   const PrettiJoinBackend pretti(r_sets, postings);
   const double pretti_build_us = extract_us + build_timer.ElapsedMs() * 1000.0;
 
-  build_timer = Timer();
-  const FvtTrie trie(s_sets);
-  const FvtJoinBackend fvt(r_sets, trie);
-  const double fvt_build_us = extract_us + build_timer.ElapsedMs() * 1000.0;
-
   const TreeJoinBackend tree(*r_tree, *s_tree);
 
   std::vector<JoinRow> rows;
   rows.push_back(Measure("tree", tree_build_us, tree, rounds));
   rows.push_back(Measure("pretti", pretti_build_us, pretti, rounds));
-  rows.push_back(Measure("fvt", fvt_build_us, fvt, rounds));
 
   std::printf("%-8s %12s %14s %14s %14s %16s\n", "algo", "pairs",
               "build_us", "p50_us", "p99_us", "pairs_per_sec");

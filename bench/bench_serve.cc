@@ -14,7 +14,7 @@
 //     (hot keys hit, the tail misses and exercises the full
 //     admission -> batcher -> replica path). Past saturation the admission
 //     budget sheds with BUSY — the sweep's top row is expected to shed,
-//     and tools/check_serve_bench.py gates on exactly that.
+//     and tools/check_bench.py gates on exactly that.
 //
 // Writes BENCH_serve.json ($BENCH_SERVE_JSON overrides the path) with the
 // closed-loop baseline, one row per offered load, and the cache/hedge

@@ -1,24 +1,29 @@
-// Differential fuzz harness for the set-containment join backends.
+// Differential fuzz harness for the set-containment joins.
 //
 // The input bytes are decoded as two small set collections (R and S):
 // 0xFE switches from the R side to the S side, 0xFF terminates the
 // current set, and any other byte contributes item (byte mod 64) to the
 // current set. Row and set sizes are capped so a hostile input cannot
 // drive quadratic blowup, but empty sets, duplicate sets, and duplicate
-// items — the adversarial cases for prefix/trie joins — all pass through.
+// items — the adversarial cases for prefix and tree joins — all pass
+// through.
 //
-// PRETTI and FVT must agree exactly (pairs, distances, canonical order)
-// with a brute-force containment oracle on every accepted input.
+// PRETTI (the containment join the join rule runs) and the tree-vs-tree
+// containment join over trees built from the same sides must both agree
+// exactly (pairs, distances, canonical order) with a brute-force
+// containment oracle on every accepted input.
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
 #include "exec/join_api.h"
-#include "join/fvt_join.h"
 #include "join/pretti_join.h"
 #include "join/set_collection.h"
+#include "join/tree_join.h"
+#include "sgtree/sg_tree.h"
 
 namespace {
 
@@ -47,6 +52,17 @@ std::vector<sgtree::JoinPair> Oracle(const sgtree::Dataset& r,
   }
   std::sort(pairs.begin(), pairs.end(), sgtree::CanonicalPairLess);
   return pairs;
+}
+
+// Small nodes, so even a few dozen rows build a tree of several levels and
+// the tree join's directory-pair pruning is exercised.
+std::unique_ptr<sgtree::SgTree> BuildTree(const sgtree::Dataset& side) {
+  sgtree::SgTreeOptions options;
+  options.num_bits = kItems;
+  options.max_entries = 4;
+  auto tree = std::make_unique<sgtree::SgTree>(options);
+  for (const sgtree::Transaction& txn : side.transactions) tree->Insert(txn);
+  return tree;
 }
 
 }  // namespace
@@ -82,8 +98,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       sgtree::SetCollection::FromDataset(sides[1]);
   const sgtree::InvertedPostings postings(s);
   const sgtree::PrettiJoinBackend pretti(r, postings);
-  const sgtree::FvtTrie trie(s);
-  const sgtree::FvtJoinBackend fvt(r, trie);
+  const std::unique_ptr<sgtree::SgTree> r_tree = BuildTree(sides[0]);
+  const std::unique_ptr<sgtree::SgTree> s_tree = BuildTree(sides[1]);
+  const sgtree::TreeJoinBackend tree(*r_tree, *s_tree);
 
   const std::vector<sgtree::JoinPair> expected =
       Oracle(sides[0], sides[1]);
@@ -97,10 +114,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   SGTREE_ASSERT_MSG(pretti_pairs == expected,
                     "pretti join diverged from the brute-force oracle");
 
-  std::vector<sgtree::JoinPair> fvt_pairs;
-  const sgtree::JoinResult fvt_result = CollectJoin(fvt, request, &fvt_pairs);
-  SGTREE_ASSERT_MSG(fvt_result.ok(), "fvt refused a containment join");
-  SGTREE_ASSERT_MSG(fvt_pairs == expected,
-                    "fvt join diverged from the brute-force oracle");
+  std::vector<sgtree::JoinPair> tree_pairs;
+  const sgtree::JoinResult tree_result =
+      CollectJoin(tree, request, &tree_pairs);
+  SGTREE_ASSERT_MSG(tree_result.ok(), "tree refused a containment join");
+  SGTREE_ASSERT_MSG(tree_pairs == expected,
+                    "tree join diverged from the brute-force oracle");
   return 0;
 }

@@ -74,6 +74,7 @@ JoinResult ExecuteJoin(const JoinBackend& backend, const JoinRequest& request,
   result.error = backend.SupportReason(request);
   if (!result.ok()) return result;
 
+  result.backend = backend.name();
   const QueryContext ctx{nullptr, &result.trace};
   MeteredSink metered(sink, &result.pairs);
   Timer timer;

@@ -15,10 +15,10 @@ namespace sgtree {
 /// The collection-level half of the unified query API: one request/result
 /// shape for whole-collection joins, mirroring what QueryRequest/Execute()
 /// does for point queries. Callers build a JoinRequest, pick a JoinBackend
-/// (src/join/ holds the concrete algorithms; shard/join_router.h runs them
-/// scatter-gathered), and call ExecuteJoin() — parameter validation,
-/// support checking, context wiring, pair counting, and timing happen in
-/// exactly one place.
+/// (src/join/ holds the concrete algorithms; shard/join_router.h picks one
+/// by predicate and runs it scatter-gathered), and call ExecuteJoin() —
+/// parameter validation, support checking, context wiring, pair counting,
+/// and timing happen in exactly one place.
 ///
 /// Joins stream: backends push pairs into a JoinSink (sgtree/join.h) as
 /// they are found, so multi-million-pair outputs never have to materialize.
@@ -60,6 +60,7 @@ double JoinDistanceBound(const JoinRequest& request);
 struct JoinResult {
   uint64_t pairs = 0;     // Pairs emitted (before any sink cancellation).
   bool truncated = false; // The sink returned false and the join stopped.
+  std::string backend;    // name() of the backend that ran; empty if none.
   QueryTrace trace;       // Counters aggregated across both sides.
   double elapsed_us = 0;  // Wall time (not compared by determinism tests).
   std::string error;      // Empty on success: set when validation fails or
@@ -70,14 +71,15 @@ struct JoinResult {
 };
 
 /// Uniform view of one join algorithm over two bound collections — the
-/// collection-level sibling of IndexBackend. Concrete backends
-/// (tree-vs-tree, PRETTI, FVT) live in src/join/.
+/// collection-level sibling of IndexBackend. The two concrete backends
+/// (tree-vs-tree, PRETTI) live in src/join/; the predicate picks between
+/// them (CollectTreePairJoin, shard/join_router.h).
 class JoinBackend {
  public:
   virtual ~JoinBackend() = default;
 
-  /// Short stable identifier ("tree", "pretti", "fvt"), used in traces,
-  /// error messages, and bench labels.
+  /// Short stable identifier ("tree", "pretti"), used in results, error
+  /// messages, and bench labels.
   virtual const char* name() const = 0;
 
   /// Empty when this backend can run `request`; otherwise a one-line

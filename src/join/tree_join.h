@@ -11,9 +11,10 @@ namespace sgtree {
 
 /// The baseline JoinBackend: wraps the synchronized tree-vs-tree traversals
 /// in sgtree/join.h (SimilarityJoinInto / ContainmentJoinInto) behind the
-/// collection-level join API. The only backend that serves kSimilarity;
-/// for kContainment it is the naive baseline the PRETTI and FVT backends
-/// are benched against.
+/// collection-level join API. The only backend that serves kSimilarity, so
+/// the predicate rule (CollectTreePairJoin) runs it for every similarity
+/// join. Its kContainment path is the reference PRETTI is tested against
+/// and the baseline row `bench_join` measures PRETTI against.
 ///
 /// Each Run builds two private buffer pools — page ids are tree-local, so
 /// the two trees must never share one pool — and charges both trees' node

@@ -7,29 +7,17 @@
 
 namespace sgtree {
 
-const char* JoinAlgoName(JoinAlgo algo) {
-  switch (algo) {
-    case JoinAlgo::kTree:
-      return "tree";
-    case JoinAlgo::kPretti:
-      return "pretti";
-    case JoinAlgo::kFvt:
-      return "fvt";
+JoinResult CollectTreePairJoin(const JoinRequest& request, const SgTree& r,
+                               const SgTree& s, const SetCollection& r_sets,
+                               const InvertedPostings& s_postings,
+                               uint32_t buffer_pages,
+                               std::vector<JoinPair>* pairs) {
+  if (request.type == JoinType::kContainment) {
+    const PrettiJoinBackend pretti(r_sets, s_postings);
+    return CollectJoin(pretti, request, pairs);
   }
-  return "unknown";
-}
-
-bool ParseJoinAlgo(const std::string& text, JoinAlgo* algo) {
-  if (text == "tree") {
-    *algo = JoinAlgo::kTree;
-  } else if (text == "pretti") {
-    *algo = JoinAlgo::kPretti;
-  } else if (text == "fvt") {
-    *algo = JoinAlgo::kFvt;
-  } else {
-    return false;
-  }
-  return true;
+  const TreeJoinBackend tree(r, s, buffer_pages);
+  return CollectJoin(tree, request, pairs);
 }
 
 JoinRouter::JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
@@ -42,7 +30,6 @@ JoinRouter::JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
         "(a v1 manifest, which thaws its images, or the durable form)";
     return;
   }
-  if (options_.algo == JoinAlgo::kTree) return;
   left_sets_.reserve(left.num_shards());
   for (uint32_t i = 0; i < left.num_shards(); ++i) {
     left_sets_.push_back(SetCollection::FromTree(left.shard(i), {}));
@@ -51,14 +38,8 @@ JoinRouter::JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
   for (uint32_t j = 0; j < right.num_shards(); ++j) {
     right_sets_.push_back(SetCollection::FromTree(right.shard(j), {}));
   }
-  if (options_.algo == JoinAlgo::kPretti) {
-    for (const SetCollection& s : right_sets_) {
-      right_postings_.push_back(std::make_unique<InvertedPostings>(s));
-    }
-  } else {
-    for (const SetCollection& s : right_sets_) {
-      right_tries_.push_back(std::make_unique<FvtTrie>(s));
-    }
+  for (const SetCollection& s : right_sets_) {
+    right_postings_.push_back(std::make_unique<InvertedPostings>(s));
   }
 }
 
@@ -71,12 +52,6 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
 
   merged.error = setup_error_;
   if (merged.ok()) merged.error = ValidateJoinRequest(request);
-  if (merged.ok() && options_.algo != JoinAlgo::kTree &&
-      request.type == JoinType::kSimilarity) {
-    merged.error = std::string(JoinAlgoName(options_.algo)) +
-                   " is a containment-only join; use the tree backend for "
-                   "similarity joins";
-  }
   if (!merged.ok()) {
     if (reg != nullptr) reg->GetCounter("join.rejected")->Increment(1);
     return merged;
@@ -92,24 +67,9 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
   executor_->ParallelApply(tasks, [&](size_t t, uint32_t /*worker_id*/) {
     const uint32_t i = static_cast<uint32_t>(t / m);
     const uint32_t j = static_cast<uint32_t>(t % m);
-    switch (options_.algo) {
-      case JoinAlgo::kTree: {
-        const TreeJoinBackend backend(left_->shard(i), right_->shard(j),
-                                      options_.buffer_pages);
-        task_results[t] = CollectJoin(backend, request, &task_pairs[t]);
-        break;
-      }
-      case JoinAlgo::kPretti: {
-        const PrettiJoinBackend backend(left_sets_[i], *right_postings_[j]);
-        task_results[t] = CollectJoin(backend, request, &task_pairs[t]);
-        break;
-      }
-      case JoinAlgo::kFvt: {
-        const FvtJoinBackend backend(left_sets_[i], *right_tries_[j]);
-        task_results[t] = CollectJoin(backend, request, &task_pairs[t]);
-        break;
-      }
-    }
+    task_results[t] = CollectTreePairJoin(
+        request, left_->shard(i), right_->shard(j), left_sets_[i],
+        *right_postings_[j], options_.buffer_pages, &task_pairs[t]);
   });
 
   size_t total = 0;
@@ -122,6 +82,7 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
 
   for (const JoinResult& task : task_results) {
     if (!task.ok() && merged.ok()) merged.error = task.error;
+    merged.backend = task.backend;
     merged.pairs += task.pairs;
     merged.trace += task.trace;
     merged.elapsed_us = std::max(merged.elapsed_us, task.elapsed_us);

@@ -8,7 +8,6 @@
 
 #include "exec/join_api.h"
 #include "exec/query_executor.h"
-#include "join/fvt_join.h"
 #include "join/pretti_join.h"
 #include "join/set_collection.h"
 #include "obs/metrics.h"
@@ -16,19 +15,19 @@
 
 namespace sgtree {
 
-/// Which join algorithm the router fans out (see src/join/).
-enum class JoinAlgo {
-  kTree,    // Tree-vs-tree traversal over the shard SG-trees (baseline).
-  kPretti,  // Inverted index on S + prefix tree on R.
-  kFvt,     // Candidate-free filter-and-verification trie on S.
-};
-
-const char* JoinAlgoName(JoinAlgo algo);
-/// Parses "tree" / "pretti" / "fvt". Returns false on anything else.
-bool ParseJoinAlgo(const std::string& text, JoinAlgo* algo);
+/// The one rule that picks a join algorithm, its predicate, applied to
+/// one pair of trees: containment runs PRETTI over `r_sets` (the item sets
+/// of `r`) against `s_postings` (the postings of `s`'s sets); similarity
+/// runs the tree join over `r` and `s`, the only backend that serves it.
+/// The router's tasks and the CLI's single-index join both call it. Fills
+/// `*pairs` in canonical order, as CollectJoin does.
+JoinResult CollectTreePairJoin(const JoinRequest& request, const SgTree& r,
+                               const SgTree& s, const SetCollection& r_sets,
+                               const InvertedPostings& s_postings,
+                               uint32_t buffer_pages,
+                               std::vector<JoinPair>* pairs);
 
 struct JoinRouterOptions {
-  JoinAlgo algo = JoinAlgo::kPretti;
   /// Frames of each side's private pool in the tree-join tasks.
   uint32_t buffer_pages = 64;
   /// Optional registry: every Run feeds "join.requests", "join.rejected",
@@ -43,14 +42,16 @@ struct JoinRouterOptions {
 /// disjointly (every pair's R row lives in exactly one R shard), the S side
 /// is broadcast by crossing every R shard with every S shard, and the
 /// |R shards| x |S shards| grid of independent shard-pair joins fans out
-/// over the executor's lanes — the FVT paper's MapReduce partitioning
-/// mapped onto ShardedIndex. Each task joins with the configured algorithm;
-/// S-side structures (posting lists, FVT trie) are built once per S shard
-/// at construction and shared read-only across tasks.
+/// over the executor's lanes — the MapReduce partitioning of the
+/// set-containment join literature mapped onto ShardedIndex. Each task
+/// joins its pair of shard trees with CollectTreePairJoin, so one router
+/// answers both predicates. The PRETTI inputs (each R shard's item sets,
+/// each S shard's postings) are built once, at construction, and shared
+/// read-only across tasks.
 ///
 /// The merged result — concatenate, then sort in the canonical
 /// (tid_a, tid_b) order — is byte-identical to CollectJoin over one
-/// unsharded index holding all the data, for every algorithm: the grid
+/// unsharded index holding all the data, for both predicates: the grid
 /// covers each joining pair exactly once and the pair distances are pure
 /// functions of the pair. The merged trace is the SUM over tasks and
 /// `elapsed_us` the MAX (scatter-gather service time).
@@ -75,12 +76,11 @@ class JoinRouter {
   JoinRouterOptions options_;
   std::string setup_error_;
 
-  // Per-shard join inputs, built once at construction (empty in tree mode,
-  // which joins the shard trees directly).
+  // PRETTI's per-shard inputs, built once at construction. Similarity
+  // joins the shard trees directly.
   std::vector<SetCollection> left_sets_;
   std::vector<SetCollection> right_sets_;
   std::vector<std::unique_ptr<InvertedPostings>> right_postings_;
-  std::vector<std::unique_ptr<FvtTrie>> right_tries_;
 };
 
 }  // namespace sgtree

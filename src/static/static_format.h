@@ -18,9 +18,9 @@ namespace static_format {
 ///   ------  ----  -----------------------------------------------------
 ///        0     8  magic "SGSTATIC"
 ///        8     4  u32 version            (= 1)
-///       12     4  u32 flags              (bit 0 reserved for the §3.2
-///                                         sparse encoding; v1 writes 0 and
-///                                         stores dense signatures)
+///       12     4  u32 flags              (= 0: signatures are dense; an
+///                                         image with any flag set is
+///                                         refused)
 ///       16     4  u32 num_bits           signature width W in bits
 ///       20     4  u32 max_entries        node capacity M (2 .. 65534,
 ///                                         kMaxNodeEntries in sgtree/node.h)
@@ -78,7 +78,6 @@ inline constexpr size_t kBodyCrcOffset = 80;
 inline constexpr size_t kHeaderCrcOffset = 84;
 
 inline constexpr uint32_t kInvalidRoot = 0xffffffffu;
-inline constexpr uint32_t kFlagSparse = 1u << 0;  // Reserved, never set.
 
 /// Cap that keeps a hostile header from overflowing size arithmetic: widths
 /// beyond 2^24 bits would overflow WordsForBits' uint32 math.

@@ -20,10 +20,8 @@
 #include "exec/join_api.h"
 #include "exec/query_api.h"
 #include "exec/query_executor.h"
-#include "join/fvt_join.h"
 #include "join/pretti_join.h"
 #include "join/set_collection.h"
-#include "join/tree_join.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
@@ -711,7 +709,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
 // Shared tail of both join paths: prints the pair list (human or JSON),
 // the merged trace on --trace, and the join.* metrics on --metrics-json.
 int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
-               JoinType type, const std::string& algo, bool sharded,
+               JoinType type, bool sharded,
                uint64_t limit, bool json, bool print_trace,
                obs::MetricsRegistry* registry,
                const std::optional<std::string>& metrics_path,
@@ -722,7 +720,7 @@ int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
   if (json) {
     out << "{\"join\": "
         << (type == JoinType::kContainment ? "\"contain\"" : "\"similar\"")
-        << ", \"algo\": " << JsonQuoted(algo)
+        << ", \"algo\": " << JsonQuoted(result.backend)
         << ", \"sharded\": " << (sharded ? "true" : "false")
         << ", \"pairs\": " << result.pairs
         << ", \"truncated\": " << (result.truncated ? "true" : "false")
@@ -745,7 +743,7 @@ int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
       out << "... (" << (pairs.size() - shown)
           << " more; raise --limit or pass --limit 0)\n";
     }
-    out << "# " << result.pairs << " pairs via " << algo
+    out << "# " << result.pairs << " pairs via " << result.backend
         << (sharded ? " (sharded)" : "") << " in "
         << result.elapsed_us / 1000.0 << " ms\n";
     if (print_trace) {
@@ -768,7 +766,7 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   if (cmd.positional().size() < 2) {
     return Fail(err,
                 "usage: join contain|similar --left FILE --right FILE "
-                "[--algo tree|pretti|fvt] [--shards 1] ...");
+                "[--threshold X] [--metric M] [--shards 1] ...");
   }
   const std::string& kind = cmd.positional()[1];
   JoinRequest request;
@@ -785,12 +783,6 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return Fail(err, "join requires --left and --right");
   }
 
-  const std::string algo_name = cmd.StringOr("algo", "pretti");
-  JoinAlgo algo = JoinAlgo::kPretti;
-  if (!ParseJoinAlgo(algo_name, &algo)) {
-    return Fail(err, "unknown join algorithm '" + algo_name +
-                         "' (expected tree, pretti, or fvt)");
-  }
   Metric metric = Metric::kHamming;
   if (!ParseMetric(cmd.StringOr("metric", "hamming"), &metric)) {
     return Fail(err, "unknown metric");
@@ -832,14 +824,13 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     exec_options.num_threads = threads;
     QueryExecutor executor(exec_options);
     JoinRouterOptions router_options;
-    router_options.algo = algo;
     router_options.buffer_pages = buffer_pages;
     router_options.metrics = &registry;
     JoinRouter router(*left, *right, &executor, router_options);
     result = router.Run(request, &pairs);
     if (!result.ok()) return Fail(err, result.error);
-    return ReportJoin(result, pairs, request.type, algo_name, true, limit,
-                      json, print_trace, &registry, metrics_path, out, err);
+    return ReportJoin(result, pairs, request.type, true, limit, json,
+                      print_trace, &registry, metrics_path, out, err);
   }
 
   std::string load_error;
@@ -852,35 +843,17 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return Fail(err, "cannot load " + *right_path + ": " + load_error);
   }
 
-  switch (algo) {
-    case JoinAlgo::kTree: {
-      const TreeJoinBackend backend(*left, *right, buffer_pages);
-      result = CollectJoin(backend, request, &pairs);
-      break;
-    }
-    case JoinAlgo::kPretti: {
-      const SetCollection r = SetCollection::FromTree(*left, {});
-      const SetCollection s = SetCollection::FromTree(*right, {});
-      const InvertedPostings postings(s);
-      const PrettiJoinBackend backend(r, postings);
-      result = CollectJoin(backend, request, &pairs);
-      break;
-    }
-    case JoinAlgo::kFvt: {
-      const SetCollection r = SetCollection::FromTree(*left, {});
-      const SetCollection s = SetCollection::FromTree(*right, {});
-      const FvtTrie trie(s);
-      const FvtJoinBackend backend(r, trie);
-      result = CollectJoin(backend, request, &pairs);
-      break;
-    }
-  }
+  const SetCollection r_sets = SetCollection::FromTree(*left, {});
+  const SetCollection s_sets = SetCollection::FromTree(*right, {});
+  const InvertedPostings s_postings(s_sets);
+  result = CollectTreePairJoin(request, *left, *right, r_sets, s_postings,
+                               buffer_pages, &pairs);
   if (!result.ok()) return Fail(err, result.error);
   registry.GetCounter("join.requests")->Increment(1);
   registry.GetCounter("join.pairs")->Increment(result.pairs);
   registry.GetHistogram("join.latency_us")->Observe(result.elapsed_us);
-  return ReportJoin(result, pairs, request.type, algo_name, false, limit,
-                    json, print_trace, &registry, metrics_path, out, err);
+  return ReportJoin(result, pairs, request.type, false, limit, json,
+                    print_trace, &registry, metrics_path, out, err);
 }
 
 }  // namespace

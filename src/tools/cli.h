@@ -60,24 +60,27 @@ namespace sgtree {
 ///               single-image path; --threads N sizes the router's worker
 ///               pool (0 = hardware concurrency). The manifest tags its own
 ///               format: v1 shards are thawed, v2 shards are served mapped.
-///   join contain --left F --right F [--algo tree|pretti|fvt] [--shards 1]
-///               [--threads N] [--buffer-pages N] [--limit N] [--json 1]
-///               [--trace 1] [--metrics-json F]
+///   join contain --left F --right F [--shards 1] [--threads N]
+///               [--buffer-pages N] [--limit N] [--json 1] [--trace 1]
+///               [--metrics-json F]
 ///   join similar --left F --right F --threshold X [--metric M]
-///               [--algo tree] [--shards 1] ...
+///               [--shards 1] ...
 ///               Collection-level joins through the join API
 ///               (exec/join_api.h): `contain` reports every pair (r, s)
 ///               with r's item set a subset of s's, d = the containment
 ///               gap |s| - |r|; `similar` reports pairs within the
-///               threshold under the trees' build-time metric (tree
-///               backend only — pretti and fvt are containment-only and
-///               refuse with a one-line reason). Pairs print in canonical
+///               threshold under the trees' build-time metric. The
+///               predicate picks the algorithm: containment runs PRETTI,
+///               similarity the tree-vs-tree join, the only one that
+///               serves it; the summary line and the JSON "algo" field
+///               name the one that ran. Pairs print in canonical
 ///               (tid_a, tid_b) order, capped at --limit (default 20,
 ///               0 = all). With --shards 1 both sides load as sharded
 ///               manifests and the join scatter-gathers over the
 ///               |R shards| x |S shards| grid (shard/join_router.h) —
 ///               results are byte-identical to the unsharded run.
-///               Validation errors (bad threshold, unsupported combo)
+///               Validation and support errors (a bad threshold, a
+///               similarity join over trees of different signature widths)
 ///               exit 1 with the reason on stderr.
 ///   recover     --durable D [--out F] [--metrics-json F]
 ///               Thaws the checkpoint image the log's marker names, replays

@@ -8,15 +8,20 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bit_kernels.h"
+#include "exec/join_api.h"
+#include "join/tree_join.h"
 #include "sgtree/node.h"
 #include "sgtree/options.h"
+#include "static/static_tree_builder.h"
 #include "storage/node_format.h"
 #include "tools/command_line.h"
 
@@ -601,38 +606,92 @@ TEST(CliTest, BuildRefusesPageBeyondNodeCapacity) {
 // Collection-level joins.
 // ---------------------------------------------------------------------------
 
+// Generates the two small collections the join tests run on as
+// `<left>.txt` and `<right>.txt`, and saves each as an image at `left` and
+// `right`.
+void BuildJoinInputs(const std::string& left, const std::string& right) {
+  ASSERT_EQ(RunArgs({"gen", "quest", "--out", left + ".txt", "--d", "300",
+                     "--items", "80", "--patterns", "20", "--seed", "3"})
+                .code,
+            0);
+  ASSERT_EQ(RunArgs({"gen", "quest", "--out", right + ".txt", "--d", "300",
+                     "--items", "80", "--patterns", "20", "--seed", "4"})
+                .code,
+            0);
+  ASSERT_EQ(RunArgs({"build", "--data", left + ".txt", "--out", left}).code,
+            0);
+  ASSERT_EQ(RunArgs({"build", "--data", right + ".txt", "--out", right}).code,
+            0);
+}
+
+void RemoveJoinInputs(const std::string& left, const std::string& right) {
+  for (const std::string& path : {left, right}) {
+    std::remove(path.c_str());
+    std::remove((path + ".txt").c_str());
+  }
+}
+
+// The tree-vs-tree join of two saved indexes, run in process: the
+// reference the CLI's join output is held to.
+std::vector<JoinPair> TreeJoinPairs(const std::string& left,
+                                    const std::string& right,
+                                    const JoinRequest& request) {
+  std::string error;
+  const std::unique_ptr<SgTree> r = LoadTree(left, {}, &error);
+  const std::unique_ptr<SgTree> s = LoadTree(right, {}, &error);
+  std::vector<JoinPair> pairs;
+  if (r == nullptr || s == nullptr) {
+    ADD_FAILURE() << error;
+    return pairs;
+  }
+  const JoinResult result = CollectJoin(TreeJoinBackend(*r, *s), request,
+                                        &pairs);
+  EXPECT_TRUE(result.ok()) << result.error;
+  return pairs;
+}
+
+// The pair lines `join ... --limit 0` prints before its summary line.
+std::string PairLines(const std::vector<JoinPair>& pairs) {
+  std::ostringstream out;
+  for (const JoinPair& pair : pairs) {
+    out << pair.tid_a << " " << pair.tid_b << " (d=" << pair.distance
+        << ")\n";
+  }
+  return out.str();
+}
+
 TEST(CliTest, JoinRunsEveryAlgorithmWithIdenticalPairCounts) {
-  const std::string left_data = TempPath("cli_join_l.txt");
-  const std::string right_data = TempPath("cli_join_r.txt");
   const std::string left = TempPath("cli_join_l.bin");
   const std::string right = TempPath("cli_join_r.bin");
-  ASSERT_EQ(RunArgs({"gen", "quest", "--out", left_data, "--d", "300",
-                 "--items", "80", "--patterns", "20", "--seed", "3"})
+  BuildJoinInputs(left, right);
+  const std::string left_shards = TempPath("cli_join_l.shards");
+  const std::string right_shards = TempPath("cli_join_r.shards");
+  ASSERT_EQ(RunArgs({"build", "--data", left + ".txt", "--shards", "3",
+                     "--out", left_shards})
                 .code,
             0);
-  ASSERT_EQ(RunArgs({"gen", "quest", "--out", right_data, "--d", "300",
-                 "--items", "80", "--patterns", "20", "--seed", "4"})
+  ASSERT_EQ(RunArgs({"build", "--data", right + ".txt", "--shards", "2",
+                     "--out", right_shards})
                 .code,
             0);
-  ASSERT_EQ(RunArgs({"build", "--data", left_data, "--out", left}).code, 0);
-  ASSERT_EQ(RunArgs({"build", "--data", right_data, "--out", right}).code, 0);
 
-  // All three algorithms report the same pair count in --json mode.
-  std::string pairs_field;
-  for (const std::string algo : {"tree", "pretti", "fvt"}) {
-    const CliResult r = RunArgs({"join", "contain", "--left", left, "--right",
-                             right, "--algo", algo, "--json", "1"});
+  // Containment runs PRETTI, over single images and over shard grids
+  // alike, and reports the tree containment join's pair count.
+  const std::vector<JoinPair> tree_pairs = TreeJoinPairs(
+      left, right, {JoinType::kContainment, Metric::kHamming, 0.0});
+  ASSERT_FALSE(tree_pairs.empty());
+  const std::string pairs_field =
+      "\"pairs\": " + std::to_string(tree_pairs.size()) + ",";
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"join", "contain", "--left", left,
+                                 "--right", right, "--json", "1"},
+        {"join", "contain", "--left", left_shards, "--right", right_shards,
+         "--shards", "1", "--json", "1"}}) {
+    const CliResult r = RunArgs(args);
     ASSERT_EQ(r.code, 0) << r.err;
     EXPECT_NE(r.out.find("\"join\": \"contain\""), std::string::npos);
-    EXPECT_NE(r.out.find("\"algo\": \"" + algo + "\""), std::string::npos);
-    const size_t at = r.out.find("\"pairs\": ");
-    ASSERT_NE(at, std::string::npos) << r.out;
-    const std::string field = r.out.substr(at, r.out.find(',', at) - at);
-    if (pairs_field.empty()) {
-      pairs_field = field;
-    } else {
-      EXPECT_EQ(field, pairs_field) << algo;
-    }
+    EXPECT_NE(r.out.find("\"algo\": \"pretti\""), std::string::npos);
+    EXPECT_NE(r.out.find(pairs_field), std::string::npos) << r.out;
   }
 
   // Human-readable mode prints the summary line.
@@ -641,33 +700,79 @@ TEST(CliTest, JoinRunsEveryAlgorithmWithIdenticalPairCounts) {
   ASSERT_EQ(human.code, 0) << human.err;
   EXPECT_NE(human.out.find("pairs via pretti"), std::string::npos);
 
-  // A similarity join needs the tree backend; the trees were built with
-  // the default hamming metric, so a hamming threshold works end to end.
-  const CliResult similar =
-      RunArgs({"join", "similar", "--left", left, "--right", right, "--algo",
-           "tree", "--threshold", "6", "--json", "1"});
-  ASSERT_EQ(similar.code, 0) << similar.err;
-  EXPECT_NE(similar.out.find("\"join\": \"similar\""), std::string::npos);
+  RemoveJoinInputs(left, right);
+  for (const auto& [manifest, shards] :
+       {std::pair{left_shards, 3}, std::pair{right_shards, 2}}) {
+    std::remove(manifest.c_str());
+    for (int i = 0; i < shards; ++i) {
+      std::remove((manifest + ".shard" + std::to_string(i)).c_str());
+    }
+  }
+}
 
-  std::remove(left_data.c_str());
-  std::remove(right_data.c_str());
-  std::remove(left.c_str());
-  std::remove(right.c_str());
+TEST(CliTest, JoinPicksTheAlgorithmFromThePredicate) {
+  const std::string left = TempPath("cli_join_pick_l.bin");
+  const std::string right = TempPath("cli_join_pick_r.bin");
+  BuildJoinInputs(left, right);
+
+  // A similarity join needs no algorithm flag: it runs the tree join and
+  // prints exactly its pairs. The trees were built with the default
+  // hamming metric, so a hamming threshold works end to end.
+  const std::vector<JoinPair> similar = TreeJoinPairs(
+      left, right, {JoinType::kSimilarity, Metric::kHamming, 4.0});
+  ASSERT_FALSE(similar.empty());
+  CliResult r = RunArgs({"join", "similar", "--left", left, "--right", right,
+                         "--threshold", "4", "--limit", "0"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.substr(0, r.out.find("# ")), PairLines(similar));
+  EXPECT_NE(r.out.find("# " + std::to_string(similar.size()) +
+                       " pairs via tree in "),
+            std::string::npos)
+      << r.out;
+
+  // Containment runs PRETTI and prints the tree containment join's pairs.
+  const std::vector<JoinPair> contained = TreeJoinPairs(
+      left, right, {JoinType::kContainment, Metric::kHamming, 0.0});
+  ASSERT_FALSE(contained.empty());
+  r = RunArgs({"join", "contain", "--left", left, "--right", right,
+               "--limit", "0"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.substr(0, r.out.find("# ")), PairLines(contained));
+  EXPECT_NE(r.out.find("# " + std::to_string(contained.size()) +
+                       " pairs via pretti in "),
+            std::string::npos)
+      << r.out;
+
+  // There is no algorithm to select: --algo is an unknown flag.
+  for (const std::string kind : {"contain", "similar"}) {
+    r = RunArgs({"join", kind, "--left", left, "--right", right,
+                 "--threshold", "4", "--algo", "tree"});
+    EXPECT_EQ(r.code, 1) << kind;
+    EXPECT_EQ(r.err, "error: unknown flag(s): --algo\n") << kind;
+  }
+
+  RemoveJoinInputs(left, right);
 }
 
 TEST(CliTest, JoinValidationAndSupportErrorsExitNonzero) {
   const std::string data = TempPath("cli_join_e.txt");
   const std::string index = TempPath("cli_join_e.bin");
+  const std::string wide_data = TempPath("cli_join_w.txt");
+  const std::string wide = TempPath("cli_join_w.bin");
   ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "120", "--items",
                  "40", "--patterns", "10"})
                 .code,
             0);
   ASSERT_EQ(RunArgs({"build", "--data", data, "--out", index}).code, 0);
+  ASSERT_EQ(RunArgs({"gen", "quest", "--out", wide_data, "--d", "120",
+                     "--items", "60", "--patterns", "10"})
+                .code,
+            0);
+  ASSERT_EQ(RunArgs({"build", "--data", wide_data, "--out", wide}).code, 0);
 
   // Malformed threshold: exit 1 with the offending value in the message.
   CliResult r = RunArgs({"join", "similar", "--left", index, "--right", index,
-                     "--algo", "tree", "--metric", "jaccard", "--threshold",
-                     "0"});
+                         "--metric", "jaccard", "--threshold", "0"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(
       r.err.find(
@@ -675,15 +780,17 @@ TEST(CliTest, JoinValidationAndSupportErrorsExitNonzero) {
       std::string::npos)
       << r.err;
 
-  // Containment-only backend asked for a similarity join: exit 1 with the
+  // A similarity join the tree backend cannot serve: exit 1 with the
   // support reason.
-  r = RunArgs({"join", "similar", "--left", index, "--right", index, "--algo",
-           "fvt", "--threshold", "4"});
+  r = RunArgs({"join", "similar", "--left", index, "--right", wide,
+               "--threshold", "4"});
   EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("fvt is a containment-only join"), std::string::npos)
+  EXPECT_NE(r.err.find("tree join requires both trees to share signature "
+                       "width, got 40 vs 60"),
+            std::string::npos)
       << r.err;
 
-  // Unknown algorithm and missing inputs.
+  // Unknown flags and missing inputs.
   EXPECT_EQ(RunArgs({"join", "contain", "--left", index, "--right", index,
                  "--algo", "quadratic"})
                 .code,
@@ -708,8 +815,9 @@ TEST(CliTest, JoinValidationAndSupportErrorsExitNonzero) {
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(r.out.find(" more; raise --limit"), std::string::npos) << r.out;
 
-  std::remove(data.c_str());
-  std::remove(index.c_str());
+  for (const std::string& path : {data, index, wide_data, wide}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Differential test suite for the collection-level join API: every join
-// backend (tree-vs-tree, PRETTI, FVT) must produce the exact same pair set
-// as a brute-force oracle on random and adversarial collections, and the
-// sharded JoinRouter's merged answer must be byte-identical to a join over
-// one unsharded index holding all the data — the same central promise the
-// point-query router is tested under in test_shard.cc. The repeated
-// sharded-join test is a ThreadSanitizer target (see the tsan CI job).
+// Differential test suite for the collection-level join API: both join
+// backends (tree-vs-tree, PRETTI) must produce the exact same containment
+// pair set as a brute-force oracle on random and adversarial collections,
+// and the sharded JoinRouter's merged answer must be byte-identical to a
+// join over one unsharded index holding all the data, for both predicates
+// — the same central promise the point-query router is tested under in
+// test_shard.cc. The repeated sharded-join test is a ThreadSanitizer
+// target (see the tsan CI job).
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +19,6 @@
 #include "common/zipf.h"
 #include "exec/join_api.h"
 #include "exec/query_executor.h"
-#include "join/fvt_join.h"
 #include "join/pretti_join.h"
 #include "join/set_collection.h"
 #include "join/tree_join.h"
@@ -94,16 +95,14 @@ std::vector<JoinPair> OracleSimilarity(const std::vector<Transaction>& r,
   return pairs;
 }
 
-// Both trees plus the derived PRETTI / FVT structures, with the lifetimes
-// the backends require (collections outlive postings/trie outlive
-// backends).
+// Both trees plus the derived PRETTI structures, with the lifetimes the
+// backends require (collections outlive postings outlive backends).
 struct JoinSides {
   std::unique_ptr<SgTree> r_tree;
   std::unique_ptr<SgTree> s_tree;
   SetCollection r_sets;
   SetCollection s_sets;
   std::unique_ptr<InvertedPostings> postings;
-  std::unique_ptr<FvtTrie> trie;
 
   explicit JoinSides(const std::vector<Transaction>& r,
                      const std::vector<Transaction>& s,
@@ -112,16 +111,14 @@ struct JoinSides {
     r_sets = SetCollection::FromTree(*r_tree, {});
     s_sets = SetCollection::FromTree(*s_tree, {});
     postings = std::make_unique<InvertedPostings>(s_sets);
-    trie = std::make_unique<FvtTrie>(s_sets);
   }
 
   TreeJoinBackend Tree() const { return {*r_tree, *s_tree}; }
   PrettiJoinBackend Pretti() const { return {r_sets, *postings}; }
-  FvtJoinBackend Fvt() const { return {r_sets, *trie}; }
 };
 
-// Runs the containment join with all three backends and asserts each
-// equals the brute-force oracle exactly (pairs, distances, and order).
+// Runs the containment join with both backends and asserts each equals the
+// brute-force oracle exactly (pairs, distances, and order).
 void ExpectAllBackendsMatchOracle(const std::vector<Transaction>& r,
                                   const std::vector<Transaction>& s) {
   const std::vector<JoinPair> oracle = OracleContainment(r, s);
@@ -140,11 +137,7 @@ void ExpectAllBackendsMatchOracle(const std::vector<Transaction>& r,
       CollectJoin(sides.Pretti(), request, &pretti_pairs);
   ASSERT_TRUE(pretti_result.ok()) << pretti_result.error;
   EXPECT_EQ(pretti_pairs, oracle) << "pretti join diverged from the oracle";
-
-  std::vector<JoinPair> fvt_pairs;
-  const JoinResult fvt_result = CollectJoin(sides.Fvt(), request, &fvt_pairs);
-  ASSERT_TRUE(fvt_result.ok()) << fvt_result.error;
-  EXPECT_EQ(fvt_pairs, oracle) << "fvt join diverged from the oracle";
+  EXPECT_EQ(pretti_result.pairs, oracle.size());
 }
 
 // Random sets with the given item skew; tids offset per side so the two
@@ -232,9 +225,6 @@ TEST(JoinSupportTest, PrettiAndFvtRefuseSimilarity) {
   EXPECT_EQ(sides.Pretti().SupportReason(similar),
             "pretti is a containment-only join; use the tree backend for "
             "similarity joins");
-  EXPECT_EQ(sides.Fvt().SupportReason(similar),
-            "fvt is a containment-only join; use the tree backend for "
-            "similarity joins");
   EXPECT_EQ(sides.Tree().SupportReason(similar), "");
 
   // The tree backend serves the trees' build-time metric only.
@@ -244,11 +234,12 @@ TEST(JoinSupportTest, PrettiAndFvtRefuseSimilarity) {
             "jaccard");
 
   std::vector<JoinPair> pairs;
-  const JoinResult result = CollectJoin(sides.Fvt(), similar, &pairs);
+  const JoinResult result = CollectJoin(sides.Pretti(), similar, &pairs);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.error,
-            "fvt is a containment-only join; use the tree backend for "
+            "pretti is a containment-only join; use the tree backend for "
             "similarity joins");
+  EXPECT_EQ(result.backend, "") << "a refused join runs no backend";
   EXPECT_TRUE(pairs.empty());
 }
 
@@ -269,7 +260,7 @@ TEST(GoldenJoinTest, SmallFixturePinsPairsAndCanonicalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential containment joins: tree == pretti == fvt == oracle.
+// Differential containment joins: tree == pretti == oracle.
 
 TEST(DifferentialJoinTest, ClusteredCollections) {
   const Dataset left = testing::ClusteredDataset(11, 160, kBits, 5, 10, 3);
@@ -368,14 +359,11 @@ TEST(JoinSinkTest, LimitSinkCancelsEveryBackend) {
   const size_t total = OracleContainment(r, s).size();
   ASSERT_GT(total, 5u) << "fixture too sparse to test truncation";
 
-  const JoinBackend* backends[] = {nullptr, nullptr, nullptr};
   const TreeJoinBackend tree = sides.Tree();
   const PrettiJoinBackend pretti = sides.Pretti();
-  const FvtJoinBackend fvt = sides.Fvt();
-  backends[0] = &tree;
-  backends[1] = &pretti;
-  backends[2] = &fvt;
-  for (const JoinBackend* backend : backends) {
+  for (const JoinBackend* backend :
+       {static_cast<const JoinBackend*>(&tree),
+        static_cast<const JoinBackend*>(&pretti)}) {
     std::vector<JoinPair> pairs;
     LimitJoinSink sink(&pairs, 5);
     const JoinResult result = ExecuteJoin(*backend, request, &sink);
@@ -400,28 +388,19 @@ TEST(JoinTraceTest, TracesAreSelfConsistent) {
             "");
   EXPECT_GT(tree_result.trace.nodes_visited(), 0u);
 
-  for (int which = 0; which < 2; ++which) {
-    const PrettiJoinBackend pretti = sides.Pretti();
-    const FvtJoinBackend fvt = sides.Fvt();
-    const JoinBackend& backend =
-        which == 0 ? static_cast<const JoinBackend&>(pretti)
-                   : static_cast<const JoinBackend&>(fvt);
-    const JoinResult result = CollectJoin(backend, request, &pairs);
-    ASSERT_TRUE(result.ok());
-    // Trie walks have no buffer pool; only the relaxed invariants apply.
-    EXPECT_EQ(CheckTraceInvariants(result.trace,
-                                        {.pooled = false,
-                                         .strict_pruning = false,
-                                         .predicate = false}),
-              "")
-        << backend.name();
-    EXPECT_GT(result.trace.nodes_visited(), 0u) << backend.name();
-  }
+  const JoinResult result = CollectJoin(sides.Pretti(), request, &pairs);
+  ASSERT_TRUE(result.ok());
+  // The trie walk has no buffer pool; only the relaxed invariants apply.
+  EXPECT_EQ(CheckTraceInvariants(
+                result.trace,
+                {.pooled = false, .strict_pruning = false, .predicate = false}),
+            "");
+  EXPECT_GT(result.trace.nodes_visited(), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Sharded joins: the router's merged answer is byte-identical to one
-// unsharded index, for every algorithm and shard count.
+// unsharded index, for both predicates and every shard count.
 
 ShardedIndexOptions ShardOptions(uint32_t num_shards) {
   ShardedIndexOptions options;
@@ -430,16 +409,24 @@ ShardedIndexOptions ShardOptions(uint32_t num_shards) {
   return options;
 }
 
+// The predicate picks the algorithm: containment runs PRETTI, similarity
+// the tree join, so each request below pins one backend of the rule.
+const JoinRequest kContain{JoinType::kContainment, Metric::kHamming, 0.0};
+const JoinRequest kSimilar{JoinType::kSimilarity, Metric::kHamming, 3.0};
+
 TEST(ShardedJoinTest, ByteIdenticalToSingleIndexForEveryAlgorithm) {
   const std::vector<Transaction> r = ZipfSets(91, 150, 1000, 0.9);
   const std::vector<Transaction> s = ZipfSets(92, 150, 5000, 0.9);
-  const JoinRequest request{JoinType::kContainment, Metric::kHamming, 0.0};
 
-  // Single-index oracle: one tree per side over all the data.
+  // Single-index oracles: one tree per side over all the data.
   const JoinSides single(r, s);
-  std::vector<JoinPair> oracle;
-  ASSERT_TRUE(CollectJoin(single.Tree(), request, &oracle).ok());
-  ASSERT_EQ(oracle, OracleContainment(r, s));
+  std::vector<JoinPair> contain_oracle;
+  std::vector<JoinPair> similar_oracle;
+  ASSERT_TRUE(CollectJoin(single.Tree(), kContain, &contain_oracle).ok());
+  ASSERT_TRUE(CollectJoin(single.Tree(), kSimilar, &similar_oracle).ok());
+  ASSERT_EQ(contain_oracle, OracleContainment(r, s));
+  ASSERT_EQ(similar_oracle, OracleSimilarity(r, s, Metric::kHamming, 3.0));
+  ASSERT_FALSE(similar_oracle.empty()) << "fixture too sparse";
 
   QueryExecutor executor;
   for (const uint32_t left_shards : {1u, 2u, 8u}) {
@@ -448,18 +435,17 @@ TEST(ShardedJoinTest, ByteIdenticalToSingleIndexForEveryAlgorithm) {
       ShardedIndex right(ShardOptions(right_shards));
       ASSERT_EQ(left.InsertBatch(r), r.size());
       ASSERT_EQ(right.InsertBatch(s), s.size());
-      for (const JoinAlgo algo :
-           {JoinAlgo::kTree, JoinAlgo::kPretti, JoinAlgo::kFvt}) {
-        JoinRouterOptions options;
-        options.algo = algo;
-        JoinRouter router(left, right, &executor, options);
+      JoinRouter router(left, right, &executor);
+      for (const auto& [request, oracle] :
+           {std::pair{kContain, &contain_oracle},
+            std::pair{kSimilar, &similar_oracle}}) {
         std::vector<JoinPair> pairs;
         const JoinResult result = router.Run(request, &pairs);
         ASSERT_TRUE(result.ok()) << result.error;
-        EXPECT_EQ(pairs, oracle)
-            << JoinAlgoName(algo) << " over " << left_shards << "x"
+        EXPECT_EQ(pairs, *oracle)
+            << result.backend << " over " << left_shards << "x"
             << right_shards << " shards diverged from the single index";
-        EXPECT_EQ(result.pairs, oracle.size());
+        EXPECT_EQ(result.pairs, oracle->size());
       }
     }
   }
@@ -476,13 +462,11 @@ TEST(ShardedJoinTest, RouterFeedsJoinMetrics) {
   QueryExecutor executor;
   obs::MetricsRegistry metrics;
   JoinRouterOptions options;
-  options.algo = JoinAlgo::kPretti;
   options.metrics = &metrics;
   JoinRouter router(left, right, &executor, options);
 
   std::vector<JoinPair> pairs;
-  const JoinResult result =
-      router.Run({JoinType::kContainment, Metric::kHamming, 0.0}, &pairs);
+  const JoinResult result = router.Run(kContain, &pairs);
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(metrics.GetCounter("join.requests")->Value(), 1u);
   EXPECT_EQ(metrics.GetCounter("join.rejected")->Value(), 0u);
@@ -500,6 +484,8 @@ TEST(ShardedJoinTest, RouterFeedsJoinMetrics) {
   EXPECT_EQ(metrics.GetCounter("join.rejected")->Value(), 1u);
 }
 
+// One router answers both predicates, each with the algorithm the rule
+// picks: similarity through the tree join, containment through PRETTI.
 TEST(ShardedJoinTest, SimilarityRunsShardedThroughTreeAlgo) {
   const std::vector<Transaction> r = UniformSets(97, 70, 1000, 40, 6);
   const std::vector<Transaction> s = UniformSets(98, 70, 5000, 40, 6);
@@ -509,28 +495,24 @@ TEST(ShardedJoinTest, SimilarityRunsShardedThroughTreeAlgo) {
   ASSERT_EQ(right.InsertBatch(s), s.size());
 
   QueryExecutor executor;
-  JoinRouterOptions options;
-  options.algo = JoinAlgo::kTree;
-  JoinRouter router(left, right, &executor, options);
-  const JoinRequest request{JoinType::kSimilarity, Metric::kHamming, 5.0};
+  JoinRouter router(left, right, &executor);
+  const JoinRequest similar{JoinType::kSimilarity, Metric::kHamming, 5.0};
   std::vector<JoinPair> pairs;
-  const JoinResult result = router.Run(request, &pairs);
+  const JoinResult result = router.Run(similar, &pairs);
   ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.backend, "tree");
   EXPECT_EQ(pairs, OracleSimilarity(r, s, Metric::kHamming, 5.0));
 
-  // The containment-only algorithms refuse sharded similarity too.
-  options.algo = JoinAlgo::kPretti;
-  JoinRouter pretti_router(left, right, &executor, options);
-  const JoinResult refused = pretti_router.Run(request, &pairs);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error,
-            "pretti is a containment-only join; use the tree backend for "
-            "similarity joins");
+  const JoinResult contained = router.Run(kContain, &pairs);
+  ASSERT_TRUE(contained.ok()) << contained.error;
+  EXPECT_EQ(contained.backend, "pretti");
+  EXPECT_EQ(pairs, OracleContainment(r, s));
 }
 
 // Multi-threaded scatter-gather determinism: repeated sharded joins over a
 // multi-lane executor must return the identical canonical vector every
-// time. This is the join suite's ThreadSanitizer entry point.
+// time, for both predicates. This is the join suite's ThreadSanitizer
+// entry point.
 TEST(ShardedJoinStressTest, RepeatedShardedJoinsAreDeterministic) {
   const std::vector<Transaction> r = ZipfSets(101, 180, 1000, 0.9);
   const std::vector<Transaction> s = ZipfSets(102, 180, 5000, 0.9);
@@ -542,20 +524,20 @@ TEST(ShardedJoinStressTest, RepeatedShardedJoinsAreDeterministic) {
   QueryExecutorOptions exec_options;
   exec_options.num_threads = 4;
   QueryExecutor executor(exec_options);
-  const JoinRequest request{JoinType::kContainment, Metric::kHamming, 0.0};
-  const std::vector<JoinPair> oracle = OracleContainment(r, s);
+  JoinRouter router(left, right, &executor);
+  const std::vector<JoinPair> contain_oracle = OracleContainment(r, s);
+  const std::vector<JoinPair> similar_oracle =
+      OracleSimilarity(r, s, Metric::kHamming, 3.0);
 
-  for (const JoinAlgo algo :
-       {JoinAlgo::kTree, JoinAlgo::kPretti, JoinAlgo::kFvt}) {
-    JoinRouterOptions options;
-    options.algo = algo;
-    JoinRouter router(left, right, &executor, options);
+  for (const auto& [request, oracle] :
+       {std::pair{kContain, &contain_oracle},
+        std::pair{kSimilar, &similar_oracle}}) {
     for (int round = 0; round < 3; ++round) {
       std::vector<JoinPair> pairs;
       const JoinResult result = router.Run(request, &pairs);
       ASSERT_TRUE(result.ok()) << result.error;
-      ASSERT_EQ(pairs, oracle)
-          << JoinAlgoName(algo) << " round " << round << " diverged";
+      ASSERT_EQ(pairs, *oracle)
+          << result.backend << " round " << round << " diverged";
     }
   }
 }

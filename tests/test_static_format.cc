@@ -201,7 +201,7 @@ TEST(StaticFormatGateTest, RejectsBumpedVersion) {
 
 TEST(StaticFormatGateTest, RejectsUnknownFlags) {
   std::vector<uint8_t> bytes = BuildImage(*DeterministicTree(20));
-  sf::StoreU32(bytes.data() + sf::kFlagsOffset, sf::kFlagSparse);
+  sf::StoreU32(bytes.data() + sf::kFlagsOffset, 1u << 0);
   FixHeaderCrc(&bytes);
   std::string error;
   EXPECT_EQ(OpenImage(bytes, &error), nullptr);
