@@ -17,8 +17,8 @@
 //     and tools/check_bench.py gates on exactly that.
 //
 // Writes BENCH_serve.json ($BENCH_SERVE_JSON overrides the path) with the
-// closed-loop baseline, one row per offered load, and the cache/hedge
-// counters scraped from the server's registry.
+// closed-loop baseline, one row per offered load, and the cache counters
+// scraped from the server's registry.
 
 #include <algorithm>
 #include <atomic>
@@ -278,12 +278,10 @@ int Main() {
   const uint64_t cache_hits = m->GetCounter("serve.cache.hits")->Value();
   const uint64_t cache_misses = m->GetCounter("serve.cache.misses")->Value();
   const uint64_t shed = m->GetCounter("serve.shed")->Value();
-  const uint64_t hedges = m->GetCounter("serve.hedges_fired")->Value();
-  std::printf(
-      "cache hits %lu / misses %lu, shed %lu, hedges fired %lu\n",
-      static_cast<unsigned long>(cache_hits),
-      static_cast<unsigned long>(cache_misses),
-      static_cast<unsigned long>(shed), static_cast<unsigned long>(hedges));
+  std::printf("cache hits %lu / misses %lu, shed %lu\n",
+              static_cast<unsigned long>(cache_hits),
+              static_cast<unsigned long>(cache_misses),
+              static_cast<unsigned long>(shed));
 
   server->Stop();
   server.reset();
@@ -306,7 +304,6 @@ int Main() {
       << "  \"pool_size\": " << kPoolSize << ",\n"
       << "  \"cache_hits\": " << cache_hits << ",\n"
       << "  \"cache_misses\": " << cache_misses << ",\n"
-      << "  \"hedges_fired\": " << hedges << ",\n"
       << "  \"closed_loop\": {\"clients\": " << kClosedClients
       << ", \"sent\": " << closed.sent << ", \"ok\": " << closed.ok
       << ", \"errors\": " << closed.errors

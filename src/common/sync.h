@@ -1,7 +1,6 @@
 #ifndef SGTREE_COMMON_SYNC_H_
 #define SGTREE_COMMON_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -169,20 +168,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu->mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();  // Ownership stays with the caller's MutexLock.
-  }
-
-  /// Wait with a deadline: blocks until notified or `timeout_us`
-  /// microseconds pass, whichever is first. Returns false on timeout, true
-  /// when (possibly spuriously) notified — either way, re-check the
-  /// predicate. This is what the serving hedge manager uses to sleep
-  /// "until the next hedge deadline or new work, whichever comes first".
-  bool WaitFor(Mutex* mu, int64_t timeout_us) SGTREE_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu->mu_, std::adopt_lock);
-    const auto status = cv_.wait_for(native, std::chrono::microseconds(
-                                                 timeout_us < 0 ? 0
-                                                                : timeout_us));
-    native.release();  // Ownership stays with the caller's MutexLock.
-    return status == std::cv_status::no_timeout;
   }
 
   void Signal() { cv_.notify_one(); }

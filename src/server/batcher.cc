@@ -116,25 +116,19 @@ void Batcher::DispatchLoop() {
     requests.reserve(batch.size());
     for (const auto& pending : batch) requests.push_back(pending->request);
     const int64_t start = NowUs();
-    // The completion may run on this thread (primary finished first) or on
-    // the hedge manager's; `batch` is moved in so the pendings outlive this
-    // loop iteration either way.
-    runner_(requests, [exec_us = exec_us_hist_, start,
-                       batch = std::move(batch)](
-                          std::vector<QueryResult> results) {
-      if (exec_us != nullptr) {
-        exec_us->Observe(static_cast<double>(NowUs() - start));
+    std::vector<QueryResult> results = runner_(requests);
+    if (exec_us_hist_ != nullptr) {
+      exec_us_hist_->Observe(static_cast<double>(NowUs() - start));
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      QueryResult result;
+      if (i < results.size()) {
+        result = std::move(results[i]);
+      } else {
+        result.error = "batch runner returned too few results";
       }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        QueryResult result;
-        if (i < results.size()) {
-          result = std::move(results[i]);
-        } else {
-          result.error = "batch runner returned too few results";
-        }
-        batch[i]->Complete(std::move(result));
-      }
-    });
+      batch[i]->Complete(std::move(result));
+    }
   }
 }
 

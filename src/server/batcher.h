@@ -16,8 +16,8 @@ namespace sgtree {
 namespace serve {
 
 /// One client query parked in the batcher: the connection thread Submit()s
-/// it, then blocks in Wait() until a dispatcher (or the hedge manager, via
-/// the batch completion) fills the result and signals.
+/// it, then blocks in Wait() until the dispatcher that ran its batch fills
+/// the result and signals.
 struct PendingQuery {
   QueryRequest request;
 
@@ -26,8 +26,7 @@ struct PendingQuery {
   bool done SGTREE_GUARDED_BY(mu) = false;
   QueryResult result SGTREE_GUARDED_BY(mu);
 
-  /// Fills the result and wakes the waiter. Idempotence is the caller's
-  /// job — the batch completion runs exactly once per batch.
+  /// Fills the result and wakes the waiter. Called once per query.
   void Complete(QueryResult r) SGTREE_EXCLUDES(mu);
 
   /// Blocks until Complete() ran; returns the result by move.
@@ -39,23 +38,18 @@ struct PendingQuery {
 /// load a request finds an idle dispatcher and runs at once as a batch of
 /// one; under load each batch is whatever queued while the previous batch
 /// ran, so batch size follows load without a timer.
-///
-/// The runner is handed the batch and a completion callback; it may invoke
-/// the completion from another thread (the hedge path does), so dispatchers
-/// never block on completions — only on their own primary execution.
 class Batcher {
  public:
   /// Largest batch one dispatcher takes off the queue.
   static constexpr uint32_t kMaxBatch = 64;
 
-  /// on_complete must be called exactly once with one QueryResult per
-  /// request, in request order.
-  using Completion = std::function<void(std::vector<QueryResult>)>;
-  using Runner =
-      std::function<void(const std::vector<QueryRequest>&, Completion)>;
+  /// Runs a batch and returns one QueryResult per request, in request
+  /// order.
+  using Runner = std::function<std::vector<QueryResult>(
+      const std::vector<QueryRequest>&)>;
 
-  /// Each dispatcher runs its batch's primary execution inline, so
-  /// `num_dispatchers` is also the router-level concurrency.
+  /// Each dispatcher runs its batch inline, so `num_dispatchers` is also
+  /// the router-level concurrency.
   Batcher(uint32_t num_dispatchers, Runner runner);
   ~Batcher();
 
@@ -79,7 +73,7 @@ class Batcher {
   int64_t linger_us() const { return 0; }
 
   /// queue_depth: sampled at each batch pull. batch_size: requests per
-  /// batch. exec_us: runner latency, from the call to the completion.
+  /// batch. exec_us: runner latency, from the call to its return.
   void BindMetrics(obs::Histogram* queue_depth, obs::Histogram* batch_size,
                    obs::Histogram* exec_us);
 

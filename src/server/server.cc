@@ -18,6 +18,18 @@ int64_t NowUs() {
       .count();
 }
 
+/// The refusal of an insert naming an item outside the index's width
+/// (Signature::FromItems would abort on it), or empty when every item fits.
+std::string ItemRangeError(const Transaction& txn, uint32_t num_bits) {
+  for (const ItemId item : txn.items) {
+    if (item >= num_bits) {
+      return "item " + std::to_string(item) + " is out of range for " +
+             std::to_string(num_bits) + "-bit signatures";
+    }
+  }
+  return std::string();
+}
+
 /// Power-of-two count buckets for queue depth / batch size histograms.
 std::vector<double> CountBuckets() {
   return {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
@@ -57,18 +69,17 @@ std::unique_ptr<Server> Server::Create(ShardedIndex* index,
   }
   server->replica_set_ = ReplicaSet::Create(index, replica_options, error);
   if (server->replica_set_ == nullptr) return nullptr;
-  server->replica_set_->BindMetrics(m->GetCounter("serve.hedges_fired"),
-                                    m->GetCounter("serve.hedges_won"),
-                                    m->GetHistogram("serve.run_us"));
+  // Registered and never incremented: perfbench's scrape of serve.* still
+  // requires it, as its report still reads Batcher::linger_us().
+  m->GetCounter("serve.hedges_fired");
   // One dispatcher per replica: a replica runs one batch at a time, so an
   // extra dispatcher would only take a batch early and park it on that
   // replica's mutex while later arrivals could have joined it.
   server->batcher_ = std::make_unique<Batcher>(
       server->replica_set_->num_replicas(),
       [rs = server->replica_set_.get()](
-          const std::vector<QueryRequest>& requests,
-          Batcher::Completion on_complete) {
-        rs->RunHedged(requests, std::move(on_complete));
+          const std::vector<QueryRequest>& requests) {
+        return rs->Run(requests);
       });
   server->batcher_->BindMetrics(
       m->GetHistogram("serve.queue_depth", CountBuckets()),
@@ -293,8 +304,11 @@ bool Server::HandleInsert(net::Socket* socket,
     // (single) replica — the router's const read path must not observe a
     // half-applied insert.
     MutexLock lock(replica_set_->primary_run_mutex());
-    ok = index_->Insert(txn);
-    if (!ok) message = "insert was not acknowledged by the owning shard";
+    message = ItemRangeError(txn, index_->num_bits());
+    if (message.empty()) {
+      ok = index_->Insert(txn);
+      if (!ok) message = "insert was not acknowledged by the owning shard";
+    }
   }
   if (ok) {
     inserts_->Increment();

@@ -46,8 +46,8 @@ struct ServerOptions {
 ///     -> result cache probe (epoch-keyed; a hit skips everything below)
 ///     -> batcher (a free dispatcher runs everything queued as one
 ///        QueryRouter batch; nothing waits for company)
-///     -> replica set (least-loaded replica, hedged second past the
-///        adaptive p99 delay)
+///     -> replica set (the least-loaded live replica runs the batch on
+///        the dispatcher's thread)
 ///   -> encode answer, populate cache, write frame.
 ///
 /// Consistency: epoch_ counts successful mutations (insert / checkpoint).
@@ -63,8 +63,8 @@ struct ServerOptions {
 /// Static backends refuse mutations with an explicit error instead.
 ///
 /// Every stage exports serve.* metrics through the registry — counters
-/// (requests, admitted, shed, cache hits/misses/evictions, hedges fired /
-/// won, inserts, checkpoints, protocol errors), queue-depth / batch-size /
+/// (requests, admitted, shed, cache hits/misses/evictions, inserts,
+/// checkpoints, protocol errors), queue-depth / batch-size /
 /// execution / end-to-end latency histograms — scrapeable over the
 /// protocol's metrics frame as JSON or Prometheus text.
 class Server {
@@ -78,9 +78,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the listener and starts the accept loop, dispatchers, and (when
-  /// configured) the hedge manager. Returns false with *error on bind
-  /// failure.
+  /// Binds the listener and starts the accept loop and the dispatchers.
+  /// Returns false with *error on bind failure.
   bool Start(std::string* error);
 
   /// Drains: stops accepting, fails queued queries, unblocks and joins
@@ -95,7 +94,7 @@ class Server {
   obs::MetricsRegistry* metrics() { return metrics_; }
 
   /// Test hooks: reach into the stages the failure/consistency tests
-  /// manipulate (FailReplica, cache size, hedge delay).
+  /// manipulate (FailReplica, cache size).
   ReplicaSet* replica_set() { return replica_set_.get(); }
   ResultCache* result_cache() { return cache_.get(); }
   Batcher* batcher() { return batcher_.get(); }

@@ -2,7 +2,6 @@
 //
 //   sgtree_serve --index PATH [--port N] [--durable-dir DIR]
 //                [--replicas N] [--max-inflight N] [--cache-entries N]
-//                [--no-hedging 0|1]
 //
 // --index loads a ShardedIndex manifest. Both kinds name one static image
 // per shard: a v1 manifest (Save, `build --shards N --out`) thaws them into
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(cmd.UintOr("cache-entries", 4096));
   options.replicas.num_replicas =
       static_cast<uint32_t>(cmd.UintOr("replicas", 1));
-  options.replicas.enable_hedging = !cmd.BoolOr("no-hedging", false);
   if (const std::string flag_error = cmd.FlagError(); !flag_error.empty()) {
     std::cerr << "error: " << flag_error << "\n";
     return 1;

@@ -54,7 +54,6 @@ SgTree::SgTree(const SgTreeOptions& options)
     : options_(options),
       max_entries_(options.ResolvedMaxEntries()),
       min_entries_(options.ResolvedMinEntries()),
-      pages_(options.page_size),
       pool_(std::make_unique<BufferPool>(options.buffer_pages)) {
   SGTREE_ASSERT(options_.num_bits > 0);
   SGTREE_ASSERT(min_entries_ >= 1 && min_entries_ <= max_entries_ / 2);
@@ -81,15 +80,28 @@ MutableNodeView SgTree::NewRecord(PageId id, uint16_t level,
 }
 
 PageId SgTree::AllocateNode(uint16_t level) {
-  const PageId id = pages_.Allocate();
+  auto id = static_cast<PageId>(records_.size());
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  }
   NewRecord(id, level, max_entries_ + 1);
   return id;
 }
 
 MutableNodeView SgTree::AdoptNode(PageId id, uint16_t level, uint32_t room) {
-  const bool reserved = pages_.Reserve(id);
-  SGTREE_ASSERT_MSG(reserved, "AdoptNode on a live page id");
+  SGTREE_ASSERT_MSG(!IsLive(id), "AdoptNode on a live page id");
   SGTREE_ASSERT(room <= max_entries_ + 1);
+  if (id < records_.size()) {
+    free_ids_.erase(std::remove(free_ids_.begin(), free_ids_.end(), id),
+                    free_ids_.end());
+  } else {
+    // The ids skipped to reach `id` become free, in ascending order.
+    for (auto hole = static_cast<PageId>(records_.size()); hole < id;
+         ++hole) {
+      free_ids_.push_back(hole);
+    }
+  }
   return NewRecord(id, level, room);
 }
 
@@ -111,9 +123,10 @@ MutableNodeView SgTree::MutableNode(PageId id) {
 }
 
 void SgTree::FreeNode(PageId id) {
+  SGTREE_DCHECK(IsLive(id));
   pool_->Evict(id);
   records_[id] = {};
-  pages_.Free(id);
+  free_ids_.push_back(id);
   --node_count_;
 }
 

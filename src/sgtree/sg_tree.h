@@ -13,7 +13,7 @@
 #include "sgtree/node.h"
 #include "sgtree/options.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_store.h"
+#include "storage/page.h"
 #include "storage/query_context.h"
 
 namespace sgtree {
@@ -184,7 +184,9 @@ class SgTree {
     uint32_t room = 0;  // Entries the record has room for.
   };
   std::vector<Record> records_;
-  MemPageStore pages_;  // Page-id allocator.
+  // Every free id below records_.size(), each once; AllocateNode takes the
+  // last (the most recently freed).
+  std::vector<PageId> free_ids_;
   std::unique_ptr<BufferPool> pool_;
 
   PageId root_ = kInvalidPageId;

@@ -92,8 +92,16 @@ std::vector<QueryResult> QueryRouter::Run(
   std::vector<QueryResult> merged(n);
   std::vector<uint8_t> valid(n, 0);
   uint64_t rejected = 0;
+  const uint32_t num_bits = index_->num_bits();
   for (size_t i = 0; i < n; ++i) {
     merged[i].error = ValidateRequest(batch[i]);
+    // The search kernels read both word arrays at the index's width, so a
+    // query of another width is refused here, before any shard sees it.
+    if (merged[i].ok() && batch[i].query.num_bits() != num_bits) {
+      merged[i].error = "query signature has " +
+                        std::to_string(batch[i].query.num_bits()) +
+                        " bits, the index has " + std::to_string(num_bits);
+    }
     valid[i] = merged[i].ok() ? 1 : 0;
     if (valid[i] == 0) ++rejected;
   }

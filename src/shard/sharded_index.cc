@@ -95,6 +95,11 @@ std::unique_ptr<ShardedIndex> ShardedIndex::OpenDurable(
       }
       return nullptr;
     }
+    // The first shard fixes the tree shape when the caller left the width
+    // unset, so a directory whose shards differ in width is refused.
+    if (shard_options.tree.num_bits == 0) {
+      shard_options.tree = shard->tree().options();
+    }
     index->shards_.push_back(&shard->tree());
     index->durable_shards_.push_back(std::move(shard));
   }
@@ -295,11 +300,14 @@ std::unique_ptr<ShardedIndex> ShardedIndex::Load(
   std::unique_ptr<ShardedIndex> index(new ShardedIndex());
   index->options_ = options;
   index->options_.num_shards = n;
+  // The first shard fixes the width when the caller left it unset, so a
+  // manifest naming shards of mixed widths fails at the first that differs.
+  SgTreeOptions tree_options = options.tree;
   for (uint32_t i = 0; i < n; ++i) {
     std::string shard_error;
     if (format == "static") {
       StaticOpenOptions open_options;
-      open_options.tree = options.tree;
+      open_options.tree = tree_options;
       std::unique_ptr<StaticTreeView> view =
           StaticTreeView::Open(Env::Posix(), ShardSnapshotPath(path, i),
                                open_options, &shard_error);
@@ -309,17 +317,19 @@ std::unique_ptr<ShardedIndex> ShardedIndex::Load(
         }
         return nullptr;
       }
+      tree_options.num_bits = view->num_bits();
       index->static_shards_.push_back(std::move(view));
       continue;
     }
     std::unique_ptr<SgTree> tree =
-        LoadTree(ShardSnapshotPath(path, i), options.tree, &shard_error);
+        LoadTree(ShardSnapshotPath(path, i), tree_options, &shard_error);
     if (tree == nullptr) {
       if (error != nullptr) {
         *error = "shard " + std::to_string(i) + ": " + shard_error;
       }
       return nullptr;
     }
+    tree_options.num_bits = tree->num_bits();
     index->trees_.push_back(std::move(tree));
     index->shards_.push_back(index->trees_.back().get());
   }

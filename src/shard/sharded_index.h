@@ -119,6 +119,12 @@ class ShardedIndex {
     return static_cast<uint32_t>(shards_.empty() ? static_shards_.size()
                                                  : shards_.size());
   }
+  /// Signature width of every shard (Load and OpenDurable refuse shards of
+  /// mixed width).
+  uint32_t num_bits() const {
+    return static_mode() ? static_shards_[0]->num_bits()
+                         : shards_[0]->num_bits();
+  }
   bool durable() const { return !durable_shards_.empty(); }
   /// True when the shards are immutable static images (v2 manifest).
   bool static_mode() const { return !static_shards_.empty(); }

@@ -589,8 +589,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     if (index == nullptr) {
       return Fail(err, "cannot load " + *index_path + ": " + load_error);
     }
-    num_bits = index->static_mode() ? index->static_shard(0).num_bits()
-                                    : index->shard(0).num_bits();
+    num_bits = index->num_bits();
   } else {
     StaticOpenOptions open_options;
     open_options.tree = options;

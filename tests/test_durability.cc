@@ -30,7 +30,6 @@
 #include "sgtree/sg_tree.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
-#include "storage/page_store.h"
 
 namespace sgtree {
 namespace {
@@ -402,13 +401,19 @@ TEST(FilePageStoreTest, HeaderPingPongSurvivesTornHeaderWrite) {
   }
 }
 
+// The thaw adopts node ids out of order: the ids skipped below an adopted
+// id are free and allocated first (highest first), and adopting a free id
+// takes it off the free list.
 TEST(MemPageStoreTest, ReserveMatchesFileStoreSemantics) {
-  MemPageStore store(128);
-  EXPECT_TRUE(store.Reserve(3));
-  EXPECT_FALSE(store.Reserve(3));
-  ASSERT_TRUE(store.Write(3, {1}));
-  const PageId low = store.Allocate();
-  EXPECT_LT(low, 3u);
+  SgTree tree(SmallOptions());
+  tree.AdoptNode(3, 0, 0);
+  EXPECT_EQ(tree.node_count(), 1u);
+  tree.AdoptNode(1, 0, 0);
+  EXPECT_EQ(tree.LiveNodes(), (std::vector<PageId>{1, 3}));
+  EXPECT_EQ(tree.AllocateNode(0), 2u);
+  EXPECT_EQ(tree.AllocateNode(0), 0u);
+  EXPECT_EQ(tree.AllocateNode(0), 4u);
+  EXPECT_EQ(tree.node_count(), 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 // batcher's natural batching, and — the load-bearing part — the
 // end-to-end differential proof that answers served over TCP are
 // byte-identical to direct QueryRouter execution for all six query types,
-// cached or uncached, replicated or not, hedged or not. The concurrent
-// suites double as ThreadSanitizer targets (tsan CI job).
+// cached or uncached, replicated or not. The concurrent suites double as
+// ThreadSanitizer targets (tsan CI job).
 
 #include "server/server.h"
 
@@ -252,14 +252,13 @@ TEST(BatcherTest, TakesWhatQueuedUpToMaxBatch) {
   std::latch first_running(1);
   std::latch release(1);
   std::vector<size_t> sizes;  // Written by the single dispatcher only.
-  Batcher batcher(1, [&](const std::vector<QueryRequest>& requests,
-                         Batcher::Completion done) {
+  Batcher batcher(1, [&](const std::vector<QueryRequest>& requests) {
     sizes.push_back(requests.size());
     if (sizes.size() == 1) {
       first_running.count_down();
       release.wait();
     }
-    done(std::vector<QueryResult>(requests.size()));
+    return std::vector<QueryResult>(requests.size());
   });
   batcher.Start();
   QueryRequest request;
@@ -283,9 +282,8 @@ TEST(BatcherTest, TakesWhatQueuedUpToMaxBatch) {
 }
 
 TEST(BatcherTest, StopFailsStragglersInsteadOfHanging) {
-  Batcher batcher(1, [](const std::vector<QueryRequest>& requests,
-                        Batcher::Completion done) {
-    done(std::vector<QueryResult>(requests.size()));
+  Batcher batcher(1, [](const std::vector<QueryRequest>& requests) {
+    return std::vector<QueryResult>(requests.size());
   });
   batcher.Start();
   batcher.Stop();
@@ -483,17 +481,11 @@ class ReplicatedServeTest : public ::testing::Test {
     ASSERT_TRUE(index_->static_mode());
   }
 
-  std::unique_ptr<Server> MakeServer(uint32_t replicas, bool always_hedge) {
+  std::unique_ptr<Server> MakeServer(uint32_t replicas) {
     ServerOptions options;
     options.replicas.num_replicas = replicas;
     options.replicas.manifest_path = manifest_;
     options.replicas.index_options = ShardOptions(2);
-    if (always_hedge) {
-      // Zero delay: every batch hedges, maximizing the chance the hedge
-      // wins — served answers must be identical either way.
-      options.replicas.hedge_delay_floor_us = 0;
-      options.replicas.hedge_delay_cap_us = 0;
-    }
     std::string error;
     auto server = Server::Create(index_.get(), options, &error);
     EXPECT_NE(server, nullptr) << error;
@@ -515,37 +507,60 @@ class ReplicatedServeTest : public ::testing::Test {
   std::unique_ptr<ShardedIndex> index_;
 };
 
+// Served answers must not depend on which replica ran the batch, so every
+// replica answers a batch of its own. With one sequential client every load
+// is 0 when a batch is routed and ties go to the lowest live index, so
+// replica 0 runs the first batch; failing the replica that just answered
+// hands the next batch to a view reopened from the manifest, and the last
+// batch can only run on replica 2. Each batch is new to the cache, so every
+// query runs on a replica.
 TEST_F(ReplicatedServeTest, ReplicatedAndHedgedAnswersAreByteIdentical) {
-  auto server = MakeServer(/*replicas=*/3, /*always_hedge=*/true);
+  auto server = MakeServer(/*replicas=*/3);
   ASSERT_NE(server, nullptr);
   EXPECT_EQ(server->replica_set()->num_replicas(), 3u);
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), 5000));
   DirectOracle oracle(*index_);
-  ExpectServedMatchesDirect(&client, &oracle, MixedBatch(82, 30), "hedged");
+  obs::Counter* misses = server->metrics()->GetCounter("serve.cache.misses");
+  for (uint32_t replica = 0; replica < 3; ++replica) {
+    const std::vector<QueryRequest> batch = MixedBatch(82 + 10 * replica, 30);
+    const uint64_t misses_before = misses->Value();
+    ExpectServedMatchesDirect(&client, &oracle, batch,
+                              "replica " + std::to_string(replica));
+    EXPECT_EQ(misses->Value() - misses_before, batch.size());
+    if (replica < 2) server->replica_set()->FailReplica(replica);
+  }
+  EXPECT_EQ(server->replica_set()->live_replicas(), 1u);
   server->Stop();
 }
 
 TEST_F(ReplicatedServeTest, KillOneReplicaMidStreamDegradesGracefully) {
-  auto server = MakeServer(/*replicas=*/3, /*always_hedge=*/true);
+  auto server = MakeServer(/*replicas=*/3);
   ASSERT_NE(server, nullptr);
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), 5000));
   DirectOracle oracle(*index_);
-  const std::vector<QueryRequest> batch = MixedBatch(83, 24);
-  ExpectServedMatchesDirect(&client, &oracle, batch, "three live");
-
-  server->replica_set()->FailReplica(1);
-  EXPECT_EQ(server->replica_set()->live_replicas(), 2u);
-  ExpectServedMatchesDirect(&client, &oracle, batch, "two live");
+  obs::Counter* misses = server->metrics()->GetCounter("serve.cache.misses");
+  // Each phase sends queries new to the cache, so each runs on the replicas
+  // still live: 0 while it lives, then 1, the last survivor.
+  const auto expect_phase = [&](uint64_t seed, const std::string& label) {
+    const std::vector<QueryRequest> batch = MixedBatch(seed, 24);
+    const uint64_t misses_before = misses->Value();
+    ExpectServedMatchesDirect(&client, &oracle, batch, label);
+    EXPECT_EQ(misses->Value() - misses_before, batch.size()) << label;
+  };
+  expect_phase(83, "three live");
 
   server->replica_set()->FailReplica(2);
-  EXPECT_EQ(server->replica_set()->live_replicas(), 1u);
-  // One replica left: hedging silently degrades to none, answers still
-  // byte-identical.
-  ExpectServedMatchesDirect(&client, &oracle, batch, "one live");
+  EXPECT_EQ(server->replica_set()->live_replicas(), 2u);
+  expect_phase(86, "two live");
 
   server->replica_set()->FailReplica(0);
+  EXPECT_EQ(server->replica_set()->live_replicas(), 1u);
+  // One replica left, and not the primary: answers still byte-identical.
+  expect_phase(87, "one live");
+
+  server->replica_set()->FailReplica(1);
   // Zero live replicas: requests fail with an explicit error answer, not a
   // hang or a crash. (The cache may still serve entries computed earlier,
   // so probe with a fresh request.)
@@ -563,7 +578,7 @@ TEST_F(ReplicatedServeTest, KillOneReplicaMidStreamDegradesGracefully) {
 }
 
 TEST_F(ReplicatedServeTest, StaticIndexRefusesMutation) {
-  auto server = MakeServer(/*replicas=*/1, /*always_hedge=*/false);
+  auto server = MakeServer(/*replicas=*/1);
   ASSERT_NE(server, nullptr);
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), 5000));
@@ -696,6 +711,76 @@ TEST(ServeRobustness, RejectsOversizedAndMalformedFrames) {
   server->Stop();
 }
 
+// A query signature of another width than the index's is refused with one
+// error naming both widths (the search kernels would read past the shorter
+// word array), is not cached, and leaves the connection serving.
+TEST(ServeRobustness, RefusesQueryOfAnotherWidth) {
+  const Dataset dataset = ClusteredDataset(88, 300, kBits, 4, 10, 2);
+  auto index = ShardedIndex::BulkLoad(dataset, ShardOptions(2));
+  ServerOptions options;
+  std::string error;
+  auto server = Server::Create(index.get(), options, &error);
+  ASSERT_NE(server, nullptr) << error;
+  ASSERT_TRUE(server->Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), 5000));
+
+  // Narrower than the index, and the widest signature the decoder takes.
+  for (const uint32_t width : {64u, kMaxRequestBits}) {
+    QueryRequest request;
+    request.type = QueryType::kKnn;
+    request.query = Signature(width);
+    request.query.Set(3);
+    request.k = 5;
+    QueryResult result;
+    ASSERT_EQ(client.Query(request, &result), Client::Status::kOk);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(result.neighbors.empty());
+    EXPECT_EQ(result.error, "query signature has " + std::to_string(width) +
+                                " bits, the index has 120");
+  }
+  EXPECT_EQ(server->result_cache()->size(), 0u);
+
+  DirectOracle oracle(*index);
+  ExpectServedMatchesDirect(&client, &oracle, MixedBatch(90, 6),
+                            "after refusal");
+  server->Stop();
+}
+
+// An insert naming an item outside the index's width is refused with a
+// not-accepted op-ack (Signature::FromItems would abort the server), the
+// epoch stays put, and the server keeps answering.
+TEST(ServeRobustness, RefusesInsertItemOutsideWidth) {
+  const Dataset dataset = ClusteredDataset(92, 300, kBits, 4, 10, 2);
+  auto index = ShardedIndex::BulkLoad(dataset, ShardOptions(2));
+  ServerOptions options;
+  std::string error;
+  auto server = Server::Create(index.get(), options, &error);
+  ASSERT_NE(server, nullptr) << error;
+  ASSERT_TRUE(server->Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), 5000));
+
+  Transaction txn;
+  txn.tid = 3'000'000;
+  txn.items = {4, kBits};
+  bool accepted = true;
+  std::string message;
+  uint64_t epoch = 99;
+  ASSERT_EQ(client.Insert(txn, &accepted, &message, &epoch),
+            Client::Status::kOk);
+  EXPECT_FALSE(accepted);
+  EXPECT_EQ(message, "item 120 is out of range for 120-bit signatures");
+  EXPECT_EQ(epoch, 0u);
+  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(index->size(), dataset.transactions.size());
+
+  DirectOracle oracle(*index);
+  ExpectServedMatchesDirect(&client, &oracle, MixedBatch(96, 6),
+                            "after refusal");
+  server->Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (ThreadSanitizer targets).
 
@@ -715,35 +800,47 @@ TEST(ServeConcurrency, ManyClientsAgainstReplicatedStaticIndex) {
   options.replicas.num_replicas = 2;
   options.replicas.manifest_path = manifest;
   options.replicas.index_options = ShardOptions(2);
-  options.replicas.hedge_delay_floor_us = 0;  // Hedge aggressively.
-  options.replicas.hedge_delay_cap_us = 200;
   auto server = Server::Create(index.get(), options, &error);
   ASSERT_NE(server, nullptr) << error;
   ASSERT_TRUE(server->Start(&error)) << error;
 
   constexpr int kClients = 6;
   constexpr int kQueriesPerClient = 40;
+  // Direct answers first, so the clients race only each other: concurrent
+  // batches spread over both replicas, and every answer must still match.
+  std::vector<std::vector<QueryRequest>> batches;
+  std::vector<std::vector<QueryResult>> expected;
+  DirectOracle oracle(*index);
+  for (int c = 0; c < kClients; ++c) {
+    batches.push_back(
+        MixedBatch(100 + static_cast<uint64_t>(c), kQueriesPerClient));
+    expected.push_back(oracle.Run(batches.back()));
+  }
   std::atomic<int> failures{0};
+  std::latch halfway(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([c, port = server->port(), &failures] {
+    threads.emplace_back([port = server->port(), &batch = batches[c],
+                          &answers = expected[c], &failures, &halfway] {
       Client client;
       if (!client.Connect("127.0.0.1", port, 5000)) {
         failures.fetch_add(1);
+        halfway.count_down();
         return;
       }
-      const std::vector<QueryRequest> batch =
-          MixedBatch(100 + static_cast<uint64_t>(c), kQueriesPerClient);
-      for (const QueryRequest& request : batch) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (i == batch.size() / 2) halfway.count_down();
         QueryResult result;
-        if (client.Query(request, &result) != Client::Status::kOk ||
-            !result.ok()) {
+        if (client.Query(batch[i], &result) != Client::Status::kOk ||
+            !result.ok() ||
+            EncodeAnswer(result) != EncodeAnswer(answers[i])) {
           failures.fetch_add(1);
         }
       }
     });
   }
-  // Kill a replica while the clients hammer away: nobody may fail.
+  // Kill a replica once every client is halfway: nobody may fail.
+  halfway.wait();
   server->replica_set()->FailReplica(1);
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);

@@ -303,25 +303,34 @@ TEST(QueryRouterTest, InvalidRequestsAreNotFannedOut) {
   QueryExecutor executor;
   QueryRouter router(index, &executor);
 
-  std::vector<QueryRequest> batch = MixedBatch(48, 4);
+  std::vector<QueryRequest> batch = MixedBatch(48, 5);
   batch[1].type = QueryType::kKnn;
   batch[1].k = 0;
   batch[3].type = QueryType::kRange;
   batch[3].epsilon = -1.0;
+  // A signature of another width than the index's: the kernels would read
+  // past the shorter word array.
+  batch[4].type = QueryType::kKnn;
+  batch[4].k = 5;
+  batch[4].query = Signature(64);
+  batch[4].query.Set(3);
   const auto results = router.Run(batch);
-  ASSERT_EQ(results.size(), 4u);
+  ASSERT_EQ(results.size(), 5u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
   EXPECT_FALSE(results[3].ok());
+  EXPECT_EQ(results[4].error, "query signature has 64 bits, the index has 120");
   EXPECT_TRUE(results[1].neighbors.empty());
   EXPECT_EQ(results[1].trace.nodes_visited(), 0u);
+  EXPECT_TRUE(results[4].neighbors.empty());
+  EXPECT_EQ(results[4].trace.nodes_visited(), 0u);
 
   // The report distinguishes batch size from rejects; rejected queries
   // contribute no latency samples and no counters.
   const BatchReport& report = router.last_batch_report();
-  EXPECT_EQ(report.queries, 4u);
-  EXPECT_EQ(report.rejected, 2u);
+  EXPECT_EQ(report.queries, 5u);
+  EXPECT_EQ(report.rejected, 3u);
 }
 
 // Degenerate batch shapes. The serving layer leans on these: the batcher
@@ -529,6 +538,44 @@ TEST(ShardedIndexPersistenceTest, LoadRejectsGarbageManifest) {
   std::remove(path.c_str());
 }
 
+// A manifest whose shard images differ in width is refused: the router
+// checks a query against one width for every shard.
+TEST(ShardedIndexPersistenceTest, LoadRejectsShardsOfMixedWidth) {
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/sgtree_sharded_mixed.idx";
+  const std::string narrow_path = dir + "/sgtree_sharded_mixed_narrow.idx";
+  ShardedIndex index(ShardOptions(2));
+  index.InsertBatch(ClusteredDataset(58, 200, kBits, 4, 10, 2).transactions);
+  ShardedIndexOptions narrow_options = ShardOptions(1);
+  narrow_options.tree.num_bits = 64;
+  ShardedIndex narrow(narrow_options);
+  narrow.InsertBatch(ClusteredDataset(59, 100, 64, 4, 10, 2).transactions);
+  ShardedIndexOptions open_options;  // Width 0: taken from the images.
+  for (const bool as_static : {false, true}) {
+    std::string error;
+    ASSERT_TRUE(as_static ? index.SaveStatic(path, &error)
+                          : index.Save(path, &error))
+        << error;
+    ASSERT_TRUE(narrow.Save(narrow_path, &error)) << error;
+    std::filesystem::copy_file(
+        ShardedIndex::ShardSnapshotPath(narrow_path, 0),
+        ShardedIndex::ShardSnapshotPath(path, 1),
+        std::filesystem::copy_options::overwrite_existing);
+    EXPECT_EQ(ShardedIndex::Load(path, open_options, &error), nullptr)
+        << (as_static ? "static" : "trees");
+    EXPECT_EQ(error.rfind("shard 1: ", 0), 0u) << error;
+    EXPECT_NE(error.find("signature width mismatch (file has 64 bits)"),
+              std::string::npos)
+        << error;
+  }
+  for (const std::string& p : {path, narrow_path}) {
+    std::remove(p.c_str());
+    for (uint32_t s = 0; s < 2; ++s) {
+      std::remove(ShardedIndex::ShardSnapshotPath(p, s).c_str());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durable shards.
 // ---------------------------------------------------------------------------
@@ -632,6 +679,36 @@ TEST(ShardedDurableTest, ReopenRefusesDirectoryWithFewerShards) {
       ShardedIndex::OpenDurable(Env::Posix(), dir, ShardOptions(1), &error);
   ASSERT_NE(reopened, nullptr) << error;
   EXPECT_EQ(reopened->num_shards(), 1u);
+}
+
+// A directory whose shards differ in width is refused when the caller
+// leaves the width to the directory, as sgtree_serve --durable-dir does:
+// the router and the server check requests against one width for every
+// shard, so an insert routed to a narrower shard would abort.
+TEST(ShardedDurableTest, ReopenRefusesShardsOfMixedWidth) {
+  const std::string dir = FreshDir("sharded_durable_mixed");
+  const std::string narrow_dir = FreshDir("sharded_durable_mixed_narrow");
+  std::string error;
+  {
+    auto index =
+        ShardedIndex::OpenDurable(Env::Posix(), dir, ShardOptions(2), &error);
+    ASSERT_NE(index, nullptr) << error;
+    index->InsertBatch(ClusteredDataset(63, 100, kBits, 4, 10, 2).transactions);
+    ShardedIndexOptions narrow_options = ShardOptions(1);
+    narrow_options.tree.num_bits = 64;
+    auto narrow = ShardedIndex::OpenDurable(Env::Posix(), narrow_dir,
+                                            narrow_options, &error);
+    ASSERT_NE(narrow, nullptr) << error;
+    narrow->InsertBatch(ClusteredDataset(64, 100, 64, 4, 10, 2).transactions);
+  }
+  std::filesystem::remove_all(ShardedIndex::ShardDirFor(dir, 1));
+  std::filesystem::copy(ShardedIndex::ShardDirFor(narrow_dir, 0),
+                        ShardedIndex::ShardDirFor(dir, 1));
+  ShardedIndexOptions open_options;  // Width 0: taken from the directory.
+  EXPECT_EQ(ShardedIndex::OpenDurable(Env::Posix(), dir, open_options, &error),
+            nullptr);
+  EXPECT_EQ(error.rfind("shard 1: ", 0), 0u) << error;
+  EXPECT_NE(error.find("width mismatch"), std::string::npos) << error;
 }
 
 // Kill-one-shard torture: a serial insert workload runs over the

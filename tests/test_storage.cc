@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "sgtree/sg_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/codec.h"
 #include "storage/node_format.h"
-#include "storage/page_store.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -220,51 +220,85 @@ TEST(NodeFormatTest, UncompressedEntrySizeMatchesEncoding) {
 }
 
 // ---------------------------------------------------------------------------
-// Page store.
+// Node-id allocation: SgTree's node table is its page store, and a free id
+// is a null record on its free list.
 // ---------------------------------------------------------------------------
 
+SgTreeOptions AllocOptions() {
+  SgTreeOptions options;
+  options.num_bits = 64;
+  options.page_size = 512;
+  return options;
+}
+
 TEST(PageStoreTest, AllocateWriteRead) {
-  MemPageStore store(64);
-  const PageId id = store.Allocate();
-  ASSERT_TRUE(store.Write(id, {1, 2, 3}));
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(store.Read(id, &payload));
-  EXPECT_EQ(payload, (std::vector<uint8_t>{1, 2, 3}));
+  SgTree tree(AllocOptions());
+  const PageId id = tree.AllocateNode(0);
+  Signature sig(64);
+  sig.Set(1);
+  sig.Set(2);
+  sig.Set(3);
+  tree.MutableNode(id).Append(sig.words(), 7);
+  const NodeView node = tree.GetNodeNoCharge(id);
+  ASSERT_EQ(node.Count(), 1u);
+  EXPECT_EQ(node.EntryAt(0).ref, 7u);
+  EXPECT_EQ(node.EntryAt(0).sig.ToSignature(), sig);
 }
 
 TEST(PageStoreTest, RejectsOversizedPayload) {
-  MemPageStore store(4);
-  const PageId id = store.Allocate();
-  EXPECT_FALSE(store.Write(id, {1, 2, 3, 4, 5}));
-  EXPECT_TRUE(store.Write(id, {1, 2, 3, 4}));
+  // The page size caps a node: 64 bytes take the 4-entry floor, and a node
+  // that overflows it splits, so no live node holds more.
+  SgTreeOptions options = AllocOptions();
+  options.page_size = 64;
+  SgTree tree(options);
+  ASSERT_EQ(tree.max_entries(), 4u);
+  for (uint64_t tid = 0; tid < 40; ++tid) {
+    tree.Insert(Transaction{tid, {static_cast<ItemId>(tid % 64)}});
+  }
+  EXPECT_GT(tree.height(), 1u);
+  for (const PageId id : tree.LiveNodes()) {
+    EXPECT_LE(tree.GetNodeNoCharge(id).Count(), tree.max_entries()) << id;
+  }
 }
 
 TEST(PageStoreTest, FreeListReusesIds) {
-  MemPageStore store;
-  const PageId a = store.Allocate();
-  const PageId b = store.Allocate();
+  SgTree tree(AllocOptions());
+  const PageId a = tree.AllocateNode(0);
+  const PageId b = tree.AllocateNode(0);
+  const PageId c = tree.AllocateNode(0);
   EXPECT_NE(a, b);
-  store.Free(a);
-  EXPECT_EQ(store.LivePages(), 1u);
-  const PageId c = store.Allocate();
-  EXPECT_EQ(c, a);  // Reused.
-  EXPECT_EQ(store.TotalPages(), 2u);
+  tree.FreeNode(a);
+  tree.FreeNode(c);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.LiveNodes(), (std::vector<PageId>{b}));
+  // The most recently freed id comes back first.
+  EXPECT_EQ(tree.AllocateNode(0), c);
+  EXPECT_EQ(tree.AllocateNode(0), a);
+  EXPECT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(tree.AllocateNode(0), 3u);  // Free list empty: the table grows.
 }
 
 TEST(PageStoreTest, ReadOfFreedPageFails) {
-  MemPageStore store;
-  const PageId id = store.Allocate();
-  ASSERT_TRUE(store.Write(id, {9}));
-  store.Free(id);
-  std::vector<uint8_t> payload;
-  EXPECT_FALSE(store.Read(id, &payload));
-  EXPECT_FALSE(store.Write(id, {1}));
+  // A freed id leaves the live set, and its entries do not come back with
+  // the id: a reallocated node starts empty.
+  SgTree tree(AllocOptions());
+  const PageId id = tree.AllocateNode(0);
+  Signature sig(64);
+  sig.Set(9);
+  tree.MutableNode(id).Append(sig.words(), 1);
+  tree.FreeNode(id);
+  EXPECT_TRUE(tree.LiveNodes().empty());
+  EXPECT_EQ(tree.node_count(), 0u);
+  ASSERT_EQ(tree.AllocateNode(1), id);
+  EXPECT_EQ(tree.GetNodeNoCharge(id).Count(), 0u);
+  EXPECT_EQ(tree.GetNodeNoCharge(id).level(), 1);
 }
 
 TEST(PageStoreTest, InvalidIdRejected) {
-  MemPageStore store;
-  std::vector<uint8_t> payload;
-  EXPECT_FALSE(store.Read(123, &payload));
+  SgTree tree(AllocOptions());
+  const PageId id = tree.AllocateNode(0);
+  EXPECT_DEATH(tree.GetNodeNoCharge(123), "dangling page reference");
+  EXPECT_DEATH(tree.AdoptNode(id, 0, 0), "AdoptNode on a live page id");
 }
 
 // ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def serve_rules(data):
         (light_ok > 0, "light-load row completed 0 requests"),
         (light_ok <= 0 or light_p99 <= LIGHT_P99_US,
          f"light-load p99 {light_p99:.0f}us > {LIGHT_P99_US:.0f}us — "
-         "batching/hedging is pushing the tail out under light load"),
+         "batching is pushing the tail out under light load"),
         (light_ok <= 0 or closed_p50 <= CLOSED_TO_LIGHT_P50 * light_p50,
          f"closed-loop p50 {closed_p50:.0f}us > {CLOSED_TO_LIGHT_P50:g} x "
          f"light-load p50 {light_p50:.0f}us — requests are waiting for "
