@@ -3,18 +3,21 @@
 // memory resources" because standard caching policies apply). Runs the
 // same NN workload with LRU buffers from 0 pages (every access is an I/O)
 // up to the whole tree, keeping the buffer warm ACROSS queries — the
-// steady-state serving scenario.
+// steady-state serving scenario. Exits 1 if a row misses more often than
+// the row with fewer frames before it: on the same query sequence, LRU's
+// inclusion property rules that out.
 
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "obs/export.h"
 #include "sgtree/search.h"
+#include "storage/buffer_pool.h"
 
 namespace sgtree::bench {
 namespace {
 
-void Run() {
+int Run() {
   QuestOptions qopt = PaperQuest(20, 10, 200'000);
   QuestGenerator gen(qopt);
   const Dataset dataset = gen.Generate();
@@ -30,33 +33,44 @@ void Run() {
   std::printf("%-14s %14s %14s %12s\n", "buffer_pages", "ios/query",
               "hit_ratio", "cpu_ms");
 
+  int status = 0;
+  uint64_t fewer_frames_misses = UINT64_MAX;
   for (uint32_t pages :
        {0u, 16u, 64u, 256u, 1024u, node_count}) {
-    built.tree->buffer_pool().Resize(pages);
-    built.tree->ResetIo();
+    BufferPool pool(pages);  // Cold, then warm across the queries.
+    QueryTrace trace;
     Timer timer;
     for (const Signature& q : queries) {
-      DfsNearest(*built.tree, q,
-                 built.tree->OwnPoolContext());  // Buffer stays warm.
+      DfsNearest(*built.tree, q, QueryContext{&pool, &trace});
     }
     const double elapsed = timer.ElapsedMs();
-    const IoStats& io = built.tree->io_stats();
-    // FormatHitRatio renders an untouched pool as "n/a" instead of NaN.
+    // An untouched pool has no hit rate: "n/a", not NaN.
+    const uint64_t reads = trace.buffer_hits + trace.buffer_misses;
+    char hit_ratio[32] = "n/a";
+    if (reads > 0) {
+      std::snprintf(hit_ratio, sizeof(hit_ratio), "%.2f",
+                    static_cast<double>(trace.buffer_hits) /
+                        static_cast<double>(reads));
+    }
     std::printf("%-14u %14.1f %14s %12.3f\n", pages,
-                static_cast<double>(io.random_ios) / queries.size(),
-                obs::FormatHitRatio(io).c_str(),
-                elapsed / queries.size());
+                static_cast<double>(trace.buffer_misses) / queries.size(),
+                hit_ratio, elapsed / queries.size());
+    if (trace.buffer_misses > fewer_frames_misses) {
+      std::fprintf(stderr,
+                   "FAIL: %u frames miss more often than fewer frames\n",
+                   pages);
+      status = 1;
+    }
+    fewer_frames_misses = trace.buffer_misses;
     if (pages >= node_count) break;
   }
   std::printf("\nI/O falls smoothly as frames are added — the tree degrades\n"
               "gracefully under memory pressure, unlike the memory-resident\n"
               "SG-table whose directory size is fixed at construction.\n");
+  return status;
 }
 
 }  // namespace
 }  // namespace sgtree::bench
 
-int main() {
-  sgtree::bench::Run();
-  return 0;
-}
+int main() { return sgtree::bench::Run(); }

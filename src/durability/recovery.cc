@@ -107,7 +107,6 @@ std::unique_ptr<RecoveredTree> RecoverTree(Env* env, const std::string& dir,
     }
     ++report.records_replayed;
   }
-  tree.ResetIo();
   report.torn_tail = scanner.torn();
   report.wal_valid_end = scanner.valid_end();
   report.op_seq = marker.op_seq + report.records_replayed;

@@ -1,5 +1,6 @@
 #include "join/tree_join.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/distance.h"
@@ -7,9 +8,20 @@
 
 namespace sgtree {
 
-TreeJoinBackend::TreeJoinBackend(const SgTree& r, const SgTree& s,
-                                 uint32_t buffer_pages)
-    : r_(&r), s_(&s), buffer_pages_(buffer_pages) {}
+namespace {
+
+// An LRU pool with at least as many frames as the tree has nodes never
+// evicts, so capping the frames there changes no hit or miss; it only
+// keeps a huge buffer_pages from allocating frames no read can fill.
+uint32_t JoinPoolFrames(const SgTree& tree) {
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(tree.options().buffer_pages, tree.node_count()));
+}
+
+}  // namespace
+
+TreeJoinBackend::TreeJoinBackend(const SgTree& r, const SgTree& s)
+    : r_(&r), s_(&s) {}
 
 std::string TreeJoinBackend::SupportReason(const JoinRequest& request) const {
   if (r_->num_bits() != s_->num_bits()) {
@@ -30,8 +42,8 @@ std::string TreeJoinBackend::SupportReason(const JoinRequest& request) const {
 
 bool TreeJoinBackend::Run(const JoinRequest& request, const QueryContext& ctx,
                           JoinSink* sink) const {
-  BufferPool pool_r(buffer_pages_);
-  BufferPool pool_s(buffer_pages_);
+  BufferPool pool_r(JoinPoolFrames(*r_));
+  BufferPool pool_s(JoinPoolFrames(*s_));
   const QueryContext ctx_r{&pool_r, ctx.trace};
   const QueryContext ctx_s{&pool_s, ctx.trace};
   if (request.type == JoinType::kContainment) {

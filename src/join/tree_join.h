@@ -17,14 +17,14 @@ namespace sgtree {
 /// and the baseline row `bench_join` measures PRETTI against.
 ///
 /// Each Run builds two private buffer pools — page ids are tree-local, so
-/// the two trees must never share one pool — and charges both trees' node
-/// reads plus the pair-level counters into the caller's trace.
+/// the two trees must never share one pool — each of its tree's
+/// `options().buffer_pages` frames, but never more frames than the tree has
+/// nodes, and charges both trees' node reads plus the pair-level counters
+/// into the caller's trace.
 class TreeJoinBackend : public JoinBackend {
  public:
   /// `r` and `s` must share signature width and outlive the backend.
-  /// `buffer_pages` sizes each side's per-run pool.
-  TreeJoinBackend(const SgTree& r, const SgTree& s,
-                  uint32_t buffer_pages = 64);
+  TreeJoinBackend(const SgTree& r, const SgTree& s);
 
   const char* name() const override { return "tree"; }
   std::string SupportReason(const JoinRequest& request) const override;
@@ -34,7 +34,6 @@ class TreeJoinBackend : public JoinBackend {
  private:
   const SgTree* r_;
   const SgTree* s_;
-  uint32_t buffer_pages_;
 };
 
 }  // namespace sgtree

@@ -145,29 +145,5 @@ std::string ToJson(const QueryTrace& trace) {
   return out.str();
 }
 
-std::string ToJson(const IoStats& stats) {
-  std::ostringstream out;
-  out << "{\"page_accesses\":" << stats.page_accesses
-      << ",\"buffer_hits\":" << stats.buffer_hits
-      << ",\"random_ios\":" << stats.random_ios
-      << ",\"page_writes\":" << stats.page_writes << ",\"hit_ratio\":";
-  const double ratio = stats.HitRatio();
-  if (std::isnan(ratio)) {
-    out << "\"n/a\"";
-  } else {
-    out << JsonNumber(ratio);
-  }
-  out << "}";
-  return out.str();
-}
-
-std::string FormatHitRatio(const IoStats& stats) {
-  const double ratio = stats.HitRatio();
-  if (std::isnan(ratio)) return "n/a";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", ratio);
-  return buf;
-}
-
 }  // namespace obs
 }  // namespace sgtree

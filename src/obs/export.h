@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
-#include "storage/io_stats.h"
 
 namespace sgtree {
 namespace obs {
@@ -27,15 +26,6 @@ std::string ToPrometheus(const MetricsRegistry& registry);
 
 /// JSON object with the trace's counters plus derived "nodes_visited".
 std::string ToJson(const QueryTrace& trace);
-
-/// JSON object with the pool counters plus "hit_ratio" — a number, or the
-/// string "n/a" when no page was ever accessed (an empty pool has no hit
-/// rate, not a 0% one).
-std::string ToJson(const IoStats& stats);
-
-/// Hit ratio for human-readable reports: "0.50"-style fixed precision, or
-/// "n/a" for an untouched pool.
-std::string FormatHitRatio(const IoStats& stats);
 
 }  // namespace obs
 }  // namespace sgtree

@@ -8,9 +8,10 @@
 // mutable in-memory trees, a v2 manifest (SaveStatic, `build --shards N
 // --static 1`) serves them mapped and unlocks --replicas > 1. --durable-dir
 // opens a durable index instead (mutable over the wire via
-// insert/checkpoint frames), with every shard-<i> subdirectory it holds
-// (`build --durable DIR --shards N`); a new directory starts with one
-// shard. The server prints
+// insert/checkpoint frames), with every shard-<i> subdirectory it holds;
+// the directory must already hold a sharded index (`build --durable DIR
+// --shards N`, N >= 2), and a path holding no shard-<i> directory is
+// refused. The server prints
 // "listening on 127.0.0.1:<port> (...)" once ready (port 0 =
 // ephemeral, resolved in the message — how scripts drive it without a port
 // race; the parentheses name the index mode, shards, replicas and the

@@ -23,8 +23,8 @@ namespace sgtree {
 class NearestIterator {
  public:
   /// Node accesses are charged to `ctx` (see search.h), each node at most
-  /// once per iterator; pass tree.OwnPoolContext() only to keep the tree's
-  /// own buffer warm across iterators.
+  /// once per iterator; a pool in `ctx` only matters to keep a buffer warm
+  /// across iterators.
   NearestIterator(const SgTree& tree, Signature query,
                   const QueryContext& ctx = {});
 

@@ -90,8 +90,8 @@ struct AuditReport {
   std::string Summary() const;
 };
 
-/// Audits the dynamic tree. Read-only and side-effect free: node access
-/// bypasses the buffer pool, so I/O counters are untouched.
+/// Audits the dynamic tree. Read-only and side-effect free: nodes are read
+/// without a QueryContext, so no read is charged.
 AuditReport AuditTree(const SgTree& tree, const AuditOptions& options = {});
 
 }  // namespace sgtree

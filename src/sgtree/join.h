@@ -53,8 +53,8 @@ double PairMinDist(SignatureView a, bool leaf_a, SignatureView b,
 ///
 /// Thread-safe over const trees: each tree's node accesses are charged to
 /// its own context (page ids are tree-local, so the two trees must not
-/// share one pool; pass a.OwnPoolContext() / b.OwnPoolContext() to charge
-/// each tree's own buffer pool); per-pair counters accumulate in the first
+/// share one pool; give each context a pool of its own to buffer the
+/// pages the join reads again); per-pair counters accumulate in the first
 /// context whose trace pointer is set.
 std::vector<JoinPair> SimilarityJoin(const SgTree& a, const SgTree& b,
                                      double epsilon,

@@ -72,10 +72,9 @@ struct SgTreeOptions {
   /// fixed-dimensionality bound without being told d).
   bool use_area_stats = true;
 
-  /// Frames of the tree's own LRU pool (SgTree::buffer_pool()), charged
-  /// by the update path and by callers that keep a buffer warm across
-  /// queries; queries run with no pool do not use it.
-  uint32_t buffer_pages = 128;
+  /// Frames of each side's LRU pool when the tree join (TreeJoinBackend)
+  /// reads this tree; a single query brings its own pool, or none.
+  uint32_t buffer_pages = 64;
 
   /// Resolved maximum node capacity.
   uint32_t ResolvedMaxEntries() const;

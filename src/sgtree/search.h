@@ -19,8 +19,8 @@ namespace sgtree {
 /// node read is one random-I/O miss unless the context names a pool. This
 /// is the thread-safe form the parallel QueryExecutor uses — any number of
 /// these may run concurrently against one tree, each with its own context.
-/// The default, empty context counts nothing; serial callers that want a
-/// buffer kept warm across queries pass `tree.OwnPoolContext()`.
+/// The default, empty context counts nothing; a caller that wants a
+/// buffer kept warm across queries passes its own pool in the context.
 /// Most callers should go through the unified query API instead
 /// (exec/query_api.h): build a QueryRequest and call Execute() on an
 /// SgTreeBackend, which adds parameter validation and works across every

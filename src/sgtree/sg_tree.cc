@@ -53,17 +53,11 @@ uint32_t SgTreeOptions::ResolvedMinEntries() const {
 SgTree::SgTree(const SgTreeOptions& options)
     : options_(options),
       max_entries_(options.ResolvedMaxEntries()),
-      min_entries_(options.ResolvedMinEntries()),
-      pool_(std::make_unique<BufferPool>(options.buffer_pages)) {
+      min_entries_(options.ResolvedMinEntries()) {
   SGTREE_ASSERT(options_.num_bits > 0);
   SGTREE_ASSERT(min_entries_ >= 1 && min_entries_ <= max_entries_ / 2);
   SGTREE_ASSERT_MSG(max_entries_ <= kMaxNodeEntries,
                     "node capacity above kMaxNodeEntries");
-}
-
-void SgTree::ResetIo() {
-  pool_->Clear();
-  pool_->mutable_stats()->Reset();
 }
 
 MutableNodeView SgTree::NewRecord(PageId id, uint16_t level,
@@ -73,7 +67,6 @@ MutableNodeView SgTree::NewRecord(PageId id, uint16_t level,
                       NodeRecordWords(room, WordsForBits(options_.num_bits))),
                   room};
   ++node_count_;
-  pool_->TouchWrite(id);
   MutableNodeView node(records_[id].words.get(), options_.num_bits);
   node.Reset(level);
   return node;
@@ -106,8 +99,6 @@ MutableNodeView SgTree::AdoptNode(PageId id, uint16_t level, uint32_t room) {
 }
 
 MutableNodeView SgTree::MutableNode(PageId id) {
-  pool_->Touch(id);
-  pool_->TouchWrite(id);
   SGTREE_ASSERT_MSG(IsLive(id), "dangling page reference");
   Record& record = records_[id];
   if (record.room <= max_entries_) {
@@ -124,7 +115,6 @@ MutableNodeView SgTree::MutableNode(PageId id) {
 
 void SgTree::FreeNode(PageId id) {
   SGTREE_DCHECK(IsLive(id));
-  pool_->Evict(id);
   records_[id] = {};
   free_ids_.push_back(id);
   --node_count_;

@@ -12,7 +12,6 @@
 #include "data/transaction.h"
 #include "sgtree/node.h"
 #include "sgtree/options.h"
-#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/query_context.h"
 
@@ -36,9 +35,9 @@ namespace sgtree {
 /// so a thawed tree holds no more than its image, whatever M the image
 /// claims.
 ///
-/// Every node access is charged, so the exact random-I/O cost of the
-/// access pattern is measured: a query charges one I/O per node read to its
-/// QueryContext, and the update path charges the tree's own LRU BufferPool.
+/// A query charges each node read to its QueryContext, the one place a
+/// random I/O is counted; a caller that wants a warm buffer brings its own
+/// BufferPool in the context. Updates simulate no I/O.
 class SgTree {
  public:
   explicit SgTree(const SgTreeOptions& options);
@@ -100,25 +99,6 @@ class SgTree {
     return {records_[id].words.get(), options_.num_bits};
   }
 
-  /// The tree's own buffer pool: charged by the update path and by serial
-  /// queries that pass OwnPoolContext(). It stays for callers that read
-  /// pages again — the warm-buffer experiment and the tree joins.
-  /// Mutating the pool requires a non-const tree — a const SgTree& is
-  /// genuinely read-only and therefore safe to share across threads.
-  BufferPool& buffer_pool() { return *pool_; }
-  const BufferPool& buffer_pool() const { return *pool_; }
-
-  /// Query context charging this tree's own pool (serial use only), for
-  /// reads that should hit a buffer kept warm across queries or join
-  /// steps. The optional trace receives the per-query counters.
-  QueryContext OwnPoolContext(QueryTrace* trace = nullptr) {
-    return QueryContext{pool_.get(), trace};
-  }
-
-  const IoStats& io_stats() const { return pool_->stats(); }
-  /// Clears the buffer contents and counters (cold-cache measurements).
-  void ResetIo();
-
   // -- Low-level node management (bulk loading and thaw) ----------------
 
   /// Allocates an empty node at `level` and returns its id.
@@ -128,11 +108,10 @@ class SgTree {
   /// `room` entries; MutableNode widens it to max_entries + 1 at its first
   /// edit. The id must not be live.
   MutableNodeView AdoptNode(PageId id, uint16_t level, uint32_t room);
-  /// Mutable access; charges a read and a write against the buffer pool.
-  /// A view stays valid until its node is freed: every record is its own
-  /// allocation, so growing the node table does not move it. The one
-  /// exception is an adopted record's first MutableNode, which moves it to
-  /// a record with room for max_entries + 1 entries.
+  /// Mutable access. A view stays valid until its node is freed: every
+  /// record is its own allocation, so growing the node table does not move
+  /// it. The one exception is an adopted record's first MutableNode, which
+  /// moves it to a record with room for max_entries + 1 entries.
   MutableNodeView MutableNode(PageId id);
   /// Frees a node page.
   void FreeNode(PageId id);
@@ -149,7 +128,7 @@ class SgTree {
   }
 
   /// Gives page `id` an empty record at `level` with room for `room`
-  /// entries and charges its write.
+  /// entries.
   MutableNodeView NewRecord(PageId id, uint16_t level, uint32_t room);
 
   /// Inserts the entry (sig, ref) into a node at exactly `target_level` in
@@ -187,7 +166,6 @@ class SgTree {
   // Every free id below records_.size(), each once; AllocateNode takes the
   // last (the most recently freed).
   std::vector<PageId> free_ids_;
-  std::unique_ptr<BufferPool> pool_;
 
   PageId root_ = kInvalidPageId;
   uint32_t height_ = 0;

@@ -10,13 +10,12 @@ namespace sgtree {
 JoinResult CollectTreePairJoin(const JoinRequest& request, const SgTree& r,
                                const SgTree& s, const SetCollection& r_sets,
                                const InvertedPostings& s_postings,
-                               uint32_t buffer_pages,
                                std::vector<JoinPair>* pairs) {
   if (request.type == JoinType::kContainment) {
     const PrettiJoinBackend pretti(r_sets, s_postings);
     return CollectJoin(pretti, request, pairs);
   }
-  const TreeJoinBackend tree(r, s, buffer_pages);
+  const TreeJoinBackend tree(r, s);
   return CollectJoin(tree, request, pairs);
 }
 
@@ -69,7 +68,7 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
     const uint32_t j = static_cast<uint32_t>(t % m);
     task_results[t] = CollectTreePairJoin(
         request, left_->shard(i), right_->shard(j), left_sets_[i],
-        *right_postings_[j], options_.buffer_pages, &task_pairs[t]);
+        *right_postings_[j], &task_pairs[t]);
   });
 
   size_t total = 0;

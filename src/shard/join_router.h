@@ -24,12 +24,9 @@ namespace sgtree {
 JoinResult CollectTreePairJoin(const JoinRequest& request, const SgTree& r,
                                const SgTree& s, const SetCollection& r_sets,
                                const InvertedPostings& s_postings,
-                               uint32_t buffer_pages,
                                std::vector<JoinPair>* pairs);
 
 struct JoinRouterOptions {
-  /// Frames of each side's private pool in the tree-join tasks.
-  uint32_t buffer_pages = 64;
   /// Optional registry: every Run feeds "join.requests", "join.rejected",
   /// "join.pairs", "join.fanout_tasks", the per-task "join.task_us"
   /// histogram and the per-request "join.latency_us" histogram, all from

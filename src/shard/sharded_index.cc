@@ -60,16 +60,26 @@ std::unique_ptr<ShardedIndex> ShardedIndex::OpenDurable(
     Env* env, const std::string& dir, const ShardedIndexOptions& options,
     std::string* error) {
   SGTREE_ASSERT_MSG(options.num_shards > 0, "num_shards must be positive");
-  if (!env->FileExists(dir) && !env->CreateDir(dir)) {
-    if (error != nullptr) *error = "cannot create shard root " + dir;
-    return nullptr;
-  }
   // A directory that already holds shard-0 .. shard-(n-1) opens as those n
   // shards, as Load takes the count from its manifest; num_shards sizes
   // only a new directory. Asking for more than it holds is refused: the
   // directory may be left over from a creation that failed part way.
   uint32_t existing = 0;
   while (env->FileExists(ShardDirFor(dir, existing))) ++existing;
+  if (existing == 0 && options.tree.num_bits == 0) {
+    // A new shard has no image to take its width from; refuse before
+    // creating anything, so the refusal leaves no directory behind.
+    if (error != nullptr) {
+      *error = dir + " holds no shard-<i> directory; create a sharded index "
+                     "there with sgtree_cli build --durable " + dir +
+               " --shards N (N >= 2)";
+    }
+    return nullptr;
+  }
+  if (!env->FileExists(dir) && !env->CreateDir(dir)) {
+    if (error != nullptr) *error = "cannot create shard root " + dir;
+    return nullptr;
+  }
   if (existing > 0 && existing < options.num_shards) {
     if (error != nullptr) {
       *error = dir + " holds " + std::to_string(existing) +

@@ -18,7 +18,7 @@
 namespace sgtree {
 
 /// Options of a ShardedIndex. `tree` configures every per-shard SG-tree
-/// identically (each shard still owns its private buffer pool).
+/// identically.
 struct ShardedIndexOptions {
   uint32_t num_shards = 1;
   SgTreeOptions tree;
@@ -80,8 +80,10 @@ class ShardedIndex {
   /// already holds `shard-0` .. `shard-<n-1>` opens as exactly those n
   /// shards when `options.num_shards` is n or less (Load likewise takes the
   /// count from its manifest), and is refused when it is more;
-  /// `options.num_shards` sizes a new directory. Returns nullptr with
-  /// `*error` set if the counts disagree or any shard fails to open.
+  /// `options.num_shards` sizes a new directory, which also needs
+  /// `options.tree.num_bits`: without a width, a directory holding no shard
+  /// is refused before anything is created. Returns nullptr with `*error`
+  /// set if the counts disagree or any shard fails to open.
   static std::unique_ptr<ShardedIndex> OpenDurable(
       Env* env, const std::string& dir, const ShardedIndexOptions& options,
       std::string* error);

@@ -48,8 +48,8 @@ namespace static_format {
 ///
 /// Directory entries' `ref` is the child's node index; leaf entries' `ref`
 /// is the transaction id. Node indexes double as the PageIds the search
-/// layer charges to the buffer pool, preserving the dynamic tree's LRU
-/// hit/miss pattern node for node.
+/// layer charges to a query's buffer pool, preserving the dynamic tree's
+/// LRU hit/miss pattern node for node.
 inline constexpr char kMagic[8] = {'S', 'G', 'S', 'T', 'A', 'T', 'I', 'C'};
 /// Magic of the retired SGTREE01 snapshot format, which had no checksum.
 /// The reader recognizes it only to refuse it with a reason.

@@ -104,7 +104,6 @@ std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view) {
     tree->NoteTransactionArea(area_hi);
   }
   tree->SetRoot(view.root(), view.height(), view.size());
-  tree->ResetIo();
   return tree;
 }
 

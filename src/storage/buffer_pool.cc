@@ -16,10 +16,8 @@ BufferPool::BufferPool(uint32_t capacity) : capacity_(capacity) {
 }
 
 bool BufferPool::Touch(PageId id) {
-  ++stats_.page_accesses;
   auto it = index_.find(id);
   if (it != index_.end()) {
-    ++stats_.buffer_hits;
     const uint32_t f = it->second;
     if (f != head_) {
       Unlink(f);
@@ -27,23 +25,8 @@ bool BufferPool::Touch(PageId id) {
     }
     return true;
   }
-  ++stats_.random_ios;
   Insert(id);
   return false;
-}
-
-void BufferPool::TouchWrite(PageId id) {
-  ++stats_.page_writes;
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    const uint32_t f = it->second;
-    if (f != head_) {
-      Unlink(f);
-      LinkFront(f);
-    }
-    return;
-  }
-  Insert(id);
 }
 
 void BufferPool::Evict(PageId id) {

@@ -22,11 +22,11 @@ namespace sgtree {
 /// one parent, and best-first search enqueues each child once — so a
 /// cleared pool of any size would miss on every read too. A pool is only
 /// worth passing where pages are read again: across queries (the
-/// warm-buffer experiment, the tree's update path) or within a join. The
-/// Count*/Charge* helpers below are the single place the search code
-/// reports through — and a default-constructed context makes every one of
-/// them a no-op, which is the "metrics off" mode the differential tests
-/// compare against.
+/// warm-buffer experiment) or within a join. ChargeRead is the one place a
+/// read is counted, and the Count*/Charge* helpers below are the single
+/// place the search code reports through — a default-constructed context
+/// makes every one of them a no-op, which is the "metrics off" mode the
+/// differential tests compare against.
 struct QueryContext {
   BufferPool* pool = nullptr;
   QueryTrace* trace = nullptr;

@@ -789,18 +789,20 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   request.metric = metric;
   request.threshold = cmd.DoubleOr("threshold", 0.0);
 
+  // The loaded trees carry --buffer-pages: it sizes each side's tree-join
+  // pool.
+  SgTreeOptions options;
+  options.metric = metric;
+  options.buffer_pages = static_cast<uint32_t>(
+      cmd.UintOr("buffer-pages", options.buffer_pages));
   const bool sharded = cmd.IntOr("shards", 0) != 0;
   const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
-  const auto buffer_pages =
-      static_cast<uint32_t>(cmd.UintOr("buffer-pages", 64));
   const bool json = cmd.BoolOr("json", false);
   const bool print_trace = cmd.BoolOr("trace", false);
   const uint64_t limit = cmd.UintOr("limit", 20, kMaxFlagValue);
   const auto metrics_path = cmd.GetString("metrics-json");
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
-  SgTreeOptions options;
-  options.metric = metric;
   obs::MetricsRegistry registry;
   JoinResult result;
   std::vector<JoinPair> pairs;
@@ -823,7 +825,6 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     exec_options.num_threads = threads;
     QueryExecutor executor(exec_options);
     JoinRouterOptions router_options;
-    router_options.buffer_pages = buffer_pages;
     router_options.metrics = &registry;
     JoinRouter router(*left, *right, &executor, router_options);
     result = router.Run(request, &pairs);
@@ -846,7 +847,7 @@ int CmdJoin(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   const SetCollection s_sets = SetCollection::FromTree(*right, {});
   const InvertedPostings s_postings(s_sets);
   result = CollectTreePairJoin(request, *left, *right, r_sets, s_postings,
-                               buffer_pages, &pairs);
+                               &pairs);
   if (!result.ok()) return Fail(err, result.error);
   registry.GetCounter("join.requests")->Increment(1);
   registry.GetCounter("join.pairs")->Increment(result.pairs);

@@ -79,6 +79,8 @@ namespace sgtree {
 ///               manifests and the join scatter-gathers over the
 ///               |R shards| x |S shards| grid (shard/join_router.h) —
 ///               results are byte-identical to the unsharded run.
+///               --buffer-pages N (default 64) sets the loaded trees'
+///               buffer_pages: the frames of each side's tree-join pool.
 ///               Validation and support errors (a bad threshold, a
 ///               similarity join over trees of different signature widths)
 ///               exit 1 with the reason on stderr.

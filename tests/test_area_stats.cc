@@ -165,11 +165,10 @@ TEST(TreeAreaStatsTest, StatsLearnFixedDimensionalityOnCensus) {
   QueryTrace configured_trace;
   for (const Transaction& q : gen.GenerateQueries(25)) {
     const Signature sig = Signature::FromItems(q.items, census.num_items);
-    const Neighbor a = DfsNearest(
-        tree_learned, sig, tree_learned.OwnPoolContext(&learned_trace));
-    const Neighbor b = DfsNearest(
-        tree_configured, sig,
-        tree_configured.OwnPoolContext(&configured_trace));
+    const Neighbor a =
+        DfsNearest(tree_learned, sig, QueryContext{nullptr, &learned_trace});
+    const Neighbor b = DfsNearest(tree_configured, sig,
+                                  QueryContext{nullptr, &configured_trace});
     EXPECT_DOUBLE_EQ(a.distance, b.distance);
   }
   EXPECT_EQ(learned_trace.candidates_verified,
@@ -197,10 +196,9 @@ TEST(TreeAreaStatsTest, ExactnessWithMixedSizes) {
   for (int q = 0; q < 25; ++q) {
     Signature query = RandomSignature(rng, 150, 0.05);
     if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(tree, query, tree.OwnPoolContext()).distance,
+    EXPECT_DOUBLE_EQ(DfsNearest(tree, query).distance,
                      scan.Nearest(query).distance);
-    EXPECT_EQ(RangeSearch(tree, query, 10.0, tree.OwnPoolContext()).size(),
+    EXPECT_EQ(RangeSearch(tree, query, 10.0).size(),
               scan.Range(query, 10.0).size());
   }
 }

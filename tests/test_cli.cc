@@ -754,6 +754,33 @@ TEST(CliTest, JoinPicksTheAlgorithmFromThePredicate) {
   RemoveJoinInputs(left, right);
 }
 
+// --buffer-pages sets the loaded trees' buffer_pages, and a join pool never
+// holds more frames than its tree has nodes: the largest value runs the
+// same join as any value past the trees' size, without allocating a frame
+// for every page it names.
+TEST(CliTest, JoinBufferPagesNeverAllocatesPastTheTree) {
+  const std::string left = TempPath("cli_join_pages_l.bin");
+  const std::string right = TempPath("cli_join_pages_r.bin");
+  BuildJoinInputs(left, right);
+  // The output of a traced similarity join, its wall time cut out.
+  auto run = [&](const std::string& pages) {
+    const CliResult r = RunArgs({"join", "similar", "--left", left, "--right",
+                                 right, "--threshold", "4", "--limit", "0",
+                                 "--trace", "1", "--buffer-pages", pages});
+    EXPECT_EQ(r.code, 0) << r.err;
+    std::string out = r.out;
+    const size_t in = out.find(" in ", out.find(" pairs via tree"));
+    const size_t ms = out.find(" ms\n", in);
+    EXPECT_NE(ms, std::string::npos) << out;
+    if (ms != std::string::npos) out.erase(in, ms - in);
+    return out;
+  };
+  const std::string most = run("4294967295");
+  EXPECT_NE(most.find("# trace: nodes="), std::string::npos) << most;
+  EXPECT_EQ(most, run("1000000"));
+  RemoveJoinInputs(left, right);
+}
+
 TEST(CliTest, JoinValidationAndSupportErrorsExitNonzero) {
   const std::string data = TempPath("cli_join_e.txt");
   const std::string index = TempPath("cli_join_e.bin");

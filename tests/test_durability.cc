@@ -768,13 +768,10 @@ TEST(DurableTreeTest, InsertEraseSurviveReopen) {
   EXPECT_EQ(durable->tree().size(), 29u);
   const std::vector<ItemId> gone_items = {4, 20};
   const Signature gone = Signature::FromItems(gone_items, 64);
-  EXPECT_TRUE(ExactSearch(durable->tree(), gone,
-                          durable->tree().OwnPoolContext())
-                  .empty());
+  EXPECT_TRUE(ExactSearch(durable->tree(), gone).empty());
   const std::vector<ItemId> kept_items = {5, 25};
   const Signature kept = Signature::FromItems(kept_items, 64);
-  EXPECT_EQ(ExactSearch(durable->tree(), kept,
-                        durable->tree().OwnPoolContext()),
+  EXPECT_EQ(ExactSearch(durable->tree(), kept),
             (std::vector<uint64_t>{5}));
 }
 

@@ -76,10 +76,9 @@ TEST(CosineTest, TreeSearchExact) {
   for (int q = 0; q < 25; ++q) {
     Signature query = RandomSignature(rng, 200, 0.05);
     if (query.Empty()) query.Set(1);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(tree, query, tree.OwnPoolContext()).distance,
+    EXPECT_DOUBLE_EQ(DfsNearest(tree, query).distance,
                      scan.Nearest(query, Metric::kCosine).distance);
-    const auto knn = DfsKNearest(tree, query, 7, tree.OwnPoolContext());
+    const auto knn = DfsKNearest(tree, query, 7);
     const auto expected = scan.KNearest(query, 7, Metric::kCosine);
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_DOUBLE_EQ(knn[i].distance, expected[i].distance);
@@ -224,8 +223,7 @@ TEST_P(BulkOrderTest, InvariantsAndExactness) {
   for (int q = 0; q < 15; ++q) {
     Signature query = RandomSignature(rng, 200, 0.05);
     if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*tree, query, tree->OwnPoolContext()).distance,
+    EXPECT_DOUBLE_EQ(DfsNearest(*tree, query).distance,
                      scan.Nearest(query).distance);
   }
 }

@@ -16,6 +16,7 @@
 #include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
+#include "storage/buffer_pool.h"
 
 namespace sgtree {
 namespace {
@@ -59,9 +60,7 @@ TEST(IntegrationTest, AllThreeIndexesAgreeOnQuestNn) {
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
     const double expected = w.scan->Nearest(sig).distance;
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*w.tree, sig, w.tree->OwnPoolContext()).distance,
-        expected);
+    EXPECT_DOUBLE_EQ(DfsNearest(*w.tree, sig).distance, expected);
     EXPECT_DOUBLE_EQ(w.table->Nearest(sig).distance, expected);
   }
 }
@@ -71,17 +70,14 @@ TEST(IntegrationTest, AllThreeIndexesAgreeOnQuestKnnAndRange) {
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
     const auto knn_scan = w.scan->KNearest(sig, 10);
-    const auto knn_tree =
-        DfsKNearest(*w.tree, sig, 10, w.tree->OwnPoolContext());
+    const auto knn_tree = DfsKNearest(*w.tree, sig, 10);
     const auto knn_table = w.table->KNearest(sig, 10);
     for (size_t i = 0; i < 10; ++i) {
       EXPECT_DOUBLE_EQ(knn_tree[i].distance, knn_scan[i].distance);
       EXPECT_DOUBLE_EQ(knn_table[i].distance, knn_scan[i].distance);
     }
     const auto range_scan = w.scan->Range(sig, 8.0);
-    EXPECT_EQ(
-        RangeSearch(*w.tree, sig, 8.0, w.tree->OwnPoolContext()).size(),
-        range_scan.size());
+    EXPECT_EQ(RangeSearch(*w.tree, sig, 8.0).size(), range_scan.size());
     EXPECT_EQ(w.table->Range(sig, 8.0).size(), range_scan.size());
   }
 }
@@ -107,8 +103,7 @@ TEST(IntegrationTest, CensusPipelineEndToEnd) {
   for (const Transaction& q : gen.GenerateQueries(20)) {
     const Signature sig = Signature::FromItems(q.items, dataset.num_items);
     const double expected = scan.Nearest(sig).distance;
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*tree, sig, tree->OwnPoolContext()).distance, expected);
+    EXPECT_DOUBLE_EQ(DfsNearest(*tree, sig).distance, expected);
     EXPECT_DOUBLE_EQ(table.Nearest(sig).distance, expected);
     // Census distances are even (fixed dimensionality 36).
     EXPECT_EQ(static_cast<long long>(expected) % 2, 0);
@@ -153,8 +148,7 @@ TEST(IntegrationTest, DynamicBatchesStayExact) {
   for (const Transaction& q : query_gen.GenerateQueries(15)) {
     const Signature sig = Signature::FromItems(q.items, 300);
     const double expected = scan.Nearest(sig).distance;
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(tree, sig, tree.OwnPoolContext()).distance, expected);
+    EXPECT_DOUBLE_EQ(DfsNearest(tree, sig).distance, expected);
     EXPECT_DOUBLE_EQ(table.Nearest(sig).distance, expected);
   }
 }
@@ -164,7 +158,7 @@ TEST(IntegrationTest, TreePrunesBetterThanScanOnClusteredData) {
   QueryTrace tree_trace;
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
-    DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&tree_trace));
+    DfsNearest(*w.tree, sig, QueryContext{nullptr, &tree_trace});
   }
   const uint64_t full = w.queries.size() * w.dataset.size();
   // The headline property: the index avoids a large share of the data even
@@ -179,9 +173,8 @@ TEST(IntegrationTest, BulkAndIncrementalTreesAgreeEverywhere) {
   auto bulk = BulkLoad(w.dataset, topt);
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*bulk, sig, bulk->OwnPoolContext()).distance,
-        DfsNearest(*w.tree, sig, w.tree->OwnPoolContext()).distance);
+    EXPECT_DOUBLE_EQ(DfsNearest(*bulk, sig).distance,
+                     DfsNearest(*w.tree, sig).distance);
   }
 }
 
@@ -206,9 +199,8 @@ TEST(IntegrationTest, MixedWorkloadSurvivesEverything) {
   LinearScan scan(remaining);
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*w.tree, sig, w.tree->OwnPoolContext()).distance,
-        scan.Nearest(sig).distance);
+    EXPECT_DOUBLE_EQ(DfsNearest(*w.tree, sig).distance,
+                     scan.Nearest(sig).distance);
   }
 
   // Re-insert the deleted third; results must match the full scan again.
@@ -218,22 +210,22 @@ TEST(IntegrationTest, MixedWorkloadSurvivesEverything) {
   ASSERT_TRUE(AuditTree(*w.tree).ok());
   for (const Transaction& q : w.queries) {
     const Signature sig = Signature::FromItems(q.items, 400);
-    EXPECT_DOUBLE_EQ(
-        DfsNearest(*w.tree, sig, w.tree->OwnPoolContext()).distance,
-        w.scan->Nearest(sig).distance);
+    EXPECT_DOUBLE_EQ(DfsNearest(*w.tree, sig).distance,
+                     w.scan->Nearest(sig).distance);
   }
 }
 
 TEST(IntegrationTest, BufferPoolReducesIosOnRepeatedQueries) {
   const Workbench w = QuestBench(107, 2000);
-  w.tree->ResetIo();
   const Signature sig =
       Signature::FromItems(w.queries[0].items, 400);
+  BufferPool pool(64);  // The caller's buffer, warm for the second query.
   QueryTrace cold;
-  DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&cold));
+  DfsNearest(*w.tree, sig, QueryContext{&pool, &cold});
   QueryTrace warm;
-  DfsNearest(*w.tree, sig, w.tree->OwnPoolContext(&warm));
+  DfsNearest(*w.tree, sig, QueryContext{&pool, &warm});
   EXPECT_LT(warm.buffer_misses, cold.buffer_misses + 1);  // Warm <= cold.
+  EXPECT_GT(warm.buffer_hits, 0u);
   EXPECT_EQ(warm.nodes_visited(), cold.nodes_visited());
 }
 

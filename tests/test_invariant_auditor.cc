@@ -25,7 +25,6 @@ SgTreeOptions SmallOptions(uint32_t num_bits = 100) {
   SgTreeOptions options;
   options.num_bits = num_bits;
   options.max_entries = 8;
-  options.buffer_pages = 16;
   return options;
 }
 

@@ -26,7 +26,9 @@
 #include "obs/query_trace.h"
 #include "shard/join_router.h"
 #include "shard/sharded_index.h"
+#include "sgtree/join.h"
 #include "sgtree/sg_tree.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -396,6 +398,53 @@ TEST(JoinTraceTest, TracesAreSelfConsistent) {
                 {.pooled = false, .strict_pruning = false, .predicate = false}),
             "");
   EXPECT_GT(result.trace.nodes_visited(), 0u);
+}
+
+// The tree join sizes each side's per-run pool from that tree's
+// buffer_pages: its pairs and trace are those of the traversal run over
+// two caller-owned pools of that many frames.
+TEST(JoinTraceTest, TreeJoinPoolsTakeTheTreesBufferPages) {
+  constexpr uint32_t kFrames = 16;
+  SgTreeOptions options = TreeOptions();
+  options.buffer_pages = kFrames;
+  SgTree r_tree(options);
+  SgTree s_tree(options);
+  for (const Transaction& txn : UniformSets(83, 200, 1000, 40, 6)) {
+    r_tree.Insert(txn);
+  }
+  for (const Transaction& txn : UniformSets(84, 200, 5000, 40, 6)) {
+    s_tree.Insert(txn);
+  }
+  ASSERT_GT(r_tree.node_count(), kFrames);
+  ASSERT_GT(s_tree.node_count(), kFrames);
+  const JoinRequest request{JoinType::kSimilarity, Metric::kHamming, 4.0};
+
+  std::vector<JoinPair> pairs;
+  const JoinResult result =
+      CollectJoin(TreeJoinBackend(r_tree, s_tree), request, &pairs);
+  ASSERT_TRUE(result.ok()) << result.error;
+
+  // Reads through pools of `frames` frames each, into `*trace`.
+  auto traverse = [&](uint32_t frames, QueryTrace* trace) {
+    BufferPool pool_r(frames);
+    BufferPool pool_s(frames);
+    std::vector<JoinPair> out;
+    VectorJoinSink sink(&out);
+    EXPECT_TRUE(SimilarityJoinInto(r_tree, s_tree, JoinDistanceBound(request),
+                                   {&pool_r, trace}, {&pool_s, trace},
+                                   &sink));
+    std::sort(out.begin(), out.end(), CanonicalPairLess);
+    return out;
+  };
+  QueryTrace trace;
+  EXPECT_EQ(pairs, traverse(kFrames, &trace));
+  EXPECT_EQ(result.trace, trace);
+  // The frame count shows in the trace: pools that hold every node miss
+  // less often.
+  QueryTrace unbounded;
+  traverse(static_cast<uint32_t>(r_tree.node_count() + s_tree.node_count()),
+           &unbounded);
+  EXPECT_LT(unbounded.buffer_misses, trace.buffer_misses);
 }
 
 // ---------------------------------------------------------------------------

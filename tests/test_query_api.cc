@@ -218,30 +218,25 @@ TEST(ExecuteTest, SgTreeBackendMatchesDirectCalls) {
     pool.Clear();
     auto knn = Execute(SgTreeBackend(*f.tree), Request(QueryType::kKnn, q),
                        &pool);
-    EXPECT_EQ(knn.neighbors,
-              DfsKNearest(*f.tree, q, 3, f.tree->OwnPoolContext()));
+    EXPECT_EQ(knn.neighbors, DfsKNearest(*f.tree, q, 3));
 
     auto best =
         Execute(SgTreeBackend(*f.tree), Request(QueryType::kBestFirstKnn, q));
-    EXPECT_EQ(best.neighbors,
-              BestFirstKNearest(*f.tree, q, 3, f.tree->OwnPoolContext()));
+    EXPECT_EQ(best.neighbors, BestFirstKNearest(*f.tree, q, 3));
 
     auto range = Execute(SgTreeBackend(*f.tree), Request(QueryType::kRange, q));
-    EXPECT_EQ(range.neighbors,
-              RangeSearch(*f.tree, q, 8.0, f.tree->OwnPoolContext()));
+    EXPECT_EQ(range.neighbors, RangeSearch(*f.tree, q, 8.0));
 
     auto contain =
         Execute(SgTreeBackend(*f.tree), Request(QueryType::kContainment, q));
-    EXPECT_EQ(contain.ids,
-              ContainmentSearch(*f.tree, q, f.tree->OwnPoolContext()));
+    EXPECT_EQ(contain.ids, ContainmentSearch(*f.tree, q));
 
     auto exact = Execute(SgTreeBackend(*f.tree), Request(QueryType::kExact, q));
-    EXPECT_EQ(exact.ids, ExactSearch(*f.tree, q, f.tree->OwnPoolContext()));
+    EXPECT_EQ(exact.ids, ExactSearch(*f.tree, q));
 
     auto subset =
         Execute(SgTreeBackend(*f.tree), Request(QueryType::kSubset, q));
-    EXPECT_EQ(subset.ids,
-              SubsetSearch(*f.tree, q, f.tree->OwnPoolContext()));
+    EXPECT_EQ(subset.ids, SubsetSearch(*f.tree, q));
   }
 }
 

@@ -1,11 +1,11 @@
 // The differential harness locking down the observability layer (DESIGN.md
 // §6): every query type on every backend must fill a self-consistent
-// QueryTrace, tracing must never change results or the buffer pool's
-// traffic, and the trace's buffer split must agree exactly with the IoStats
-// numbers of the pool it charged.
+// QueryTrace, and tracing must never change results or the buffer pool's
+// traffic.
 
 #include "obs/query_trace.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,6 +112,9 @@ struct TreeFixture {
   std::vector<Signature> queries;
 };
 
+// Frames of the caller-owned pools below.
+constexpr uint32_t kPoolFrames = 16;
+
 TreeFixture MakeTreeFixture(uint64_t seed, Metric metric,
                             uint32_t num_transactions = 900,
                             uint32_t num_queries = 8) {
@@ -121,7 +124,6 @@ TreeFixture MakeTreeFixture(uint64_t seed, Metric metric,
   options.num_bits = 200;
   options.max_entries = 10;
   options.metric = metric;
-  options.buffer_pages = 16;
   f.tree = std::make_unique<SgTree>(options);
   for (const Transaction& txn : f.dataset.transactions) f.tree->Insert(txn);
   Rng rng(seed ^ 0xace);
@@ -148,20 +150,15 @@ TEST_P(TreeTraceTest, EveryQueryTypeSatisfiesStrictInvariants) {
   const double epsilon = GetParam() == Metric::kHamming ? 6.0 : 0.4;
   for (const TreeQuery type : kAllTreeQueries) {
     for (size_t i = 0; i < f.queries.size(); ++i) {
-      f.tree->ResetIo();
+      BufferPool pool(kPoolFrames);  // Cold per query.
       QueryTrace trace;
       RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                   f.tree->OwnPoolContext(&trace));
+                   QueryContext{&pool, &trace});
       TraceCheckOptions opts;
       opts.predicate = HasPredicate(type);
       EXPECT_EQ(CheckTraceInvariants(trace, opts), "")
           << TreeQueryName(type) << " query " << i;
       EXPECT_GT(trace.nodes_visited(), 0u);
-
-      // Cold pool per query: the pool's own counters see the same traffic.
-      EXPECT_EQ(f.tree->io_stats().random_ios, trace.buffer_misses);
-      EXPECT_EQ(f.tree->io_stats().buffer_hits, trace.buffer_hits);
-      EXPECT_EQ(f.tree->io_stats().page_accesses, trace.nodes_visited());
     }
   }
 }
@@ -171,23 +168,21 @@ TEST_P(TreeTraceTest, TracingNeverChangesResultsOrLegacyCounters) {
   const double epsilon = GetParam() == Metric::kHamming ? 6.0 : 0.4;
   for (const TreeQuery type : kAllTreeQueries) {
     for (size_t i = 0; i < f.queries.size(); ++i) {
-      f.tree->ResetIo();
       // Metrics "off": the pool is charged, no trace is kept.
+      BufferPool pool_off(kPoolFrames);
       const RunOutput off = RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                                         f.tree->OwnPoolContext());
-      const IoStats io_off = f.tree->io_stats();
+                                         QueryContext{&pool_off, nullptr});
 
-      f.tree->ResetIo();
+      BufferPool pool_on(kPoolFrames);
       QueryTrace trace;  // Metrics "on".
       const RunOutput on = RunTreeQuery(*f.tree, type, f.queries[i], epsilon,
-                                        f.tree->OwnPoolContext(&trace));
-      const IoStats io_on = f.tree->io_stats();
+                                        QueryContext{&pool_on, &trace});
 
       EXPECT_EQ(on, off) << TreeQueryName(type) << " query " << i;
-      EXPECT_EQ(io_on.page_accesses, io_off.page_accesses);
-      EXPECT_EQ(io_on.buffer_hits, io_off.buffer_hits);
-      EXPECT_EQ(io_on.random_ios, io_off.random_ios);
-      EXPECT_EQ(trace.buffer_misses, io_off.random_ios);
+      // The same reads left the same pages resident.
+      EXPECT_EQ(pool_on.ResidentPages(), pool_off.ResidentPages());
+      EXPECT_EQ(pool_on.ResidentPages(),
+                std::min<uint64_t>(trace.buffer_misses, kPoolFrames));
 
       // A fully-null context (no pool, no trace) still returns identical
       // values.
@@ -206,8 +201,7 @@ INSTANTIATE_TEST_SUITE_P(Metrics, TreeTraceTest,
 
 TEST(TreeTraceTest, WarmPoolSatisfiesPooledInvariant) {
   // A caller-owned pool that is never cleared between queries: the trace
-  // still splits every node access into exactly one hit or miss, and the
-  // pool's own counters see the same traffic.
+  // still splits every node access into exactly one hit or miss.
   const TreeFixture f = MakeTreeFixture(19, Metric::kHamming);
   BufferPool pool(64);
   const SgTree& tree = *f.tree;  // Const ref: the thread-safe entry point.
@@ -226,30 +220,30 @@ TEST(TreeTraceTest, WarmPoolSatisfiesPooledInvariant) {
   }
   // The pool stays warm across queries, so later queries must have hits.
   EXPECT_GT(total.buffer_hits, 0u);
-  EXPECT_EQ(pool.stats().random_ios, total.buffer_misses);
-  EXPECT_EQ(pool.stats().buffer_hits, total.buffer_hits);
-  EXPECT_EQ(pool.stats().page_accesses, total.nodes_visited());
 }
 
 TEST(TreeTraceTest, BufferMissesMatchLegacyIoStatsOnColdCache) {
   // The Figure 6 protocol: per-query random I/O against a cold 16-frame
-  // buffer. The pool's own miss counter and the trace's miss count are the
-  // same number, traced or not.
+  // buffer. A query reads no node twice, so the cold pool misses on every
+  // read, as a context with no pool counts it, traced or not.
   TreeFixture f = MakeTreeFixture(20, Metric::kHamming);
   for (const Signature& q : f.queries) {
-    f.tree->ResetIo();
+    BufferPool untraced_pool(kPoolFrames);
     const auto untraced_result =
-        DfsKNearest(*f.tree, q, 5, f.tree->OwnPoolContext());
-    const uint64_t pool_ios = f.tree->io_stats().random_ios;
+        DfsKNearest(*f.tree, q, 5, QueryContext{&untraced_pool, nullptr});
 
-    f.tree->ResetIo();
+    BufferPool pool(kPoolFrames);
     QueryTrace trace;
     const auto traced_result =
-        DfsKNearest(*f.tree, q, 5, f.tree->OwnPoolContext(&trace));
+        DfsKNearest(*f.tree, q, 5, QueryContext{&pool, &trace});
+
+    QueryTrace no_pool;
+    DfsKNearest(*f.tree, q, 5, QueryContext{nullptr, &no_pool});
 
     EXPECT_EQ(traced_result, untraced_result);
-    EXPECT_EQ(trace.buffer_misses, pool_ios);
-    EXPECT_EQ(f.tree->io_stats().random_ios, pool_ios);
+    EXPECT_EQ(trace.buffer_hits, 0u);
+    EXPECT_EQ(trace.buffer_misses, no_pool.buffer_misses);
+    EXPECT_EQ(trace.buffer_misses, trace.nodes_visited());
   }
 }
 
@@ -261,12 +255,13 @@ TEST(TreeTraceTest, BufferMissesMatchLegacyIoStatsOnColdCache) {
 TEST(JoinTraceTest, SimilarityJoinTracesAreConsistent) {
   TreeFixture fa = MakeTreeFixture(41, Metric::kHamming, 300);
   TreeFixture fb = MakeTreeFixture(42, Metric::kHamming, 300);
-  fa.tree->ResetIo();
-  fb.tree->ResetIo();
   QueryTrace ta, tb;
-  const auto pairs =
-      SimilarityJoin(*fa.tree, *fb.tree, 4.0, fa.tree->OwnPoolContext(&ta),
-                     fb.tree->OwnPoolContext(&tb));
+  // Page ids are tree-local: each side reads through a pool of its own.
+  BufferPool pa(kPoolFrames);
+  BufferPool pb(kPoolFrames);
+  const auto pairs = SimilarityJoin(*fa.tree, *fb.tree, 4.0,
+                                    QueryContext{&pa, &ta},
+                                    QueryContext{&pb, &tb});
   TraceCheckOptions join_opts;
   join_opts.strict_pruning = false;
   EXPECT_EQ(CheckTraceInvariants(ta, join_opts), "");
@@ -277,19 +272,13 @@ TEST(JoinTraceTest, SimilarityJoinTracesAreConsistent) {
   EXPECT_EQ(tb.results, 0u);
   EXPECT_GT(ta.candidates_verified, 0u);
 
-  // Node reads are charged to each tree's own pool and context.
-  EXPECT_EQ(fa.tree->io_stats().page_accesses, ta.nodes_visited());
-  EXPECT_EQ(fb.tree->io_stats().page_accesses, tb.nodes_visited());
-  EXPECT_EQ(fa.tree->io_stats().random_ios, ta.buffer_misses);
-  EXPECT_EQ(fb.tree->io_stats().random_ios, tb.buffer_misses);
-
   // Differential: funnelling both sides into one trace sums the two.
-  fa.tree->ResetIo();
-  fb.tree->ResetIo();
+  BufferPool pa2(kPoolFrames);
+  BufferPool pb2(kPoolFrames);
   QueryTrace combined;
   const auto again = SimilarityJoin(*fa.tree, *fb.tree, 4.0,
-                                    fa.tree->OwnPoolContext(&combined),
-                                    fb.tree->OwnPoolContext(&combined));
+                                    QueryContext{&pa2, &combined},
+                                    QueryContext{&pb2, &combined});
   EXPECT_EQ(again, pairs);
   QueryTrace sum = ta;
   sum += tb;
@@ -299,12 +288,12 @@ TEST(JoinTraceTest, SimilarityJoinTracesAreConsistent) {
 TEST(JoinTraceTest, ClosestPairsTracesAreConsistent) {
   TreeFixture fa = MakeTreeFixture(43, Metric::kHamming, 300);
   TreeFixture fb = MakeTreeFixture(44, Metric::kHamming, 300);
-  fa.tree->ResetIo();
-  fb.tree->ResetIo();
   QueryTrace ta, tb;
+  BufferPool pa(kPoolFrames);
+  BufferPool pb(kPoolFrames);
   const auto best = ClosestPairs(*fa.tree, *fb.tree, 10,
-                                 fa.tree->OwnPoolContext(&ta),
-                                 fb.tree->OwnPoolContext(&tb));
+                                 QueryContext{&pa, &ta},
+                                 QueryContext{&pb, &tb});
   TraceCheckOptions join_opts;
   join_opts.strict_pruning = false;
   join_opts.predicate = false;  // k-closest-pairs has no predicate.
@@ -312,15 +301,13 @@ TEST(JoinTraceTest, ClosestPairsTracesAreConsistent) {
   EXPECT_EQ(CheckTraceInvariants(tb, join_opts), "");
   EXPECT_EQ(ta.results, best.size());
   EXPECT_GE(ta.candidates_verified, ta.results);
-  EXPECT_EQ(fa.tree->io_stats().random_ios, ta.buffer_misses);
-  EXPECT_EQ(fb.tree->io_stats().random_ios, tb.buffer_misses);
 
-  fa.tree->ResetIo();
-  fb.tree->ResetIo();
+  BufferPool pa2(kPoolFrames);
+  BufferPool pb2(kPoolFrames);
   QueryTrace combined;
   EXPECT_EQ(ClosestPairs(*fa.tree, *fb.tree, 10,
-                         fa.tree->OwnPoolContext(&combined),
-                         fb.tree->OwnPoolContext(&combined)),
+                         QueryContext{&pa2, &combined},
+                         QueryContext{&pb2, &combined}),
             best);
   QueryTrace sum = ta;
   sum += tb;

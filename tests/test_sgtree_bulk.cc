@@ -264,8 +264,9 @@ TEST(JoinTest, JoinPrunesDisjointData) {
   auto ta = BulkLoad(da, SmallOptions(150));
   auto tb = BulkLoad(db, SmallOptions(150));
   QueryTrace trace;
-  const auto pairs = SimilarityJoin(*ta, *tb, 1.0, ta->OwnPoolContext(&trace),
-                                    tb->OwnPoolContext(&trace));
+  const auto pairs =
+      SimilarityJoin(*ta, *tb, 1.0, QueryContext{nullptr, &trace},
+                     QueryContext{nullptr, &trace});
   EXPECT_TRUE(pairs.empty());
   EXPECT_LT(trace.candidates_verified, 200u * 200u / 4);
 }

@@ -8,7 +8,9 @@
 #include "common/rng.h"
 #include "sgtree/choose_subtree.h"
 #include "sgtree/invariant_auditor.h"
+#include "sgtree/search.h"
 #include "sgtree/split.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -21,7 +23,6 @@ SgTreeOptions SmallOptions(uint32_t num_bits = 100) {
   SgTreeOptions options;
   options.num_bits = num_bits;
   options.max_entries = 8;
-  options.buffer_pages = 16;
   return options;
 }
 
@@ -341,13 +342,24 @@ TEST(SgTreeTest, NodeCountTracksAllocations) {
 }
 
 TEST(SgTreeTest, InsertsChargeBufferPool) {
+  // Inserts simulate no I/O; a query charges its reads to the pool its
+  // caller brings, so a repeated query through one pool hits where the
+  // first read missed.
   SgTree tree(SmallOptions());
   Rng rng(112);
   for (uint64_t i = 0; i < 100; ++i) {
     tree.Insert(RandomSignature(rng, 100, 0.1), i);
   }
-  EXPECT_GT(tree.io_stats().page_accesses, 0u);
-  EXPECT_GT(tree.io_stats().page_writes, 0u);
+  const Signature query = RandomSignature(rng, 100, 0.1);
+  BufferPool pool(static_cast<uint32_t>(tree.node_count()));
+  QueryTrace cold;
+  DfsNearest(tree, query, QueryContext{&pool, &cold});
+  QueryTrace warm;
+  DfsNearest(tree, query, QueryContext{&pool, &warm});
+  EXPECT_GT(cold.buffer_misses, 0u);
+  EXPECT_EQ(cold.buffer_hits, 0u);
+  EXPECT_EQ(warm.buffer_misses, 0u);
+  EXPECT_EQ(warm.buffer_hits, cold.buffer_misses);
 }
 
 TEST(SgTreeTest, DuplicateSignaturesSupported) {

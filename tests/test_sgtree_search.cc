@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "data/census_generator.h"
 #include "data/quest_generator.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -196,9 +197,9 @@ TEST(SearchGeneratorTest, TightBoundPrunesMoreThanRelaxed) {
   for (const Transaction& q : gen.GenerateQueries(40)) {
     const Signature sig = Signature::FromItems(q.items, dataset.num_items);
     const Neighbor a = DfsNearest(tree_relaxed, sig,
-                                  tree_relaxed.OwnPoolContext(&trace_relaxed));
+                                  QueryContext{nullptr, &trace_relaxed});
     const Neighbor b = DfsNearest(tree_tight, sig,
-                                  tree_tight.OwnPoolContext(&trace_tight));
+                                  QueryContext{nullptr, &trace_tight});
     EXPECT_DOUBLE_EQ(a.distance, b.distance);  // Same (exact) answer.
   }
   // Section 6 claim: the fixed-dimensionality bound prunes strictly better.
@@ -307,7 +308,7 @@ TEST(SearchStatsTest, NnComparesFarFewerThanScan) {
         q.Set(bit);
       }
     }
-    DfsNearest(*f.tree, q, f.tree->OwnPoolContext(&trace));
+    DfsNearest(*f.tree, q, QueryContext{nullptr, &trace});
   }
   const uint64_t scanned_all = num_queries * f.dataset.size();
   EXPECT_LT(trace.candidates_verified, scanned_all / 2);
@@ -323,8 +324,8 @@ TEST(SearchStatsTest, BestFirstAccessesNoMoreNodesThanDfsOverall) {
   QueryTrace dfs_trace;
   QueryTrace bf_trace;
   for (const Signature& q : f.queries) {
-    DfsKNearest(*f.tree, q, 3, f.tree->OwnPoolContext(&dfs_trace));
-    BestFirstKNearest(*f.tree, q, 3, f.tree->OwnPoolContext(&bf_trace));
+    DfsKNearest(*f.tree, q, 3, QueryContext{nullptr, &dfs_trace});
+    BestFirstKNearest(*f.tree, q, 3, QueryContext{nullptr, &bf_trace});
   }
   EXPECT_LE(bf_trace.nodes_visited(),
             dfs_trace.nodes_visited() + 2 * f.queries.size());
@@ -334,7 +335,7 @@ TEST(SearchStatsTest, RangeWithHugeEpsilonVisitsEverything) {
   const Fixture f = MakeFixture(42, Metric::kHamming);
   QueryTrace trace;
   const auto result = RangeSearch(*f.tree, f.queries[0], 1e9,
-                                  f.tree->OwnPoolContext(&trace));
+                                  QueryContext{nullptr, &trace});
   EXPECT_EQ(result.size(), f.dataset.size());
   EXPECT_EQ(trace.candidates_verified, f.dataset.size());
 }
@@ -345,12 +346,19 @@ TEST(SearchStatsTest, RangeWithNegativeEpsilonFindsNothing) {
 }
 
 TEST(SearchStatsTest, IoDeltaRecordedPerQuery) {
+  // Each query's trace holds its own reads: through one caller pool that
+  // holds the whole tree, the first query misses on every read and the
+  // repeated query hits on every read.
   const Fixture f = MakeFixture(44, Metric::kHamming);
-  f.tree->ResetIo();
-  QueryTrace trace;
-  DfsNearest(*f.tree, f.queries[0], f.tree->OwnPoolContext(&trace));
-  EXPECT_GT(trace.buffer_misses, 0u);
-  EXPECT_EQ(trace.buffer_misses, f.tree->io_stats().random_ios);
+  BufferPool pool(static_cast<uint32_t>(f.tree->node_count()));
+  QueryTrace first;
+  DfsNearest(*f.tree, f.queries[0], QueryContext{&pool, &first});
+  EXPECT_GT(first.buffer_misses, 0u);
+  EXPECT_EQ(first.buffer_misses, first.nodes_visited());
+  QueryTrace second;
+  DfsNearest(*f.tree, f.queries[0], QueryContext{&pool, &second});
+  EXPECT_EQ(second.buffer_misses, 0u);
+  EXPECT_EQ(second.buffer_hits, first.nodes_visited());
 }
 
 TEST(SearchEdgeTest, EmptyTreeQueries) {

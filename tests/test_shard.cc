@@ -711,6 +711,22 @@ TEST(ShardedDurableTest, ReopenRefusesShardsOfMixedWidth) {
   EXPECT_NE(error.find("width mismatch"), std::string::npos) << error;
 }
 
+// A path holding no shard, opened without a width as sgtree_serve
+// --durable-dir opens it, is refused with one line that names the
+// directory and the command that creates an index there, and the refusal
+// creates nothing.
+TEST(ShardedDurableTest, RefusesNewDirectoryWithoutWidth) {
+  const std::string dir = FreshDir("sharded_durable_no_width");
+  std::string error;
+  EXPECT_EQ(ShardedIndex::OpenDurable(Env::Posix(), dir, ShardedIndexOptions{},
+                                      &error),
+            nullptr);
+  EXPECT_EQ(error, dir + " holds no shard-<i> directory; create a sharded "
+                         "index there with sgtree_cli build --durable " +
+                         dir + " --shards N (N >= 2)");
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 // Kill-one-shard torture: a serial insert workload runs over the
 // fault-injecting env; the kill point lands inside one shard's WAL, after
 // which every shard's writes fail (the process is dead). On reopen with a

@@ -8,6 +8,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/codec.h"
 #include "storage/node_format.h"
+#include "storage/query_context.h"
 #include "tests/test_util.h"
 
 namespace sgtree {
@@ -305,13 +306,21 @@ TEST(PageStoreTest, InvalidIdRejected) {
 // Buffer pool.
 // ---------------------------------------------------------------------------
 
+// Hit ratio of the reads charged to `trace`: NaN when none was — an
+// untouched pool has no hit rate, and 0.0 would read as "everything
+// missed".
+double HitRatio(const QueryTrace& trace) {
+  const uint64_t reads = trace.buffer_hits + trace.buffer_misses;
+  return reads == 0 ? std::nan("")
+                    : static_cast<double>(trace.buffer_hits) /
+                          static_cast<double>(reads);
+}
+
 TEST(BufferPoolTest, FirstAccessIsMissSecondIsHit) {
   BufferPool pool(4);
   EXPECT_FALSE(pool.Touch(1));
   EXPECT_TRUE(pool.Touch(1));
-  EXPECT_EQ(pool.stats().random_ios, 1u);
-  EXPECT_EQ(pool.stats().buffer_hits, 1u);
-  EXPECT_EQ(pool.stats().page_accesses, 2u);
+  EXPECT_EQ(pool.ResidentPages(), 1u);
 }
 
 TEST(BufferPoolTest, LruEviction) {
@@ -337,7 +346,6 @@ TEST(BufferPoolTest, TouchRefreshesRecency) {
 TEST(BufferPoolTest, ZeroCapacityChargesEveryAccess) {
   BufferPool pool(0);
   for (int i = 0; i < 5; ++i) EXPECT_FALSE(pool.Touch(7));
-  EXPECT_EQ(pool.stats().random_ios, 5u);
   EXPECT_EQ(pool.ResidentPages(), 0u);
 }
 
@@ -349,12 +357,15 @@ TEST(BufferPoolTest, EvictDropsPage) {
 }
 
 TEST(BufferPoolTest, ClearKeepsStats) {
+  // Clear empties the buffer; the reads already charged stay in the trace.
   BufferPool pool(4);
-  pool.Touch(1);
-  pool.Touch(1);
+  QueryTrace trace;
+  const QueryContext ctx{&pool, &trace};
+  ctx.ChargeRead(1);
+  ctx.ChargeRead(1);
   pool.Clear();
   EXPECT_EQ(pool.ResidentPages(), 0u);
-  EXPECT_EQ(pool.stats().buffer_hits, 1u);
+  EXPECT_EQ(trace.buffer_hits, 1u);
   EXPECT_FALSE(pool.Touch(1));
 }
 
@@ -370,27 +381,31 @@ TEST(BufferPoolTest, ResizeShrinkEvicts) {
 
 TEST(BufferPoolTest, HitRatio) {
   BufferPool pool(8);
-  pool.Touch(1);
-  pool.Touch(1);
-  pool.Touch(1);
-  pool.Touch(2);
-  EXPECT_DOUBLE_EQ(pool.stats().HitRatio(), 0.5);
+  QueryTrace trace;
+  const QueryContext ctx{&pool, &trace};
+  ctx.ChargeRead(1);
+  ctx.ChargeRead(1);
+  ctx.ChargeRead(1);
+  ctx.ChargeRead(2);
+  EXPECT_EQ(trace.buffer_misses, 2u);
+  EXPECT_DOUBLE_EQ(HitRatio(trace), 0.5);
 }
 
 TEST(BufferPoolTest, HitRatioOfUntouchedPoolIsNan) {
-  // An untouched pool has no hit rate; 0.0 would read as "everything
-  // missed". The exporters render the NaN as "n/a".
   BufferPool pool(8);
-  EXPECT_TRUE(std::isnan(pool.stats().HitRatio()));
-  pool.Touch(1);
-  EXPECT_DOUBLE_EQ(pool.stats().HitRatio(), 0.0);  // One genuine miss.
+  QueryTrace trace;
+  const QueryContext ctx{&pool, &trace};
+  EXPECT_TRUE(std::isnan(HitRatio(trace)));
+  ctx.ChargeRead(1);
+  EXPECT_DOUBLE_EQ(HitRatio(trace), 0.0);  // One genuine miss.
 }
 
 TEST(BufferPoolTest, WriteMakesResident) {
+  // A Touch makes a page resident: the next access hits.
   BufferPool pool(4);
-  pool.TouchWrite(5);
+  EXPECT_FALSE(pool.Touch(5));
+  EXPECT_EQ(pool.ResidentPages(), 1u);
   EXPECT_TRUE(pool.Touch(5));
-  EXPECT_EQ(pool.stats().page_writes, 1u);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // fixed histories (insertion under each split and ChooseSubtree policy,
 // erases that condense and reinsert, each bulk-load order, fixed-
 // dimensionality data, and a thaw followed by more updates) it records the
-// CRC-32C and size of the tree's static image, its node count and its
-// update-path buffer-pool counters, and compares them with
-// tests/golden/tree_shapes.txt.
+// CRC-32C and size of the tree's static image and its node count, and
+// compares them with tests/golden/tree_shapes.txt.
 //
 // A change to how nodes are stored must leave every line unchanged. After
 // a deliberate change to the trees themselves, regenerate the file with
@@ -53,22 +52,17 @@ SgTreeOptions TreeOptions(uint32_t num_bits) {
   // A small capacity makes the trees four levels deep, so directory splits,
   // condensing and reinsertion above the leaves all run.
   options.max_entries = 12;
-  options.buffer_pages = 32;
   return options;
 }
 
-// One line of the golden file: "<history> crc=<hex> bytes=<n> nodes=<n>
-// accesses=<n> hits=<n> ios=<n> writes=<n>".
+// One line of the golden file: "<history> crc=<hex> bytes=<n> nodes=<n>".
 std::string ShapeLine(const std::string& history, const SgTree& tree) {
   const AuditReport audit = AuditTree(tree);
   EXPECT_TRUE(audit.ok()) << history << ": " << audit.FirstMessage();
   const std::vector<uint8_t> image = BuildStaticImage(tree);
-  const IoStats& io = tree.io_stats();
   std::ostringstream line;
   line << history << " crc=" << std::hex << Crc32c(image) << std::dec
-       << " bytes=" << image.size() << " nodes=" << tree.node_count()
-       << " accesses=" << io.page_accesses << " hits=" << io.buffer_hits
-       << " ios=" << io.random_ios << " writes=" << io.page_writes;
+       << " bytes=" << image.size() << " nodes=" << tree.node_count();
   return line.str();
 }
 
