@@ -1,20 +1,21 @@
 // Static-format cold-start benchmark: how fast a process gets from "image
-// on disk" to "answering queries", thawed vs mapped. One image is written;
-// every row opens it.
+// on disk" to "answering queries". One image is written; every row opens
+// it as a tree that reads its nodes in place.
 //
-//  - cold start: LoadTree (open with checksums, then thaw every node into
-//    a mutable tree) vs StaticTreeView::Open (mmap + validate). The static
-//    open is measured both with the full body-CRC pass and with
+//  - cold start: LoadTree (mmap, body-CRC pass, structural walk, then one
+//    record address adopted per node) vs the same load with
 //    verify_checksums=false (structural walk only), since a fleet
 //    restarting behind a checksummed artifact store typically runs the
 //    latter.
-//  - steady state: k-NN throughput through the unified query API,
-//    SgTreeBackend vs StaticTreeBackend on the same warm buffer pool, with
-//    a per-query equality check — the static view must not buy its cold
-//    start by answering differently.
+//  - steady state: k-NN throughput through the unified query API, the tree
+//    built by inserts vs the tree loaded from its image, on the same warm
+//    buffer pool, with a per-query equality check — reading the image in
+//    place must not change an answer. A mismatch exits 1.
 //
 // Results are printed as a table and written as JSON to $BENCH_STATIC_JSON
 // (default BENCH_static.json) for the CI artifact.
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -31,7 +33,6 @@
 #include "durability/env.h"
 #include "exec/index_backend.h"
 #include "exec/query_api.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
 #include "storage/buffer_pool.h"
@@ -51,7 +52,7 @@ struct QpsRow {
   double qps = 0;
   double p50_us = 0;
   double p99_us = 0;
-  bool identical = true;  // Result-for-result equal to the dynamic run.
+  bool identical = true;  // Result-for-result equal to the built tree's.
 };
 
 uint64_t FileBytes(const std::string& path) {
@@ -60,12 +61,12 @@ uint64_t FileBytes(const std::string& path) {
   return ec ? 0 : static_cast<uint64_t>(size);
 }
 
-// Measures one backend over `batch` on a warm private pool: one warm-up
-// pass, then a timed pass with per-query latencies.
-template <typename Backend>
-QpsRow MeasureQps(const Backend& backend, const std::vector<QueryRequest>& batch,
+// Measures one tree over `batch` on a warm private pool: one warm-up pass,
+// then a timed pass with per-query latencies.
+QpsRow MeasureQps(const SgTree& tree, const std::vector<QueryRequest>& batch,
                   const std::string& label,
                   std::vector<QueryResult>* results_out) {
+  const SgTreeBackend backend(tree);
   BufferPool pool(64);
   for (const QueryRequest& request : batch) Execute(backend, request, &pool);
 
@@ -111,7 +112,8 @@ void Run() {
   const BuiltTree built = BuildTree(dataset, tree_options);
 
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "sg_bench_static_start";
+      std::filesystem::temp_directory_path() /
+      ("sg_bench_static_start_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::string static_path = (dir / "tree.static").string();
   std::string error;
@@ -126,23 +128,10 @@ void Run() {
               ScaleFactor(), dataset.size(), built.build_ms,
               static_cast<unsigned long long>(FileBytes(static_path)));
 
-  // Cold start: mean over fresh opens. Each LoadTree verifies the image
-  // and heap-allocates every node; each StaticTreeView::Open maps and
-  // validates.
+  // Cold start: mean over fresh loads, each what LoadTree does: map and
+  // validate the image, then adopt every record in place. The first row
+  // checksums the body, as LoadTree does; the second skips that pass.
   std::vector<ColdStartRow> cold;
-  {
-    double total_ms = 0;
-    for (uint32_t r = 0; r < kColdStartRepeats; ++r) {
-      Timer timer;
-      auto tree = LoadTree(static_path, tree_options, &error);
-      total_ms += timer.ElapsedMs();
-      if (tree == nullptr) {
-        std::fprintf(stderr, "LoadTree failed: %s\n", error.c_str());
-        std::exit(1);
-      }
-    }
-    cold.push_back({"load_tree", total_ms / kColdStartRepeats});
-  }
   for (const bool verify : {true, false}) {
     StaticOpenOptions open_options;
     open_options.tree = tree_options;
@@ -150,15 +139,17 @@ void Run() {
     double total_ms = 0;
     for (uint32_t r = 0; r < kColdStartRepeats; ++r) {
       Timer timer;
-      auto view =
+      std::unique_ptr<StaticTreeView> view =
           StaticTreeView::Open(Env::Posix(), static_path, open_options, &error);
+      const std::unique_ptr<SgTree> loaded =
+          view == nullptr ? nullptr : ThawStatic(std::move(view));
       total_ms += timer.ElapsedMs();
-      if (view == nullptr) {
-        std::fprintf(stderr, "static open failed: %s\n", error.c_str());
+      if (loaded == nullptr) {
+        std::fprintf(stderr, "load failed: %s\n", error.c_str());
         std::exit(1);
       }
     }
-    cold.push_back({verify ? "open_static_verified" : "open_static_structural",
+    cold.push_back({verify ? "load_tree" : "load_tree_structural",
                     total_ms / kColdStartRepeats});
   }
   std::printf("%-24s %12s\n", "cold start", "open_ms");
@@ -166,26 +157,21 @@ void Run() {
     std::printf("%-24s %12.3f\n", row.label.c_str(), row.open_ms);
   }
 
-  // Steady state: the same k-NN batch through both backends, answers
-  // compared result for result.
-  StaticOpenOptions open_options;
-  open_options.tree = tree_options;
-  const auto view =
-      StaticTreeView::Open(Env::Posix(), static_path, open_options, &error);
-  if (view == nullptr) {
-    std::fprintf(stderr, "static open failed: %s\n", error.c_str());
+  // Steady state: the same k-NN batch on the tree built by inserts and on
+  // the tree loaded from its image, answers compared result for result.
+  const auto loaded = LoadTree(static_path, tree_options, &error);
+  if (loaded == nullptr) {
+    std::fprintf(stderr, "LoadTree failed: %s\n", error.c_str());
     std::exit(1);
   }
 
-  std::vector<QueryResult> dynamic_results;
-  std::vector<QueryResult> static_results;
+  std::vector<QueryResult> built_results;
+  std::vector<QueryResult> loaded_results;
   std::vector<QpsRow> qps;
-  qps.push_back(MeasureQps(SgTreeBackend(*built.tree), batch, "dynamic_knn10",
-                           &dynamic_results));
-  qps.push_back(MeasureQps(StaticTreeBackend(*view), batch, "static_knn10",
-                           &static_results));
+  qps.push_back(MeasureQps(*built.tree, batch, "built_knn10", &built_results));
+  qps.push_back(MeasureQps(*loaded, batch, "loaded_knn10", &loaded_results));
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (!(static_results[i] == dynamic_results[i])) {
+    if (!(loaded_results[i] == built_results[i])) {
       qps.back().identical = false;
       break;
     }
@@ -198,7 +184,8 @@ void Run() {
                 row.identical ? "yes" : "NO");
   }
   if (!qps.back().identical) {
-    std::fprintf(stderr, "static backend diverged from the dynamic tree\n");
+    std::fprintf(stderr, "loaded tree diverged from the tree built by "
+                         "inserts\n");
     std::exit(1);
   }
 

@@ -1,6 +1,6 @@
 // Durability cost benchmark: what the write-ahead log charges for insert
 // throughput (per-op fsync vs group commit vs no durability at all), how
-// recovery time (thaw the checkpoint image, replay the log) scales with the
+// recovery time (load the checkpoint image, replay the log) scales with the
 // length of the log, and what a checkpoint (publish the whole image) costs.
 // Results are printed as a table and written as JSON to $BENCH_WAL_JSON
 // (default BENCH_wal.json) for the CI artifact.

@@ -1,7 +1,8 @@
 // Distance browsing: stream neighbors of a query in ascending distance
 // without choosing k up front (the Hjaltason-Samet incremental search the
 // paper cites for optimal NN), then run the same query against the index's
-// static on-disk image, served from an mmap.
+// static on-disk image, loaded as a tree that reads it in place from an
+// mmap.
 
 #include <unistd.h>
 
@@ -10,13 +11,11 @@
 #include <string>
 
 #include "data/quest_generator.h"
-#include "durability/env.h"
+#include "exec/index_backend.h"
 #include "exec/query_api.h"
 #include "sgtree/incremental.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
-#include "static/static_tree_view.h"
 
 int main() {
   using namespace sgtree;
@@ -77,8 +76,8 @@ int main() {
                  error.c_str());
     return 1;
   }
-  auto view = StaticTreeView::Open(Env::Posix(), path, {}, &error);
-  if (view == nullptr) {
+  auto loaded = LoadTree(path, {}, &error);
+  if (loaded == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", error.c_str());
     std::filesystem::remove(path);
     return 1;
@@ -87,15 +86,15 @@ int main() {
   request.type = QueryType::kKnn;
   request.query = query;
   request.k = 1;
-  const QueryResult nn = Execute(StaticTreeBackend(*view), request);
-  std::printf("static image (%llu bytes, %llu nodes): "
+  const QueryResult nn = Execute(SgTreeBackend(*loaded), request);
+  std::printf("static image (%llu bytes, %llu nodes, read in place): "
               "NN #%llu at %g, %llu page reads\n",
-              static_cast<unsigned long long>(view->file_size()),
-              static_cast<unsigned long long>(view->node_count()),
+              static_cast<unsigned long long>(std::filesystem::file_size(path)),
+              static_cast<unsigned long long>(loaded->node_count()),
               static_cast<unsigned long long>(nn.neighbors[0].tid),
               nn.neighbors[0].distance,
               static_cast<unsigned long long>(nn.trace.buffer_misses));
-  view.reset();
+  loaded.reset();
   std::filesystem::remove(path);
   return 0;
 }

@@ -1,7 +1,7 @@
 // Index persistence: build an SG-tree, save it to disk as a static image
 // (dense, checksummed — the one file format a tree is saved to), load it
-// back by thawing it into a mutable tree, and keep updating the loaded
-// index — the workflow of a long-lived dynamic collection.
+// back as a tree that reads the image in place, and keep updating the
+// loaded index — the workflow of a long-lived dynamic collection.
 
 #include <unistd.h>
 

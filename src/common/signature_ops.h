@@ -15,12 +15,11 @@ namespace sgtree::sig {
 /// Word-level set operations generic over any "signature-like" type — a
 /// type exposing `num_bits()` and `words()` (a contiguous range of 64-bit
 /// words, low bits first). Both the owning Signature and the zero-copy
-/// SignatureView over an mmap'ed static tree qualify, so one implementation
-/// serves both representations. The search templates (sgtree/search_core.h)
-/// and the shared distance templates (common/distance.h) are written
-/// against these, which is what makes the static tree's answers
-/// byte-identical to the dynamic tree's: identical integer inputs feed
-/// identical floating-point expressions.
+/// SignatureView over a node record qualify, so one implementation serves
+/// both representations. The searches (sgtree/search.cc) and the shared
+/// distance templates (common/distance.h) are written against these:
+/// identical integer inputs feed identical floating-point expressions,
+/// whether a record is read in a tree's heap or in place in an image.
 ///
 /// All binary operations require matching widths (checked with
 /// SGTREE_DCHECK, like the Signature static methods they generalize).

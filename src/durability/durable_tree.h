@@ -26,9 +26,11 @@ namespace sgtree {
 ///
 /// Write path (log-before-acknowledge): Insert/Erase mutate the tree and
 /// append one record, which commits itself, then (sync_each_op) fsync.
-/// Recovery thaws the marker's image and replays the records through
-/// SgTree::Insert/Erase, so a crash loses at most operations that were
-/// never acknowledged.
+/// Recovery loads the marker's image as a tree that reads its nodes in
+/// place and replays the records through SgTree::Insert/Erase, so a crash
+/// loses at most operations that were never acknowledged. The tree keeps
+/// that image mapped until it is destroyed, so the file a later checkpoint
+/// deletes keeps its disk blocks while the tree lives.
 ///
 /// Checkpoint c -> c+1: commit the log; publish `checkpoint-<c+1>.sgs`;
 /// publish a new log holding only the marker {c+1, op_seq} over wal.sgw

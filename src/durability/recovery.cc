@@ -1,5 +1,6 @@
 #include "durability/recovery.h"
 
+#include <utility>
 #include <vector>
 
 #include "durability/wal.h"
@@ -57,27 +58,26 @@ std::unique_ptr<RecoveredTree> RecoverTree(Env* env, const std::string& dir,
     return fail("wal " + wal_path + ": unreadable checkpoint marker");
   }
 
-  // 2. Thaw the image. StaticTreeView::Open checks the signature width;
-  // the node capacity it always takes from the file, so compare it here.
+  // 2. Load the image as a tree that reads its nodes in place; the replay
+  // copies only the nodes it edits. StaticTreeView::Open checks the
+  // signature width; the node capacity it always takes from the file, so
+  // compare it here.
   auto result = std::make_unique<RecoveredTree>();
   RecoveryReport& report = result->report;
   report.checkpoint_seq = marker.checkpoint_seq;
   StaticOpenOptions open_options;
   if (options_hint != nullptr) open_options.tree = *options_hint;
-  {
-    const std::unique_ptr<StaticTreeView> view = StaticTreeView::Open(
-        env, CheckpointPathFor(dir, marker.checkpoint_seq), open_options,
-        error);
-    if (view == nullptr) return nullptr;
-    if (options_hint != nullptr &&
-        options_hint->ResolvedMaxEntries() != view->max_entries()) {
-      return fail("supplied node capacity " +
-                  std::to_string(options_hint->ResolvedMaxEntries()) +
-                  " does not match the checkpoint image's " +
-                  std::to_string(view->max_entries()));
-    }
-    result->tree = ThawStatic(*view);
+  std::unique_ptr<StaticTreeView> view = StaticTreeView::Open(
+      env, CheckpointPathFor(dir, marker.checkpoint_seq), open_options, error);
+  if (view == nullptr) return nullptr;
+  if (options_hint != nullptr &&
+      options_hint->ResolvedMaxEntries() != view->max_entries()) {
+    return fail("supplied node capacity " +
+                std::to_string(options_hint->ResolvedMaxEntries()) +
+                " does not match the checkpoint image's " +
+                std::to_string(view->max_entries()));
   }
+  result->tree = ThawStatic(std::move(view));
   SgTree& tree = *result->tree;
 
   // 3. Replay the acknowledged operations.

@@ -17,12 +17,12 @@ namespace sgtree {
 std::string WalPathFor(const std::string& dir);
 std::string CheckpointPathFor(const std::string& dir, uint64_t checkpoint_seq);
 
-/// What crash recovery did: which checkpoint it thawed, how many logged
+/// What crash recovery did: which checkpoint it loaded, how many logged
 /// operations it replayed, and whether the log ended in a torn tail.
 struct RecoveryReport {
   /// The checkpoint named by the log's marker.
   uint64_t checkpoint_seq = 0;
-  /// Operation records replayed on the thawed checkpoint image.
+  /// Operation records replayed on the loaded checkpoint image.
   uint64_t records_replayed = 0;
   /// True when bytes past the clean prefix existed (torn tail / corruption).
   bool torn_tail = false;
@@ -50,7 +50,8 @@ struct RecoveredTree {
 ///
 ///   1. read the log's first record, the checkpoint marker {c, op_seq}; a
 ///      log without a readable marker is refused, never taken for empty;
-///   2. open `checkpoint-<c>.sgs` with checksums on and thaw it;
+///   2. open `checkpoint-<c>.sgs` with checksums on and load it as a tree
+///      that reads its nodes in place (ThawStatic);
 ///   3. replay the operation records in order through SgTree::Insert and
 ///      Erase, stopping at the first torn or corrupt frame;
 ///   4. gate the result through the InvariantAuditor — a tree that

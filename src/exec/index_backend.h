@@ -16,13 +16,11 @@ namespace sgtree {
 /// from QueryType to the structure's native entry points lives here, once.
 /// All adapters are non-owning views — the underlying index must outlive
 /// the adapter — and are trivially copyable, so build them on the fly per
-/// task (the sharded router constructs one per shard task). The fifth
-/// backend — StaticTreeBackend over the immutable mmap'ed image, also
-/// supporting all six query types — lives in static/static_tree_backend.h
-/// so this layer does not depend on the static format.
+/// task (the sharded router constructs one per shard task).
 
-/// The SG-tree: the only backend answering all six query types. Every node
-/// read is charged to ctx; with no pool each one is a random I/O, the
+/// The SG-tree, whether built by inserts or loaded from a static image
+/// (ThawStatic): the only backend answering all six query types. Every
+/// node read is charged to ctx; with no pool each one is a random I/O, the
 /// paper's per-query cold-cache cost.
 /// `shared_bound`, when non-null, attaches the cross-partition k-NN
 /// pruning bound (see SharedPruneBound in sgtree/search.h); it affects
@@ -36,9 +34,6 @@ class SgTreeBackend : public IndexBackend {
   const char* name() const override { return "sgtree"; }
   std::string SupportReason(QueryType /*type*/) const override {
     return std::string();  // All six query types.
-  }
-  std::string JoinInputReason() const override {
-    return std::string();  // SetCollection::FromTree walks the leaves.
   }
   void Run(const QueryRequest& request, const QueryContext& ctx,
            QueryResult* result) const override;
@@ -65,10 +60,6 @@ class SgTableBackend : public IndexBackend {
     return "sgtable indexes Hamming-distance buckets only; set predicates "
            "need the sgtree, inverted, or linear_scan backend";
   }
-  std::string JoinInputReason() const override {
-    return "sgtable stores signature buckets, not per-transaction item "
-           "sets; join from an sgtree-backed index instead";
-  }
   void Run(const QueryRequest& request, const QueryContext& ctx,
            QueryResult* result) const override;
 
@@ -89,11 +80,6 @@ class InvertedIndexBackend : public IndexBackend {
     if (type != QueryType::kExact) return std::string();
     return "the inverted file stores posting lists, not signatures; exact "
            "match needs the sgtree backend";
-  }
-  std::string JoinInputReason() const override {
-    return "the inverted file stores per-item posting lists, not "
-           "per-transaction item sets; join from an sgtree-backed index "
-           "instead";
   }
   void Run(const QueryRequest& request, const QueryContext& ctx,
            QueryResult* result) const override;

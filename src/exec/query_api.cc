@@ -50,22 +50,13 @@ std::string ValidateRequest(const QueryRequest& request) {
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
                     BufferPool* pool) {
   QueryResult result;
-  ExecuteInto(backend, request, pool, &result);
-  return result;
-}
-
-void ExecuteInto(const IndexBackend& backend, const QueryRequest& request,
-                 BufferPool* pool, QueryResult* result) {
-  result->neighbors.clear();
-  result->ids.clear();
-  result->trace.Reset();
-  result->elapsed_us = 0;
-  result->error = ValidateRequest(request);
-  if (!result->ok()) return;
-  const QueryContext ctx{pool, &result->trace};
+  result.error = ValidateRequest(request);
+  if (!result.ok()) return result;
+  const QueryContext ctx{pool, &result.trace};
   Timer timer;
-  backend.Run(request, ctx, result);
-  result->elapsed_us = timer.ElapsedMs() * 1000.0;
+  backend.Run(request, ctx, &result);
+  result.elapsed_us = timer.ElapsedMs() * 1000.0;
+  return result;
 }
 
 }  // namespace sgtree

@@ -90,17 +90,6 @@ class IndexBackend {
   /// nothing that could match — e.g. the SG-table has no set predicates).
   bool Supports(QueryType type) const { return SupportReason(type).empty(); }
 
-  /// Join-capability column of the support matrix: empty when this
-  /// backend's collection can be enumerated as one side of a
-  /// collection-level join (exec/join_api.h), else a one-line reason. Only
-  /// the tree-shaped backends store per-transaction item sets, so the
-  /// default is a refusal naming the backend.
-  virtual std::string JoinInputReason() const {
-    return std::string("backend '") + name() +
-           "' cannot enumerate per-transaction item sets; join from an "
-           "sgtree-backed index instead";
-  }
-
   /// Answers `request`, filling result->neighbors or result->ids and
   /// charging node accesses / counters to `ctx`. Called with a validated
   /// request — parameter checking is Execute()'s job, not the backend's.
@@ -117,14 +106,6 @@ class IndexBackend {
 /// with `error` set and the backend is never invoked.
 QueryResult Execute(const IndexBackend& backend, const QueryRequest& request,
                     BufferPool* pool = nullptr);
-
-/// Allocation-free variant for hot batch loops: identical semantics to
-/// Execute(), but the answer is written into `*result`, whose vectors are
-/// cleared — not deallocated — first. A caller that reuses the same
-/// QueryResult slots across batches (the sharded router's scatter buffers)
-/// therefore pays for neighbor/id storage once, not once per task.
-void ExecuteInto(const IndexBackend& backend, const QueryRequest& request,
-                 BufferPool* pool, QueryResult* result);
 
 }  // namespace sgtree
 

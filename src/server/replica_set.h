@@ -16,11 +16,11 @@ namespace sgtree {
 namespace serve {
 
 struct ReplicaSetOptions {
-  /// Replicas of the index. > 1 requires static mode: extra replicas are
-  /// re-opened mmap'ed views of the SAME immutable manifest, so they cost
-  /// page-cache-shared memory, answer byte-identically by construction,
-  /// and need no replication protocol. Dynamic/durable backends are pinned
-  /// to exactly one replica.
+  /// Replicas of the index. > 1 requires static mode: extra replicas
+  /// re-open the SAME read-only manifest as trees that read the mapped
+  /// images in place, so they cost page-cache-shared memory, answer
+  /// byte-identically by construction, and need no replication protocol.
+  /// Dynamic/durable backends are pinned to exactly one replica.
   uint32_t num_replicas = 1;
   /// Manifest path extra replicas re-open (static manifests only).
   std::string manifest_path;

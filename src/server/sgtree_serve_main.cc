@@ -4,13 +4,13 @@
 //                [--replicas N] [--max-inflight N] [--cache-entries N]
 //
 // --index loads a ShardedIndex manifest. Both kinds name one static image
-// per shard: a v1 manifest (Save, `build --shards N --out`) thaws them into
-// mutable in-memory trees, a v2 manifest (SaveStatic, `build --shards N
-// --static 1`) serves them mapped and unlocks --replicas > 1. --durable-dir
-// opens a durable index instead (mutable over the wire via
+// per shard, loaded as trees that read their nodes in place: a v1 manifest
+// (Save, `build --shards N --out`) is writable, a v2 manifest (SaveStatic,
+// `build --shards N --static 1`) is read-only and unlocks --replicas > 1.
+// --durable-dir opens a durable index instead (mutable over the wire via
 // insert/checkpoint frames), with every shard-<i> subdirectory it holds;
 // the directory must already hold a sharded index (`build --durable DIR
-// --shards N`, N >= 2), and a path holding no shard-<i> directory is
+// --shards N`, N >= 1), and a path holding no shard-<i> directory is
 // refused. The server prints
 // "listening on 127.0.0.1:<port> (...)" once ready (port 0 =
 // ephemeral, resolved in the message — how scripts drive it without a port

@@ -10,9 +10,8 @@
 
 namespace sgtree {
 
-/// Deep structural verification of an SG-tree: one walk over the node view
-/// (sgtree/audit_core.h) checks the dynamic tree (AuditTree, here) and the
-/// static image (AuditStaticImage, static/static_audit.h) alike. It keeps
+/// Deep structural verification of an SG-tree, whether its records live in
+/// the tree's heap or are read in place from a static image. It keeps
 /// walking past the first broken invariant and reports every violation,
 /// each tagged with a machine-readable check id and a diagnostic naming the
 /// offending node — the difference between "tree is broken" and "node 17,
@@ -90,8 +89,13 @@ struct AuditReport {
   std::string Summary() const;
 };
 
-/// Audits the dynamic tree. Read-only and side-effect free: nodes are read
-/// without a QueryContext, so no read is charged.
+/// Audits the tree. Read-only and side-effect free: nodes are read without
+/// a QueryContext, so no read is charged. On a loaded image, `page` in a
+/// violation is the node index within the image; the image reader's
+/// structural walk (static/static_tree_view.h) already enforces offsets,
+/// levels and reachability, so those checks cannot fire there, and opening
+/// with verify_checksums=false is how a corrupted but structurally sound
+/// image reaches this audit.
 AuditReport AuditTree(const SgTree& tree, const AuditOptions& options = {});
 
 }  // namespace sgtree

@@ -12,9 +12,9 @@
 namespace sgtree {
 
 // One SG-tree node is one page of (signature, ref) entries (Section 3),
-// stored as one record of 64-bit words. The dynamic tree keeps one record
-// per node in memory, and the static image (static/static_format.h) stores
-// the same records in a file:
+// stored as one record of 64-bit words. The static image
+// (static/static_format.h) stores the records in a file, and a tree reads
+// each record either in its heap or in place in an image it holds:
 //
 //   word 0:  u16 level (0 = leaf) | u16 count << 16 | u32 reserved (0)
 //   then `count` entries of: u64 ref, then WordsForBits(W) signature words
@@ -53,10 +53,10 @@ struct EntryView {
   uint64_t ref = 0;
 };
 
-/// A node record, viewed in place. It is the only node type: SgTree and
-/// StaticTreeView both hand it out, so the search cores (search_core.h),
-/// the auditor and the image builder read every node through it. Cheap to
-/// copy (pointer + width); the record must outlive the view.
+/// A node record, viewed in place. It is the only node type: SgTree hands
+/// it out, so the searches, the auditor and the image builder read every
+/// node through it. Cheap to copy (pointer + width); the record must
+/// outlive the view.
 class NodeView {
  public:
   NodeView(const uint64_t* record, uint32_t num_bits)
@@ -131,8 +131,8 @@ class NodeView {
 };
 
 /// A node record edited in place. The record's owner provides the
-/// capacity: SgTree reserves every record for max_entries + 1 entries, so
-/// an overflowing insert appends before the node splits.
+/// capacity: SgTree reserves every heap record for max_entries + 1
+/// entries, so an overflowing insert appends before the node splits.
 class MutableNodeView : public NodeView {
  public:
   MutableNodeView(uint64_t* record, uint32_t num_bits)
@@ -176,11 +176,6 @@ class MutableNodeView : public NodeView {
     const uint64_t* end = EntryWords(Count());
     std::copy(EntryWords(i + 1), end, MutableEntryWords(i));
     SetCount(Count() - 1);
-  }
-
-  /// Replaces this record's contents with a copy of `other` (same width).
-  void Assign(const NodeView& other) {
-    std::copy(other.words().begin(), other.words().end(), mutable_record_);
   }
 
   uint64_t* MutableSigWords(size_t i) { return MutableEntryWords(i) + 1; }

@@ -1,12 +1,13 @@
 #ifndef SGTREE_SGTREE_SEARCH_H_
 #define SGTREE_SGTREE_SEARCH_H_
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "baseline/linear_scan.h"
 #include "common/signature.h"
-#include "sgtree/search_core.h"
 #include "sgtree/sg_tree.h"
 #include "storage/query_context.h"
 
@@ -34,11 +35,39 @@ namespace sgtree {
 /// or partitioning. (The paper's Figure 4 prunes on "not below", which can
 /// return either tied transaction; determinism is what lets the sharded
 /// scatter-gather merge reproduce the single-tree answer byte for byte.)
+///
+/// Every search reads nodes through GetNode, so a tree whose records are
+/// read in place from a static image runs the same statements in the same
+/// order as one built by inserts: every pruning decision, counter and trace
+/// event is a function of the node records alone, which the differential
+/// suite (tests/test_static_tree.cc) pins down as full QueryResult
+/// equality.
 
-// SharedPruneBound (the cross-partition k-NN pruning bound) and the
-// algorithm bodies now live in sgtree/search_core.h as templates shared
-// with the static mmap'ed tree; the functions below instantiate them for
-// SgTree.
+/// Cross-partition pruning bound for scatter-gather k-NN: one atomic
+/// "best k-th distance seen by any partition so far", shared by concurrent
+/// searches over disjoint partitions of one logical index. Each search
+/// prunes with min(local tau, Load()) and publishes its local tau whenever
+/// its heap is full. Any published value is the k-th best of SOME k global
+/// candidates, hence >= the final global k-th distance — so tightening with
+/// it never discards a member of the canonical global answer, it only skips
+/// subtrees another partition has already beaten. Per-query COUNTERS become
+/// schedule-dependent when a bound is shared; the result VALUES do not.
+class SharedPruneBound {
+ public:
+  double Load() const { return bound_.load(std::memory_order_relaxed); }
+
+  /// Atomically lowers the bound to `candidate` if it improves on it.
+  void PublishMin(double candidate) {
+    double current = bound_.load(std::memory_order_relaxed);
+    while (candidate < current &&
+           !bound_.compare_exchange_weak(current, candidate,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+
+ private:
+  std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
+};
 
 /// Depth-first branch-and-bound nearest-neighbor search (Figure 4): child
 /// entries are visited in ascending order of the optimistic lower bound

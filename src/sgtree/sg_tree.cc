@@ -60,16 +60,9 @@ SgTree::SgTree(const SgTreeOptions& options)
                     "node capacity above kMaxNodeEntries");
 }
 
-MutableNodeView SgTree::NewRecord(PageId id, uint16_t level,
-                                  uint32_t room) {
-  if (id >= records_.size()) records_.resize(static_cast<size_t>(id) + 1);
-  records_[id] = {std::make_unique<uint64_t[]>(
-                      NodeRecordWords(room, WordsForBits(options_.num_bits))),
-                  room};
-  ++node_count_;
-  MutableNodeView node(records_[id].words.get(), options_.num_bits);
-  node.Reset(level);
-  return node;
+std::unique_ptr<uint64_t[]> SgTree::NewHeapRecord() const {
+  return std::make_unique<uint64_t[]>(
+      NodeRecordWords(max_entries_ + 1, WordsForBits(options_.num_bits)));
 }
 
 PageId SgTree::AllocateNode(uint16_t level) {
@@ -77,14 +70,24 @@ PageId SgTree::AllocateNode(uint16_t level) {
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
+  } else {
+    records_.emplace_back();
   }
-  NewRecord(id, level, max_entries_ + 1);
+  Record& record = records_[id];
+  record.heap = NewHeapRecord();
+  record.words = record.heap.get();
+  MutableNodeView(record.heap.get(), options_.num_bits).Reset(level);
+  ++node_count_;
   return id;
 }
 
-MutableNodeView SgTree::AdoptNode(PageId id, uint16_t level, uint32_t room) {
+void SgTree::HoldImage(std::shared_ptr<const void> image) {
+  image_ = std::move(image);
+}
+
+void SgTree::AdoptNode(PageId id, const uint64_t* record) {
   SGTREE_ASSERT_MSG(!IsLive(id), "AdoptNode on a live page id");
-  SGTREE_ASSERT(room <= max_entries_ + 1);
+  SGTREE_ASSERT(NodeView(record, options_.num_bits).Count() <= max_entries_);
   if (id < records_.size()) {
     free_ids_.erase(std::remove(free_ids_.begin(), free_ids_.end(), id),
                     free_ids_.end());
@@ -94,23 +97,23 @@ MutableNodeView SgTree::AdoptNode(PageId id, uint16_t level, uint32_t room) {
          ++hole) {
       free_ids_.push_back(hole);
     }
+    records_.resize(static_cast<size_t>(id) + 1);
   }
-  return NewRecord(id, level, room);
+  records_[id] = {record, nullptr};
+  ++node_count_;
 }
 
 MutableNodeView SgTree::MutableNode(PageId id) {
   SGTREE_ASSERT_MSG(IsLive(id), "dangling page reference");
   Record& record = records_[id];
-  if (record.room <= max_entries_) {
-    // An adopted record: widen it so an insert can overflow it.
-    const NodeView narrow(record.words.get(), options_.num_bits);
-    const uint32_t room = max_entries_ + 1;
-    auto wide = std::make_unique<uint64_t[]>(
-        NodeRecordWords(room, WordsForBits(options_.num_bits)));
-    std::copy(narrow.words().begin(), narrow.words().end(), wide.get());
-    record = {std::move(wide), room};
+  if (record.heap == nullptr) {
+    // The first edit of an image record: copy it out of the image.
+    const NodeView image(record.words, options_.num_bits);
+    record.heap = NewHeapRecord();
+    std::copy(image.words().begin(), image.words().end(), record.heap.get());
+    record.words = record.heap.get();
   }
-  return {record.words.get(), options_.num_bits};
+  return {record.heap.get(), options_.num_bits};
 }
 
 void SgTree::FreeNode(PageId id) {
@@ -266,25 +269,28 @@ bool SgTree::Erase(const Signature& sig, uint64_t tid) {
 SgTree::EraseResult SgTree::EraseRecursive(
     PageId node_id, const Signature& sig, uint64_t tid,
     std::vector<std::pair<Entry, uint16_t>>* pending) {
-  MutableNodeView node = MutableNode(node_id);
-  if (node.IsLeaf()) {
-    for (size_t i = 0; i < node.Count(); ++i) {
-      const EntryView entry = node.EntryAt(i);
+  // The search reads in place; only the nodes the erase edits are taken
+  // mutable, so an image record it merely passes stays in the image.
+  const NodeView found = GetNodeNoCharge(node_id);
+  if (found.IsLeaf()) {
+    for (size_t i = 0; i < found.Count(); ++i) {
+      const EntryView entry = found.EntryAt(i);
       if (entry.ref == tid && sig::Equal(entry.sig, sig)) {
-        node.Erase(i);
+        MutableNode(node_id).Erase(i);
         return EraseResult::kRemoved;
       }
     }
     return EraseResult::kNotFound;
   }
 
-  for (size_t i = 0; i < node.Count(); ++i) {
-    if (!sig::Contains(node.EntryAt(i).sig, sig)) continue;
-    const auto child_id = static_cast<PageId>(node.EntryAt(i).ref);
+  for (size_t i = 0; i < found.Count(); ++i) {
+    if (!sig::Contains(found.EntryAt(i).sig, sig)) continue;
+    const auto child_id = static_cast<PageId>(found.EntryAt(i).ref);
     if (EraseRecursive(child_id, sig, tid, pending) ==
         EraseResult::kNotFound) {
       continue;
     }
+    MutableNodeView node = MutableNode(node_id);
     const NodeView child = GetNodeNoCharge(child_id);
     // Dissolve an underflowing child unless it is the only child of the
     // root (then the child will simply become the new root).

@@ -28,12 +28,13 @@ namespace sgtree {
 /// underflowing nodes and reinsert their entries (R-tree condense).
 ///
 /// Every node is one word record in the static image's node layout
-/// (sgtree/node.h), reserved for M+1 entries and indexed by its PageId;
-/// updates edit the records in place, and readers see them through
-/// NodeView, the node type the static tree returns too. A thawed record is
-/// copied at its stored size and widened to M+1 entries at its first edit,
-/// so a thawed tree holds no more than its image, whatever M the image
-/// claims.
+/// (sgtree/node.h), indexed by its PageId, and readers see it through
+/// NodeView. A record lives in one of two places: in the tree's heap,
+/// reserved for M+1 entries so an insert can overflow it before it splits,
+/// or in place inside a static image the tree keeps alive (ThawStatic,
+/// static/static_tree_builder.h). The first edit of an image record copies
+/// it into the heap; every node an update never touches is read from the
+/// image's bytes for the tree's whole life.
 ///
 /// A query charges each node read to its QueryContext, the one place a
 /// random I/O is counted; a caller that wants a warm buffer brings its own
@@ -91,27 +92,32 @@ class SgTree {
   NodeView GetNode(PageId id, const QueryContext& ctx) const {
     ctx.ChargeRead(id);
     SGTREE_DCHECK(IsLive(id));
-    return {records_[id].words.get(), options_.num_bits};
+    return {records_[id].words, options_.num_bits};
   }
   /// Fetches a node without I/O accounting (auditor, image builder, tests).
   NodeView GetNodeNoCharge(PageId id) const {
     SGTREE_ASSERT_MSG(IsLive(id), "dangling page reference");
-    return {records_[id].words.get(), options_.num_bits};
+    return {records_[id].words, options_.num_bits};
   }
 
   // -- Low-level node management (bulk loading and thaw) ----------------
 
   /// Allocates an empty node at `level` and returns its id.
   PageId AllocateNode(uint16_t level);
-  /// Materializes an empty node at a specific page id (ThawStatic — the
-  /// rebuilt tree's page ids are the image's node indexes) with room for
-  /// `room` entries; MutableNode widens it to max_entries + 1 at its first
-  /// edit. The id must not be live.
-  MutableNodeView AdoptNode(PageId id, uint16_t level, uint32_t room);
+  /// Keeps `image` alive as long as the tree: the owner of the records
+  /// AdoptNode reads in place. Type-erased, so the tree does not depend on
+  /// the image reader.
+  void HoldImage(std::shared_ptr<const void> image);
+  /// Makes `record` (a valid record of at most max_entries entries, inside
+  /// the held image) node `id`, read in place until its first edit
+  /// (ThawStatic: the tree's page ids are the image's node indexes). The id
+  /// must not be live.
+  void AdoptNode(PageId id, const uint64_t* record);
   /// Mutable access. A view stays valid until its node is freed: every
-  /// record is its own allocation, so growing the node table does not move
-  /// it. The one exception is an adopted record's first MutableNode, which
-  /// moves it to a record with room for max_entries + 1 entries.
+  /// heap record is its own allocation, so growing the node table does not
+  /// move it. An adopted record's first MutableNode copies it out of the
+  /// image into a heap record with room for max_entries + 1 entries; views
+  /// taken before then keep reading the image.
   MutableNodeView MutableNode(PageId id);
   /// Frees a node page.
   void FreeNode(PageId id);
@@ -127,9 +133,8 @@ class SgTree {
     return id < records_.size() && records_[id].words != nullptr;
   }
 
-  /// Gives page `id` an empty record at `level` with room for `room`
-  /// entries.
-  MutableNodeView NewRecord(PageId id, uint16_t level, uint32_t room);
+  /// A heap record with room for max_entries + 1 entries.
+  std::unique_ptr<uint64_t[]> NewHeapRecord() const;
 
   /// Inserts the entry (sig, ref) into a node at exactly `target_level` in
   /// the subtree rooted at `node_id`. Returns the id of a new sibling if the
@@ -159,10 +164,11 @@ class SgTree {
 
   // One record per node, indexed by PageId; null words for a free id.
   struct Record {
-    std::unique_ptr<uint64_t[]> words;
-    uint32_t room = 0;  // Entries the record has room for.
+    const uint64_t* words = nullptr;
+    std::unique_ptr<uint64_t[]> heap;  // Null while words are in image_.
   };
   std::vector<Record> records_;
+  std::shared_ptr<const void> image_;
   // Every free id below records_.size(), each once; AllocateNode takes the
   // last (the most recently freed).
   std::vector<PageId> free_ids_;

@@ -23,12 +23,6 @@ JoinRouter::JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
                        QueryExecutor* executor,
                        const JoinRouterOptions& options)
     : left_(&left), right_(&right), executor_(executor), options_(options) {
-  if (left.static_mode() || right.static_mode()) {
-    setup_error_ =
-        "static shards serve point queries only; joins need mutable shards "
-        "(a v1 manifest, which thaws its images, or the durable form)";
-    return;
-  }
   left_sets_.reserve(left.num_shards());
   for (uint32_t i = 0; i < left.num_shards(); ++i) {
     left_sets_.push_back(SetCollection::FromTree(left.shard(i), {}));
@@ -49,8 +43,7 @@ JoinResult JoinRouter::Run(const JoinRequest& request,
   obs::MetricsRegistry* reg = options_.metrics;
   if (reg != nullptr) reg->GetCounter("join.requests")->Increment(1);
 
-  merged.error = setup_error_;
-  if (merged.ok()) merged.error = ValidateJoinRequest(request);
+  merged.error = ValidateJoinRequest(request);
   if (!merged.ok()) {
     if (reg != nullptr) reg->GetCounter("join.rejected")->Increment(1);
     return merged;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/join_api.h"
@@ -54,9 +53,8 @@ struct JoinRouterOptions {
 /// `elapsed_us` the MAX (scatter-gather service time).
 class JoinRouter {
  public:
-  /// `left` (R), `right` (S), and `executor` must outlive the router. Both
-  /// indexes must hold dynamic shards: static-mode indexes are refused
-  /// with a one-line error at Run.
+  /// `left` (R), `right` (S), and `executor` must outlive the router. Any
+  /// kind of index joins: the join only reads the shard trees.
   JoinRouter(const ShardedIndex& left, const ShardedIndex& right,
              QueryExecutor* executor, const JoinRouterOptions& options = {});
 
@@ -71,7 +69,6 @@ class JoinRouter {
   const ShardedIndex* right_;
   QueryExecutor* executor_;
   JoinRouterOptions options_;
-  std::string setup_error_;
 
   // PRETTI's per-shard inputs, built once at construction. Similarity
   // joins the shard trees directly.

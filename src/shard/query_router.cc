@@ -8,7 +8,6 @@
 #include "exec/index_backend.h"
 #include "obs/percentile.h"
 #include "sgtree/search.h"
-#include "static/static_tree_backend.h"
 
 namespace sgtree {
 namespace {
@@ -63,25 +62,17 @@ QueryRouter::QueryRouter(const ShardedIndex& index, QueryExecutor* executor,
 void QueryRouter::RunSlice(const std::vector<QueryRequest>& batch,
                            uint32_t si, size_t q_begin, size_t q_end,
                            const std::vector<uint8_t>& valid,
-                           std::vector<SharedPruneBound>* bounds) {
+                           std::vector<SharedPruneBound>* bounds,
+                           std::vector<QueryResult>* partial) const {
   const uint32_t s = index_->num_shards();
-  // Static-mode shards answer through the StaticTreeBackend; both backends
-  // instantiate the same search cores, so the slice's results (values,
-  // counters, and traces) are identical either way.
-  const bool is_static = index_->static_mode();
   for (size_t qi = q_begin; qi < q_end; ++qi) {
     if (valid[qi] == 0) continue;
     const QueryRequest& request = batch[qi];
     SharedPruneBound* bound = options_.shared_knn_bound && IsKnn(request.type)
                                   ? &(*bounds)[qi]
                                   : nullptr;
-    if (is_static) {
-      ExecuteInto(StaticTreeBackend(index_->static_shard(si), bound), request,
-                  /*pool=*/nullptr, &partial_[qi * s + si]);
-    } else {
-      ExecuteInto(SgTreeBackend(index_->shard(si), bound), request,
-                  /*pool=*/nullptr, &partial_[qi * s + si]);
-    }
+    (*partial)[qi * s + si] =
+        Execute(SgTreeBackend(index_->shard(si), bound), request);
   }
 }
 
@@ -106,9 +97,10 @@ std::vector<QueryResult> QueryRouter::Run(
     if (valid[i] == 0) ++rejected;
   }
 
-  // The partial matrix is a member recycled across batches: steady state
-  // reuses every slot's buffers instead of allocating n*s results per Run.
-  if (partial_.size() < n * s) partial_.resize(n * s);
+  // partial[qi * s + si] is query qi's answer from shard si. It needs no
+  // mutex: each slot has exactly one writer, and the executor's fan-out
+  // join publishes every slot to this thread before the merge reads them.
+  std::vector<QueryResult> partial(n * s);
   std::vector<SharedPruneBound> bounds(options_.shared_knn_bound ? n : 0);
 
   Timer batch_timer;
@@ -131,11 +123,11 @@ std::vector<QueryResult> QueryRouter::Run(
         const auto si = static_cast<uint32_t>(task / num_blocks);
         const size_t q_begin = (task % num_blocks) * block;
         const size_t q_end = std::min(n, q_begin + block);
-        RunSlice(batch, si, q_begin, q_end, valid, &bounds);
+        RunSlice(batch, si, q_begin, q_end, valid, &bounds, &partial);
       });
   for (size_t qi = 0; qi < n; ++qi) {
     if (valid[qi] == 0) continue;
-    MergeQuery(batch[qi], &partial_[qi * s], s, &merged[qi]);
+    MergeQuery(batch[qi], &partial[qi * s], s, &merged[qi]);
   }
 
   report_ = BatchReport{};
@@ -150,7 +142,7 @@ std::vector<QueryResult> QueryRouter::Run(
     // task_us sums the per-(query, shard) parts, not the merged max: it is
     // the total backend service time the lanes had to absorb.
     for (uint32_t si = 0; si < s; ++si) {
-      report_.task_us += partial_[qi * s + si].elapsed_us;
+      report_.task_us += partial[qi * s + si].elapsed_us;
     }
   }
   report_.wall_ms = batch_timer.ElapsedMs();
@@ -170,7 +162,7 @@ std::vector<QueryResult> QueryRouter::Run(
       uint64_t shard_nodes = 0;
       for (size_t qi = 0; qi < n; ++qi) {
         if (valid[qi] == 0) continue;
-        const QueryResult& part = partial_[qi * s + si];
+        const QueryResult& part = partial[qi * s + si];
         ++shard_queries;
         shard_ios += part.trace.buffer_misses;
         shard_nodes += part.trace.nodes_visited();

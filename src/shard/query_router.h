@@ -56,11 +56,7 @@ struct QueryRouterOptions {
 ///  - cold sub-queries: sub-queries charge no pool, so each (query, shard)
 ///    trace is the cold per-shard trace whatever the slice geometry;
 ///  - barrier merge: after the fan-out the calling thread merges every
-///    query serially, so no lane-to-lane hand-off protocol is needed;
-///  - scratch reuse: the n-queries-by-s-shards partial-result matrix is a
-///    router member whose slots (and their neighbor/id heap buffers) are
-///    recycled across Run() calls, so steady-state batches allocate no
-///    per-task storage.
+///    query serially, so no lane-to-lane hand-off protocol is needed.
 ///
 /// The router runs on the executor's lanes, which carry no state from one
 /// sub-query to the next, so a router and a plain executor batch may share
@@ -91,22 +87,16 @@ class QueryRouter {
 
  private:
   /// Runs queries [q_begin, q_end) of `batch` against shard `si`, writing
-  /// each part into partial_[qi * s + si].
+  /// each part into (*partial)[qi * s + si].
   void RunSlice(const std::vector<QueryRequest>& batch, uint32_t si,
                 size_t q_begin, size_t q_end,
                 const std::vector<uint8_t>& valid,
-                std::vector<SharedPruneBound>* bounds);
+                std::vector<SharedPruneBound>* bounds,
+                std::vector<QueryResult>* partial) const;
 
   const ShardedIndex* index_;
   QueryExecutor* executor_;
   QueryRouterOptions options_;
-
-  /// Scatter scratch, reused across Run() calls: partial_[qi * s + si] is
-  /// query qi's answer from shard si (ExecuteInto recycles each slot's
-  /// buffers). It needs no mutex: each slot has exactly one writer per
-  /// batch, and the executor's fan-out join publishes every slot to the
-  /// calling thread before the merge reads them.
-  std::vector<QueryResult> partial_;
 
   BatchReport report_;
 };

@@ -72,7 +72,7 @@ std::unique_ptr<ShardedIndex> ShardedIndex::OpenDurable(
     if (error != nullptr) {
       *error = dir + " holds no shard-<i> directory; create a sharded index "
                      "there with sgtree_cli build --durable " + dir +
-               " --shards N (N >= 2)";
+               " --shards N";
     }
     return nullptr;
   }
@@ -166,7 +166,7 @@ bool ShardedIndex::AdoptBulkLoaded(const Dataset& dataset,
 }
 
 bool ShardedIndex::Insert(const Transaction& txn) {
-  if (static_mode()) return false;  // Static images are immutable.
+  if (static_mode()) return false;  // A v2 manifest is read-only.
   const uint32_t s = ShardOf(txn.tid, num_shards());
   if (durable()) {
     if (!durable_shards_[s]->Insert(txn)) return false;
@@ -178,14 +178,14 @@ bool ShardedIndex::Insert(const Transaction& txn) {
 }
 
 bool ShardedIndex::Erase(const Transaction& txn) {
-  if (static_mode()) return false;  // Static images are immutable.
+  if (static_mode()) return false;
   const uint32_t s = ShardOf(txn.tid, num_shards());
   if (durable()) return durable_shards_[s]->Erase(txn);
   return trees_[s]->Erase(txn);
 }
 
 size_t ShardedIndex::InsertBatch(const std::vector<Transaction>& txns) {
-  if (static_mode()) return 0;  // Static images are immutable.
+  if (static_mode()) return 0;
   const uint32_t n = num_shards();
   std::vector<std::vector<Transaction>> parts = Partition(txns);
   std::vector<size_t> acked(n, 0);
@@ -210,14 +210,12 @@ size_t ShardedIndex::InsertBatch(const std::vector<Transaction>& txns) {
 size_t ShardedIndex::size() const {
   size_t total = 0;
   for (const SgTree* shard : shards_) total += shard->size();
-  for (const auto& view : static_shards_) total += view->size();
   return total;
 }
 
 uint64_t ShardedIndex::node_count() const {
   uint64_t total = 0;
   for (const SgTree* shard : shards_) total += shard->node_count();
-  for (const auto& view : static_shards_) total += view->node_count();
   return total;
 }
 
@@ -291,9 +289,9 @@ std::unique_ptr<ShardedIndex> ShardedIndex::Load(
     if (error != nullptr) *error = "malformed shard manifest " + path;
     return nullptr;
   }
-  std::string format = "trees";
   if (version == 2) {
     std::string format_key;
+    std::string format;
     in >> format_key >> format;
     if (!in || format_key != "format" || format != "static") {
       if (error != nullptr) *error = "malformed shard manifest " + path;
@@ -310,27 +308,12 @@ std::unique_ptr<ShardedIndex> ShardedIndex::Load(
   std::unique_ptr<ShardedIndex> index(new ShardedIndex());
   index->options_ = options;
   index->options_.num_shards = n;
+  index->read_only_ = version == 2;
   // The first shard fixes the width when the caller left it unset, so a
   // manifest naming shards of mixed widths fails at the first that differs.
   SgTreeOptions tree_options = options.tree;
   for (uint32_t i = 0; i < n; ++i) {
     std::string shard_error;
-    if (format == "static") {
-      StaticOpenOptions open_options;
-      open_options.tree = tree_options;
-      std::unique_ptr<StaticTreeView> view =
-          StaticTreeView::Open(Env::Posix(), ShardSnapshotPath(path, i),
-                               open_options, &shard_error);
-      if (view == nullptr) {
-        if (error != nullptr) {
-          *error = "shard " + std::to_string(i) + ": " + shard_error;
-        }
-        return nullptr;
-      }
-      tree_options.num_bits = view->num_bits();
-      index->static_shards_.push_back(std::move(view));
-      continue;
-    }
     std::unique_ptr<SgTree> tree =
         LoadTree(ShardSnapshotPath(path, i), tree_options, &shard_error);
     if (tree == nullptr) {

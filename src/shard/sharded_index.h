@@ -13,7 +13,6 @@
 #include "sgtree/bulk_load.h"
 #include "sgtree/options.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_tree_view.h"
 
 namespace sgtree {
 
@@ -37,18 +36,18 @@ struct ShardedIndexOptions {
 /// QueryRouter does exactly that, and the merged answer is byte-identical
 /// to a single tree over the same data (see query_router.h for why).
 ///
-/// Shards come in three flavors, mirroring the single-tree story:
+/// Every shard is an SgTree; an index is one of three kinds:
 ///  - In-memory (constructor / BulkLoad), saved via Save() as a small v1
 ///    manifest at `path` plus one static image per shard at
-///    `path.shard<i>`; Load() thaws every image back into a mutable tree.
+///    `path.shard<i>`; Load() makes every image a tree that reads its
+///    nodes in place (LoadTree) and copies a node at its first edit.
 ///  - Durable (OpenDurable): each shard is a DurableTree in its own
 ///    subdirectory `<dir>/shard-<i>` with a private checkpoint image + WAL,
 ///    so a crash is recovered shard by shard at the next OpenDurable and a
 ///    fault in one shard's log never contaminates the others.
-///  - Static (SaveStatic / Load of a v2 manifest): each shard is an
-///    immutable mmap'ed StaticTreeView (static/static_tree_view.h). The
-///    index is read-only — updates return failure — and serves the same
-///    byte-identical merged answers through the QueryRouter.
+///  - Static (SaveStatic / Load of a v2 manifest): the same loaded trees,
+///    but the index is read-only — updates return failure — so its shards
+///    are never edited and every node is read from the mapped images.
 ///
 /// Thread-safety matches SgTree: concurrent reads of const shards are safe
 /// (the router fans out on that basis); mutations must be externally
@@ -105,7 +104,7 @@ class ShardedIndex {
   /// Routed updates. In durable mode these are logged per shard
   /// (log-before-acknowledge; false = the owning shard could not make the
   /// operation durable). In-memory inserts always succeed; Erase returns
-  /// whether the key existed. In static mode the index is immutable:
+  /// whether the key existed. A static-mode index is read-only:
   /// Insert/Erase return false and InsertBatch acknowledges 0.
   bool Insert(const Transaction& txn);
   bool Erase(const Transaction& txn);
@@ -118,18 +117,14 @@ class ShardedIndex {
   size_t InsertBatch(const std::vector<Transaction>& txns);
 
   uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.empty() ? static_shards_.size()
-                                                 : shards_.size());
+    return static_cast<uint32_t>(shards_.size());
   }
   /// Signature width of every shard (Load and OpenDurable refuse shards of
   /// mixed width).
-  uint32_t num_bits() const {
-    return static_mode() ? static_shards_[0]->num_bits()
-                         : shards_[0]->num_bits();
-  }
+  uint32_t num_bits() const { return shards_[0]->num_bits(); }
   bool durable() const { return !durable_shards_.empty(); }
-  /// True when the shards are immutable static images (v2 manifest).
-  bool static_mode() const { return !static_shards_.empty(); }
+  /// True when the index is read-only (a v2 manifest).
+  bool static_mode() const { return read_only_; }
 
   /// Sum of the shards' sizes / node counts.
   size_t size() const;
@@ -144,26 +139,24 @@ class ShardedIndex {
     return durable_shards_.empty() ? nullptr : durable_shards_[i].get();
   }
 
-  /// Shard `i`'s static view (static_mode() only).
-  const StaticTreeView& static_shard(uint32_t i) const {
-    return *static_shards_[i];
-  }
+  /// Shard `i`'s tree, under the name of the retired static shard type.
+  const SgTree& static_shard(uint32_t i) const { return shard(i); }
 
   /// Durable mode: fsyncs / checkpoints every shard. No-ops in-memory.
   bool Sync();
   bool Checkpoint(std::string* error = nullptr);
 
-  /// Saves this (dynamic) index: one crash-atomic static image per shard
+  /// Saves this (writable) index: one crash-atomic static image per shard
   /// at ShardSnapshotPath(path, i), then a manifest at `path` naming the
   /// shard count. Save() writes a v1 manifest ("sgshard 1"), which Load()
-  /// thaws into mutable trees; SaveStatic() writes a v2 manifest
-  /// ("sgshard 2" + "format static"), which Load() serves read-only from
-  /// the mapped images. The shard images are the same bytes either way.
+  /// opens writable; SaveStatic() writes a v2 manifest ("sgshard 2" +
+  /// "format static"), which Load() opens read-only. The shard images are
+  /// the same bytes either way.
   bool Save(const std::string& path, std::string* error = nullptr) const;
   bool SaveStatic(const std::string& path, std::string* error = nullptr) const;
 
-  /// Rebuilds a Save()d or SaveStatic()d index, dispatching on the manifest
-  /// version (v1 = mutable trees via LoadTree, v2 static = mmap'ed views).
+  /// Opens a Save()d or SaveStatic()d index: every shard image through
+  /// LoadTree, read in place; a v2 manifest makes the index read-only.
   /// `options.num_shards` is taken from the manifest, not the caller;
   /// `options.tree` supplies the runtime (metric, buffer pages) exactly
   /// like LoadTree.
@@ -191,14 +184,12 @@ class ShardedIndex {
   void CountInserts(uint32_t shard, uint64_t n);
 
   ShardedIndexOptions options_;
-  /// Views of the shard trees: owned by trees_ in-memory, or by the
-  /// DurableTrees in durable mode. num_shards entries — except in static
-  /// mode, where static_shards_ holds the index instead and these stay
-  /// empty.
+  /// The shard trees, num_shards entries: owned by trees_, or by the
+  /// DurableTrees in durable mode.
   std::vector<SgTree*> shards_;
   std::vector<std::unique_ptr<SgTree>> trees_;
   std::vector<std::unique_ptr<DurableTree>> durable_shards_;
-  std::vector<std::unique_ptr<StaticTreeView>> static_shards_;
+  bool read_only_ = false;
 };
 
 }  // namespace sgtree

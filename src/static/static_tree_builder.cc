@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <span>
+#include <utility>
 
 #include "common/bit_ops.h"
 #include "common/crc32.h"
@@ -91,19 +92,20 @@ bool BuildStaticTree(const SgTree& tree, const std::string& path,
   return AtomicWriteFile(Env::Posix(), path, BuildStaticImage(tree), error);
 }
 
-std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view) {
-  auto tree = std::make_unique<SgTree>(view.options());
-  for (uint64_t i = 0; i < view.node_count(); ++i) {
-    const auto id = static_cast<PageId>(i);
-    const NodeView record = view.GetNodeNoCharge(id);
-    tree->AdoptNode(id, record.level(), record.Count()).Assign(record);
+std::unique_ptr<SgTree> ThawStatic(
+    std::shared_ptr<const StaticTreeView> view) {
+  auto tree = std::make_unique<SgTree>(view->options());
+  for (uint64_t i = 0; i < view->node_count(); ++i) {
+    tree->AdoptNode(static_cast<PageId>(i), view->Record(i));
   }
-  const auto [area_lo, area_hi] = view.stored_area_window();
-  if (area_lo <= area_hi && area_hi <= view.num_bits() && view.size() > 0) {
+  const auto [area_lo, area_hi] = view->stored_area_window();
+  if (area_lo <= area_hi && area_hi <= view->num_bits() && view->size() > 0) {
     tree->NoteTransactionArea(area_lo);
     tree->NoteTransactionArea(area_hi);
   }
-  tree->SetRoot(view.root(), view.height(), view.size());
+  tree->SetRoot(view->node_count() == 0 ? kInvalidPageId : 0, view->height(),
+                view->size());
+  tree->HoldImage(std::move(view));
   return tree;
 }
 
@@ -112,10 +114,10 @@ std::unique_ptr<SgTree> LoadTree(const std::string& path,
                                  std::string* error) {
   StaticOpenOptions open_options;
   open_options.tree = runtime_options;
-  const std::unique_ptr<StaticTreeView> view =
+  std::unique_ptr<StaticTreeView> view =
       StaticTreeView::Open(Env::Posix(), path, open_options, error);
   if (view == nullptr) return nullptr;
-  return ThawStatic(*view);
+  return ThawStatic(std::move(view));
 }
 
 }  // namespace sgtree

@@ -13,8 +13,9 @@ namespace sgtree {
 
 // The static image is the one file format a tree is saved to and loaded
 // from. BuildStaticTree saves; LoadTree opens the image with checksums on
-// and thaws it into a mutable SgTree. They live here, not in src/sgtree,
-// because the tree library must not depend on the image reader.
+// and makes it an SgTree that reads its nodes in place. They live here,
+// not in src/sgtree, because the tree library must not depend on the image
+// reader.
 
 /// Serializes `tree` into a static SG-tree image (static_format.h). Nodes
 /// are laid out in BFS order from the root, which makes the output a pure
@@ -29,16 +30,17 @@ std::vector<uint8_t> BuildStaticImage(const SgTree& tree);
 bool BuildStaticTree(const SgTree& tree, const std::string& path,
                      std::string* error = nullptr);
 
-/// Copies a validated image into a mutable tree. Node i becomes PageId i
-/// (adopted in index order), so directory refs carry over unchanged and
+/// Makes a validated image a mutable tree without copying it: node i
+/// becomes PageId i, its record read in place in the image until its first
+/// edit (SgTree::AdoptNode), so directory refs carry over unchanged and
 /// BuildStaticImage of the result reproduces the image byte for byte. The
-/// tree takes `view.options()`, notes the stored area window, and starts
-/// with cold I/O counters.
-std::unique_ptr<SgTree> ThawStatic(const StaticTreeView& view);
+/// tree holds `view`, and with it the mapping, until the tree is
+/// destroyed; it takes `view->options()` and notes the stored area window.
+std::unique_ptr<SgTree> ThawStatic(std::shared_ptr<const StaticTreeView> view);
 
-/// Opens the image at `path` with checksums on and thaws it. Returns
-/// nullptr with `*error` (when non-null) set to "path: reason" for a
-/// missing, truncated, corrupt or foreign file — an SGTREE01 snapshot is
+/// Opens the image at `path` with checksums on and thaws it in place.
+/// Returns nullptr with `*error` (when non-null) set to "path: reason" for
+/// a missing, truncated, corrupt or foreign file — an SGTREE01 snapshot is
 /// refused with a reason that says to rebuild it. Query/buffer options
 /// (metric, buffer pages, policies) come from `runtime_options`; a non-zero
 /// num_bits must match the file, and the node capacity always comes from

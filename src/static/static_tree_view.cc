@@ -1,9 +1,10 @@
 #include "static/static_tree_view.h"
 
 #include <cstring>
-#include <numeric>
 
+#include "common/bit_ops.h"
 #include "common/crc32.h"
+#include "sgtree/node.h"
 
 namespace sgtree {
 
@@ -17,17 +18,6 @@ bool Fail(std::string* error, const std::string& reason) {
 }
 
 }  // namespace
-
-std::pair<uint32_t, uint32_t> StaticTreeView::TransactionAreaBounds() const {
-  if (options_.fixed_dimensionality != 0) {
-    return {options_.fixed_dimensionality, options_.fixed_dimensionality};
-  }
-  if (options_.use_area_stats && area_lo_ <= area_hi_ &&
-      area_hi_ <= num_bits_ && size_ > 0) {
-    return {area_lo_, area_hi_};
-  }
-  return {0, num_bits_};
-}
 
 bool StaticTreeView::Init(const uint8_t* data, size_t size,
                           const StaticOpenOptions& options,
@@ -67,7 +57,7 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
   num_bits_ = sf::LoadU32(data + sf::kNumBitsOffset);
   max_entries_ = sf::LoadU32(data + sf::kMaxEntriesOffset);
   height_ = sf::LoadU32(data + sf::kHeightOffset);
-  root_ = sf::LoadU32(data + sf::kRootOffset);
+  const uint32_t root = sf::LoadU32(data + sf::kRootOffset);
   size_ = sf::LoadU64(data + sf::kSizeOffset);
   node_count_ = sf::LoadU64(data + sf::kNodeCountOffset);
   const uint64_t index_offset = sf::LoadU64(data + sf::kIndexOffsetOffset);
@@ -106,11 +96,11 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
     return Fail(error, "malformed header (nodes offset)");
   }
   if (node_count_ == 0) {
-    if (root_ != sf::kInvalidRoot || height_ != 0 || size_ != 0) {
+    if (root != sf::kInvalidRoot || height_ != 0 || size_ != 0) {
       return Fail(error, "malformed header (empty tree with root)");
     }
   } else {
-    if (root_ != 0) {
+    if (root != 0) {
       // BFS order puts the root first; anything else is not our builder's
       // output and breaks the acyclicity argument below.
       return Fail(error, "malformed header (root is not node 0)");
@@ -215,15 +205,8 @@ bool StaticTreeView::Init(const uint8_t* data, size_t size,
   options_.max_entries = max_entries_;
 
   data_ = data;
-  data_size_ = size;
   if (error != nullptr) error->clear();
   return true;
-}
-
-std::vector<PageId> StaticTreeView::LiveNodes() const {
-  std::vector<PageId> ids(node_count_);
-  std::iota(ids.begin(), ids.end(), PageId{0});
-  return ids;
 }
 
 std::unique_ptr<StaticTreeView> StaticTreeView::Open(

@@ -8,14 +8,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/bit_ops.h"
-#include "common/signature.h"
 #include "durability/env.h"
-#include "sgtree/node.h"
 #include "sgtree/options.h"
 #include "static/static_format.h"
-#include "storage/page.h"
-#include "storage/query_context.h"
 
 namespace sgtree {
 
@@ -32,18 +27,19 @@ struct StaticOpenOptions {
   bool verify_checksums = true;
 };
 
-/// Read-only, zero-copy view of a static SG-tree image (static_format.h).
+/// Opens, validates and describes a static SG-tree image (static_format.h),
+/// and hands out its node records in place.
 ///
 /// Open() maps the file through Env::MapReadOnly — a true mmap under the
 /// POSIX env, a read-into-aligned-buffer fallback under wrapping envs — and
-/// validates the image before the first query can touch it. The view
-/// implements the read surface of SgTree (root / GetNode / options /
-/// TransactionAreaBounds), so the templated search cores run against it
-/// unchanged, and node indexes double as PageIds: charging them to a
-/// query's buffer pool reproduces the dynamic tree's LRU behavior exactly.
+/// validates the image before any record can be read: after Open, every
+/// record lies in bounds with a sane entry count, every directory ref names
+/// a later node one level down, and every node is reached exactly once.
+/// The view answers no query. ThawStatic (static_tree_builder.h) makes its
+/// records the nodes of an SgTree, read in place, and keeps the view alive
+/// as long as that tree.
 ///
-/// A fully validated view is immutable and safe to share across any number
-/// of concurrent query threads without synchronization.
+/// A validated view is immutable and safe to share across threads.
 class StaticTreeView {
  public:
   /// Opens and validates `path`. Returns nullptr with `*error` set (when
@@ -60,32 +56,17 @@ class StaticTreeView {
       const uint8_t* data, size_t size, const StaticOpenOptions& options,
       std::string* error);
 
-  PageId root() const {
-    return root_ == static_format::kInvalidRoot ? kInvalidPageId
-                                                : static_cast<PageId>(root_);
+  /// Node `i`'s record (i < node_count()), in place in the image: node 0
+  /// is the root, and the records are in BFS order.
+  const uint64_t* Record(uint64_t i) const {
+    return reinterpret_cast<const uint64_t*>(data_ + index_[i]);
   }
 
-  /// The node's record, read in place: the same NodeView the dynamic tree
-  /// returns, over the same record layout (sgtree/node.h).
-  NodeView GetNode(PageId id, const QueryContext& ctx) const {
-    ctx.ChargeRead(id);
-    return GetNodeNoCharge(id);
-  }
-
-  NodeView GetNodeNoCharge(PageId id) const {
-    return {reinterpret_cast<const uint64_t*>(data_ + index_[id]),
-            num_bits_};
-  }
-
+  /// The caller's runtime options with the file's width and node capacity.
   const SgTreeOptions& options() const { return options_; }
-
-  /// Same resolution the dynamic tree applies (fixed dimensionality, then
-  /// the stored area window under use_area_stats, then the generic bound).
-  std::pair<uint32_t, uint32_t> TransactionAreaBounds() const;
 
   uint32_t num_bits() const { return num_bits_; }
   uint32_t max_entries() const { return max_entries_; }
-  uint32_t min_entries() const { return options_.ResolvedMinEntries(); }
   uint32_t height() const { return height_; }
   uint64_t size() const { return size_; }
   uint64_t node_count() const { return node_count_; }
@@ -94,9 +75,6 @@ class StaticTreeView {
   std::pair<uint32_t, uint32_t> stored_area_window() const {
     return {area_lo_, area_hi_};
   }
-
-  /// Every node index below node_count(): an image has no free nodes.
-  std::vector<PageId> LiveNodes() const;
 
   /// True when the bytes are served from an actual memory mapping rather
   /// than a private buffer.
@@ -115,14 +93,12 @@ class StaticTreeView {
   std::unique_ptr<FileMapping> mapping_;  // Open() path.
   std::vector<uint64_t> owned_words_;     // OpenFromBytes() path.
   const uint8_t* data_ = nullptr;
-  size_t data_size_ = 0;
   const uint64_t* index_ = nullptr;  // node_count_ file offsets.
 
   SgTreeOptions options_;
   uint32_t num_bits_ = 0;
   uint32_t max_entries_ = 0;
   uint32_t height_ = 0;
-  uint32_t root_ = static_format::kInvalidRoot;
   uint64_t size_ = 0;
   uint64_t node_count_ = 0;
   uint64_t file_size_ = 0;

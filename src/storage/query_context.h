@@ -17,7 +17,7 @@ namespace sgtree {
 ///
 /// Both pointers may be null: a null `pool` charges every read as a miss,
 /// a null `trace` skips the counters. The no-pool rule is the paper's
-/// per-query cold buffer: each search core (sgtree/search_core.h) and
+/// per-query cold buffer: each search (sgtree/search.cc) and
 /// NearestIterator reads a node at most once per query — every node has
 /// one parent, and best-first search enqueues each child once — so a
 /// cleared pool of any size would miss on every read too. A pool is only

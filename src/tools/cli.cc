@@ -32,8 +32,6 @@
 #include "sgtree/invariant_auditor.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_audit.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
 #include "tools/command_line.h"
@@ -195,12 +193,14 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
 
   const std::string bulk = cmd.StringOr("bulk", "none");
+  // Any --shards N, 1 included, takes the sharded path.
+  const bool sharded = cmd.GetString("shards").has_value();
   const auto shards = static_cast<uint32_t>(cmd.UintOr("shards", 1));
   if (shards == 0) return Fail(err, "--shards must be positive");
   // A sharded --out writes one image per shard; --static 1 picks the v2
-  // manifest, which loads read-only over the mapped images.
+  // manifest, which loads read-only.
   const bool static_manifest =
-      shards > 1 && !durable_dir.has_value() && cmd.BoolOr("static", false);
+      sharded && !durable_dir.has_value() && cmd.BoolOr("static", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   BulkLoadOptions bulk_options;
@@ -216,12 +216,12 @@ int CmdBuild(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
   }
 
-  // Sharded build (--shards N, N >= 2): transactions are hash-partitioned
-  // by tid across N per-shard SG-trees. --out writes a manifest plus one
-  // image per shard; --durable opens one DurableTree per shard under
-  // DIR/shard-<i> (bulk orders are adopted + checkpointed per shard, plain
-  // inserts group-commit into each shard's log).
-  if (shards > 1) {
+  // Sharded build (--shards N): transactions are hash-partitioned by tid
+  // across N per-shard SG-trees. --out writes a manifest plus one image per
+  // shard; --durable opens one DurableTree per shard under DIR/shard-<i>
+  // (bulk orders are adopted + checkpointed per shard, plain inserts
+  // group-commit into each shard's log).
+  if (sharded) {
     ShardedIndexOptions sharded_options;
     sharded_options.num_shards = shards;
     sharded_options.tree = options;
@@ -429,18 +429,18 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   const bool json = cmd.BoolOr("json", false);
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
   std::string open_error;
-  auto view = StaticTreeView::Open(Env::Posix(), *index_path, {}, &open_error);
-  if (view == nullptr) return Fail(err, "cannot load " + open_error);
-  const AuditReport report = AuditStaticImage(*view);
+  const auto tree = LoadTree(*index_path, {}, &open_error);
+  if (tree == nullptr) return Fail(err, "cannot load " + open_error);
+  const AuditReport report = AuditTree(*tree);
   const AuditStats& stats = report.stats;
-  const uint32_t min_entries = view->options().ResolvedMinEntries();
+  const uint32_t min_entries = tree->min_entries();
   const std::string invariants = report.ok() ? "OK" : report.FirstMessage();
   if (json) {
-    out << "{\"transactions\": " << view->size()
-        << ", \"signature_bits\": " << view->num_bits()
+    out << "{\"transactions\": " << tree->size()
+        << ", \"signature_bits\": " << tree->num_bits()
         << ", \"height\": " << stats.height
         << ", \"nodes\": " << stats.node_count
-        << ", \"node_capacity\": " << view->max_entries()
+        << ", \"node_capacity\": " << tree->max_entries()
         << ", \"min_entries\": " << min_entries
         << ", \"utilization\": " << stats.avg_utilization
         << ", \"invariants_ok\": " << (report.ok() ? "true" : "false")
@@ -452,11 +452,11 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
     out << "]}\n";
   } else {
-    out << "transactions: " << view->size() << "\n"
-        << "signature bits: " << view->num_bits() << "\n"
+    out << "transactions: " << tree->size() << "\n"
+        << "signature bits: " << tree->num_bits() << "\n"
         << "height: " << stats.height << "\n"
         << "nodes: " << stats.node_count << "\n"
-        << "node capacity: " << view->max_entries() << " (min "
+        << "node capacity: " << tree->max_entries() << " (min "
         << min_entries << ")\n"
         << "utilization: " << stats.avg_utilization << "\n"
         << "invariants: " << invariants << "\n"
@@ -468,7 +468,7 @@ int CmdStats(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
   if (metrics_path.has_value()) {
     obs::MetricsRegistry registry;
-    registry.GetCounter("tree.transactions")->Increment(view->size());
+    registry.GetCounter("tree.transactions")->Increment(tree->size());
     registry.GetCounter("tree.nodes")->Increment(stats.node_count);
     registry.GetCounter("tree.height")->Increment(stats.height);
     return WriteMetricsJson(registry, *metrics_path, out, err);
@@ -493,7 +493,8 @@ int CmdCheck(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   auto view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
                                    &open_error);
   if (view == nullptr) return Fail(err, "cannot open " + open_error);
-  const AuditReport report = AuditStaticImage(*view, audit_options);
+  const AuditReport report =
+      AuditTree(*ThawStatic(std::move(view)), audit_options);
   out << "static image audit: " << report.Summary();
   return report.ok() ? 0 : 2;
 }
@@ -508,10 +509,11 @@ int CmdStaticInfo(const CommandLine& cmd, std::ostream& out,
   if (const int rc = CheckFlags(cmd, err); rc != 0) return rc;
 
   std::string open_error;
-  auto view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
-                                   &open_error);
+  std::shared_ptr<const StaticTreeView> view = StaticTreeView::Open(
+      Env::Posix(), *index_path, open_options, &open_error);
   if (view == nullptr) return Fail(err, "cannot open " + open_error);
-  const auto [area_lo, area_hi] = view->TransactionAreaBounds();
+  // The window the tree's searches use, resolved as a loaded tree does.
+  const auto [area_lo, area_hi] = ThawStatic(view)->TransactionAreaBounds();
   if (json) {
     out << "{\"format_version\": " << static_format::kVersion
         << ", \"transactions\": " << view->size()
@@ -573,12 +575,12 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   options.metric = metric;
 
   // --shards 1 loads --index as a sharded manifest (the shard count comes
-  // from the manifest, which also carries the static/dynamic format tag)
-  // and answers through the scatter-gather router; --threads sizes its
-  // worker pool. Otherwise --index is one static image, queried in place.
+  // from the manifest) and answers through the scatter-gather router;
+  // --threads sizes its worker pool. Otherwise --index is one static
+  // image, loaded as a tree that reads its nodes in place.
   const bool sharded = cmd.IntOr("shards", 0) != 0;
   const auto threads = static_cast<uint32_t>(cmd.UintOr("threads", 0));
-  std::unique_ptr<StaticTreeView> view;
+  std::unique_ptr<SgTree> tree;
   std::unique_ptr<ShardedIndex> index;
   uint32_t num_bits = 0;
   std::string load_error;
@@ -591,12 +593,9 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
     num_bits = index->num_bits();
   } else {
-    StaticOpenOptions open_options;
-    open_options.tree = options;
-    view = StaticTreeView::Open(Env::Posix(), *index_path, open_options,
-                                &load_error);
-    if (view == nullptr) return Fail(err, "cannot load " + load_error);
-    num_bits = view->num_bits();
+    tree = LoadTree(*index_path, options, &load_error);
+    if (tree == nullptr) return Fail(err, "cannot load " + load_error);
+    num_bits = tree->num_bits();
   }
 
   // Collect query item lists from --q and/or --queries.
@@ -651,7 +650,7 @@ int CmdQuery(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     // node read, against a cold buffer.
     results.reserve(requests.size());
     for (const QueryRequest& request : requests) {
-      results.push_back(Execute(StaticTreeBackend(*view), request));
+      results.push_back(Execute(SgTreeBackend(*tree), request));
     }
   }
 
@@ -727,6 +726,8 @@ int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
         << ", \"nodes_accessed\": " << result.trace.nodes_visited()
         << ", \"signatures_tested\": " << result.trace.signatures_tested
         << ", \"candidates_verified\": " << result.trace.candidates_verified
+        << ", \"buffer_hits\": " << result.trace.buffer_hits
+        << ", \"random_ios\": " << result.trace.buffer_misses
         << ", \"sample\": [";
     for (size_t pi = 0; pi < shown; ++pi) {
       out << (pi > 0 ? ", " : "") << "[" << pairs[pi].tid_a << ", "
@@ -752,7 +753,9 @@ int ReportJoin(const JoinResult& result, const std::vector<JoinPair>& pairs,
           << " descended=" << trace.subtrees_descended
           << " pruned=" << trace.subtrees_pruned
           << " verified=" << trace.candidates_verified
-          << " results=" << trace.results << "\n";
+          << " results=" << trace.results
+          << " hits=" << trace.buffer_hits
+          << " misses=" << trace.buffer_misses << "\n";
     }
   }
   if (metrics_path.has_value()) {

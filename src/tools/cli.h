@@ -17,27 +17,26 @@ namespace sgtree {
 ///               [--bulk gray|bisect|minhash|none] [--page N] [--shards N]
 ///               --out writes the index as one static image
 ///               (static/static_format.h): the only file format a tree is
-///               saved to. Every command below that takes --index F opens
-///               it in place; `join` and the library's LoadTree thaw it
-///               into a mutable tree.
+///               saved to. Every command below that takes --index F loads
+///               it as a tree that reads its nodes in place (LoadTree).
 ///               With --durable, builds a crash-safe index in DIR instead:
 ///               the static image of the last checkpoint
 ///               (checkpoint-<c>.sgs) plus a write-ahead log (wal.sgw) with
 ///               one record per operation since then. Plain inserts are
 ///               logged (publish them as a checkpoint with wal-checkpoint);
 ///               a bulk load is adopted and checkpointed.
-///               With --shards N (N >= 2), hash-partitions the data into N
+///               With --shards N (N >= 1), hash-partitions the data into N
 ///               per-shard SG-trees: --out writes a manifest plus one image
-///               per shard (add --static 1 for the read-only v2 manifest,
-///               which loads over the mapped images instead of thawing
-///               them), --durable gives every shard its own checkpoint
-///               image + log under DIR/shard-<i>.
+///               per shard (add --static 1 for the read-only v2 manifest),
+///               --durable gives every shard its own checkpoint image + log
+///               under DIR/shard-<i>, which sgtree_serve --durable-dir
+///               opens.
 ///   stats       --index F [--json 0|1] [--metrics-json F]
-///               Opens the image and prints its shape (height, nodes,
-///               utilization, per-level entry area) and the
-///               AuditStaticImage verdict.
+///               Loads the image and prints its shape (height, nodes,
+///               utilization, per-level entry area) and the AuditTree
+///               verdict.
 ///   check       --index F [--max-violations N] [--verify-checksums 0|1]
-///               Audits the image with AuditStaticImage: coverage, fill
+///               Audits the loaded image with AuditTree: coverage, fill
 ///               bounds, tid uniqueness and signature width (structure is
 ///               already enforced at open; --verify-checksums 0 admits a
 ///               CRC-damaged image so the audit can localize the
@@ -58,8 +57,7 @@ namespace sgtree {
 ///               with build --shards N) and answer via the scatter-gather
 ///               QueryRouter — results are byte-identical to the
 ///               single-image path; --threads N sizes the router's worker
-///               pool (0 = hardware concurrency). The manifest tags its own
-///               format: v1 shards are thawed, v2 shards are served mapped.
+///               pool (0 = hardware concurrency).
 ///   join contain --left F --right F [--shards 1] [--threads N]
 ///               [--buffer-pages N] [--limit N] [--json 1] [--trace 1]
 ///               [--metrics-json F]
@@ -81,11 +79,14 @@ namespace sgtree {
 ///               results are byte-identical to the unsharded run.
 ///               --buffer-pages N (default 64) sets the loaded trees'
 ///               buffer_pages: the frames of each side's tree-join pool.
+///               --trace 1 prints the join's counters, its pool hits and
+///               misses (random I/Os) included; --json 1 reports them as
+///               buffer_hits and random_ios.
 ///               Validation and support errors (a bad threshold, a
 ///               similarity join over trees of different signature widths)
 ///               exit 1 with the reason on stderr.
 ///   recover     --durable D [--out F] [--metrics-json F]
-///               Thaws the checkpoint image the log's marker names, replays
+///               Loads the checkpoint image the log's marker names, replays
 ///               the logged operations on it, gates the result through the
 ///               InvariantAuditor, and prints the recovery report; it
 ///               writes nothing in D. --out exports the recovered tree as a

@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "common/bit_kernels.h"
+#include "durability/env.h"
 #include "exec/join_api.h"
 #include "join/tree_join.h"
+#include "shard/sharded_index.h"
 #include "sgtree/node.h"
 #include "sgtree/options.h"
 #include "static/static_tree_builder.h"
@@ -602,6 +604,44 @@ TEST(CliTest, BuildRefusesPageBeyondNodeCapacity) {
   std::remove(index.c_str());
 }
 
+// Any --shards N, 1 included, builds a sharded index: --durable writes
+// DIR/shard-0, which ShardedIndex::OpenDurable (and so sgtree_serve
+// --durable-dir) opens as one shard holding every transaction, and --out
+// writes a one-shard manifest.
+TEST(CliTest, BuildOneShardMakesAShardedIndex) {
+  const std::string data = TempPath("cli_one_shard.txt");
+  const std::string dir = TempPath("cli_one_shard_dir");
+  const std::string manifest = TempPath("cli_one_shard.idx");
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(RunArgs({"gen", "quest", "--out", data, "--d", "200", "--items",
+                     "60", "--patterns", "10"})
+                .code,
+            0);
+  const CliResult durable =
+      RunArgs({"build", "--data", data, "--durable", dir, "--shards", "1"});
+  ASSERT_EQ(durable.code, 0) << durable.err;
+  std::string error;
+  auto index = ShardedIndex::OpenDurable(Env::Posix(), dir,
+                                         ShardedIndexOptions{}, &error);
+  ASSERT_NE(index, nullptr) << error;
+  EXPECT_EQ(index->num_shards(), 1u);
+  EXPECT_EQ(index->size(), 200u);
+  index.reset();
+
+  const CliResult saved =
+      RunArgs({"build", "--data", data, "--out", manifest, "--shards", "1"});
+  ASSERT_EQ(saved.code, 0) << saved.err;
+  auto loaded = ShardedIndex::Load(manifest, {}, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  EXPECT_EQ(loaded->num_shards(), 1u);
+  EXPECT_EQ(loaded->size(), 200u);
+
+  std::filesystem::remove_all(dir);
+  std::remove(data.c_str());
+  std::remove(manifest.c_str());
+  std::remove(ShardedIndex::ShardSnapshotPath(manifest, 0).c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Collection-level joins.
 // ---------------------------------------------------------------------------
@@ -778,6 +818,45 @@ TEST(CliTest, JoinBufferPagesNeverAllocatesPastTheTree) {
   const std::string most = run("4294967295");
   EXPECT_NE(most.find("# trace: nodes="), std::string::npos) << most;
   EXPECT_EQ(most, run("1000000"));
+  RemoveJoinInputs(left, right);
+}
+
+// The value printed after `key` (" misses=", "\"random_ios\": ") in
+// `text`, or -1 when `key` is absent.
+int64_t ValueAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
+// A join prints its pool hits and misses, the figures --buffer-pages
+// moves: on the trace line and, with --json 1, as buffer_hits and
+// random_ios. A one-frame pool misses more often than one that holds
+// every node.
+TEST(CliTest, JoinPrintsTheIoThatBufferPagesMoves) {
+  const std::string left = TempPath("cli_join_io_l.bin");
+  const std::string right = TempPath("cli_join_io_r.bin");
+  BuildJoinInputs(left, right);
+  auto run = [&](const std::string& pages, const std::string& json) {
+    const CliResult r = RunArgs({"join", "similar", "--left", left, "--right",
+                                 right, "--threshold", "4", "--trace", "1",
+                                 "--json", json, "--buffer-pages", pages});
+    EXPECT_EQ(r.code, 0) << r.err;
+    return r.out;
+  };
+  const std::string one_frame = run("1", "0");
+  const std::string every_node = run("1000000", "0");
+  EXPECT_NE(one_frame.find(" hits="), std::string::npos) << one_frame;
+  EXPECT_GT(ValueAfter(every_node, " misses="), 0) << every_node;
+  EXPECT_GT(ValueAfter(one_frame, " misses="),
+            ValueAfter(every_node, " misses="));
+  const std::string json = run("1", "1");
+  EXPECT_EQ(ValueAfter(json, "\"random_ios\": "),
+            ValueAfter(one_frame, " misses="))
+      << json;
+  EXPECT_EQ(ValueAfter(json, "\"buffer_hits\": "),
+            ValueAfter(one_frame, " hits="))
+      << json;
   RemoveJoinInputs(left, right);
 }
 

@@ -17,8 +17,8 @@
 #include "sgtree/bulk_load.h"
 #include "sgtree/incremental.h"
 #include "sgtree/join.h"
+#include "exec/index_backend.h"
 #include "sgtree/search.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
 #include "storage/buffer_pool.h"
@@ -30,23 +30,24 @@ namespace {
 using ::sgtree::testing::ClusteredDataset;
 using ::sgtree::testing::RandomSignature;
 
-// The tree's static image, reopened from its bytes with `open_options`.
-std::unique_ptr<StaticTreeView> StaticImageOf(
+// The tree's static image, reopened from its bytes with `open_options` and
+// loaded as a tree that reads it in place.
+std::unique_ptr<SgTree> StaticImageOf(
     const SgTree& tree, const StaticOpenOptions& open_options = {}) {
   const std::vector<uint8_t> image = BuildStaticImage(tree);
   std::string error;
   auto view = StaticTreeView::OpenFromBytes(image.data(), image.size(),
                                             open_options, &error);
   if (view == nullptr) ADD_FAILURE() << error;
-  return view;
+  return view == nullptr ? nullptr : ThawStatic(std::move(view));
 }
 
-// 1-NN through the unified API over a static image.
-Neighbor StaticNearest(const StaticTreeView& view, const Signature& query,
+// 1-NN through the unified API over a loaded static image.
+Neighbor StaticNearest(const SgTree& loaded, const Signature& query,
                        BufferPool* pool = nullptr) {
   QueryRequest request;
   request.query = query;
-  const QueryResult result = Execute(StaticTreeBackend(view), request, pool);
+  const QueryResult result = Execute(SgTreeBackend(loaded), request, pool);
   EXPECT_EQ(result.neighbors.size(), 1u);
   return result.neighbors.empty() ? Neighbor{} : result.neighbors.front();
 }
@@ -83,18 +84,19 @@ TEST_P(MetricVariantTest, StaticViewExact) {
   options.num_bits = 180;
   SgTree tree(options);
   for (const Transaction& txn : dataset.transactions) tree.Insert(txn);
-  // The metric is a runtime option of the view, not part of the image.
+  // The metric is a runtime option of the loaded tree, not part of the
+  // image.
   StaticOpenOptions open_options;
   open_options.tree.metric = GetParam();
-  const auto view = StaticImageOf(tree, open_options);
-  ASSERT_NE(view, nullptr);
+  const auto loaded = StaticImageOf(tree, open_options);
+  ASSERT_NE(loaded, nullptr);
   BufferPool pool(8);
   LinearScan scan(dataset);
   Rng rng(703);
   for (int q = 0; q < 10; ++q) {
     Signature query = RandomSignature(rng, 180, 0.05);
     if (query.Empty()) query.Set(0);
-    EXPECT_DOUBLE_EQ(StaticNearest(*view, query, &pool).distance,
+    EXPECT_DOUBLE_EQ(StaticNearest(*loaded, query, &pool).distance,
                      scan.Nearest(query, GetParam()).distance)
         << MetricName(GetParam());
   }
@@ -187,12 +189,12 @@ TEST(CensusCrossTest, IncrementalIteratorUsesTightBound) {
 
 TEST(CensusCrossTest, StaticImageCarriesAreaStats) {
   const CensusFixture f = MakeCensus(711);
-  const auto view = StaticImageOf(*f.tree);
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->TransactionAreaBounds(),
+  const auto loaded = StaticImageOf(*f.tree);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->TransactionAreaBounds(),
             (std::pair<uint32_t, uint32_t>{36, 36}));
   for (const Signature& q : f.queries) {
-    EXPECT_DOUBLE_EQ(StaticNearest(*view, q).distance,
+    EXPECT_DOUBLE_EQ(StaticNearest(*loaded, q).distance,
                      f.scan->Nearest(q).distance);
   }
 }

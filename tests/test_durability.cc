@@ -405,10 +405,11 @@ TEST(FilePageStoreTest, HeaderPingPongSurvivesTornHeaderWrite) {
 // id are free and allocated first (highest first), and adopting a free id
 // takes it off the free list.
 TEST(MemPageStoreTest, ReserveMatchesFileStoreSemantics) {
+  const uint64_t empty_leaf[1] = {0};  // Level 0, no entries.
   SgTree tree(SmallOptions());
-  tree.AdoptNode(3, 0, 0);
+  tree.AdoptNode(3, empty_leaf);
   EXPECT_EQ(tree.node_count(), 1u);
-  tree.AdoptNode(1, 0, 0);
+  tree.AdoptNode(1, empty_leaf);
   EXPECT_EQ(tree.LiveNodes(), (std::vector<PageId>{1, 3}));
   EXPECT_EQ(tree.AllocateNode(0), 2u);
   EXPECT_EQ(tree.AllocateNode(0), 0u);
@@ -1026,30 +1027,35 @@ TEST(DurableTreeTest, ForeignLogIsRefused) {
 // ---------------------------------------------------------------------------
 
 TEST(SgTreeAdoptTest, AdoptNodePreservesIds) {
+  const uint64_t empty_leaf[1] = {0};       // Level 0, no entries.
+  const uint64_t empty_directory[1] = {1};  // Level 1, no entries.
   SgTreeOptions options = SmallOptions();
   SgTree tree(options);
-  const MutableNodeView high = tree.AdoptNode(7, 0, 0);
-  EXPECT_EQ(high.level(), 0);
-  EXPECT_EQ(high.Count(), 0u);
-  const MutableNodeView low = tree.AdoptNode(2, 1, 0);
-  EXPECT_EQ(low.level(), 1);
+  tree.AdoptNode(7, empty_leaf);
+  tree.AdoptNode(2, empty_directory);
   EXPECT_EQ(tree.node_count(), 2u);
-  // The nodes live at exactly the adopted ids.
+  // The nodes live at exactly the adopted ids, read from the adopted
+  // records in place.
   EXPECT_EQ(tree.LiveNodes(), (std::vector<PageId>{2, 7}));
   EXPECT_EQ(tree.GetNodeNoCharge(7).level(), 0);
+  EXPECT_EQ(tree.GetNodeNoCharge(7).Count(), 0u);
   EXPECT_EQ(tree.GetNodeNoCharge(2).level(), 1);
+  EXPECT_EQ(tree.GetNodeNoCharge(7).words().data(), empty_leaf);
+  EXPECT_EQ(tree.GetNodeNoCharge(2).words().data(), empty_directory);
   // Fresh allocations steer around adopted ids.
   const PageId fresh = tree.AllocateNode(0);
   EXPECT_NE(fresh, 7u);
   EXPECT_NE(fresh, 2u);
 }
 
-// A record adopted with less room than an overflowing node needs (as the
-// thaw adopts every record, at its stored size) is widened at its first
-// edit: an adopted root leaf takes M+1 entries and splits.
+// An adopted record is read in place, at its stored size, and copied into
+// a heap record with room for M+1 entries at its first edit: an adopted
+// root leaf takes M+1 entries and splits, and the adopted words are never
+// written.
 TEST(SgTreeAdoptTest, AdoptedRecordWidensAtFirstEdit) {
+  const uint64_t empty_leaf[1] = {0};
   SgTree tree(SmallOptions());
-  tree.AdoptNode(4, 0, 0);
+  tree.AdoptNode(4, empty_leaf);
   tree.SetRoot(4, 1, 0);
   for (uint64_t tid = 0; tid <= tree.max_entries(); ++tid) {
     tree.Insert(Transaction{tid, {static_cast<ItemId>(tid % 64)}});
@@ -1058,6 +1064,8 @@ TEST(SgTreeAdoptTest, AdoptedRecordWidensAtFirstEdit) {
   EXPECT_EQ(tree.size(), tree.max_entries() + size_t{1});
   const AuditReport audit = AuditTree(tree);
   EXPECT_TRUE(audit.ok()) << audit.FirstMessage();
+  EXPECT_EQ(empty_leaf[0], 0u);
+  EXPECT_NE(tree.GetNodeNoCharge(4).words().data(), empty_leaf);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "common/bit_ops.h"
 #include "common/signature_ops.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_audit.h"
 #include "static/static_format.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
@@ -265,7 +264,8 @@ ImagePatcher BuildStaticImageOf(const SgTree& tree) {
   return patcher;
 }
 
-std::unique_ptr<StaticTreeView> OpenPatched(const ImagePatcher& patcher) {
+// Loads the patched image as a tree that reads it in place.
+std::unique_ptr<SgTree> OpenPatched(const ImagePatcher& patcher) {
   StaticOpenOptions options;
   options.tree = SmallOptions();
   options.verify_checksums = false;  // Admit the CRC-stale patched image.
@@ -273,14 +273,14 @@ std::unique_ptr<StaticTreeView> OpenPatched(const ImagePatcher& patcher) {
   auto view = StaticTreeView::OpenFromBytes(
       patcher.bytes.data(), patcher.bytes.size(), options, &error);
   EXPECT_NE(view, nullptr) << error;
-  return view;
+  return view == nullptr ? nullptr : ThawStatic(std::move(view));
 }
 
 TEST(StaticAuditTest, CleanImagePasses) {
   auto tree = BuildTree();
   const ImagePatcher patcher = BuildStaticImageOf(*tree);
-  auto view = OpenPatched(patcher);
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(patcher);
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.stats.node_count, tree->node_count());
   EXPECT_EQ(report.stats.leaf_entries, tree->size());
@@ -292,8 +292,8 @@ TEST(StaticAuditTest, CleanImagePasses) {
 
 TEST(StaticAuditTest, EmptyImagePasses) {
   const SgTree empty(SmallOptions());
-  auto view = OpenPatched(BuildStaticImageOf(empty));
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(BuildStaticImageOf(empty));
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.stats.node_count, 0u);
 }
@@ -307,8 +307,8 @@ TEST(StaticAuditTest, DetectsFlippedDirectorySignatureBit) {
   // Flip one in-width bit of the root's first entry signature: the entry
   // no longer equals the OR of its child's entries.
   patcher.bytes[patcher.EntryOffset(0, 0, words) + 8 + 3] ^= 0x10;  // Bit 28.
-  auto view = OpenPatched(patcher);
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(patcher);
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(AuditCheck::kCoverage)) << report.Summary();
   EXPECT_TRUE(AnyDetailContains(report, "not the OR of child node"));
@@ -325,8 +325,8 @@ TEST(StaticAuditTest, DetectsDuplicateTid) {
       sf::LoadU64(patcher.bytes.data() + patcher.EntryOffset(leaf, 1, words));
   sf::StoreU64(patcher.bytes.data() + patcher.EntryOffset(leaf, 0, words),
                tid1);
-  auto view = OpenPatched(patcher);
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(patcher);
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(AuditCheck::kDuplicateTid)) << report.Summary();
   EXPECT_TRUE(AnyDetailContains(report, "already indexed by node"));
@@ -351,8 +351,8 @@ TEST(StaticAuditTest, DetectsLeafSignatureDrift) {
   }
   ASSERT_GE(clear_bit, 0);
   sf::StoreU64(word0, value | (uint64_t{1} << clear_bit));
-  auto view = OpenPatched(patcher);
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(patcher);
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(AuditCheck::kCoverage)) << report.Summary();
   EXPECT_TRUE(AnyDetailContains(report, "lost bit"));
@@ -367,8 +367,8 @@ TEST(StaticAuditTest, DetectsBitsBeyondSignatureWidth) {
   uint8_t* word1 =
       patcher.bytes.data() + patcher.EntryOffset(leaf, 0, words) + 8 + 8;
   sf::StoreU64(word1, sf::LoadU64(word1) | (uint64_t{1} << 60));  // Bit 124.
-  auto view = OpenPatched(patcher);
-  const AuditReport report = AuditStaticImage(*view);
+  auto loaded = OpenPatched(patcher);
+  const AuditReport report = AuditTree(*loaded);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Has(AuditCheck::kSignatureWidth)) << report.Summary();
   EXPECT_TRUE(AnyDetailContains(report, "beyond the signature width"));

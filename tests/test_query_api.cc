@@ -5,6 +5,7 @@
 #include "exec/query_api.h"
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "sgtable/sg_table.h"
 #include "sgtree/search.h"
 #include "sgtree/sg_tree.h"
+#include "shard/join_router.h"
+#include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
@@ -183,25 +186,55 @@ TEST(BackendSupportTest, ReasonsNameTheBackendAndTheAlternative) {
 }
 
 TEST(BackendSupportTest, JoinCapabilityColumn) {
+  // Any index joins, a read-only SaveStatic -> Load one included: two
+  // loaded indexes join through the JoinRouter with exactly the pairs of
+  // the in-memory indexes they were saved from, for both predicates.
   Fixture f;
-  SgTableOptions topt;
-  const SgTable table(f.dataset, topt);
-  const InvertedIndex inverted(f.dataset);
+  ShardedIndexOptions options;
+  options.num_shards = 2;
+  options.tree = f.tree->options();
+  ShardedIndex left(options);
+  ShardedIndex right(options);
+  const std::vector<Transaction>& txns = f.dataset.transactions;
+  const auto half = static_cast<std::ptrdiff_t>(txns.size() / 2);
+  ASSERT_EQ(left.InsertBatch({txns.begin(), txns.begin() + half}),
+            static_cast<size_t>(half));
+  ASSERT_EQ(right.InsertBatch(txns), txns.size());
 
-  // Only tree-shaped backends can enumerate per-transaction item sets, so
-  // only they qualify as collection-join inputs.
-  EXPECT_EQ(SgTreeBackend(*f.tree).JoinInputReason(), "");
-  EXPECT_EQ(SgTableBackend(table).JoinInputReason(),
-            "sgtable stores signature buckets, not per-transaction item "
-            "sets; join from an sgtree-backed index instead");
-  EXPECT_EQ(InvertedIndexBackend(inverted).JoinInputReason(),
-            "the inverted file stores per-item posting lists, not "
-            "per-transaction item sets; join from an sgtree-backed index "
-            "instead");
-  // LinearScanBackend inherits the default refusal, which names it.
-  EXPECT_EQ(LinearScanBackend(*f.scan).JoinInputReason(),
-            "backend 'linear_scan' cannot enumerate per-transaction item "
-            "sets; join from an sgtree-backed index instead");
+  const std::string dir = ::testing::TempDir();
+  std::string error;
+  ASSERT_TRUE(left.SaveStatic(dir + "/join_column_left.idx", &error)) << error;
+  ASSERT_TRUE(right.SaveStatic(dir + "/join_column_right.idx", &error))
+      << error;
+  auto loaded_left = ShardedIndex::Load(dir + "/join_column_left.idx", {},
+                                        &error);
+  ASSERT_NE(loaded_left, nullptr) << error;
+  auto loaded_right = ShardedIndex::Load(dir + "/join_column_right.idx", {},
+                                         &error);
+  ASSERT_NE(loaded_right, nullptr) << error;
+  ASSERT_TRUE(loaded_left->static_mode());
+
+  QueryExecutor executor;
+  for (const JoinType type : {JoinType::kContainment, JoinType::kSimilarity}) {
+    JoinRequest request;
+    request.type = type;
+    request.threshold = 4.0;
+    std::vector<JoinPair> expected;
+    std::vector<JoinPair> actual;
+    ASSERT_TRUE(JoinRouter(left, right, &executor).Run(request, &expected).ok());
+    const JoinResult result =
+        JoinRouter(*loaded_left, *loaded_right, &executor).Run(request, &actual);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(actual, expected);
+  }
+  for (const char* side : {"left", "right"}) {
+    const std::string manifest = dir + "/join_column_" + side + ".idx";
+    std::remove(manifest.c_str());
+    for (uint32_t i = 0; i < options.num_shards; ++i) {
+      std::remove(ShardedIndex::ShardSnapshotPath(manifest, i).c_str());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

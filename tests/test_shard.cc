@@ -723,7 +723,7 @@ TEST(ShardedDurableTest, RefusesNewDirectoryWithoutWidth) {
             nullptr);
   EXPECT_EQ(error, dir + " holds no shard-<i> directory; create a sharded "
                          "index there with sgtree_cli build --durable " +
-                         dir + " --shards N (N >= 2)");
+                         dir + " --shards N");
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 

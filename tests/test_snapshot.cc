@@ -327,11 +327,11 @@ TEST(ThawTest, RebuildsTheImageByteForByteAndAuditsClean) {
     std::string error;
     StaticOpenOptions open_options;
     open_options.tree = options;
-    const auto view = StaticTreeView::OpenFromBytes(
-        image.data(), image.size(), open_options, &error);
+    auto view = StaticTreeView::OpenFromBytes(image.data(), image.size(),
+                                              open_options, &error);
     ASSERT_NE(view, nullptr) << error;
 
-    const std::unique_ptr<SgTree> thawed = ThawStatic(*view);
+    const std::unique_ptr<SgTree> thawed = ThawStatic(std::move(view));
     EXPECT_EQ(thawed->size(), tree->size());
     EXPECT_EQ(BuildStaticImage(*thawed), image);
     const AuditReport audit = AuditTree(*thawed);

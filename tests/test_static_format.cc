@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 #include "exec/index_backend.h"
 #include "exec/query_api.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "static/static_tree_view.h"
 #include "storage/buffer_pool.h"
@@ -163,6 +163,7 @@ TEST(StaticGoldenTest, GoldenImageOpensAndAnswersLikeTheBuilder) {
   ASSERT_NE(view, nullptr) << error;
   EXPECT_EQ(view->size(), 60u);
   EXPECT_EQ(view->num_bits(), kBits);
+  const std::unique_ptr<SgTree> loaded = ThawStatic(std::move(view));
 
   auto tree = DeterministicTree(60);
   QueryRequest request;
@@ -180,7 +181,7 @@ TEST(StaticGoldenTest, GoldenImageOpensAndAnswersLikeTheBuilder) {
     const QueryResult expected =
         Execute(SgTreeBackend(*tree), request, &dynamic_pool);
     const QueryResult actual =
-        Execute(StaticTreeBackend(*view), request, &static_pool);
+        Execute(SgTreeBackend(*loaded), request, &static_pool);
     EXPECT_EQ(expected, actual) << "query type " << type;
   }
 }
@@ -329,7 +330,8 @@ TEST(StaticCorruptionTest, BitFlipsWithChecksumsOffNeverCrash) {
       EXPECT_FALSE(error.empty());
     } else {
       ++opened;
-      const StaticTreeBackend backend(*view);
+      const std::unique_ptr<SgTree> loaded = ThawStatic(std::move(view));
+      const SgTreeBackend backend(*loaded);
       for (int type = 0; type < 6; ++type) {
         QueryRequest request;
         request.type = static_cast<QueryType>(type);

@@ -1,9 +1,11 @@
-// Differential tests for the static mmap'ed SG-tree: the StaticTreeBackend
-// must be byte-identical to the dynamic SgTreeBackend — full QueryResult
-// equality, counters and traces included — for all six query types, through
-// both the mmap (Open) and buffered (OpenFromBytes) paths, standalone and
-// behind the sharded scatter-gather router, and under concurrent readers
-// sharing one view (the TSAN target).
+// Differential tests for a loaded static image: an SgTree that reads its
+// records in place in the image must answer byte-identically to the tree
+// built by inserts — full QueryResult equality, counters and traces
+// included — for all six query types, through both the mmap (Open) and
+// buffered (OpenFromBytes) paths, standalone and behind the sharded
+// scatter-gather router, and under concurrent readers sharing one loaded
+// tree (the TSAN target). It also checks that the reads are in place: a
+// node leaves the image only when an update edits it.
 
 #include "static/static_tree_view.h"
 
@@ -25,8 +27,8 @@
 #include "exec/query_executor.h"
 #include "shard/query_router.h"
 #include "shard/sharded_index.h"
+#include "sgtree/invariant_auditor.h"
 #include "sgtree/sg_tree.h"
-#include "static/static_tree_backend.h"
 #include "static/static_tree_builder.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
@@ -98,12 +100,14 @@ struct Fixture {
     view = StaticTreeView::OpenFromBytes(image.data(), image.size(), options,
                                          &error);
     EXPECT_NE(view, nullptr) << error;
+    if (view != nullptr) loaded = ThawStatic(view);
   }
 
   Dataset dataset;
-  SgTree tree;
+  SgTree tree;  // Built by inserts.
   std::vector<uint8_t> image;
-  std::unique_ptr<StaticTreeView> view;
+  std::shared_ptr<const StaticTreeView> view;
+  std::unique_ptr<SgTree> loaded;  // The image, read in place.
 };
 
 // ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ TEST(StaticTreeViewTest, HeaderMatchesSourceTree) {
   EXPECT_EQ(f.view->num_bits(), f.tree.num_bits());
   EXPECT_EQ(f.view->max_entries(), f.tree.max_entries());
   EXPECT_EQ(f.view->file_size(), f.image.size());
-  EXPECT_EQ(f.view->TransactionAreaBounds(), f.tree.TransactionAreaBounds());
+  EXPECT_EQ(f.loaded->TransactionAreaBounds(), f.tree.TransactionAreaBounds());
   EXPECT_FALSE(f.view->zero_copy());  // OpenFromBytes copies.
 }
 
@@ -133,55 +137,49 @@ TEST(StaticTreeViewTest, EmptyTreeRoundTrips) {
                                     &error);
   ASSERT_NE(view, nullptr) << error;
   EXPECT_EQ(view->size(), 0u);
-  EXPECT_EQ(view->root(), kInvalidPageId);
+  const std::unique_ptr<SgTree> loaded = ThawStatic(std::move(view));
+  EXPECT_EQ(loaded->root(), kInvalidPageId);
   ExpectIdenticalResults(RunBatch(SgTreeBackend(empty), MixedBatch(72, 12)),
-                         RunBatch(StaticTreeBackend(*view), MixedBatch(72, 12)),
+                         RunBatch(SgTreeBackend(*loaded), MixedBatch(72, 12)),
                          "empty");
 }
 
 TEST(StaticTreeBackendTest, SupportsAllSixQueryTypes) {
+  // A loaded image is an SgTree, served by the one tree backend.
   Fixture f(60);
-  const StaticTreeBackend backend(*f.view);
-  EXPECT_STREQ(backend.name(), "static");
+  const SgTreeBackend backend(*f.loaded);
+  EXPECT_STREQ(backend.name(), "sgtree");
   for (int type = 0; type < 6; ++type) {
     EXPECT_TRUE(backend.Supports(static_cast<QueryType>(type))) << type;
   }
-  // Static images cannot feed collection-level joins: the support matrix
-  // says so with a reason pointing at the mutable forms.
-  EXPECT_EQ(backend.JoinInputReason(),
-            "static images serve point queries only; joins walk mutable "
-            "trees — thaw the image (LoadTree) or open the durable form to "
-            "join");
 }
 
 // ---------------------------------------------------------------------------
-// The differential core: static == dynamic, byte for byte.
+// The differential core: loaded == built by inserts, byte for byte.
 // ---------------------------------------------------------------------------
 
 TEST(StaticDifferentialTest, AllQueryTypesIdenticalToDynamicTree) {
   Fixture f;
   const std::vector<QueryRequest> batch = MixedBatch(73, 72);
   ExpectIdenticalResults(RunBatch(SgTreeBackend(f.tree), batch),
-                         RunBatch(StaticTreeBackend(*f.view), batch),
-                         "buffered view");
+                         RunBatch(SgTreeBackend(*f.loaded), batch),
+                         "buffered image");
 }
 
 TEST(StaticDifferentialTest, UntracedContextIdenticalToDynamicTree) {
-  // The I/O rule of a context without a pool (ExecuteInto still attaches
-  // the result's trace): every node read is one miss. No search reads a
-  // node twice in one query, so on both trees and for all six query types
-  // the no-pool result equals the result from a cleared pool of any size,
+  // The I/O rule of a context without a pool (Execute still attaches the
+  // result's trace): every node read is one miss. No search reads a node
+  // twice in one query, so on both trees and for all six query types the
+  // no-pool result equals the result from a cleared pool of any size,
   // trace included.
   Fixture f(500);
   const std::vector<QueryRequest> batch = MixedBatch(74, 36);
   const SgTreeBackend dynamic_backend(f.tree);
-  const StaticTreeBackend static_backend(*f.view);
+  const SgTreeBackend static_backend(*f.loaded);
   BufferPool pools[] = {BufferPool(0), BufferPool(8), BufferPool(4096)};
   for (size_t i = 0; i < batch.size(); ++i) {
-    QueryResult expected;
-    QueryResult actual;
-    ExecuteInto(dynamic_backend, batch[i], /*pool=*/nullptr, &expected);
-    ExecuteInto(static_backend, batch[i], /*pool=*/nullptr, &actual);
+    const QueryResult expected = Execute(dynamic_backend, batch[i]);
+    const QueryResult actual = Execute(static_backend, batch[i]);
     EXPECT_EQ(expected, actual) << "query " << i;
     for (const QueryResult* no_pool : {&expected, &actual}) {
       EXPECT_GT(no_pool->trace.nodes_visited(), 0u) << "query " << i;
@@ -194,8 +192,7 @@ TEST(StaticDifferentialTest, UntracedContextIdenticalToDynamicTree) {
            {static_cast<const IndexBackend*>(&dynamic_backend),
             static_cast<const IndexBackend*>(&static_backend)}) {
         pool.Clear();
-        QueryResult cold;
-        ExecuteInto(*backend, batch[i], &pool, &cold);
+        const QueryResult cold = Execute(*backend, batch[i], &pool);
         EXPECT_EQ(cold, expected) << backend->name() << " query " << i
                                   << " pool " << pool.capacity();
       }
@@ -214,13 +211,14 @@ TEST(StaticDifferentialTest, MmapOpenIdenticalToBufferedOpen) {
   auto mapped = StaticTreeView::Open(Env::Posix(), path, options, &error);
   ASSERT_NE(mapped, nullptr) << error;
   EXPECT_TRUE(mapped->zero_copy());
+  const std::unique_ptr<SgTree> mapped_tree = ThawStatic(std::move(mapped));
 
   const std::vector<QueryRequest> batch = MixedBatch(75, 48);
-  ExpectIdenticalResults(RunBatch(StaticTreeBackend(*f.view), batch),
-                         RunBatch(StaticTreeBackend(*mapped), batch), "mmap");
-  // And both match the dynamic tree, closing the triangle.
+  ExpectIdenticalResults(RunBatch(SgTreeBackend(*f.loaded), batch),
+                         RunBatch(SgTreeBackend(*mapped_tree), batch), "mmap");
+  // And both match the tree built by inserts, closing the triangle.
   ExpectIdenticalResults(RunBatch(SgTreeBackend(f.tree), batch),
-                         RunBatch(StaticTreeBackend(*mapped), batch),
+                         RunBatch(SgTreeBackend(*mapped_tree), batch),
                          "mmap vs dynamic");
   std::remove(path.c_str());
 }
@@ -241,10 +239,11 @@ TEST(StaticDifferentialTest, WrappingEnvFallbackIdenticalToPosixMmap) {
   auto fallback = StaticTreeView::Open(&env, path, options, &error);
   ASSERT_NE(fallback, nullptr) << error;
   EXPECT_FALSE(fallback->zero_copy());
+  const std::unique_ptr<SgTree> fallback_tree = ThawStatic(std::move(fallback));
 
   const std::vector<QueryRequest> batch = MixedBatch(76, 36);
   ExpectIdenticalResults(RunBatch(SgTreeBackend(f.tree), batch),
-                         RunBatch(StaticTreeBackend(*fallback), batch),
+                         RunBatch(SgTreeBackend(*fallback_tree), batch),
                          "fallback env");
   std::remove(path.c_str());
 }
@@ -271,12 +270,61 @@ TEST(StaticDifferentialTest, ExportStaticSnapshotsADurableTree) {
   auto view = StaticTreeView::Open(env, path, open_options, &error);
   ASSERT_NE(view, nullptr) << error;
   EXPECT_EQ(view->size(), dataset.transactions.size());
+  const std::unique_ptr<SgTree> exported = ThawStatic(std::move(view));
 
   const std::vector<QueryRequest> batch = MixedBatch(78, 30);
   ExpectIdenticalResults(RunBatch(SgTreeBackend(durable->tree()), batch),
-                         RunBatch(StaticTreeBackend(*view), batch),
+                         RunBatch(SgTreeBackend(*exported), batch),
                          "exported");
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Reads in place: a node leaves the image only when an update edits it.
+// ---------------------------------------------------------------------------
+
+// Ids of the image's nodes that the loaded tree no longer reads from the
+// image's bytes, ascending.
+std::vector<PageId> MovedNodes(const SgTree& loaded,
+                               const StaticTreeView& view) {
+  std::vector<PageId> moved;
+  for (PageId id = 0; id < view.node_count(); ++id) {
+    if (loaded.GetNodeNoCharge(id).words().data() != view.Record(id)) {
+      moved.push_back(id);
+    }
+  }
+  return moved;
+}
+
+TEST(StaticInPlaceTest, LoadedTreeCopiesOnlyTheNodesAnUpdateEdits) {
+  Fixture f;
+  SgTree& loaded = *f.loaded;
+  const uint32_t height = loaded.height();
+  ASSERT_GE(height, 3u);
+  ASSERT_EQ(loaded.node_count(), f.view->node_count());
+  // Every node is read from the image's record, at the image's address,
+  // and an erase that finds nothing reads its way down and copies nothing.
+  EXPECT_TRUE(MovedNodes(loaded, *f.view).empty());
+  EXPECT_FALSE(loaded.Erase(Transaction{5'000'000, {1, 2, 3}}));
+  EXPECT_TRUE(MovedNodes(loaded, *f.view).empty());
+
+  // One insert copies exactly the nodes of its descent, one per level,
+  // each a child of the one before in the image (BFS ids grow with depth,
+  // so ascending ids are root-first); every other node of the image stays
+  // in place.
+  loaded.Insert(Transaction{5'000'001, {1, 2, 3}});
+  const std::vector<PageId> moved = MovedNodes(loaded, *f.view);
+  ASSERT_EQ(moved.size(), height);
+  EXPECT_EQ(moved.front(), 0u);
+  for (size_t i = 1; i < moved.size(); ++i) {
+    const NodeView parent(f.view->Record(moved[i - 1]), kBits);
+    bool is_child = false;
+    for (const EntryView entry : parent) is_child |= entry.ref == moved[i];
+    EXPECT_TRUE(is_child) << "node " << moved[i];
+  }
+  EXPECT_TRUE(AuditTree(loaded).ok());
+  f.tree.Insert(Transaction{5'000'001, {1, 2, 3}});
+  EXPECT_EQ(BuildStaticImage(loaded), BuildStaticImage(f.tree));
 }
 
 // ---------------------------------------------------------------------------
@@ -378,14 +426,14 @@ TEST(StaticShardedIndexTest, StaticModeIsImmutable) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: many threads, one shared view (the TSAN target).
+// Concurrency: many threads, one shared loaded tree (the TSAN target).
 // ---------------------------------------------------------------------------
 
 TEST(StaticStressTest, ManyThreadsOneSharedViewMatchSerial) {
   Fixture f(1000);
   const std::vector<QueryRequest> batch = MixedBatch(82, 60);
   const std::vector<QueryResult> expected =
-      RunBatch(StaticTreeBackend(*f.view), batch);
+      RunBatch(SgTreeBackend(*f.loaded), batch);
 
   constexpr int kThreads = 8;
   std::vector<std::vector<QueryResult>> per_thread(kThreads);
@@ -394,9 +442,9 @@ TEST(StaticStressTest, ManyThreadsOneSharedViewMatchSerial) {
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        // Each thread its own results; the view itself is the only
-        // shared state — immutable, so no synchronization.
-        per_thread[t] = RunBatch(StaticTreeBackend(*f.view), batch);
+        // Each thread its own results; the loaded tree is the only
+        // shared state — read-only here, so no synchronization.
+        per_thread[t] = RunBatch(SgTreeBackend(*f.loaded), batch);
       });
     }
     for (std::thread& thread : threads) thread.join();

@@ -296,10 +296,11 @@ TEST(PageStoreTest, ReadOfFreedPageFails) {
 }
 
 TEST(PageStoreTest, InvalidIdRejected) {
+  const uint64_t empty_leaf[1] = {0};
   SgTree tree(AllocOptions());
   const PageId id = tree.AllocateNode(0);
   EXPECT_DEATH(tree.GetNodeNoCharge(123), "dangling page reference");
-  EXPECT_DEATH(tree.AdoptNode(id, 0, 0), "AdoptNode on a live page id");
+  EXPECT_DEATH(tree.AdoptNode(id, empty_leaf), "AdoptNode on a live page id");
 }
 
 // ---------------------------------------------------------------------------

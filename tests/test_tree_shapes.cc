@@ -126,12 +126,11 @@ std::vector<std::string> AllShapes() {
     std::string error;
     StaticOpenOptions open;
     open.tree = TreeOptions(quest.num_items);
-    const std::unique_ptr<StaticTreeView> view =
-        StaticTreeView::OpenFromBytes(image.data(), image.size(), open,
-                                      &error);
+    std::unique_ptr<StaticTreeView> view = StaticTreeView::OpenFromBytes(
+        image.data(), image.size(), open, &error);
     EXPECT_NE(view, nullptr) << error;
     if (view == nullptr) return lines;
-    const std::unique_ptr<SgTree> thawed = ThawStatic(*view);
+    const std::unique_ptr<SgTree> thawed = ThawStatic(std::move(view));
     for (size_t i = 1500; i < 2000; ++i) thawed->Insert(quest.transactions[i]);
     for (size_t i = 0; i < 1000; i += 5) {
       EXPECT_TRUE(thawed->Erase(quest.transactions[i]));
